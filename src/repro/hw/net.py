@@ -85,6 +85,10 @@ class _RxChunk(Machine):
     def _next_chunk(self) -> None:
         remaining = self._remaining
         if remaining <= 0:
+            # Last state: unbind the state callbacks (cycles through
+            # self that only the suspended collector could free).
+            self._cb_latency_done = self._cb_granted = None
+            self._cb_chunk_done = None
             self._finish(None)
             return
         pipe = self._pipe

@@ -14,7 +14,9 @@ Mechanism: the scenario is run three times —
 2. with :meth:`Environment.run` replaced by an instrumented drain loop
    that pops each equal-``(time, priority)`` batch and processes it in
    FIFO (= native) order.  This digest must match run 1; it proves the
-   instrumentation itself is behavior-neutral.
+   instrumentation itself is behavior-neutral.  Batches are read off
+   one heap, so the probe's environments are single-heap
+   (:func:`repro.sim.core._install_loop`) while run 1's are tiered.
 3. with the same drain loop processing each batch in LIFO order —
    a legal tie-break under the model's contract.  A digest mismatch
    means some same-timestamp batch is order-sensitive; the recorded
@@ -36,7 +38,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Iterator, Optional
 
 from ..sim import core as _core
-from ..sim.core import Environment, Event
+from ..sim.core import Environment, Event, _HeapTier, _install_loop
 from ..sim.exceptions import SimulationError, StopSimulation
 
 __all__ = [
@@ -147,6 +149,11 @@ def _make_batch_run(
                     )
 
         queue = self._queue
+        if not isinstance(self._normal, _HeapTier):
+            raise SimulationError(
+                "the tie-order probe reads one heap: construct the "
+                "Environment inside patched_tie_order()"
+            )
         sleep_pool = self._sleep_pool
         sleep_cls = _core._Sleep
         pending = _core._PENDING
@@ -192,6 +199,7 @@ def _make_batch_run(
             # native loop would.
             for entry in batch:
                 heappush(queue, entry)
+            self._popped = self._seq - len(queue)
 
         if stop_at is not None:
             self._now = stop_at
@@ -211,12 +219,11 @@ def patched_tie_order(
     patching is impossible — every environment created inside the
     ``with`` block uses the perturbed loop.
     """
-    original = Environment.run
-    Environment.run = _make_batch_run(mode, recorder)  # type: ignore[method-assign]
+    previous = _install_loop(_make_batch_run(mode, recorder), single_heap=True)
     try:
         yield
     finally:
-        Environment.run = original  # type: ignore[method-assign]
+        _install_loop(*previous)
 
 
 def check_tie_order(

@@ -8,7 +8,10 @@
  * Parity contract (digest-proven by tests/test_engine_matrix.py):
  *
  *   - The heap is the same Python list of ``(time, priority, seq, event)``
- *     tuples; pushes keep going through the pure-Python ``_schedule_at``.
+ *     tuples, and it is the only container this loop reads: activation
+ *     makes environments single-heap (core.py ``_install_loop``), so the
+ *     pure-Python schedule sites push everything here and the wrapper
+ *     refuses a tiered environment.
  *     Sequence numbers are unique, so the key order is total and the pop
  *     *sequence* is independent of the sift implementation — any valid
  *     min-heap maintenance yields the identical event order, byte for

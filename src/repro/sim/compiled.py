@@ -3,11 +3,15 @@
 ``REPRO_ENGINE=compiled`` (read through the injectable
 :mod:`repro.util.wallclock` boundary at :mod:`repro.sim` import time)
 swaps :meth:`Environment.run` for :func:`_run_compiled`, which delegates
-the per-event work — heap pops, batched same-tick dispatch, ``_Sleep``
-recycling, peak-heap accounting — to the C extension built from
-``_ckernel.c``.  Everything that runs once per ``run()`` call (the
-until-event protocol, gc suspension, the ``stop_at`` clock fixup) stays
-in Python where it is free.
+the per-event work — heap pops, dispatch, ``_Sleep`` recycling,
+peak-heap accounting — to the C extension built from ``_ckernel.c``.
+The extension reads one heap, so activation also makes new
+environments single-heap (:func:`repro.sim.core._install_loop`): every
+schedule lands on ``_queue`` and the kernel's pop order is the textbook
+one the tiered pure loop is proven equal to.  Everything that runs once
+per ``run()`` call (the until-event protocol, gc suspension, the
+``stop_at`` clock fixup, the dispatched-event count) stays in Python
+where it is free.
 
 The extension is built by :mod:`repro.engine_build` (which may invoke
 the compiler and therefore lives *outside* the simulated layers — SIM201
@@ -23,7 +27,14 @@ from __future__ import annotations
 import gc
 from typing import Any, Optional
 
-from .core import _PENDING, _Sleep, Environment, Event
+from .core import (
+    _PENDING,
+    _HeapTier,
+    _Sleep,
+    Environment,
+    Event,
+    _install_loop,
+)
 from .exceptions import SimulationError, StopSimulation
 
 #: Which loop Environment.run currently uses: "pure" or "compiled".
@@ -55,6 +66,12 @@ def _run_compiled(self: Environment, until: Any = None) -> Any:
     until-event's callback surfaces the event value, and a queue that
     drains before the deadline still advances the clock to ``stop_at``.
     """
+    queue = self._queue
+    if not isinstance(self._normal, _HeapTier):
+        raise SimulationError(
+            "the compiled kernel reads one heap: construct the "
+            "Environment after compiled.activate()"
+        )
     stop_at: Optional[float] = None
     if until is not None:
         if isinstance(until, Event):
@@ -77,6 +94,13 @@ def _run_compiled(self: Environment, until: Any = None) -> Any:
     except StopSimulation as stop:
         return stop.args[0]
     finally:
+        # On one heap, what the kernel dispatched is what is no longer
+        # there; and the pure loop's run-boundary peak sample is taken
+        # here, once per run() rather than in C.
+        pending = len(queue)
+        self._popped = self._seq - pending
+        if pending > self._peak_pending:
+            self._peak_pending = pending
         if gc_was_enabled:
             gc.enable()
 
@@ -97,7 +121,7 @@ def activate() -> bool:
     global ACTIVE_ENGINE
     if not load():
         return False
-    Environment.run = _run_compiled  # type: ignore[method-assign]
+    _install_loop(_run_compiled, single_heap=True)
     ACTIVE_ENGINE = "compiled"
     return True
 
@@ -105,5 +129,5 @@ def activate() -> bool:
 def deactivate() -> None:
     """Restore the pure-Python loop (used by the parity tests)."""
     global ACTIVE_ENGINE
-    Environment.run = Environment._run_pure  # type: ignore[method-assign]
+    _install_loop(Environment._run_pure, single_heap=False)
     ACTIVE_ENGINE = "pure"

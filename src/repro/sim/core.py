@@ -6,18 +6,24 @@ whole repository is dependency-free and bit-reproducible.
 
 Design notes
 ------------
-* **Determinism.**  The event heap orders entries by
-  ``(time, priority, sequence)``.  The monotonically increasing sequence
-  number breaks ties in insertion order, so two runs of the same model
-  with the same seed produce identical traces.  An entry is the 4-tuple
-  ``(time, priority, sequence, event)`` — small ints deliberately kept
-  unpacked, because CPython compares them in one machine word whereas a
+* **Determinism.**  Events are dispatched in ``(time, priority,
+  sequence)`` order.  The monotonically increasing sequence number
+  breaks ties in insertion order, so two runs of the same model with the
+  same seed produce identical traces.
+* **Pending events live where their key puts them** (DESIGN.md §13).
+  Most events are scheduled for the current instant, so the pending set
+  is split three ways: ``_urgent`` and ``_normal`` are FIFOs of events
+  due *now* at each priority, and ``_queue`` is a heap of ``(time,
+  priority, sequence, event)`` for the future.  The pop rule
+  (:meth:`Environment.step`) walks them in an order that equals the
+  one-heap order exactly.  Heap entries keep their small ints unpacked,
+  because CPython compares them in one machine word whereas a
   ``priority << k | seq`` packed key goes multi-digit and slows every
   heap sift (measured ~5% on the fallback scenario).
-* **One schedule fast path.**  Every event enters the heap through
-  :func:`_schedule_at` — the single audited site that mints a sequence
-  number and pushes.  Hot constructors call it directly; auditing (or
-  batching) scheduling means auditing that one function.
+* **Every schedule mints exactly one sequence number**, whichever
+  container it files the event in: ``env._seq`` is the event count the
+  simulation digest hashes.  Hot constructors do it inline;
+  :meth:`Environment.schedule` is the generic route.
 * **Processes are generators.**  A process yields events; when a yielded
   event triggers, the process is resumed with the event's value (or the
   event's exception is thrown into it).
@@ -32,6 +38,7 @@ models before.
 from __future__ import annotations
 
 import gc
+from collections import deque
 from collections.abc import Generator
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
@@ -61,22 +68,6 @@ PRIORITY_NORMAL = 1
 
 # Sentinel distinguishing "not yet triggered" from "triggered with None".
 _PENDING = object()
-
-
-def _schedule_at(
-    env: "Environment", event: "Event", at: float, priority: int
-) -> None:
-    """THE schedule fast path: every event enters the heap here.
-
-    Mints the tie-break sequence number and pushes the 4-tuple heap
-    entry.  Peak-heap tracking deliberately does not live here: the heap
-    only shrinks at pops, so the high-water mark is always attained at
-    the top of a ``run()``/``step()`` iteration (plus the run-boundary
-    checks in :meth:`Environment.run`), which spares every schedule a
-    len+compare.
-    """
-    env._seq = seq = env._seq + 1
-    heappush(env._queue, (at, priority, seq, event))
 
 #: Callables invoked (in registration order) whenever a new
 #: :class:`Environment` is constructed.  Modules with process-global
@@ -170,7 +161,8 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
-        _schedule_at(env, self, env._now, PRIORITY_NORMAL)
+        env._seq += 1
+        env._normal.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -229,9 +221,14 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self.delay = delay
-        _schedule_at(
-            env, self, env._now + delay if delay else env._now, PRIORITY_NORMAL
-        )
+        env._seq = seq = env._seq + 1
+        now = env._now
+        at = now + delay
+        if at > now:
+            heappush(env._queue, (at, PRIORITY_NORMAL, seq, self))
+        else:
+            # Zero delay, or one the clock's precision absorbs: due now.
+            env._normal.append(self)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"
@@ -264,7 +261,8 @@ class Initialize(Event):
         self._value = None
         self._ok = True
         self._defused = False
-        _schedule_at(env, self, env._now, PRIORITY_URGENT)
+        env._seq += 1
+        env._urgent.append(self)
 
 
 class _Interruption(Event):
@@ -362,14 +360,18 @@ class Process(Event):
                 # Process finished successfully.
                 self._ok = True
                 self._value = stop.value
-                _schedule_at(env, self, env._now, PRIORITY_NORMAL)
-                self._target = None
+                env._seq += 1
+                env._normal.append(self)
+                # A finished process drops its generator and the bound
+                # method that points back at it: that cycle would wait
+                # for the collector, which run() suspends.
+                self._target = self._generator = self._bound_resume = None
                 break
             except BaseException as exc:  # noqa: BLE001 - model errors propagate
                 self._ok = False
                 self._value = exc
                 env.schedule(self)
-                self._target = None
+                self._target = self._generator = self._bound_resume = None
                 break
 
             # Fetching .callbacks doubles as the is-this-an-event check:
@@ -489,8 +491,28 @@ class AnyOf(Condition):
         super().__init__(env, Condition.any_events, events)
 
 
+class _HeapTier:
+    """Stand-in for a current-tick FIFO on a single-heap environment:
+    ``append`` files the event on the heap under the key the FIFO's
+    position implies, so the tier itself is always empty."""
+
+    __slots__ = ("_env", "_priority")
+
+    def __init__(self, env: "Environment", priority: int) -> None:
+        self._env = env
+        self._priority = priority
+
+    def append(self, event: Event) -> None:
+        env = self._env
+        # The caller has already minted the sequence number.
+        heappush(env._queue, (env._now, self._priority, env._seq, event))
+
+    def __len__(self) -> int:
+        return 0
+
+
 class Environment:
-    """The simulation environment: clock plus event queue.
+    """The simulation environment: clock plus pending events.
 
     Examples
     --------
@@ -506,20 +528,36 @@ class Environment:
 
     __slots__ = (
         "_now",
+        "_urgent",
+        "_normal",
         "_queue",
         "_seq",
+        "_popped",
         "_active_process",
         "_peak_pending",
         "_sleep_pool",
     )
 
+    #: Reference mode: environments constructed while this is set keep
+    #: every pending event on ``_queue`` alone (textbook one-heap order;
+    #: see :func:`_install_loop`).  Not a user option.
+    _single_heap = False
+
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         # Heap entries are (time, priority, seq, event).
         self._queue: list[tuple[float, int, int, Event]] = []
+        if self._single_heap:
+            self._urgent: Any = _HeapTier(self, PRIORITY_URGENT)
+            self._normal: Any = _HeapTier(self, PRIORITY_NORMAL)
+        else:
+            self._urgent = deque()
+            self._normal = deque()
         self._seq = 0
+        #: Events dispatched so far; ``_seq - _popped`` are pending.
+        self._popped = 0
         self._active_process: Optional[Process] = None
-        #: High-water mark of the pending-event heap (a perf observable:
+        #: High-water mark of the pending-event count (a perf observable:
         #: memory pressure and heap-op cost both scale with it).
         self._peak_pending = 0
         #: Free list of processed :class:`_Sleep` events (see
@@ -530,7 +568,8 @@ class Environment:
 
     @property
     def peak_pending(self) -> int:
-        """Largest number of simultaneously scheduled events so far."""
+        """Largest number of simultaneously scheduled events so far,
+        sampled before each pop and at the end of each ``run()``."""
         return self._peak_pending
 
     @property
@@ -561,11 +600,11 @@ class Environment:
     def sleep(self, delay: float) -> Timeout:
         """A fire-and-forget timeout drawn from a free list.
 
-        Semantically identical to ``timeout(delay)`` — same scheduling,
-        same sequence-number consumption — but the event is recycled by
-        the event loop once processed.  Use it only for the discard
-        pattern ``yield env.sleep(d)``: the caller must not retain,
-        compose, or inspect the returned event afterwards.
+        Semantically identical to ``timeout(delay)`` — same dispatch
+        position, same sequence-number consumption — but the event is
+        recycled by the event loop once processed.  Use it only for the
+        discard pattern ``yield env.sleep(d)``: the caller must not
+        retain, compose, or inspect the returned event afterwards.
         """
         pool = self._sleep_pool
         if not pool:
@@ -576,9 +615,13 @@ class Environment:
         ev.callbacks = []
         ev._value = None
         ev.delay = delay
-        _schedule_at(
-            self, ev, self._now + delay if delay else self._now, PRIORITY_NORMAL
-        )
+        self._seq = seq = self._seq + 1
+        now = self._now
+        at = now + delay
+        if at > now:
+            heappush(self._queue, (at, PRIORITY_NORMAL, seq, ev))
+        else:
+            self._normal.append(ev)
         return ev
 
     def process(
@@ -599,37 +642,82 @@ class Environment:
     def schedule(
         self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL
     ) -> None:
-        """Queue ``event`` for processing ``delay`` time units from now."""
-        if delay:
-            if delay < 0:
+        """Queue ``event`` for processing ``delay`` time units from now.
+
+        The generic route into the pending set (hot constructors file
+        their event inline).  ``priority`` is :data:`PRIORITY_NORMAL` or
+        :data:`PRIORITY_URGENT`, and an urgent event is always due now:
+        the pop rule relies on every future entry being normal.
+        """
+        now = self._now
+        at = now + delay
+        if at > now:
+            if priority != PRIORITY_NORMAL:
                 raise SimulationError(
-                    f"cannot schedule in the past (delay={delay})"
+                    f"a delayed event must have normal priority, "
+                    f"got priority={priority!r} with delay={delay!r}"
                 )
-            at = self._now + delay
+            self._seq = seq = self._seq + 1
+            heappush(self._queue, (at, priority, seq, event))
+        elif delay < 0:
+            raise SimulationError(
+                f"cannot schedule in the past (delay={delay})"
+            )
+        elif priority == PRIORITY_NORMAL:
+            self._seq += 1
+            self._normal.append(event)
+        elif priority == PRIORITY_URGENT:
+            self._seq += 1
+            self._urgent.append(event)
         else:
-            at = self._now
-        _schedule_at(self, event, at, priority)
+            raise SimulationError(f"unknown scheduling priority: {priority!r}")
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if queue is empty."""
+        """Time of the next pending event, or ``inf`` if there is none."""
+        if self._urgent or self._normal:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it).
 
-        Single-step specialization of the :meth:`run` fast path: same
-        peak-heap accounting, same 1-callback dispatch shortcut, same
-        ``_Sleep`` recycling, same undefused-failure propagation —
-        interleaving ``step()`` with ``run()`` is behavior-identical to
-        one uninterrupted ``run()``.
+        **The pop rule**, which :meth:`run` inlines unchanged.  The next
+        event is the first of:
+
+        1. the head of the urgent FIFO;
+        2. the heap's top entry, if its time equals ``now``;
+        3. the head of the normal FIFO;
+        4. the heap's top entry; the clock advances to its time.
+
+        This is the ``(time, priority, sequence)`` order of one heap
+        holding everything.  Nothing pending is earlier than ``now``, so
+        what is due now goes first, urgent before normal (beside a
+        FIFO every heap entry is normal: :meth:`schedule`).  Among
+        normal events due now, a heap entry was scheduled before the
+        clock reached ``now`` and a FIFO entry after, so the heap entry
+        holds the smaller sequence number; each FIFO is in sequence
+        order by construction.
+
+        Interleaving ``step()`` with ``run()`` is behavior-identical to
+        one uninterrupted ``run()``; neither may be called from inside
+        an event callback.
         """
+        urgent = self._urgent
         queue = self._queue
-        if not queue:
+        if urgent:
+            event = urgent.popleft()
+        elif queue and queue[0][0] == self._now:
+            event = heappop(queue)[3]
+        elif self._normal:
+            event = self._normal.popleft()
+        elif queue:
+            self._now, _, _, event = heappop(queue)
+        else:
             raise IndexError("no more events")
-        qlen = len(queue)
-        if qlen > self._peak_pending:
-            self._peak_pending = qlen
-        self._now, _, _, event = heappop(queue)
+        pending = self._seq - self._popped
+        if pending > self._peak_pending:
+            self._peak_pending = pending
+        self._popped += 1
 
         callbacks = event.callbacks
         event.callbacks = None
@@ -654,32 +742,26 @@ class Environment:
         Parameters
         ----------
         until:
-            ``None`` — run until the queue drains.
+            ``None`` — run until nothing is pending.
             a number — run until simulated time reaches that point.
             an :class:`Event` — run until it triggers; its value is returned.
 
         Implementation notes (the simulator's hottest loop):
 
-        * :meth:`step` is inlined — at hundreds of thousands of events
-          per run the call overhead is measurable.
-        * **Batched same-tick dispatch.**  Events sharing one
-          ``(time, priority)`` key are drained as a run: after each
-          dispatch the loop peeks the heap top and, while it still
-          belongs to the batch, pops it without re-testing the horizon
-          or re-storing the clock.  The continuation test is exact
-          native order — everything scheduled during the batch carries
-          a higher sequence number, so the only entry that can legally
-          sort *before* a remaining batch member is an urgent event at
-          the same timestamp, and its smaller priority breaks the
-          batch back into the outer loop (which pops it first, exactly
-          as the unbatched loop would).
+        * It is :meth:`step` inlined — same pop rule, same dispatch —
+          with the containers, the clock and the counters held in
+          locals: at hundreds of thousands of events per run a method
+          call or an attribute load per event is measurable.  The
+          horizon is tested only where the clock would advance.
         * Cyclic garbage collection is suspended for the duration of the
           loop.  Event/process/generator webs are cyclic by nature, so
           the collector otherwise scans a few hundred thousand live
-          objects mid-run to free almost nothing; reference counting
-          still reclaims the acyclic majority immediately, and the
-          collector catches the rest after the loop returns.  This does
-          not affect simulated behavior.
+          objects mid-run to free almost nothing.  The other half of the
+          bargain is kept by the model: finished processes and machines
+          drop the callbacks bound to themselves, so a steady-state op
+          leaves nothing only the collector could free
+          (tests/test_sim_garbage.py).  This does not affect simulated
+          behavior.
         * Processed ``_Sleep`` events go back on the free list (see
           :meth:`sleep`).
         """
@@ -696,14 +778,15 @@ class Environment:
                         f"until={stop_at} lies in the past (now={self._now})"
                     )
 
+        urgent = self._urgent
+        normal = self._normal
         queue = self._queue
         sleep_pool = self._sleep_pool
         # ``inf`` stands in for "no deadline" so the loop tests a single
-        # float comparison per event instead of a None check + compare.
+        # float comparison per clock advance instead of a None check too.
         horizon = float("inf") if stop_at is None else stop_at
-        # Heap size only shrinks at pops, so its high-water mark is
-        # always attained just before a pop; tracking it here (in a
-        # local) is exact and spares every schedule a len+compare.
+        now = self._now
+        popped = self._popped
         peak = self._peak_pending
         # Bind loop invariants to locals: ~300k iterations make even a
         # LOAD_GLOBAL per event measurable.
@@ -714,74 +797,88 @@ class Environment:
         if gc_was_enabled:
             gc.disable()
         try:
-            while queue:
-                head = queue[0]
-                at = head[0]
-                if at >= horizon:
-                    self._now = stop_at  # type: ignore[assignment]
-                    return None
-                self._now = at
-                prio = head[1]
-                while True:
-                    qlen = len(queue)
-                    if qlen > peak:
-                        peak = qlen
-                    _, _, _, event = pop(queue)
+            if now >= horizon:
+                # until == now: events due now belong to the next run.
+                return None
+            while True:
+                if urgent:
+                    event = urgent.popleft()
+                elif queue and queue[0][0] == now:
+                    event = pop(queue)[3]
+                elif normal:
+                    event = normal.popleft()
+                elif queue:
+                    at = queue[0][0]
+                    if at >= horizon:
+                        self._now = stop_at  # type: ignore[assignment]
+                        return None
+                    self._now = now = at
+                    event = pop(queue)[3]
+                else:
+                    break
+                count = self._seq - popped
+                if count > peak:
+                    peak = count
+                popped += 1
 
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if len(callbacks) == 1:
-                        # The overwhelmingly common case: one parked
-                        # process.
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
+                callbacks = event.callbacks
+                event.callbacks = None
+                if len(callbacks) == 1:
+                    # The overwhelmingly common case: one parked process.
+                    callbacks[0](event)
+                else:
+                    for callback in callbacks:
+                        callback(event)
 
-                    if event._ok:
-                        if (
-                            event.__class__ is sleep_cls
-                            and len(sleep_pool) < 128
-                        ):
-                            event._value = pending
-                            sleep_pool.append(event)
-                    elif not event._defused:
-                        # An unhandled failure: surface it, don't lose
-                        # it.
-                        raise event._value  # type: ignore[misc]
-
-                    # Same-key continuation: stay in the batch while the
-                    # heap top shares this timestamp and priority class.
-                    # An urgent arrival (smaller key) or a later
-                    # timestamp falls through to the outer loop, which
-                    # re-tests the horizon and pops in native order.
-                    if not queue:
-                        break
-                    head = queue[0]
-                    if head[0] != at or head[1] != prio:
-                        break
+                if event._ok:
+                    if event.__class__ is sleep_cls and len(sleep_pool) < 128:
+                        event._value = pending
+                        sleep_pool.append(event)
+                elif not event._defused:
+                    # An unhandled failure: surface it, don't lose it.
+                    raise event._value  # type: ignore[misc]
         except StopSimulation as stop:
             return stop.args[0]
         finally:
-            # Run-boundary check: events scheduled since the last pop
+            # Run-boundary sample: events scheduled since the last pop
             # (setup before run(), pushes during the final callback) are
             # still part of the high-water mark.
-            qlen = len(queue)
-            if qlen > peak:
-                peak = qlen
+            count = self._seq - popped
+            if count > peak:
+                peak = count
             self._peak_pending = peak
+            self._popped = popped
             if gc_was_enabled:
                 gc.enable()
 
         if stop_at is not None:
-            # Queue drained before the deadline; clock still advances.
+            # Drained before the deadline; clock still advances.
             self._now = stop_at
         return None
 
-    #: Stable handle on the pure-Python loop: ``REPRO_ENGINE=compiled``
-    #: rebinds ``run`` (see sim/compiled.py); parity tests and
-    #: ``compiled.deactivate()`` reach the reference implementation here.
+    #: Stable handle on the pure-Python loop: :func:`_install_loop`
+    #: rebinds ``run``; parity tests and ``compiled.deactivate()`` reach
+    #: the tiered implementation here.
     _run_pure = run
 
     def __repr__(self) -> str:
-        return f"<Environment now={self._now} pending={len(self._queue)}>"
+        return f"<Environment now={self._now} pending={self._seq - self._popped}>"
+
+
+def _install_loop(
+    run: Callable[..., Any], single_heap: bool
+) -> tuple[Callable[..., Any], bool]:
+    """Swap :meth:`Environment.run` for every environment, and choose
+    whether environments constructed from now on are single-heap.
+
+    A loop that reads ``_queue`` alone — the C kernel, the tie-order
+    probe — must be installed with ``single_heap=True``, as is the
+    matrix tests' reference loop, for which one heap is the point;
+    :meth:`Environment._run_pure` and :meth:`Environment.step` serve
+    both kinds.  Returns the previous pair, to restore with
+    ``_install_loop(*previous)``.
+    """
+    previous = (Environment.run, Environment._single_heap)
+    Environment.run = run  # type: ignore[method-assign]
+    Environment._single_heap = single_heap
+    return previous

@@ -39,14 +39,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
 
-from .core import (
-    Event,
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-    _PENDING,
-    _Interruption,
-    _schedule_at,
-)
+from .core import Event, _PENDING, _Interruption
 from .exceptions import Interrupt, SimulationError
 
 __all__ = ["Machine"]
@@ -68,7 +61,8 @@ class _Kick(Event):
         self._value = None
         self._ok = True
         self._defused = False
-        _schedule_at(env, self, env._now, PRIORITY_URGENT)
+        env._seq += 1
+        env._urgent.append(self)
 
 
 class Machine(Event):
@@ -165,15 +159,21 @@ class Machine(Event):
         self._ok = True
         self._value = value
         env = self.env
-        _schedule_at(env, self, env._now, PRIORITY_NORMAL)
-        self._target = None
+        env._seq += 1
+        env._normal.append(self)
+        # Drop every callback bound to the finished machine: each is a
+        # cycle through ``self`` that would wait for the collector,
+        # which run() suspends.
+        self._target = self._bound_resume = None
+        self._chg_granted_cb = self._chg_done_cb = self._gen_step_cb = None
 
     def _fail(self, exc: BaseException) -> None:
         """Complete as failed (Process failure-path parity)."""
         self._ok = False
         self._value = exc
         self.env.schedule(self)
-        self._target = None
+        self._target = self._bound_resume = None
+        self._chg_granted_cb = self._chg_done_cb = self._gen_step_cb = None
 
     # -- interruption ------------------------------------------------------
     def _resume(self, event: Event) -> None:

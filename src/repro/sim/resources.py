@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from .core import Environment, Event, PRIORITY_NORMAL, _PENDING, _schedule_at
+from .core import Environment, Event, _PENDING
 from .exceptions import SimulationError
 
 __all__ = [
@@ -162,7 +162,8 @@ class Resource:
                 users.append(req)
                 req._value = None
                 env = self.env
-                _schedule_at(env, req, env._now, PRIORITY_NORMAL)
+                env._seq += 1
+                env._normal.append(req)
             else:
                 req._value = _PENDING
                 self.queue.append(req)

@@ -412,16 +412,31 @@ class TraceReport:
         the way back to the client issue time."""
         if root.end is None:
             return []
-        members = {
-            s.span_id: s
-            for s in self.spans
-            if s.trace_id == root.trace_id
-        }
+        return self._walk_back(
+            root,
+            *self._family(
+                [s for s in self.spans if s.trace_id == root.trace_id]
+            ),
+        )
+
+    @staticmethod
+    def _family(
+        trace: list[Span],
+    ) -> tuple[dict[int, Span], dict[int, list[Span]]]:
+        """One trace's spans by id, and its child lists by parent id."""
+        members = {s.span_id: s for s in trace}
         children: dict[int, list[Span]] = {}
         for s in members.values():
             if s.parent_id is not None and s.parent_id in members:
                 children.setdefault(s.parent_id, []).append(s)
+        return members, children
 
+    @staticmethod
+    def _walk_back(
+        root: Span,
+        members: dict[int, Span],
+        children: dict[int, list[Span]],
+    ) -> list[PathStep]:
         def predecessors(span: Span) -> list[Span]:
             preds = list(children.get(span.span_id, []))
             for other_id, _kind in span.links:
@@ -460,14 +475,20 @@ class TraceReport:
 
     def critical_path_summary(self) -> dict[str, float]:
         """Mean exclusive seconds per span name along the critical path,
-        averaged over every completed root trace."""
+        averaged over every completed root trace.
+
+        Linear in spans: they are grouped by trace once, where calling
+        :meth:`critical_path` per root would re-filter all of them for
+        every root."""
         totals: dict[str, float] = {}
         n = 0
+        by_trace = self.traces()
         for root in self.roots():
             if root.end is None:
                 continue
             n += 1
-            for step in self.critical_path(root):
+            family = self._family(by_trace[root.trace_id])
+            for step in self._walk_back(root, *family):
                 totals[step.span.name] = (
                     totals.get(step.span.name, 0.0) + step.self_time
                 )

@@ -1,15 +1,16 @@
 """Cross-engine digest matrix: every way of driving the event loop agrees.
 
-The PR-9 engine work introduced three ways to dispatch the same heap —
-the batched pure-Python loop (``Environment.run``), the single-step
-specialization (``Environment.step``), and the optional compiled kernel
-(``repro.sim._ckernel``) — plus a flattened-machine hot path underneath
-all of them.  This module pins the equivalence claims:
+There are three ways to dispatch the same events — the tiered
+pure-Python loop (``Environment.run``: two current-tick FIFOs and a
+heap), its one-event form (``Environment.step``), and the optional
+compiled kernel (``repro.sim._ckernel``) — plus a flattened-machine hot
+path underneath all of them.  This module pins the equivalence claims:
 
-* **reference × batched × compiled**: a full scenario replay produces
-  byte-identical digests and traced fingerprints under the pre-batching
-  reference dispatch (one horizon check + one ``step`` per event), the
-  batched loop, and the compiled kernel, on seeds 0-2.
+* **reference × tiered × compiled**: a full scenario replay produces
+  byte-identical digests, traced fingerprints and peak pending counts
+  under the textbook reference (a single-heap environment, one horizon
+  check + one ``step`` per event), the tiered loop, and the compiled
+  kernel (single-heap too), on seeds 0-2.
 * **interleaving**: any hypothesis-drawn interleaving of ``step()`` and
   bounded ``run(until=...)`` calls lands on the same digest as one
   uninterrupted ``run()``.
@@ -28,42 +29,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perf import run_scenario
-from repro.sim import Environment, Event, Interrupt, Resource, StopSimulation
+from repro.sim import Environment, Interrupt, Resource
 from repro.sim import compiled as sim_compiled
 from repro.trace import Tracer, simulation_digest
 
+from .helpers import installed_loop, stepping_run
 from .test_perf import GOLDEN, GOLDEN_TRACED
-
-
-def _run_reference(self, until=None):
-    """The pre-batching dispatch loop: re-test the horizon before every
-    pop and take exactly one event per iteration via ``step()``.
-
-    ``step()`` is contractually identical to one iteration of the
-    batched loop (same peak accounting, same recycling, same failure
-    propagation), so this reference differs from ``run()`` only in
-    *how* it walks the heap — which is precisely the claim under test.
-    """
-    stop_at = None
-    if until is not None:
-        if isinstance(until, Event):
-            if until.callbacks is None:
-                return until.value if until.ok else None
-            until.callbacks.append(StopSimulation.callback)
-        else:
-            stop_at = float(until)
-    horizon = float("inf") if stop_at is None else stop_at
-    try:
-        while self._queue:
-            if self.peek() >= horizon:
-                self._now = stop_at
-                return None
-            self.step()
-    except StopSimulation as stop:
-        return stop.args[0]
-    if stop_at is not None:
-        self._now = stop_at
-    return None
 
 
 def _compiled_available() -> bool:
@@ -81,15 +52,14 @@ def _compiled_available() -> bool:
 def engine(request):
     """Patch Environment.run to the requested dispatch for one test."""
     name = request.param
-    if name == "batched":
-        yield name
+    if name == "tiered":
+        # explicit, so the row stays tiered under REPRO_ENGINE=compiled
+        with installed_loop(Environment._run_pure, single_heap=False):
+            yield name
         return
     if name == "reference":
-        Environment.run = _run_reference
-        try:
+        with installed_loop(stepping_run(), single_heap=True):
             yield name
-        finally:
-            Environment.run = Environment._run_pure
         return
     assert name == "compiled"
     if not _compiled_available():
@@ -101,7 +71,11 @@ def engine(request):
         sim_compiled.deactivate()
 
 
-ENGINES = ["batched", "reference", "compiled"]
+ENGINES = ["tiered", "reference", "compiled"]
+
+#: ``env.peak_pending`` per scenario (seed-independent on ``smoke``):
+#: pinned at the one-heap kernel's values, equal on every engine.
+PEAK_PENDING = {"smoke": 737, "fallback": 296, "qos": 1832}
 
 
 @pytest.mark.parametrize("engine", ENGINES, indirect=True)
@@ -111,6 +85,7 @@ def test_smoke_digest_and_fingerprint_match_across_engines(engine, seed):
     env, _ = run_scenario("smoke", seed=seed, tracer=tracer)
     assert simulation_digest(env) == GOLDEN[("smoke", seed)]["digest"]
     assert env._seq == GOLDEN[("smoke", seed)]["events"]
+    assert env.peak_pending == PEAK_PENDING["smoke"]
     assert tracer.report().fingerprint() == GOLDEN_TRACED[seed]
 
 
@@ -120,13 +95,14 @@ def test_fallback_faulty_digest_matches_across_engines(engine):
     dispatch variant — the digest covers the §4 robustness workload."""
     env, _ = run_scenario("fallback", seed=0)
     assert simulation_digest(env) == GOLDEN[("fallback", 0)]["digest"]
-    assert env._peak_pending == 296
+    assert env.peak_pending == PEAK_PENDING["fallback"]
 
 
 @pytest.mark.parametrize("engine", ENGINES, indirect=True)
 def test_qos_digest_matches_across_engines(engine):
     env, _ = run_scenario("qos", seed=0)
     assert simulation_digest(env) == GOLDEN[("qos", 0)]["digest"]
+    assert env.peak_pending == PEAK_PENDING["qos"]
 
 
 # ---------------------------------------------------------- interleaving
@@ -202,7 +178,7 @@ def test_interleaved_step_and_run_equal_one_run(schedule):
     for action in schedule:
         if isinstance(action, int):
             for _ in range(action):
-                if not env._queue:
+                if env.peek() == float("inf"):
                     break
                 env.step()
         else:
@@ -295,12 +271,12 @@ def test_interleaved_step_with_compiled_run_equals_one_run():
         env = Environment()
         _contended_model(env)
         for _ in range(50):
-            if not env._queue:
+            if env.peek() == float("inf"):
                 break
             env.step()
         env.run(until=env.now + 1.5)
         for _ in range(75):
-            if not env._queue:
+            if env.peek() == float("inf"):
                 break
             env.step()
         env.run()

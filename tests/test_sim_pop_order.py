@@ -1,0 +1,231 @@
+"""The tiered pending-event store pops in exactly the one-heap order.
+
+``Environment`` files pending events in two current-tick FIFOs and a
+heap (DESIGN.md §13) and claims its pop rule equals the textbook ``(time, priority, sequence)`` order of one heap holding
+everything.  A digest of (event count, final clock) only sees the last
+state; these tests compare the *sequence*:
+
+* a hypothesis property over random schedule programs — every container
+  fed from callbacks, timestamps that collide across containers,
+  ``step()`` / ``run(until=...)`` interleavings, ``StopSimulation`` in
+  the middle of a tick — run on a tiered and on a single-heap
+  environment, callback for callback;
+* the ``repro.perf`` scenarios driven one ``step()`` at a time in both
+  modes, hashing ``(now, events_scheduled)`` after every step.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+from collections import deque
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.perf import run_scenario
+from repro.sim import (
+    PRIORITY_NORMAL,
+    PRIORITY_URGENT,
+    Environment,
+    SimulationError,
+    StopSimulation,
+)
+
+from .helpers import installed_loop, stepping_run
+
+INF = float("inf")
+
+#: Dyadic delays, so sums are exact and timestamps scheduled along
+#: different paths collide: zero, tiny, equal-to-something-pending
+#: (0.25 + 0.25 meets 0.5), and watchdog-long.
+DELAYS = (0.0, 2.0**-20, 0.03125, 0.25, 0.5, 1.0)
+
+#: How a node schedules itself; see ``_Program.schedule``.
+KINDS = ("timeout", "sleep", "event", "urgent", "succeed", "process")
+
+_node = st.tuples(
+    st.sampled_from(KINDS),
+    st.sampled_from(DELAYS),
+    st.lists(st.integers(min_value=0, max_value=30), max_size=3),  # children
+    st.integers(min_value=0, max_value=11),  # 0 = StopSimulation when fired
+)
+_action = st.one_of(
+    st.integers(min_value=1, max_value=6),  # that many step()s
+    st.sampled_from((0.0, 2.0**-20, 0.25, 0.4, 1.0)),  # run(until=now + dt)
+)
+
+
+class _Program:
+    """One random schedule program bound to one environment."""
+
+    #: Callbacks stop spawning children after this many firings.
+    BUDGET = 150
+
+    def __init__(self, env: Environment, nodes: list) -> None:
+        self.env = env
+        self.nodes = nodes
+        self.log: list[tuple[int, float]] = []
+
+    def schedule(self, index: int) -> None:
+        env = self.env
+        index %= len(self.nodes)
+        kind, delay, _children, _stop = self.nodes[index]
+
+        def fired(event, index=index):
+            self.fire(index)
+
+        if kind == "timeout":  # heap, or normal FIFO at zero delay
+            env.timeout(delay).callbacks.append(fired)
+        elif kind == "sleep":  # the same through the free list
+            env.sleep(delay).callbacks.append(fired)
+        elif kind == "event":  # the generic route
+            event = env.event()
+            event.callbacks.append(fired)
+            env.schedule(event, delay, PRIORITY_NORMAL)
+        elif kind == "urgent":  # urgent FIFO (urgent is always due now)
+            event = env.event()
+            event.callbacks.append(fired)
+            env.schedule(event, priority=PRIORITY_URGENT)
+        elif kind == "succeed":  # normal FIFO, inline
+            event = env.event()
+            event.callbacks.append(fired)
+            event.succeed()
+        else:  # Initialize (urgent), a timeout, a completion event
+            env.process(self._proc(index, delay))
+
+    def _proc(self, index: int, delay: float):
+        yield self.env.timeout(delay)
+        self.fire(index)
+
+    def fire(self, index: int) -> None:
+        _kind, _delay, children, stop = self.nodes[index]
+        self.log.append((index, self.env.now))
+        if len(self.log) < self.BUDGET:
+            for child in children:
+                self.schedule(child)
+        if stop == 0:
+            raise StopSimulation(index)
+
+
+def _drive(single_heap: bool, nodes: list, roots: int, actions: list):
+    """Run the program; returns everything the two modes must agree on."""
+    returned = []
+    with installed_loop(Environment._run_pure, single_heap):
+        env = Environment()
+        assert isinstance(env._normal, deque) != single_heap
+        program = _Program(env, nodes)
+        for index in range(roots):
+            program.schedule(index)
+        for action in actions:
+            if isinstance(action, int):
+                for _ in range(action):
+                    if env.peek() == INF:
+                        break
+                    try:
+                        env.step()
+                    except StopSimulation as stop:
+                        returned.append(("step-stop", stop.args[0]))
+            else:
+                returned.append(env.run(until=env.now + action))
+            returned.append((env.now, env.peek(), env.events_scheduled))
+            if single_heap:
+                # one heap by construction: the FIFOs never hold anything
+                assert not env._urgent and not env._normal
+        # drain: every run() returns at a StopSimulation, so loop
+        while env.peek() < INF:
+            returned.append(env.run())
+    return program.log, returned, env.now, env.events_scheduled, env.peak_pending
+
+
+@given(
+    nodes=st.lists(_node, min_size=1, max_size=12),
+    roots=st.integers(min_value=1, max_value=6),
+    actions=st.lists(_action, max_size=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_tiered_pops_in_single_heap_order(nodes, roots, actions):
+    tiered = _drive(False, nodes, roots, actions)
+    reference = _drive(True, nodes, roots, actions)
+    assert tiered == reference
+
+
+def test_heap_entries_meet_both_now_fifos_at_one_timestamp():
+    """The case the order argument turns on, spelled out.  At t=0.5 a
+    timeout (seq 1) and a sleep scheduled later (seq 3) are due off the
+    heap; the timeout's callback mints a normal (seq 4) and an urgent
+    (seq 5) event for the same instant.  One heap pops 1, 5, 3, 4."""
+    logs = []
+    for single_heap in (False, True):
+        with installed_loop(Environment._run_pure, single_heap):
+            env = Environment()
+            log = []
+
+            def note(tag):
+                return lambda event: log.append((tag, env.now))
+
+            def spawn(event):
+                log.append(("first", env.now))
+                env.event().succeed().callbacks.append(note("fifo"))
+                urgent = env.event()
+                urgent.callbacks.append(note("urgent"))
+                env.schedule(urgent, priority=PRIORITY_URGENT)
+
+            env.timeout(0.5).callbacks.append(spawn)
+            env.sleep(0.25).callbacks.append(
+                lambda event: env.sleep(0.25).callbacks.append(note("heap"))
+            )
+            env.run()
+            logs.append(log)
+    assert logs[0] == logs[1] == [
+        ("first", 0.5), ("urgent", 0.5), ("heap", 0.5), ("fifo", 0.5),
+    ]
+
+
+def test_schedule_rejects_what_the_pop_rule_excludes():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.schedule(env.event(), delay=1.0, priority=PRIORITY_URGENT)
+    with pytest.raises(SimulationError):
+        env.schedule(env.event(), priority=2)
+    assert env.events_scheduled == 0 and env.peek() == INF
+
+
+def test_peek_and_repr_read_every_tier():
+    env = Environment()
+    assert env.peek() == INF and "pending=0" in repr(env)
+    env.timeout(7.0)
+    env.sleep(3.0)  # heap
+    assert env.peek() == 3.0
+    env.event().succeed()  # normal FIFO
+    assert env.peek() == 0.0 and "pending=3" in repr(env)
+    env.step()
+    assert env.peek() == 3.0 and "pending=2" in repr(env)
+    env.run()
+    assert env.peek() == INF and env.now == 7.0 and env.peak_pending == 3
+
+
+# ------------------------------------------------------- scenario replays
+
+
+def _rolling_hash(scenario: str, seed: int, single_heap: bool):
+    sha = hashlib.sha256()
+    steps = [0]
+
+    def observe(env: Environment) -> None:
+        steps[0] += 1
+        sha.update(struct.pack("<dq", env.now, env.events_scheduled))
+
+    with installed_loop(stepping_run(observe), single_heap):
+        env, _ = run_scenario(scenario, seed=seed)
+    assert isinstance(env._normal, deque) != single_heap
+    return sha.hexdigest(), steps[0], env.peak_pending
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("scenario", ["smoke", "fallback", "qos"])
+def test_rolling_hash_of_every_step_matches_single_heap(scenario, seed):
+    assert _rolling_hash(scenario, seed, False) == _rolling_hash(
+        scenario, seed, True
+    )

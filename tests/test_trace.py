@@ -254,6 +254,31 @@ def test_critical_path_covers_full_latency():
         assert any(n.startswith("node") for n in nodes)
 
 
+@pytest.mark.parametrize("scenario", ["smoke", "qos"])
+def test_critical_path_summary_equals_per_root_walks(scenario):
+    """The summary groups spans by trace once (linear); it must equal,
+    bit for bit, the quadratic definition it replaced: the per-root
+    ``critical_path`` (which filters every span for its root) summed in
+    root order."""
+    from repro.perf import run_scenario
+
+    tracer = Tracer(seed=SEED)
+    run_scenario(scenario, seed=SEED, tracer=tracer)
+    report = tracer.report()
+    totals, n = {}, 0
+    for root in report.roots():
+        if root.end is None:
+            continue
+        n += 1
+        for step in report.critical_path(root):
+            totals[step.span.name] = (
+                totals.get(step.span.name, 0.0) + step.self_time
+            )
+    assert n > 100
+    reference = {name: t / n for name, t in sorted(totals.items())}
+    assert report.critical_path_summary() == reference
+
+
 # ---------------------------------------------------------------- OpTracker
 
 
