@@ -534,7 +534,7 @@ class _DmaSeg(Machine):
         duration = setup + self._seg / engine.bandwidth
         self._setup = setup
         self._duration = duration
-        self._park(self.env.sleep(duration), self._s_served)
+        self._park(self._req.hold(duration), self._s_served)
 
     def _s_served(self, event: Any) -> None:
         pl = self._pl

@@ -161,7 +161,7 @@ class CpuComplex:
         req = pool.request()
         try:
             yield req
-            yield self.env.sleep(wall)
+            yield req.hold(wall)
             self.accounting.add_busy(category, thread, wall)
             if self.observer is not None:
                 self.observer(category, thread, self.name,

@@ -136,7 +136,7 @@ class DmaEngine:
             self.wait_time += waited
             setup = self.setup_latency + extra_setup
             duration = setup + nbytes / self.bandwidth
-            yield self.env.sleep(duration)
+            yield req.hold(duration)
             self.busy_time += duration
             self.setup_time += setup
             if (self.fault_hook is not None and self.fault_hook(nbytes)) or (

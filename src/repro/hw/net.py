@@ -21,9 +21,16 @@ from typing import Any, Callable, Generator, Optional
 
 from ..sim import Environment, Resource
 from ..sim.exceptions import SimulationError
-from ..sim.machine import Machine
+from ..sim.machine import Machine, _Timer
 
 __all__ = ["BandwidthPipe", "Nic", "Network", "Partition"]
+
+
+#: Bound of a pipe's free list of chunk machines.  A connection has at
+#: most one frame's chunks in flight (17 for a 4 MB object), so this
+#: covers the few peers a NIC hears from at once; chunks beyond it are
+#: dropped and constructed again.
+_RX_FREE_MAX = 64
 
 
 class _RxChunk(Machine):
@@ -34,12 +41,19 @@ class _RxChunk(Machine):
     event resumptions on the fallback scenario), so the generator
     closure in :meth:`Network.deliver` is replaced with a state machine.
     Event parity with ``env.process(rx_chunk(chunk), name="rx-chunk")``:
-    kick (= ``Initialize``), latency sleep, one request + one sleep per
+    kick (= ``Initialize``), latency timeout, one request + one hold per
     rx-pipe chunk with the pipe released *before* the byte accounting
     (matching ``BandwidthPipe.transmit``'s ``finally``), completion
     event on return.  Never interrupted: abandoning a delivery detaches
     the waiter from this machine's completion event, exactly as it
     detached from the rx-chunk ``Process``.
+
+    Chunk machines are recycled: :meth:`BandwidthPipe.rx_chunk` starts
+    one off the pipe's free list and :meth:`BandwidthPipe.rx_release`
+    takes a joined frame's chunks back, each with its kick, its latency
+    timer and its prebound state callbacks, so a steady-state frame
+    constructs no event object (DESIGN.md §13, "Who owns an event
+    object").
     """
 
     __slots__ = (
@@ -47,8 +61,10 @@ class _RxChunk(Machine):
         "_remaining",
         "_chunk",
         "_ser",
-        "_req",
-        "_cb_latency_done",
+        "_kick",
+        "_timer",
+        "_cb_kicked",
+        "_cb_next_chunk",
         "_cb_granted",
         "_cb_chunk_done",
     )
@@ -60,35 +76,40 @@ class _RxChunk(Machine):
         self._pipe = pipe
         self._remaining = nbytes
         self._chunk = 0
-        # _ser carries the pending sleep duration for the next park; the
-        # first park (made when the kick fires, matching the generator's
-        # first resume) is the propagation latency.
+        # _ser carries the duration of the next wait; the first (made
+        # when the kick fires, matching the generator's first resume) is
+        # the propagation latency.
         self._ser = latency_s
-        self._req: Any = None
         # Prebound state callbacks: each park appends one of these, and
         # minting a fresh bound method per park is an allocation on the
         # hottest path in the repo (PERF303).
-        self._cb_latency_done = self._s_latency_done
+        self._cb_kicked = self._s_kicked
+        self._cb_next_chunk = self._next_chunk
         self._cb_granted = self._s_granted
         self._cb_chunk_done = self._s_chunk_done
-        self._start(self._s_kicked)
+        # The latency is the one wait in the tree that holds nothing, so
+        # it has a timer of its own; every other wait is a Request.hold.
+        self._timer = _Timer(env)
+        self._kick = self._start(self._cb_kicked)
+
+    def _unbind(self) -> None:
+        """Drop the state callbacks of a chunk that will not run again
+        (each is a cycle through ``self`` that only the collector, which
+        run() suspends, could free)."""
+        self._cb_kicked = self._cb_next_chunk = None
+        self._cb_granted = self._cb_chunk_done = None
 
     # Parks append the state callback directly instead of via _park:
     # nothing ever interrupts an rx chunk, so the Process duck-type
     # fields (_target/_bound_resume) need not be maintained.
     def _s_kicked(self, event: Any) -> None:
-        self.env.sleep(self._ser).callbacks.append(self._cb_latency_done)
+        self._timer.arm(self._ser, self._cb_next_chunk)
 
-    def _s_latency_done(self, event: Any) -> None:
-        self._next_chunk()
-
-    def _next_chunk(self) -> None:
+    def _next_chunk(self, event: Any = None) -> None:
+        # Also the state the latency timer fires: the wire has been
+        # crossed, the first rx-pipe chunk is next.
         remaining = self._remaining
         if remaining <= 0:
-            # Last state: unbind the state callbacks (cycles through
-            # self that only the suspended collector could free).
-            self._cb_latency_done = self._cb_granted = None
-            self._cb_chunk_done = None
             self._finish(None)
             return
         pipe = self._pipe
@@ -103,17 +124,16 @@ class _RxChunk(Machine):
                 pipe.degraded_chunks += 1
         self._chunk = chunk
         self._ser = ser
-        req = pipe._res.request()
-        self._req = req
-        req.callbacks.append(self._cb_granted)
+        pipe._res.request().callbacks.append(self._cb_granted)
 
+    # ``event`` is the request in both states: granted, it times its own
+    # hold, so the machine need not remember it in between.
     def _s_granted(self, event: Any) -> None:
-        self.env.sleep(self._ser).callbacks.append(self._cb_chunk_done)
+        event.hold(self._ser).callbacks.append(self._cb_chunk_done)
 
     def _s_chunk_done(self, event: Any) -> None:
         pipe = self._pipe
-        pipe._res.finish(self._req)
-        self._req = None
+        pipe._res.finish(event)
         chunk = self._chunk
         pipe.bytes_transferred += chunk
         pipe.busy_time += self._ser
@@ -135,6 +155,7 @@ class BandwidthPipe:
         "bandwidth_bps",
         "chunk_bytes",
         "_res",
+        "_rx_free",
         "fault_injector",
         "bytes_transferred",
         "busy_time",
@@ -157,6 +178,9 @@ class BandwidthPipe:
         self.bandwidth_bps = bandwidth_bps
         self.chunk_bytes = chunk_bytes
         self._res = Resource(env, capacity=1, recycle_requests=True)
+        #: Idle :class:`_RxChunk` machines of this (receiving) pipe, at
+        #: most :data:`_RX_FREE_MAX`.
+        self._rx_free: list[_RxChunk] = []
         #: Optional :class:`~repro.faults.LayerInjector` (layer "net");
         #: a hit stretches that chunk's serialization by the spec's
         #: ``factor`` (link degradation: retransmits, PFC pauses, FEC).
@@ -189,12 +213,35 @@ class BandwidthPipe:
             req = res.request()
             try:
                 yield req
-                yield env.sleep(ser)
+                yield req.hold(ser)
             finally:
                 res.finish(req)
             self.bytes_transferred += chunk
             self.busy_time += ser
             remaining -= chunk
+
+    def rx_chunk(self, nbytes: int, latency_s: float) -> _RxChunk:
+        """Start the receive side of one wire chunk: ``nbytes`` enter
+        this pipe ``latency_s`` from now.  Returns the running machine,
+        to be joined and then handed back with :meth:`rx_release`."""
+        free = self._rx_free
+        if not free:
+            return _RxChunk(self.env, self, nbytes, latency_s)
+        chunk = free.pop()
+        chunk._remaining = nbytes
+        chunk._ser = latency_s
+        chunk._restart(chunk._kick, chunk._cb_kicked)
+        return chunk
+
+    def rx_release(self, chunks: list[_RxChunk]) -> None:
+        """Take back (and empty) ``chunks``, the :meth:`rx_chunk`
+        machines of one frame, once every one of them has been joined:
+        completed, and its completion dispatched."""
+        free = self._rx_free
+        free.extend(chunks)
+        chunks.clear()
+        while len(free) > _RX_FREE_MAX:
+            free.pop()._unbind()
 
     def __repr__(self) -> str:
         return f"<BandwidthPipe {self.name} {self.bandwidth_bps/1e9:.1f} Gbps>"
@@ -355,7 +402,6 @@ class Network:
             return False
         src_nic = self.nic(src)
         dst_nic = self.nic(dst)
-        env = self.env
         latency_s = self.latency_s
         rx_pipe = dst_nic.rx
 
@@ -366,10 +412,11 @@ class Network:
             yield from src_nic.tx.transmit(chunk)
             # chunks are spawned in order and the kernel breaks timer
             # ties FIFO, so per-connection ordering is preserved
-            rx_procs.append(_RxChunk(env, rx_pipe, chunk, latency_s))
+            rx_procs.append(rx_pipe.rx_chunk(chunk, latency_s))
             remaining -= chunk
         for proc in rx_procs:
             yield proc
+        rx_pipe.rx_release(rx_procs)
         if self._severed(src, dst, nbytes):
             return False
         return True

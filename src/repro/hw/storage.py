@@ -85,7 +85,7 @@ class SsdDevice:
         with self._chan.request() as req:
             yield req
             service = latency + nbytes / bandwidth
-            yield self.env.timeout(service)
+            yield req.hold(service)
             self.busy_time += service
             if self.fault_injector is not None and self.fault_injector.fire(
                 self.env.now, size=nbytes

@@ -24,8 +24,8 @@ Mechanism: the scenario is run three times —
 
 The drain loop reproduces the native loop's semantics exactly: the
 ``until`` event/number protocol, :class:`StopSimulation` unwinding,
-undefused-failure propagation, the ``stop_at`` horizon, and ``_Sleep``
-recycling.  Unprocessed batch entries are pushed back onto the heap on
+undefused-failure propagation and the ``stop_at`` horizon.
+Unprocessed batch entries are pushed back onto the heap on
 any non-local exit, because ``run()`` is routinely called repeatedly on
 one environment (e.g. once per bench worker).
 """
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterator, Optional
 
-from ..sim import core as _core
 from ..sim.core import Environment, Event, _HeapTier, _install_loop
 from ..sim.exceptions import SimulationError, StopSimulation
 
@@ -154,9 +153,6 @@ def _make_batch_run(
                 "the tie-order probe reads one heap: construct the "
                 "Environment inside patched_tie_order()"
             )
-        sleep_pool = self._sleep_pool
-        sleep_cls = _core._Sleep
-        pending = _core._PENDING
         horizon = float("inf") if stop_at is None else stop_at
         batch: list[tuple[float, int, int, Event]] = []
         try:
@@ -181,14 +177,7 @@ def _make_batch_run(
                     event.callbacks = None
                     for callback in callbacks:  # type: ignore[union-attr]
                         callback(event)
-                    if event._ok:
-                        if (
-                            event.__class__ is sleep_cls
-                            and len(sleep_pool) < 128
-                        ):
-                            event._value = pending
-                            sleep_pool.append(event)
-                    elif not event._defused:
+                    if not event._ok and not event._defused:
                         raise event._value  # type: ignore[misc]
         except StopSimulation as stop:
             return stop.args[0]

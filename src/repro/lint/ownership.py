@@ -196,7 +196,8 @@ EDGE_ATTRS: dict[tuple[str, str], str] = {
         "own NIC tx pipe, re-resolved through the fabric per frame",
     ("repro.msgr.messenger._WirePump", "_rx_pipe"):
         "peer NIC rx pipe, held only for one frame's flight — this is "
-        "where wire bytes land",
+        "where wire bytes land: the pump starts the pipe's own chunk "
+        "machines (rx_chunk) and hands them back joined (rx_release)",
 }
 
 #: The wire interface: attribute reads/calls that ARE the fabric edge.
@@ -227,12 +228,13 @@ EDGE_INTERFACE: dict[str, str] = {
 }
 
 #: Runtime fabric edges for the sanitizer: (actor class, target class)
-#: pairs allowed to mutate across node owners.
-DYNAMIC_EDGES: dict[tuple[str, str], str] = {
-    ("repro.hw.net._RxChunk", "repro.hw.net.BandwidthPipe"):
-        "wire bytes arriving: the in-flight chunk charges the peer NIC "
-        "rx pipe's transfer counters",
-}
+#: pairs allowed to mutate across node owners.  The shipped tree needs
+#: none: the one it had, ``_RxChunk`` charging the peer NIC's rx
+#: ``BandwidthPipe``, closed when chunk machines moved to the rx pipe's
+#: own free list — a chunk is now minted inside, owned by and recycled
+#: to the pipe it charges, and the sender only *calls*
+#: ``rx_chunk``/``rx_release`` through the declared ``_rx_pipe`` edge.
+DYNAMIC_EDGES: dict[tuple[str, str], str] = {}
 
 #: Module-level mutable state in node-scoped modules that is exempt
 #: from OWN402, with justification.
@@ -757,4 +759,6 @@ def render_report(graph: OwnershipGraph) -> str:
     lines.append("declared runtime edges (sanitizer):")
     for (actor, target), why in sorted(DYNAMIC_EDGES.items()):
         lines.append(f"  {actor} → {target} — {why}")
+    if not DYNAMIC_EDGES:
+        lines.append("  (none)")
     return "\n".join(lines)

@@ -667,6 +667,48 @@ def _is_request_call(node: ast.AST) -> bool:
     )
 
 
+@rule(
+    "SIM203",
+    "hold-kept",
+    "Request.hold() result neither yielded nor parked in the same statement",
+)
+def sim203_hold_kept(ctx: LintContext) -> list[Finding]:
+    """``req.hold(d)`` *is* ``req``, armed: there is no second object to
+    keep.  The contract is to wait on it at once — ``yield req.hold(d)``,
+    ``self._park(req.hold(d), state)`` or
+    ``req.hold(d).callbacks.append(state)`` — because an armed request
+    nobody is parked on is a hold that releases nothing when it fires,
+    and a stored result invites waiting on it after the request has
+    been released and handed to someone else."""
+    if not ctx.config.in_sim_layer(ctx.relpath):
+        return []
+    findings = []
+    for node in ast.walk(ctx.tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "hold"
+        ):
+            continue
+        parent = ctx.parents.get(node)
+        waited = (
+            isinstance(parent, ast.Yield)
+            or (isinstance(parent, ast.Call) and node in parent.args)
+            or (isinstance(parent, ast.Attribute) and parent.attr == "callbacks")
+        )
+        if not waited:
+            findings.append(
+                ctx.finding(
+                    node,
+                    "SIM203",
+                    "hold() result is not waited on where it is made — "
+                    "yield it, or park a callback on it, in the same "
+                    "statement",
+                )
+            )
+    return findings
+
+
 # -------------------------------------------------------------- PERF3xx rules
 
 #: Base-class names (last dotted segment) that legitimately preclude or

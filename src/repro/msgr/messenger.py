@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional, Protocol
 
-from ..hw.net import _RxChunk
 from ..hw.node import NetStack
 from ..hw.cpu import SimThread
 from ..sim import Container, Environment, Store
@@ -394,9 +393,10 @@ class _WirePump(Machine):
     Replaces the ``Connection._wire_pump`` generator (the second-hottest
     process type) with a state machine.  :meth:`Network.deliver`'s tx
     loop is inlined — chunk the frame through the sender's tx pipe,
-    spawn an :class:`~repro.hw.net._RxChunk` per chunk, join them in
-    order, re-check partitions — with exact event parity (the dynamic
-    tie-order probe and the golden digests pin this).  Adversary
+    start an rx chunk machine per chunk
+    (:meth:`~repro.hw.net.BandwidthPipe.rx_chunk`), join them in order,
+    hand them back, re-check partitions — with exact event parity (the
+    dynamic tie-order probe and the golden digests pin this).  Adversary
     branches stay on the existing synchronous helpers and cold generator
     processes (``_flush_held`` / ``_deliver_late``).
 
@@ -418,6 +418,10 @@ class _WirePump(Machine):
         "_req",
         "_rx_procs",
         "_rx_i",
+        "_cb_frame",
+        "_cb_tx_granted",
+        "_cb_tx_done",
+        "_cb_rx_done",
     )
 
     def __init__(self, conn: Connection) -> None:
@@ -431,13 +435,19 @@ class _WirePump(Machine):
         self._req: Any = None
         # Reused across frames (PERF303: no per-frame list allocation).
         self._rx_procs: list = []
+        # Prebound state callbacks: a pump parks ~40 times per 4 MB
+        # frame, and ``self._s_x`` would mint a bound method each time.
+        self._cb_frame = self._s_frame
+        self._cb_tx_granted = self._s_tx_granted
+        self._cb_tx_done = self._s_tx_done
+        self._cb_rx_done = self._s_rx_done
         self._start(self._s_kicked)
 
     def _s_kicked(self, event: Any) -> None:
         self._next_frame()
 
     def _next_frame(self) -> None:
-        self._park(self.conn._wire_queue.get(), self._s_frame)
+        self._park(self.conn._wire_queue.get(), self._cb_frame)
 
     def _s_frame(self, event: Any) -> None:
         frame = event._value
@@ -458,8 +468,7 @@ class _WirePump(Machine):
         self._rx_pipe = net.nic(dst).rx
         self._latency = net.latency_s
         self._remaining = frame.wire
-        self._rx_procs.clear()
-        self._rx_i = 0
+        self._rx_i = 0  # _rx_procs is empty: rx_release took the last frame's
         self._tx_next()
 
     def _tx_next(self) -> None:
@@ -481,10 +490,11 @@ class _WirePump(Machine):
         self._ser = ser
         req = tx._res.request()
         self._req = req
-        self._park(req, self._s_tx_granted)
+        self._park(req, self._cb_tx_granted)
 
     def _s_tx_granted(self, event: Any) -> None:
-        self._park(self.env.sleep(self._ser), self._s_tx_done)
+        # ``event`` is the granted request: it times its own hold.
+        self._park(event.hold(self._ser), self._cb_tx_done)
 
     def _s_tx_done(self, event: Any) -> None:
         tx = self._tx_pipe
@@ -495,9 +505,7 @@ class _WirePump(Machine):
         tx.busy_time += self._ser
         # chunks are spawned in order and the kernel breaks timer ties
         # FIFO, so per-connection ordering is preserved
-        self._rx_procs.append(
-            _RxChunk(self.env, self._rx_pipe, chunk, self._latency)
-        )
+        self._rx_procs.append(self._rx_pipe.rx_chunk(chunk, self._latency))
         self._remaining = self._remaining - chunk
         self._tx_next()
 
@@ -510,9 +518,9 @@ class _WirePump(Machine):
             i += 1
             if proc.callbacks is not None:
                 self._rx_i = i
-                self._park(proc, self._s_rx_done)
+                self._park(proc, self._cb_rx_done)
                 return
-        procs.clear()
+        self._rx_pipe.rx_release(procs)
         conn = self.conn
         msgr = conn.messenger
         frame = self._frame
@@ -598,6 +606,8 @@ class _WirePump(Machine):
         if req is not None:
             self._req = None
             self._tx_pipe._res.finish(req)
+        self._cb_frame = self._cb_tx_granted = None
+        self._cb_tx_done = self._cb_rx_done = None
         self._finish(None)
 
 

@@ -87,9 +87,12 @@ class BitmapAllocator:
         cur_len = 0
         # First-fit scan from the hint, wrapping once: identical visit
         # order to a modulo walk over every block, but written as two
-        # linear passes with inlined bit tests and a fast skip over
-        # fully-used bytes (0xFF = 8 allocated blocks at once).  On a
-        # mostly-full device the scan spends its time in that skip.
+        # linear passes with inlined bit tests, a fast skip over
+        # fully-used bytes (0xFF = 8 allocated blocks at once) and a
+        # whole-byte claim of fully-free ones (the bit walk would take
+        # the same 8 blocks one by one).  On a mostly-full device the
+        # scan spends its time in the skip, on a mostly-empty one in
+        # the claim.
         for lo, hi in ((start, num), (0, start)):
             block = lo
             while block < hi and got < want:
@@ -97,6 +100,19 @@ class BitmapAllocator:
                 byte = bitmap[block >> 3]
                 if byte == 0xFF:
                     block += 8 - bit
+                    continue
+                if not byte and not bit and want - got >= 8 and hi - block >= 8:
+                    bitmap[block >> 3] = 0xFF
+                    got += 8
+                    if block == cur_start + cur_len:
+                        cur_len += 8
+                    else:
+                        if cur_start >= 0:
+                            extents.append(
+                                Extent(cur_start * unit, cur_len * unit)
+                            )
+                        cur_start, cur_len = block, 8
+                    block += 8
                     continue
                 if not byte & (1 << bit):
                     bitmap[block >> 3] = byte | (1 << bit)
@@ -133,11 +149,21 @@ class BitmapAllocator:
             if first + count > self.num_blocks:
                 raise AllocError(f"extent out of range: {e}")
             bitmap = self._bitmap
-            for b in range(first, first + count):
+            b = first
+            end = first + count
+            while b < end:
+                if not b & 7 and end - b >= 8 and bitmap[b >> 3] == 0xFF:
+                    # a whole used byte: 8 blocks the bit walk would
+                    # clear one by one (anything less falls through to
+                    # it, so a double free is reported at the same block)
+                    bitmap[b >> 3] = 0
+                    b += 8
+                    continue
                 mask = 1 << (b & 7)
                 if not bitmap[b >> 3] & mask:
                     raise AllocError(f"double free at block {b}")
                 bitmap[b >> 3] &= ~mask & 0xFF
+                b += 1
             self._free_blocks += count
 
     def fragmentation(self) -> float:

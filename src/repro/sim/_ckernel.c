@@ -21,15 +21,15 @@
  *     tuple's own float object, exactly like the pure loop.
  *   - Callback dispatch re-reads the list length every iteration (the
  *     pure ``for`` loop's iterator semantics), detaches
- *     ``event.callbacks`` to ``None`` before invoking, recycles ``_Sleep``
- *     instances (exact type match, pool capped at 128) and re-raises
- *     undefused failures.
+ *     ``event.callbacks`` to ``None`` before invoking and re-raises
+ *     undefused failures.  Nothing is recycled here: wait objects that
+ *     live more than once are re-armed by their owners (Request.hold).
  *   - ``_peak_pending`` is written back on *every* exit path, including
  *     exception propagation (``StopSimulation`` from an until-event
  *     callback travels through here to the Python wrapper).
  *
- * Performance notes: every event touches four attributes (``callbacks``
- * twice, ``_ok``, and on failure ``_defused``/``_value``).  All event
+ * Performance notes: every event touches three attributes (``callbacks``
+ * twice, ``_ok``) and on failure ``_defused``/``_value``.  All event
  * types in this codebase inherit :class:`Event`'s ``__slots__``, whose
  * member offsets are identical across subclasses, so ``setup()``
  * resolves the slot descriptors once and the loop reads/writes the
@@ -54,12 +54,9 @@ static PyObject *S__ok;
 static PyObject *S__defused;
 static PyObject *S__now;
 static PyObject *S__queue;
-static PyObject *S__sleep_pool;
 static PyObject *S__peak_pending;
 
 /* Set by setup(). */
-static PyObject *g_sleep_cls = NULL;   /* _Sleep (exact-type recycle test) */
-static PyObject *g_pending = NULL;     /* _PENDING sentinel */
 static PyTypeObject *g_event_type = NULL;
 static PyTypeObject *g_env_type = NULL;
 
@@ -71,10 +68,8 @@ static Py_ssize_t off_ok = -1;
 static Py_ssize_t off_defused = -1;
 static Py_ssize_t off_now = -1;
 static Py_ssize_t off_queue = -1;
-static Py_ssize_t off_sleep_pool = -1;
 static Py_ssize_t off_peak = -1;
 
-#define SLEEP_POOL_CAP 128
 #define SLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
 
 /* Overwrite an object slot, dropping the previous reference. */
@@ -292,11 +287,10 @@ dispatch_callbacks(PyObject *event, int fast)
     return 0;
 }
 
-/* Post-dispatch bookkeeping: _Sleep recycling on success, undefused
- * failure propagation otherwise.  Returns 0, or -1 with an exception
- * set. */
+/* Post-dispatch bookkeeping: propagate an undefused failure.  Returns
+ * 0, or -1 with an exception set. */
 static int
-finish_event(PyObject *event, PyObject *sleep_pool, int fast)
+finish_event(PyObject *event, int fast)
 {
     PyObject *tmp;
     int ok;
@@ -317,16 +311,8 @@ finish_event(PyObject *event, PyObject *sleep_pool, int fast)
     }
     if (ok < 0)
         return -1;
-    if (ok) {
-        if ((PyObject *)Py_TYPE(event) == g_sleep_cls &&
-            PyList_GET_SIZE(sleep_pool) < SLEEP_POOL_CAP) {
-            /* _Sleep always satisfies the fast layout. */
-            slot_store(event, off_value, g_pending);
-            if (PyList_Append(sleep_pool, event) < 0)
-                return -1;
-        }
+    if (ok)
         return 0;
-    }
     int defused;
     if (fast) {
         tmp = SLOT(event, off_defused);
@@ -382,41 +368,30 @@ ckernel_drain(PyObject *self, PyObject *args)
     double horizon;
     if (!PyArg_ParseTuple(args, "Od:drain", &env, &horizon))
         return NULL;
-    if (g_sleep_cls == NULL || g_pending == NULL) {
+    if (g_event_type == NULL || g_env_type == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "_ckernel.setup() not called");
         return NULL;
     }
 
     int env_fast = PyType_IsSubtype(Py_TYPE(env), g_env_type);
-    PyObject *queue, *sleep_pool;
+    PyObject *queue;
     if (env_fast) {
         queue = SLOT(env, off_queue);
-        sleep_pool = SLOT(env, off_sleep_pool);
-        Py_XINCREF(queue);
-        Py_XINCREF(sleep_pool);
-        if (queue == NULL || sleep_pool == NULL) {
-            Py_XDECREF(queue);
-            Py_XDECREF(sleep_pool);
+        if (queue == NULL) {
             PyErr_SetString(PyExc_AttributeError,
                             "environment not fully initialised");
             return NULL;
         }
+        Py_INCREF(queue);
     }
     else {
         queue = PyObject_GetAttr(env, S__queue);
         if (queue == NULL)
             return NULL;
-        sleep_pool = PyObject_GetAttr(env, S__sleep_pool);
-        if (sleep_pool == NULL) {
-            Py_DECREF(queue);
-            return NULL;
-        }
     }
-    if (!PyList_CheckExact(queue) || !PyList_CheckExact(sleep_pool)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "env._queue and env._sleep_pool must be lists");
+    if (!PyList_CheckExact(queue)) {
+        PyErr_SetString(PyExc_TypeError, "env._queue must be a list");
         Py_DECREF(queue);
-        Py_DECREF(sleep_pool);
         return NULL;
     }
 
@@ -434,7 +409,6 @@ ckernel_drain(PyObject *self, PyObject *args)
     }
     if (peak == -1 && PyErr_Occurred()) {
         Py_DECREF(queue);
-        Py_DECREF(sleep_pool);
         return NULL;
     }
 
@@ -495,7 +469,7 @@ ckernel_drain(PyObject *self, PyObject *args)
             }
 
             if (dispatch_callbacks(event, fast) < 0 ||
-                finish_event(event, sleep_pool, fast) < 0) {
+                finish_event(event, fast) < 0) {
                 Py_DECREF(event);
                 goto batch_fail;
             }
@@ -548,7 +522,6 @@ ckernel_drain(PyObject *self, PyObject *args)
     }
     Py_DECREF(tmp);
     Py_DECREF(queue);
-    Py_DECREF(sleep_pool);
     return PyBool_FromLong(hit_horizon);
 
 fail:;
@@ -566,23 +539,19 @@ fail:;
     }
     PyErr_Restore(et, ev, etb);
     Py_DECREF(queue);
-    Py_DECREF(sleep_pool);
     return NULL;
 }
 
-/* setup(event_cls, env_cls, sleep_cls, pending) — register the core
- * classes, the _PENDING sentinel, and resolve the slot offsets the
- * fast paths rely on. */
+/* setup(event_cls, env_cls) — register the core classes and resolve the
+ * slot offsets the fast paths rely on. */
 static PyObject *
 ckernel_setup(PyObject *self, PyObject *args)
 {
-    PyObject *event_cls, *env_cls, *sleep_cls, *pending;
-    if (!PyArg_ParseTuple(args, "OOOO:setup",
-                          &event_cls, &env_cls, &sleep_cls, &pending))
+    PyObject *event_cls, *env_cls;
+    if (!PyArg_ParseTuple(args, "OO:setup", &event_cls, &env_cls))
         return NULL;
-    if (!PyType_Check(event_cls) || !PyType_Check(env_cls) ||
-        !PyType_Check(sleep_cls)) {
-        PyErr_SetString(PyExc_TypeError, "setup() expects three classes");
+    if (!PyType_Check(event_cls) || !PyType_Check(env_cls)) {
+        PyErr_SetString(PyExc_TypeError, "setup() expects two classes");
         return NULL;
     }
 
@@ -594,11 +563,9 @@ ckernel_setup(PyObject *self, PyObject *args)
     off_defused = member_offset(etp, S__defused);
     off_now = member_offset(ntp, S__now);
     off_queue = member_offset(ntp, S__queue);
-    off_sleep_pool = member_offset(ntp, S__sleep_pool);
     off_peak = member_offset(ntp, S__peak_pending);
     if (off_callbacks < 0 || off_value < 0 || off_ok < 0 ||
-        off_defused < 0 || off_now < 0 || off_queue < 0 ||
-        off_sleep_pool < 0 || off_peak < 0) {
+        off_defused < 0 || off_now < 0 || off_queue < 0 || off_peak < 0) {
         PyErr_SetString(PyExc_TypeError,
                         "Event/Environment __slots__ layout not recognised");
         return NULL;
@@ -608,16 +575,12 @@ ckernel_setup(PyObject *self, PyObject *args)
     Py_XSETREF(g_event_type, etp);
     Py_INCREF(env_cls);
     Py_XSETREF(g_env_type, ntp);
-    Py_INCREF(sleep_cls);
-    Py_XSETREF(g_sleep_cls, sleep_cls);
-    Py_INCREF(pending);
-    Py_XSETREF(g_pending, pending);
     Py_RETURN_NONE;
 }
 
 static PyMethodDef ckernel_methods[] = {
     {"setup", ckernel_setup, METH_VARARGS,
-     "setup(event_cls, env_cls, sleep_cls, pending): register core types."},
+     "setup(event_cls, env_cls): register core types."},
     {"drain", ckernel_drain, METH_VARARGS,
      "drain(env, horizon) -> bool: run the batched dispatch loop."},
     {NULL, NULL, 0, NULL},
@@ -640,11 +603,10 @@ PyInit__ckernel(void)
     S__defused = PyUnicode_InternFromString("_defused");
     S__now = PyUnicode_InternFromString("_now");
     S__queue = PyUnicode_InternFromString("_queue");
-    S__sleep_pool = PyUnicode_InternFromString("_sleep_pool");
     S__peak_pending = PyUnicode_InternFromString("_peak_pending");
     if (S_callbacks == NULL || S__value == NULL || S__ok == NULL ||
         S__defused == NULL || S__now == NULL || S__queue == NULL ||
-        S__sleep_pool == NULL || S__peak_pending == NULL)
+        S__peak_pending == NULL)
         return NULL;
     return PyModule_Create(&ckernel_module);
 }

@@ -3,8 +3,8 @@
 ``REPRO_ENGINE=compiled`` (read through the injectable
 :mod:`repro.util.wallclock` boundary at :mod:`repro.sim` import time)
 swaps :meth:`Environment.run` for :func:`_run_compiled`, which delegates
-the per-event work — heap pops, dispatch, ``_Sleep`` recycling,
-peak-heap accounting — to the C extension built from ``_ckernel.c``.
+the per-event work — heap pops, dispatch, peak-heap accounting — to the
+C extension built from ``_ckernel.c``.
 The extension reads one heap, so activation also makes new
 environments single-heap (:func:`repro.sim.core._install_loop`): every
 schedule lands on ``_queue`` and the kernel's pop order is the textbook
@@ -27,14 +27,7 @@ from __future__ import annotations
 import gc
 from typing import Any, Optional
 
-from .core import (
-    _PENDING,
-    _HeapTier,
-    _Sleep,
-    Environment,
-    Event,
-    _install_loop,
-)
+from .core import _HeapTier, Environment, Event, _install_loop
 from .exceptions import SimulationError, StopSimulation
 
 #: Which loop Environment.run currently uses: "pure" or "compiled".
@@ -52,7 +45,7 @@ def load() -> bool:
         from . import _ckernel as ext  # type: ignore[attr-defined]
     except ImportError:
         return False
-    ext.setup(Event, Environment, _Sleep, _PENDING)
+    ext.setup(Event, Environment)
     _ckernel = ext
     return True
 

@@ -213,8 +213,8 @@ class Timeout(Event):
         # Timeouts are the highest-churn event type, so the generic
         # Event.__init__ chain is inlined: a timeout is born triggered,
         # and its fields are each written exactly once.
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # negative, or NaN (which no comparison admits)
+            raise SimulationError(f"invalid timeout delay: {delay!r}")
         self.env = env
         self.callbacks = []
         self._defused = False
@@ -232,20 +232,6 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"
-
-
-class _Sleep(Timeout):
-    """Internal: a recyclable fire-and-forget timeout.
-
-    Created through :meth:`Environment.sleep` only.  The event loop
-    returns processed ``_Sleep`` instances to the environment's free
-    list, so steady-state sleeps allocate nothing.  The contract: the
-    caller yields the event immediately and never retains a reference
-    (model code that stores, composes, or inspects a timeout must use
-    :meth:`Environment.timeout` instead).
-    """
-
-    __slots__ = ()
 
 
 class Initialize(Event):
@@ -535,7 +521,6 @@ class Environment:
         "_popped",
         "_active_process",
         "_peak_pending",
-        "_sleep_pool",
     )
 
     #: Reference mode: environments constructed while this is set keep
@@ -560,9 +545,6 @@ class Environment:
         #: High-water mark of the pending-event count (a perf observable:
         #: memory pressure and heap-op cost both scale with it).
         self._peak_pending = 0
-        #: Free list of processed :class:`_Sleep` events (see
-        #: :meth:`sleep`).
-        self._sleep_pool: list[_Sleep] = []
         for hook in _fresh_env_hooks:
             hook()
 
@@ -596,33 +578,6 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` time units from now."""
         return Timeout(self, delay, value)
-
-    def sleep(self, delay: float) -> Timeout:
-        """A fire-and-forget timeout drawn from a free list.
-
-        Semantically identical to ``timeout(delay)`` — same dispatch
-        position, same sequence-number consumption — but the event is
-        recycled by the event loop once processed.  Use it only for the
-        discard pattern ``yield env.sleep(d)``: the caller must not
-        retain, compose, or inspect the returned event afterwards.
-        """
-        pool = self._sleep_pool
-        if not pool:
-            return _Sleep(self, delay)
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        ev = pool.pop()
-        ev.callbacks = []
-        ev._value = None
-        ev.delay = delay
-        self._seq = seq = self._seq + 1
-        now = self._now
-        at = now + delay
-        if at > now:
-            heappush(self._queue, (at, PRIORITY_NORMAL, seq, ev))
-        else:
-            self._normal.append(ev)
-        return ev
 
     def process(
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None
@@ -659,7 +614,7 @@ class Environment:
                 )
             self._seq = seq = self._seq + 1
             heappush(self._queue, (at, priority, seq, event))
-        elif delay < 0:
+        elif not delay >= 0:  # negative, or NaN
             raise SimulationError(
                 f"cannot schedule in the past (delay={delay})"
             )
@@ -727,12 +682,7 @@ class Environment:
             for callback in callbacks:
                 callback(event)
 
-        if event._ok:
-            sleep_pool = self._sleep_pool
-            if event.__class__ is _Sleep and len(sleep_pool) < 128:
-                event._value = _PENDING
-                sleep_pool.append(event)
-        elif not event._defused:
+        if not event._ok and not event._defused:
             # An unhandled failure: surface it instead of losing it.
             raise event._value  # type: ignore[misc]
 
@@ -762,8 +712,10 @@ class Environment:
           leaves nothing only the collector could free
           (tests/test_sim_garbage.py).  This does not affect simulated
           behavior.
-        * Processed ``_Sleep`` events go back on the free list (see
-          :meth:`sleep`).
+        * Dispatch is all the loop does to an event.  Wait objects that
+          live more than once are re-armed by their owners
+          (:meth:`~repro.sim.resources.Request.hold`, DESIGN.md §13), so
+          there is no free list to feed from here.
         """
         stop_at: Optional[float] = None
         if until is not None:
@@ -781,7 +733,6 @@ class Environment:
         urgent = self._urgent
         normal = self._normal
         queue = self._queue
-        sleep_pool = self._sleep_pool
         # ``inf`` stands in for "no deadline" so the loop tests a single
         # float comparison per clock advance instead of a None check too.
         horizon = float("inf") if stop_at is None else stop_at
@@ -791,8 +742,6 @@ class Environment:
         # Bind loop invariants to locals: ~300k iterations make even a
         # LOAD_GLOBAL per event measurable.
         pop = heappop
-        sleep_cls = _Sleep
-        pending = _PENDING
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -830,11 +779,7 @@ class Environment:
                     for callback in callbacks:
                         callback(event)
 
-                if event._ok:
-                    if event.__class__ is sleep_cls and len(sleep_pool) < 128:
-                        event._value = pending
-                        sleep_pool.append(event)
-                elif not event._defused:
+                if not event._ok and not event._defused:
                     # An unhandled failure: surface it, don't lose it.
                     raise event._value  # type: ignore[misc]
         except StopSimulation as stop:

@@ -50,6 +50,8 @@ class _Kick(Event):
 
     Sequence-number and priority parity with
     :class:`~repro.sim.core.Initialize` (one urgent event per start).
+    A machine that lives more than once keeps its kick and re-files the
+    same object for every life (:meth:`Machine._restart`).
     """
 
     __slots__ = ()
@@ -63,6 +65,29 @@ class _Kick(Event):
         self._defused = False
         env._seq += 1
         env._urgent.append(self)
+
+
+class _Timer(Event):
+    """Internal: a timeout owned by one machine and re-armed in place
+    for each of its waits, instead of a :class:`~repro.sim.core.Timeout`
+    constructed per wait.  For the wait that holds no resource; a holder
+    re-arms its :meth:`~repro.sim.resources.Request.hold`."""
+
+    __slots__ = ()
+
+    def __init__(self, env: Any) -> None:
+        self.env = env
+        self.callbacks = None
+        self._value = None
+        self._ok = True
+        self._defused = False
+
+    def arm(self, delay: float, callback: Callable[[Event], None]) -> None:
+        """Fire ``callback`` after ``delay``; the timer must be idle."""
+        if self.callbacks is not None:
+            raise SimulationError("arm() of a timer that is still pending")
+        self.callbacks = [callback]
+        self.env.schedule(self, delay)
 
 
 class Machine(Event):
@@ -139,9 +164,21 @@ class Machine(Event):
         _Interruption(self, cause)
 
     # -- state plumbing ----------------------------------------------------
-    def _start(self, state: Callable[[Event], None]) -> None:
+    def _start(self, state: Callable[[Event], None]) -> _Kick:
         """Schedule the kick that runs ``state`` (Initialize parity)."""
-        _Kick(self.env, state)
+        return _Kick(self.env, state)
+
+    def _restart(self, kick: _Kick, state: Callable[[Event], None]) -> None:
+        """Begin another life of a machine that completed successfully
+        and whose completion has been dispatched: an untriggered event
+        again, started by its own ``kick`` (event parity with minting a
+        new machine; nobody may still hold the previous life)."""
+        self.callbacks = []
+        self._value = _PENDING
+        kick.callbacks = [state]
+        env = self.env
+        env._seq += 1
+        env._urgent.append(kick)
 
     def _park(self, event: Event, state: Callable[[Event], None]) -> None:
         """Wait for ``event``; ``state`` runs when it is processed.
@@ -218,9 +255,9 @@ class Machine(Event):
     ) -> None:
         """Event-parity equivalent of ``yield from thread.charge(work)``.
 
-        Requests a core, sleeps the scaled wall time, accounts the busy
-        seconds, releases the core, then calls ``cont`` — the same two
-        parks (request grant, sleep) and the same accounting order as
+        Requests a core, holds it for the scaled wall time, accounts the
+        busy seconds, releases the core, then calls ``cont`` — the same
+        two parks (request grant, hold) and the same accounting order as
         :meth:`~repro.hw.cpu.CpuComplex.execute`.
         """
         if work <= 0:
@@ -243,7 +280,8 @@ class Machine(Event):
         if not event._ok:
             self._resume(event)
             return
-        self._park(self.env.sleep(self._chg_wall), self._chg_done_cb)
+        # ``event`` is the granted request: it times its own hold.
+        self._park(event.hold(self._chg_wall), self._chg_done_cb)
 
     def _chg_done(self, event: Event) -> None:
         if not event._ok:

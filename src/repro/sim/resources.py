@@ -23,9 +23,10 @@ them.  Requests support the context-manager protocol::
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Optional
 
-from .core import Environment, Event, _PENDING
+from .core import PRIORITY_NORMAL, Environment, Event, _PENDING
 from .exceptions import SimulationError
 
 __all__ = [
@@ -64,6 +65,40 @@ class Request(Event):
     def release(self) -> "Release":
         """Release the resource claimed by this request."""
         return Release(self.resource, self)
+
+    def hold(self, delay: float) -> "Request":
+        """Re-arm this granted request as the timeout of its own hold.
+
+        Between its grant and its release a request is an idle object;
+        ``yield req.hold(d)`` files it — one sequence number, on the
+        heap or the normal FIFO exactly as ``Timeout(env, d)`` files
+        itself — instead of constructing a timeout to wait beside it.
+        The contract: yield (or park on) the result in the same
+        statement, once per grant dispatch, and release as usual
+        afterwards.  Releasing *during* the hold (an interrupt unwinding
+        through ``finally: finish(req)``) is safe: the resource is freed
+        at once, ``callbacks`` stays a list until the stale hold is
+        popped, and only a request whose ``callbacks`` is ``None`` is
+        ever recycled.
+        """
+        # ``callbacks`` is None only between a dispatch and the next
+        # filing, and only a grant or a hold is ever dispatched: one
+        # test covers ungranted, granted-but-undispatched and armed.
+        if self.callbacks is not None or not delay >= 0:
+            raise SimulationError(
+                f"hold({delay!r}) needs a granted, dispatched, unarmed "
+                f"request and a delay >= 0: {self!r}"
+            )
+        self.callbacks = []
+        env = self.env
+        env._seq = seq = env._seq + 1
+        now = env._now
+        at = now + delay
+        if at > now:
+            heappush(env._queue, (at, PRIORITY_NORMAL, seq, self))
+        else:
+            env._normal.append(self)
+        return self
 
     def __enter__(self) -> "Request":
         return self

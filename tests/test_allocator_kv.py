@@ -126,6 +126,130 @@ def test_allocator_conservation_property(requests):
     assert a.fragmentation() == 0.0
 
 
+class _BitWalkAllocator(BitmapAllocator):
+    """The reference: one bit per step, as ``allocate``/``free`` were
+    written before they learned to take a whole bitmap byte at a time."""
+
+    def allocate(self, nbytes):
+        if nbytes <= 0:
+            raise AllocError(f"allocation size must be positive: {nbytes}")
+        want = -(-nbytes // self.alloc_unit)
+        if want > self._free_blocks:
+            raise AllocError(
+                f"out of space: want {want} blocks, have {self._free_blocks}"
+            )
+        extents = []
+        got = 0
+        num = self.num_blocks
+        start = self._hint % num
+        unit = self.alloc_unit
+        cur_start, cur_len = -1, 0
+        for lo, hi in ((start, num), (0, start)):
+            block = lo
+            while block < hi and got < want:
+                if not self._test(block):
+                    self._set(block)
+                    got += 1
+                    if block == cur_start + cur_len:
+                        cur_len += 1
+                    else:
+                        if cur_start >= 0:
+                            extents.append(Extent(cur_start * unit, cur_len * unit))
+                        cur_start, cur_len = block, 1
+                block += 1
+            if got == want:
+                break
+        if cur_start >= 0:
+            extents.append(Extent(cur_start * unit, cur_len * unit))
+        assert got == want
+        self._free_blocks -= want
+        last = extents[-1]
+        self._hint = ((last.offset + last.length) // unit) % num
+        return extents
+
+    def free(self, extents):
+        for e in extents:
+            if e.offset % self.alloc_unit or e.length % self.alloc_unit:
+                raise AllocError(f"misaligned extent: {e}")
+            first = e.offset // self.alloc_unit
+            count = e.length // self.alloc_unit
+            if first + count > self.num_blocks:
+                raise AllocError(f"extent out of range: {e}")
+            for b in range(first, first + count):
+                if not self._test(b):
+                    raise AllocError(f"double free at block {b}")
+                self._clear(b)
+            self._free_blocks += count
+
+
+_alloc_op = st.one_of(
+    # allocate this many blocks (0 = sub-block size, rounds up to one)
+    st.tuples(st.just("alloc"), st.integers(min_value=0, max_value=70)),
+    # free the i-th live allocation
+    st.tuples(st.just("free"), st.integers(min_value=0, max_value=40)),
+    # free an arbitrary block range: partial frees, double frees (part
+    # of the range is cleared before the error), out-of-range
+    st.tuples(
+        st.just("free-range"),
+        st.integers(min_value=0, max_value=210),
+        st.integers(min_value=0, max_value=40),
+    ),
+    st.tuples(st.just("free-misaligned"), st.integers(min_value=1, max_value=UNIT - 1)),
+)
+
+
+@given(
+    blocks=st.sampled_from((64, 200, 203)),  # 203: last bitmap byte is partial
+    ops=st.lists(_alloc_op, min_size=1, max_size=60),
+)
+@settings(max_examples=300, deadline=None)
+def test_byte_steps_equal_the_bit_walk(blocks, ops):
+    """Whole-byte claims and clears change nothing observable: extents,
+    roving hint, bitmap, free space and every error — message and the
+    state it leaves behind — equal the one-bit-per-step reference after
+    every operation."""
+    fast = BitmapAllocator(blocks * UNIT, alloc_unit=UNIT)
+    ref = _BitWalkAllocator(blocks * UNIT, alloc_unit=UNIT)
+    live = []
+
+    def both(call):
+        outcomes = []
+        for alloc in (fast, ref):
+            try:
+                outcomes.append(("ok", call(alloc)))
+            except AllocError as exc:
+                outcomes.append(("error", str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert fast._bitmap == ref._bitmap
+        assert fast._hint == ref._hint
+        assert fast.free_bytes == ref.free_bytes
+        return outcomes[0]
+
+    for op in ops:
+        if op[0] == "alloc":
+            size = op[1] * UNIT or 100
+            kind, extents = both(lambda a: a.allocate(size))
+            if kind == "ok":
+                live.append(extents)
+        elif op[0] == "free":
+            if live:
+                extents = live.pop(op[1] % len(live))
+                both(lambda a: a.free(extents))
+        elif op[0] == "free-range":
+            extent = Extent(op[1] * UNIT, op[2] * UNIT)
+            kind, _ = both(lambda a: a.free([extent]))
+            if kind == "ok" and op[2]:
+                # Bits cleared behind an allocation's back: stop tracking
+                # what overlaps, so later frees are honest double frees.
+                lo, hi = extent.offset, extent.offset + extent.length
+                live[:] = [
+                    ext for ext in live
+                    if not any(e.offset < hi and lo < e.offset + e.length for e in ext)
+                ]
+        else:
+            both(lambda a: a.free([Extent(op[1], UNIT)]))
+
+
 # ---------------------------------------------------------------- kv store
 
 

@@ -127,7 +127,7 @@ def _contended_model(env: Environment) -> None:
     def ticker(env):
         try:
             while True:
-                yield env.sleep(0.75)
+                yield env.timeout(0.75)
         except Interrupt:
             return
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw import CpuComplex, SimThread
-from repro.sim import Environment, SimulationError
+from repro.sim import Environment, Interrupt, SimulationError
 
 
 def make_cpu(cores=2, perf=1.0, ctx_cost=0.0):
@@ -54,6 +54,37 @@ def test_core_contention_queues_work():
     env.process(proc(b, "b"))
     env.run()
     assert finish == {"a": 1.0, "b": 2.0}
+
+
+def test_interrupted_charge_frees_the_core_at_interrupt_time():
+    """The core's request times its own hold (``Request.hold``); an
+    interrupt mid-charge must still release it at once, account nothing
+    for the abandoned work, and leave the stale hold harmless."""
+    env, cpu = make_cpu(cores=1)
+    a = SimThread(cpu, "a", "cat")
+    b = SimThread(cpu, "b", "cat")
+    log = []
+
+    def proc(t, work):
+        try:
+            yield from t.charge(work)
+            log.append((t.name, "done", env.now))
+        except Interrupt:
+            log.append((t.name, "interrupted", env.now))
+
+    victim = env.process(proc(a, 10.0))
+    env.process(proc(b, 1.0))
+
+    def interrupter():
+        yield env.timeout(2.0)
+        victim.interrupt()
+
+    env.process(interrupter())
+    env.run()
+    assert log == [("a", "interrupted", 2.0), ("b", "done", 3.0)]
+    assert cpu.accounting.busy_by_thread == {"b": 1.0}
+    assert env.now == 10.0  # the stale hold, popped with nobody parked
+    assert not cpu._core_pool.users and not cpu._core_pool.queue
 
 
 def test_parallel_cores_run_concurrently():

@@ -121,6 +121,48 @@ def test_pipe_statistics():
     assert net.nic("a").tx.busy_time == pytest.approx(0.5)
 
 
+def test_rx_chunk_machines_are_recycled_through_a_bounded_free_list():
+    """A delivery's chunk machines go back to the receiving pipe once
+    joined and serve the next one; past the bound they are dropped with
+    their callbacks unbound, so not even the overflow is cyclic garbage."""
+    import gc
+
+    from repro.hw.net import _RX_FREE_MAX, _RxChunk
+
+    env = Environment()
+    net = Network(env, latency_s=1e-4)
+    net.attach("a", Nic(env, "a", 8e9))
+    net.attach("b", Nic(env, "b", 8e9))
+    rx = net.nic("b").rx
+    chunk = rx.chunk_bytes
+
+    def deliver(nbytes):
+        events = env.events_scheduled
+        env.process(net.deliver("a", "b", nbytes))
+        env.run()
+        return env.events_scheduled - events
+
+    first = deliver(5 * chunk)
+    machines = list(rx._rx_free)
+    assert len(machines) == 5
+    # The same five machines, the same number of events, the same bytes.
+    assert deliver(5 * chunk) == first
+    assert sorted(map(id, rx._rx_free)) == sorted(map(id, machines))
+    assert rx.bytes_transferred == 10 * chunk
+
+    def alive():
+        return sum(type(obj) is _RxChunk for obj in gc.get_objects())
+
+    gc.disable()  # whatever goes now is freed by reference count alone
+    try:
+        before = alive()
+        deliver((_RX_FREE_MAX + 30) * chunk)  # all joined at the very end
+        assert len(rx._rx_free) == _RX_FREE_MAX
+        assert alive() - before == _RX_FREE_MAX - 5
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------- tcp model
 
 

@@ -273,6 +273,44 @@ def test_sim202_discarded_request_is_flagged():
     assert codes(found) == ["SIM202"]
 
 
+# ------------------------------------------------------------------ SIM203
+
+
+def test_sim203_flags_a_hold_that_is_kept_or_dropped():
+    src = (
+        "def work(pool):\n"
+        "    req = pool.request()\n"
+        "    try:\n"
+        "        yield req\n"
+        "        timer = req.hold(1.0)\n"  # kept: waited on who knows when
+        "        yield timer\n"
+        "        req.hold(1.0)\n"  # dropped: fires for nobody
+        "    finally:\n"
+        "        pool.finish(req)\n"
+    )
+    found = lint_source(src, "repro/hw/dev.py", select=["SIM203"])
+    assert [(f.code, f.line) for f in found] == [("SIM203", 5), ("SIM203", 7)]
+    assert lint_source(src, "repro/bench/tool.py", select=["SIM203"]) == []
+
+
+def test_sim203_yielded_and_parked_holds_are_clean():
+    src = (
+        "class Seg:\n"
+        "    def work(self, pool):\n"
+        "        req = pool.request()\n"
+        "        try:\n"
+        "            yield req\n"
+        "            yield req.hold(1.0)\n"
+        "        finally:\n"
+        "            pool.finish(req)\n"
+        "    def _s_granted(self, event):\n"
+        "        self._park(event.hold(self._ser), self._cb_done)\n"
+        "    def _s_granted_direct(self, event):\n"
+        "        event.hold(self._ser).callbacks.append(self._cb_done)\n"
+    )
+    assert lint_source(src, "repro/hw/dev.py", select=["SIM203"]) == []
+
+
 # ------------------------------------------------------------------ PERF301
 
 
@@ -449,7 +487,7 @@ def test_perf303_yielding_loops_and_cold_files_are_clean():
         "def pump(env, queue):\n"
         "    while queue:\n"
         "        grant = [queue.pop()]\n"  # allocates, but loop waits in
-        "        yield env.sleep(1.0)\n"  # sim time: one lap per grant
+        "        yield env.timeout(1.0)\n"  # sim time: one lap per grant
     )
     assert lint_source(hot_but_waiting, "repro/sim/loop.py", select=["PERF303"]) == []
     cold = (
@@ -664,7 +702,7 @@ def test_rule_catalogue_is_complete():
     assert sorted(RULES) == [
         "DET101", "DET102", "DET103", "DET104", "DET105", "DET106",
         "DET107", "OWN401", "OWN402", "OWN403", "PERF301", "PERF302",
-        "PERF303", "SIM201", "SIM202",
+        "PERF303", "SIM201", "SIM202", "SIM203",
     ]
 
 

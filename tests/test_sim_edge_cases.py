@@ -177,3 +177,29 @@ def test_schedule_in_past_rejected():
     ev = env.event()
     with pytest.raises(SimulationError):
         env.schedule(ev, delay=-1)
+
+
+def test_nan_delay_rejected_at_every_entry_point():
+    """``nan < 0`` and ``now + nan > now`` are both false, so a NaN delay
+    used to pass the negative check and be filed as due now."""
+    from repro.hw.cpu import CpuComplex, SimThread
+    from repro.sim import Resource
+
+    nan = float("nan")
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(nan)
+    with pytest.raises(SimulationError):
+        env.schedule(env.event(), delay=nan)
+    req = Resource(env).request()
+    env.step()
+    with pytest.raises(SimulationError):
+        req.hold(nan)
+    assert env.events_scheduled == 1 and env.peek() == float("inf")
+
+    # The way it used to bite: NaN work poisoned the CPU ledger silently.
+    cpu = CpuComplex(env, "cpu", cores=1)
+    env.process(SimThread(cpu, "t", "cat").charge(nan))
+    with pytest.raises(SimulationError):
+        env.run()
+    assert cpu.accounting.total_busy() == 0.0 and not cpu._core_pool.users

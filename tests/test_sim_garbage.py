@@ -9,6 +9,11 @@ four benchmark scenario builds is replayed for 1 and for 3 simulated
 seconds with the collector off; the number of unreachable objects
 ``gc.collect()`` then finds may be anything (end-of-run leftovers are a
 constant) but must not grow with the number of ops.
+
+The same replays show the wire path's free lists bounded: rx chunk
+machines are recycled through their pipe (``BandwidthPipe.rx_chunk`` /
+``rx_release``), so the number alive is set by how many frames are in
+flight at once, not by how many have been sent.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from repro.bench.radosbench import run_rados_bench
 from repro.cluster.builder import build_baseline_cluster, build_doceph_cluster
 from repro.cluster.config import DocephProfile
 from repro.faults import FaultPlan
+from repro.hw.net import _RX_FREE_MAX, BandwidthPipe, _RxChunk
 from repro.qos.runner import run_qos
 from repro.qos.tenants import default_tenants
 from repro.sim import Environment
@@ -60,21 +66,30 @@ def _replay(build, sim_s: float):
     return result.completed_ops, (env, cluster, result)
 
 
-def _unreachable_after(build, sim_s: float) -> tuple[int, int]:
-    """(ops, unreachable objects) with the collector off for the whole
-    replay and the environment, cluster and result still referenced —
-    so only true cyclic garbage is counted, not the live model."""
+def _unreachable_after(build, sim_s: float) -> tuple[int, int, int]:
+    """(ops, unreachable objects, live rx chunk machines) with the
+    collector off for the whole replay and the environment, cluster and
+    result still referenced — so only true cyclic garbage is counted,
+    not the live model."""
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         ops, alive = _replay(build, sim_s)
         unreachable = gc.collect()
-        del alive
+        env = alive[0]  # count this replay's objects, nobody's leftovers
+        live = [obj for obj in gc.get_objects()
+                if type(obj) in (_RxChunk, BandwidthPipe) and obj.env is env]
+        chunks = sum(type(obj) is _RxChunk for obj in live)
+        assert all(
+            len(obj._rx_free) <= _RX_FREE_MAX
+            for obj in live if type(obj) is BandwidthPipe
+        )
+        del alive, live, env
     finally:
         if was_enabled:
             gc.enable()
-    return ops, unreachable
+    return ops, unreachable, chunks
 
 
 @pytest.mark.parametrize(
@@ -83,8 +98,8 @@ def _unreachable_after(build, sim_s: float) -> tuple[int, int]:
     ids=["baseline", "doceph", "doceph-dma-faults", "qos-full-osd"],
 )
 def test_unreachable_objects_do_not_grow_with_replay_length(build):
-    short_ops, short = _unreachable_after(build, 1.0)
-    long_ops, long = _unreachable_after(build, 3.0)
+    short_ops, short, short_chunks = _unreachable_after(build, 1.0)
+    long_ops, long, long_chunks = _unreachable_after(build, 3.0)
     extra_ops = long_ops - short_ops
     assert extra_ops > 100  # the longer replay really did more work
     # Per-op cycles are the failure: even one object per additional op
@@ -93,3 +108,7 @@ def test_unreachable_objects_do_not_grow_with_replay_length(build):
         f"{short} unreachable objects after {short_ops} ops, "
         f"{long} after {long_ops}"
     )
+    # Three times the frames, the same chunk machines: the live count
+    # follows peak concurrency (a frame is 17 chunks), not replay length
+    # (each extra op would have minted 34 and more).
+    assert 0 < long_chunks < short_chunks + 17, (short_chunks, long_chunks)

@@ -6,7 +6,9 @@ everything.  A digest of (event count, final clock) only sees the last
 state; these tests compare the *sequence*:
 
 * a hypothesis property over random schedule programs — every container
-  fed from callbacks, timestamps that collide across containers,
+  fed from callbacks (``request → hold → finish`` on a contended,
+  recycling resource beside ``timeout``), timestamps that collide
+  across containers,
   ``step()`` / ``run(until=...)`` interleavings, ``StopSimulation`` in
   the middle of a tick — run on a tiered and on a single-heap
   environment, callback for callback;
@@ -29,6 +31,7 @@ from repro.sim import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
     Environment,
+    Resource,
     SimulationError,
     StopSimulation,
 )
@@ -43,7 +46,7 @@ INF = float("inf")
 DELAYS = (0.0, 2.0**-20, 0.03125, 0.25, 0.5, 1.0)
 
 #: How a node schedules itself; see ``_Program.schedule``.
-KINDS = ("timeout", "sleep", "event", "urgent", "succeed", "process")
+KINDS = ("timeout", "hold", "event", "urgent", "succeed", "process")
 
 _node = st.tuples(
     st.sampled_from(KINDS),
@@ -67,6 +70,10 @@ class _Program:
         self.env = env
         self.nodes = nodes
         self.log: list[tuple[int, float]] = []
+        #: Two servers: "hold" nodes queue behind each other, so grants
+        #: are minted by ``finish`` as well as by ``request``, and the
+        #: free list hands the same objects out again.
+        self.resource = Resource(env, capacity=2, recycle_requests=True)
 
     def schedule(self, index: int) -> None:
         env = self.env
@@ -78,8 +85,16 @@ class _Program:
 
         if kind == "timeout":  # heap, or normal FIFO at zero delay
             env.timeout(delay).callbacks.append(fired)
-        elif kind == "sleep":  # the same through the free list
-            env.sleep(delay).callbacks.append(fired)
+        elif kind == "hold":  # the same, filed by a granted request
+            resource = self.resource
+
+            def held(request, index=index):
+                resource.finish(request)
+                self.fire(index)
+
+            resource.request().callbacks.append(
+                lambda request: request.hold(delay).callbacks.append(held)
+            )
         elif kind == "event":  # the generic route
             event = env.event()
             event.callbacks.append(fired)
@@ -153,7 +168,7 @@ def test_tiered_pops_in_single_heap_order(nodes, roots, actions):
 
 def test_heap_entries_meet_both_now_fifos_at_one_timestamp():
     """The case the order argument turns on, spelled out.  At t=0.5 a
-    timeout (seq 1) and a sleep scheduled later (seq 3) are due off the
+    timeout (seq 1) and another scheduled later (seq 3) are due off the
     heap; the timeout's callback mints a normal (seq 4) and an urgent
     (seq 5) event for the same instant.  One heap pops 1, 5, 3, 4."""
     logs = []
@@ -173,8 +188,8 @@ def test_heap_entries_meet_both_now_fifos_at_one_timestamp():
                 env.schedule(urgent, priority=PRIORITY_URGENT)
 
             env.timeout(0.5).callbacks.append(spawn)
-            env.sleep(0.25).callbacks.append(
-                lambda event: env.sleep(0.25).callbacks.append(note("heap"))
+            env.timeout(0.25).callbacks.append(
+                lambda event: env.timeout(0.25).callbacks.append(note("heap"))
             )
             env.run()
             logs.append(log)
@@ -196,7 +211,7 @@ def test_peek_and_repr_read_every_tier():
     env = Environment()
     assert env.peek() == INF and "pending=0" in repr(env)
     env.timeout(7.0)
-    env.sleep(3.0)  # heap
+    env.timeout(3.0)  # heap
     assert env.peek() == 3.0
     env.event().succeed()  # normal FIFO
     assert env.peek() == 0.0 and "pending=3" in repr(env)

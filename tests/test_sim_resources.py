@@ -6,6 +6,7 @@ from repro.sim import (
     Container,
     Environment,
     FilterStore,
+    Interrupt,
     PriorityResource,
     Resource,
     SimulationError,
@@ -117,6 +118,140 @@ def test_cancelled_request_not_granted():
     env.process(canceller(env))
     env.run()
     assert granted == [False]
+
+
+# ------------------------------------------------------------ Request.hold
+
+
+def test_hold_is_the_timeout_of_its_own_grant():
+    """``yield req.hold(d)`` costs what ``yield env.timeout(d)`` cost —
+    one sequence number, the same wake-up time — with no second object:
+    the event the process waits on is the request."""
+    counts = []
+    for wait in ("hold", "timeout"):
+        env = Environment()
+        res = Resource(env, capacity=1, recycle_requests=True)
+        woke = []
+
+        def user(env, delay):
+            req = res.request()
+            try:
+                yield req
+                held = req.hold(delay) if wait == "hold" else env.timeout(delay)
+                assert (held is req) == (wait == "hold")
+                yield held
+                woke.append(env.now)
+            finally:
+                res.finish(req)
+
+        env.process(user(env, 0.5))
+        env.process(user(env, 0.0))  # zero delay: filed on the now-FIFO
+        env.run()
+        assert woke == [0.5, 0.5]
+        counts.append((env.events_scheduled, env.peak_pending))
+    assert counts[0] == counts[1]
+
+
+def test_hold_misuse_raises():
+    env = Environment()
+    res = Resource(env, capacity=1, recycle_requests=True)
+    first = res.request()
+    queued = res.request()
+    with pytest.raises(SimulationError):
+        queued.hold(1.0)  # ungranted
+    with pytest.raises(SimulationError):
+        first.hold(1.0)  # granted, but the grant is still undispatched
+    env.step()
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(SimulationError):
+            first.hold(bad)
+    assert first.hold(1.0) is first
+    with pytest.raises(SimulationError):
+        first.hold(1.0)  # already armed
+    before = env.events_scheduled
+    env.run()
+    # None of the refused calls filed anything.
+    assert (before, env.now) == (2, 1.0)
+
+
+def test_interrupt_while_waiting_for_the_grant_of_a_hold_site():
+    env = Environment()
+    res = Resource(env, capacity=1, recycle_requests=True)
+    log = []
+
+    def user(env, name, delay):
+        req = res.request()
+        try:
+            yield req
+            yield req.hold(delay)
+            log.append((name, "done", env.now))
+        except Interrupt:
+            log.append((name, "interrupted", env.now))
+        finally:
+            res.finish(req)
+
+    env.process(user(env, "holder", 5.0))
+    waiter = env.process(user(env, "waiter", 1.0))
+    env.process(user(env, "third", 1.0))
+
+    def interrupter(env):
+        yield env.timeout(2.0)
+        waiter.interrupt()
+
+    env.process(interrupter(env))
+    env.run()
+    # The waiter was withdrawn from the queue, so the third user — not a
+    # ghost — inherits the server when the holder is done.
+    assert log == [
+        ("waiter", "interrupted", 2.0),
+        ("holder", "done", 5.0),
+        ("third", "done", 6.0),
+    ]
+    assert not res.users and not res.queue
+
+
+def test_interrupt_during_a_hold_releases_at_once_and_never_recycles():
+    env = Environment()
+    res = Resource(env, capacity=1, recycle_requests=True)
+    log = []
+    armed = []
+
+    def user(env, name, delay):
+        req = res.request()
+        try:
+            yield req
+            armed.append(req)
+            yield req.hold(delay)
+            log.append((name, "done", env.now))
+        except Interrupt:
+            log.append((name, "interrupted", env.now))
+        finally:
+            res.finish(req)
+
+    victim = env.process(user(env, "victim", 10.0))
+    env.process(user(env, "next", 1.0))
+
+    def interrupter(env):
+        yield env.timeout(2.0)
+        victim.interrupt()
+        yield env.timeout(0.0)
+        # Interrupt time: the server has moved on, and the request whose
+        # hold is still pending is on nobody's free list ...
+        stale = armed[0]
+        assert len(res.users) == 1 and res.users[0] is not stale
+        assert stale.callbacks == []
+        assert stale not in res._request_pool
+        # ... so a new request is never an armed object.
+        fresh = res.request()
+        assert fresh is not stale
+        fresh.cancel()
+
+    env.process(interrupter(env))
+    env.run()
+    assert log == [("victim", "interrupted", 2.0), ("next", "done", 3.0)]
+    # The stale hold was popped at t=10 with nobody parked on it.
+    assert env.now == 10.0 and armed[0].callbacks is None
+    assert armed[0] not in res._request_pool
 
 
 def test_priority_resource_orders_by_priority():
