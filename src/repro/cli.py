@@ -336,13 +336,9 @@ def _cmd_chaos(args: argparse.Namespace) -> tuple[str, bool]:
     return "\n".join(lines), ok
 
 
-def _cmd_perf(args: argparse.Namespace) -> tuple[str, int]:
-    """Engine-speed benchmark: replay a scenario, report events/sec.
-
-    Returns (report text, exit code): 3 when a digest check fails (the
-    replay diverged from ``--baseline``, or the detached/noop hook runs
-    disagreed), 4 when wall-clock regressed more than
-    ``--max-regression`` times the baseline."""
+def _cmd_perf(args: argparse.Namespace) -> str:
+    """Replay a scenario and report its digest, event count and wall
+    time.  Speed is judged by ``benchmarks/e2e``; this is the quick look."""
     from . import perf as perfmod
 
     tracer = None
@@ -350,159 +346,11 @@ def _cmd_perf(args: argparse.Namespace) -> tuple[str, int]:
         from .trace import Tracer
         tracer = Tracer(seed=args.seed)
     result = perfmod.measure(
-        args.scenario, seed=args.seed, repeats=args.repeats,
-        profile=args.profile, tracer=tracer,
+        args.scenario, seed=args.seed, repeats=args.repeats, tracer=tracer,
     )
-    lines = [perfmod.format_perf_report(result)]
-    code = 0
-
-    if args.hook_overhead:
-        hov = perfmod.measure_hook_overhead(
-            args.scenario, seed=args.seed, repeats=args.repeats,
-        )
-        lines.append(
-            f"  hook overhead: detached {hov.detached_wall_s:.3f} s,"
-            f" noop-attached {hov.noop_wall_s:.3f} s"
-            f" ({hov.overhead_pct:+.1f} %)"
-        )
-        if hov.digests_equal:
-            lines.append("    digests: identical (noop plan is inert)")
-        else:
-            lines.append("    digests: MISMATCH — noop fault plan "
-                         "changed behavior")
-            code = 3
-
-    if args.baseline:
-        base = json.loads(pathlib.Path(args.baseline).read_text())
-        if base.get("digest") != result.digest:
-            lines.append(
-                f"baseline digest MISMATCH: expected {base.get('digest')}"
-                f" got {result.digest} — engine behavior changed"
-            )
-            code = 3
-        else:
-            lines.append("baseline digest: identical")
-            base_wall = float(base.get("wall_s", 0.0))
-            if base_wall > 0 and result.wall_s > args.max_regression * base_wall:
-                lines.append(
-                    f"wall-clock REGRESSION: {result.wall_s:.3f} s vs"
-                    f" baseline {base_wall:.3f} s"
-                    f" (> {args.max_regression:g}x allowed)"
-                )
-                code = 4
-            elif base_wall > 0:
-                lines.append(
-                    f"wall-clock vs baseline: {result.wall_s / base_wall:.2f}x"
-                    f" (limit {args.max_regression:g}x)"
-                )
-
     _publish(args, f"perf_{args.scenario}",
              perfmod.perf_result_dict(result))
-    return "\n".join(lines), code
-
-
-def _cmd_engine(args: argparse.Namespace) -> tuple[str, int]:
-    """Compiled-kernel lifecycle: build the optional C extension, or
-    prove the built kernel against the pure-Python engine.
-
-    ``build`` compiles ``repro/sim/_ckernel.c`` (exit 1 when the box has
-    no C compiler — the pure engine is always available).  ``check``
-    replays ``--scenario`` under both engines and enforces three gates:
-    the two builds' digests must be byte-identical, they must match the
-    committed ``--bench`` row (exit 3 otherwise), and the pure engine's
-    events/s must not fall below the committed figure by more than
-    ``--max-regression`` (exit 4) — the CI ``perf-engine`` job runs
-    exactly this."""
-    from . import engine_build
-    from . import perf as perfmod
-    from .sim import compiled as sim_compiled
-
-    if args.action == "clean":
-        removed = engine_build.clean()
-        if removed:
-            return f"engine: removed {engine_build.artifact_path()}", 0
-        return "engine: no artifact to remove", 0
-
-    try:
-        out = engine_build.build(force=args.force)
-    except RuntimeError as exc:  # no C compiler on this box
-        return f"engine: {exc}", 1
-
-    if args.action == "build":
-        return f"engine: built {out}", 0
-
-    # action == "check": measure pure first, then the compiled kernel.
-    was_compiled = sim_compiled.ACTIVE_ENGINE == "compiled"
-    sim_compiled.deactivate()
-    pure = perfmod.measure(args.scenario, seed=args.seed,
-                           repeats=args.repeats)
-    if not sim_compiled.activate():
-        return f"engine: built {out} but the extension failed to load", 1
-    try:
-        comp = perfmod.measure(args.scenario, seed=args.seed,
-                               repeats=args.repeats)
-    finally:
-        if not was_compiled:
-            sim_compiled.deactivate()
-
-    lines = [
-        f"engine check: scenario={args.scenario} seed={args.seed}"
-        f" repeats={args.repeats}",
-        f"  pure      {pure.events_per_sec:12,.1f} events/s"
-        f"  ({pure.wall_s:.3f} s)",
-        f"  compiled  {comp.events_per_sec:12,.1f} events/s"
-        f"  ({comp.wall_s:.3f} s)"
-        f"  [{comp.events_per_sec / pure.events_per_sec:.2f}x pure]",
-    ]
-    code = 0
-    if pure.digest != comp.digest:
-        lines.append(f"  digest MISMATCH: pure {pure.digest} !="
-                     f" compiled {comp.digest}")
-        code = 3
-    else:
-        lines.append(f"  digests byte-identical: {pure.digest}")
-
-    if args.bench:
-        doc = json.loads(pathlib.Path(args.bench).read_text())
-        rows = doc.get("runs_compiled") or doc.get("runs") or []
-        row = next((r for r in rows
-                    if r.get("scenario") == args.scenario
-                    and r.get("seed") == args.seed), None)
-        if row is None:
-            lines.append(f"  bench: no ({args.scenario}, seed {args.seed})"
-                         f" row in {args.bench} — gates skipped")
-        else:
-            if row.get("digest") != pure.digest:
-                lines.append(
-                    f"  bench digest MISMATCH: committed"
-                    f" {row.get('digest')} — engine behavior changed"
-                )
-                code = 3
-            # Prefer the explicit conservative gate basis when the row
-            # carries one: point-estimate events/s is noisy on shared
-            # runners, so the trajectory figures stay honest while the
-            # gate trips only on genuine regressions.
-            committed = float(row.get("gate_pure_events_per_sec")
-                              or row.get("pure_events_per_sec")
-                              or row.get("post_events_per_sec") or 0.0)
-            if committed:
-                floor = committed / args.max_regression
-                if pure.events_per_sec < floor:
-                    lines.append(
-                        f"  throughput REGRESSION: pure"
-                        f" {pure.events_per_sec:,.1f} events/s <"
-                        f" {floor:,.1f}"
-                        f" (committed {committed:,.1f}"
-                        f" / {args.max_regression:g})"
-                    )
-                    code = 4
-                else:
-                    lines.append(
-                        f"  throughput vs committed:"
-                        f" {pure.events_per_sec / committed:.2f}x"
-                        f" (floor 1/{args.max_regression:g})"
-                    )
-    return "\n".join(lines), code
+    return perfmod.format_perf_report(result)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> tuple[str, int]:
@@ -870,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     from .perf import SCENARIOS
     perf = sub.add_parser(
-        "perf", help="engine-speed benchmark: replay a deterministic "
-                     "scenario, report events/sec + behavior digest")
+        "perf", help="replay a deterministic scenario and report its "
+                     "behavior digest, event count and wall time")
     perf.add_argument("--scenario", choices=sorted(SCENARIOS),
                       default="fallback",
                       help="named workload from repro.perf.SCENARIOS")
@@ -880,51 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--repeats", type=int, default=5,
                       help="replay count; wall time is the fastest run "
                            "(digests must all match)")
-    perf.add_argument("--profile", action="store_true",
-                      help="add a cProfile run and report the "
-                           "per-subsystem breakdown")
     perf.add_argument("--trace", action="store_true",
                       help="attach the tracer and report the trace "
                            "fingerprint (slower; separate golden)")
-    perf.add_argument("--hook-overhead", action="store_true",
-                      help="also compare detached vs attached-noop "
-                           "fault-plan runs")
-    perf.add_argument("--baseline", default=None, metavar="FILE",
-                      help="prior BENCH_perf_<scenario>.json to compare "
-                           "against (digest must match; wall time must "
-                           "stay within --max-regression)")
-    perf.add_argument("--max-regression", type=float, default=3.0,
-                      help="allowed wall-clock ratio vs --baseline "
-                           "before exiting 4")
     add_json_opts(perf)
-
-    engine = sub.add_parser(
-        "engine", help="compiled-kernel lifecycle: build the optional C "
-                       "kernel, or prove it against the pure engine "
-                       "(exit 3 on digest divergence, 4 on throughput "
-                       "regression)")
-    engine.add_argument("action", choices=("build", "check", "clean"),
-                        help="build the extension, run the cross-build "
-                             "digest + throughput gates, or remove the "
-                             "artifact")
-    engine.add_argument("--scenario", choices=sorted(SCENARIOS),
-                        default="fallback",
-                        help="replay workload for 'check'")
-    engine.add_argument("--seed", type=int, default=0,
-                        help="scenario seed for 'check'")
-    engine.add_argument("--repeats", type=int, default=3,
-                        help="replay count per engine; wall time is the "
-                             "fastest run")
-    engine.add_argument("--force", action="store_true",
-                        help="rebuild even when the artifact is newer "
-                             "than the source")
-    engine.add_argument("--bench", metavar="FILE",
-                        default="benchmarks/results/BENCH_perf_engine.json",
-                        help="committed trajectory file for the digest + "
-                             "throughput gates ('' skips them)")
-    engine.add_argument("--max-regression", type=float, default=1.10,
-                        help="fail (exit 4) when pure events/s falls "
-                             "below committed/<this>")
 
     fuzz = sub.add_parser(
         "fuzz", help="coverage-guided scenario fuzzing over the chaos/"
@@ -1050,15 +857,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if not ok:
                 return 3  # durability violation or non-determinism
         elif args.command == "perf":
-            text, code = _cmd_perf(args)
-            print(text)
-            if code:
-                return code  # 3 = digest mismatch, 4 = wall regression
-        elif args.command == "engine":
-            text, code = _cmd_engine(args)
-            print(text)
-            if code:
-                return code  # 1 = no compiler, 3 = digest, 4 = regression
+            print(_cmd_perf(args))
         elif args.command == "fuzz":
             text, code = _cmd_fuzz(args)
             print(text)

@@ -11,34 +11,35 @@ changes behavior.  A well-posed model must be tie-order independent.
 Mechanism: the scenario is run three times —
 
 1. natively, recording the simulation digest;
-2. with :meth:`Environment.run` replaced by an instrumented drain loop
-   that pops each equal-``(time, priority)`` batch and processes it in
-   FIFO (= native) order.  This digest must match run 1; it proves the
-   instrumentation itself is behavior-neutral.  Batches are read off
-   one heap, so the probe's environments are single-heap
-   (:func:`repro.sim.core._install_loop`) while run 1's are tiered.
-3. with the same drain loop processing each batch in LIFO order —
-   a legal tie-break under the model's contract.  A digest mismatch
-   means some same-timestamp batch is order-sensitive; the recorded
-   batches (time + event descriptions) are the candidate sites.
+2. with :meth:`Environment.run` replaced by a loop that takes each
+   equal-``(time, priority)`` tie class out of the pending store and
+   feeds it back, one event per :meth:`Environment.step`, in FIFO
+   (= native) order.  This digest must match run 1; it proves the
+   instrumentation itself is behavior-neutral.
+3. with the same loop feeding each tie class in LIFO order — a legal
+   tie-break under the model's contract.  A digest mismatch means some
+   same-timestamp batch is order-sensitive; the recorded batches (time
+   + event descriptions) are the candidate sites.
 
-The drain loop reproduces the native loop's semantics exactly: the
-``until`` event/number protocol, :class:`StopSimulation` unwinding,
-undefused-failure propagation and the ``stop_at`` horizon.
-Unprocessed batch entries are pushed back onto the heap on
-any non-local exit, because ``run()`` is routinely called repeatedly on
-one environment (e.g. once per bench worker).
+The probe owns neither dispatch nor the ``until`` protocol: ``step()``
+pops and dispatches every event but the until-event, and the native
+``run`` is called last — with that one event at the head of the store,
+or with nothing left to do but apply the protocol's end state (the
+return value, the clock at a numeric deadline, the argument checks).
+One difference follows: a :class:`~repro.sim.StopSimulation` raised by
+a model callback (no model in ``src/`` does) propagates out of the
+probe's ``run`` where the native one returns its argument.
 """
 
 from __future__ import annotations
 
 import contextlib
+from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappop
 from typing import Any, Callable, Iterator, Optional
 
-from ..sim.core import Environment, Event, _HeapTier, _install_loop
-from ..sim.exceptions import SimulationError, StopSimulation
+from ..sim.core import Environment, Event
 
 __all__ = [
     "TieSite",
@@ -125,76 +126,25 @@ def _describe(event: Event) -> str:
     return name
 
 
-def _make_batch_run(
-    mode: str,
-    recorder: Optional[Callable[[float, list[Event]], None]] = None,
-):
-    """Build a drop-in ``Environment.run`` draining ties in ``mode`` order."""
-    if mode not in ("fifo", "lifo"):
-        raise ValueError(f"unknown tie order mode: {mode!r}")
-
-    def run(self: Environment, until: Any = None) -> Any:
-        stop_at: Optional[float] = None
-        if until is not None:
-            if isinstance(until, Event):
-                if until.callbacks is None:
-                    return until.value if until.ok else None
-                until.callbacks.append(StopSimulation.callback)
-            else:
-                stop_at = float(until)
-                if stop_at < self._now:
-                    raise SimulationError(
-                        f"until={stop_at} lies in the past (now={self._now})"
-                    )
-
-        queue = self._queue
-        if not isinstance(self._normal, _HeapTier):
-            raise SimulationError(
-                "the tie-order probe reads one heap: construct the "
-                "Environment inside patched_tie_order()"
-            )
-        horizon = float("inf") if stop_at is None else stop_at
-        batch: list[tuple[float, int, int, Event]] = []
-        try:
-            while queue:
-                if len(queue) > self._peak_pending:
-                    self._peak_pending = len(queue)
-                if queue[0][0] >= horizon:
-                    self._now = stop_at  # type: ignore[assignment]
-                    return None
-                t0, p0 = queue[0][0], queue[0][1]
-                batch = []
-                while queue and queue[0][0] == t0 and queue[0][1] == p0:
-                    batch.append(heappop(queue))
-                if len(batch) > 1:
-                    if recorder is not None:
-                        recorder(t0, [entry[3] for entry in batch])
-                    if mode == "lifo":
-                        batch.reverse()
-                while batch:
-                    self._now, _, _, event = batch.pop(0)
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:  # type: ignore[union-attr]
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value  # type: ignore[misc]
-        except StopSimulation as stop:
-            return stop.args[0]
-        finally:
-            # A non-local exit (StopSimulation, model failure) may leave
-            # popped-but-unprocessed entries; restore them so a later
-            # run() on this environment sees the same pending set the
-            # native loop would.
-            for entry in batch:
-                heappush(queue, entry)
-            self._popped = self._seq - len(queue)
-
-        if stop_at is not None:
-            self._now = stop_at
-        return None
-
-    return run
+def _take_tie_class(env: Environment) -> tuple[deque[Event], deque[Event]]:
+    """Remove the events :meth:`Environment.step` would pop next that
+    share one ``(time, priority)`` key, in pop order: the urgent FIFO,
+    or else the heap entries due at the next instant followed (when
+    that instant is now) by the normal FIFO.  Also returns the FIFO
+    whose head they are put back at if the run stops mid-batch."""
+    home = env._urgent or env._normal
+    batch: deque[Event] = deque()
+    queue = env._queue
+    if not env._urgent and queue and (
+        queue[0][0] == env._now or not env._normal
+    ):
+        # Leaving the heap also moves the clock, as the pop would have.
+        env._now = at = queue[0][0]
+        while queue and queue[0][0] == at:
+            batch.append(heappop(queue)[3])
+    batch.extend(home)
+    home.clear()
+    return batch, home
 
 
 @contextlib.contextmanager
@@ -202,17 +152,53 @@ def patched_tie_order(
     mode: str = "lifo",
     recorder: Optional[Callable[[float, list[Event]], None]] = None,
 ) -> Iterator[None]:
-    """Swap :meth:`Environment.run` for the instrumented batch drain.
+    """Swap :meth:`Environment.run` for one feeding ties in ``mode`` order.
 
     Class-level patch: the environment is slotted, so per-instance
-    patching is impossible — every environment created inside the
-    ``with`` block uses the perturbed loop.
+    patching is impossible — every ``run()`` inside the ``with`` block
+    uses the perturbed loop.
     """
-    previous = _install_loop(_make_batch_run(mode, recorder), single_heap=True)
+    if mode not in ("fifo", "lifo"):
+        raise ValueError(f"unknown tie order mode: {mode!r}")
+    native = Environment.run
+
+    def run(self: Environment, until: Any = None) -> Any:
+        horizon = float("inf")
+        if isinstance(until, Event):
+            if until.processed:
+                return native(self, until)
+        elif until is not None:
+            horizon = float(until)
+        while self.peek() < horizon:
+            batch, home = _take_tie_class(self)
+            if len(batch) > 1:
+                if recorder is not None:
+                    recorder(self._now, list(batch))
+                if mode == "lifo":
+                    batch.reverse()
+            try:
+                # A batch is dispatched whole before anything scheduled
+                # meanwhile, urgent included: the head of the urgent
+                # FIFO is what the pop rule takes first.
+                while batch:
+                    event = batch.popleft()
+                    self._urgent.appendleft(event)
+                    if event is until:
+                        # One event for the native loop: it attaches
+                        # the stop callback, dispatches, and returns.
+                        return native(self, until)
+                    self.step()
+            finally:
+                # Stopped by the until-event or a model failure: what
+                # is left goes back where the next run() will find it.
+                home.extendleft(reversed(batch))
+        return native(self, until)
+
+    Environment.run = run  # type: ignore[method-assign]
     try:
         yield
     finally:
-        _install_loop(*previous)
+        Environment.run = native  # type: ignore[method-assign]
 
 
 def check_tie_order(

@@ -58,11 +58,10 @@ class LintConfig:
     #: machinery (DET103): the seeded-stream factory.
     rng_modules: tuple[str, ...] = ("repro/util/rng.py",)
     #: Modules allowed to read process environment variables (DET106):
-    #: the CLI/config boundary plus the injectable accessor.
+    #: the CLI/config boundary.
     env_modules: tuple[str, ...] = (
         "repro/cli.py",
         "repro/cluster/config.py",
-        "repro/util/wallclock.py",
     )
     #: Layers that run inside simulated time: real blocking calls here
     #: would stall the event loop for every model at once (SIM201).

@@ -385,8 +385,8 @@ def det106_env_read(ctx: LintContext) -> list[Finding]:
                     ctx.finding(
                         node,
                         "DET106",
-                        f"{resolved}() outside the CLI/config layer — route "
-                        "through repro.util.wallclock.getenv",
+                        f"{resolved}() outside the CLI/config layer — env "
+                        "reads are banned; take the value as an argument",
                     )
                 )
         elif isinstance(node, ast.Attribute):
@@ -397,7 +397,7 @@ def det106_env_read(ctx: LintContext) -> list[Finding]:
                         node,
                         "DET106",
                         f"{resolved} access outside the CLI/config layer — "
-                        "route through repro.util.wallclock.getenv",
+                        "env reads are banned; take the value as an argument",
                     )
                 )
     return findings

@@ -33,9 +33,7 @@ plain run's — :class:`SanitizerReport.instrumentation_ok` asserts it,
 and runs with the sanitizer off are untouched (no import-time patching).
 
 Limitations (documented, by design): container mutations
-(``peer.queue.append(...)``) bypass ``__setattr__``; the compiled engine
-(``REPRO_ENGINE=compiled``) writes machine slots from C and must be
-probed with the reference engine.
+(``peer.queue.append(...)``) bypass ``__setattr__``.
 """
 
 from __future__ import annotations

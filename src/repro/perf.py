@@ -1,9 +1,5 @@
-"""Performance harness: deterministic workload replay + engine metrics.
-
-The simulator's wall-clock throughput is the binding constraint on every
-scale-up experiment, so this module gives the repository a first-class
-way to measure it — and to prove that making the engine faster did not
-change what it simulates.
+"""Deterministic workload replay: the scenarios every digest golden,
+lint probe and sanitizer run is taken on.
 
 * :data:`SCENARIOS` — small, named, fully-deterministic workload
   configurations (the same cluster builders and RADOS bench driver the
@@ -11,25 +7,16 @@ change what it simulates.
   the same event sequence, so its :func:`~repro.trace.simulation_digest`
   is a golden value: any engine "optimization" that perturbs behavior
   changes the digest and fails loudly.
-* :func:`measure` — run a scenario and report events/sec, wall-clock
-  seconds per simulated second, peak event-heap depth, and (optionally)
-  a cProfile-derived per-subsystem breakdown.
-* :func:`measure_hook_overhead` — quantify the per-event cost of the
-  fault/trace hook *guards* by comparing a detached run against a run
-  with an attached-but-never-firing fault plan (``dma,p=0``).  The two
-  runs must produce identical digests; their wall-clock delta is the
-  hook overhead.
-
-Results serialize via :func:`perf_result_dict` into
-``BENCH_perf_<scenario>.json`` artifacts (see the ``perf`` CLI
-subcommand) so the engine-speed trajectory is tracked PR-over-PR.
+* :func:`measure` — replay a scenario and report its digest, event
+  count, peak pending events and wall time (the ``perf`` CLI
+  subcommand prints it).  It is a quick look, not a gate: speed claims
+  are made on ``benchmarks/e2e`` (alternating parent/change pairs,
+  per-layer ledger), the repository's one speed instrument.
 """
 
 from __future__ import annotations
 
-import cProfile
-import pstats
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .bench.radosbench import BenchResult, run_rados_bench
@@ -45,11 +32,9 @@ from .util.wallclock import perf_counter
 __all__ = [
     "PerfScenario",
     "PerfResult",
-    "HookOverhead",
     "SCENARIOS",
     "run_scenario",
     "measure",
-    "measure_hook_overhead",
     "perf_result_dict",
     "format_perf_report",
 ]
@@ -200,11 +185,6 @@ class PerfResult:
     iops: float
     repeats: int = 1
     trace_fingerprint: Optional[str] = None
-    #: subsystem → ``{"calls": int, "tottime_s": float, "share": float}``
-    #: (populated only when profiling was requested).
-    subsystems: Optional[dict[str, dict[str, float]]] = None
-    #: top profiled functions, ``(where, calls, tottime_s)``.
-    hot: list[tuple[str, int, float]] = field(default_factory=list)
 
     @property
     def events_per_sec(self) -> float:
@@ -216,56 +196,16 @@ class PerfResult:
         return self.wall_s / self.sim_s if self.sim_s > 0 else 0.0
 
 
-def _subsystem_of(filename: str) -> str:
-    """Map a profiled code object's file to a repro subsystem name."""
-    normalized = filename.replace("\\", "/")
-    marker = "/repro/"
-    idx = normalized.rfind(marker)
-    if idx < 0:
-        return "external" if "/" in normalized else "interpreter"
-    rest = normalized[idx + len(marker):]
-    if "/" in rest:
-        return rest.split("/", 1)[0]
-    return rest[:-3] if rest.endswith(".py") else rest
-
-
-def _profile_breakdown(
-    stats: pstats.Stats, top: int = 12
-) -> tuple[dict[str, dict[str, float]], list[tuple[str, int, float]]]:
-    """Aggregate cProfile stats per subsystem + extract hottest funcs."""
-    by_sub: dict[str, dict[str, float]] = {}
-    rows = []
-    total = 0.0
-    for (filename, lineno, func), (cc, nc, tottime, _cum, _callers) in (
-        stats.stats.items()  # type: ignore[attr-defined]
-    ):
-        sub = _subsystem_of(filename)
-        agg = by_sub.setdefault(sub, {"calls": 0, "tottime_s": 0.0})
-        agg["calls"] += nc
-        agg["tottime_s"] += tottime
-        total += tottime
-        short = filename.replace("\\", "/").rsplit("/", 1)[-1]
-        rows.append((f"{short}:{lineno}({func})", nc, tottime))
-    if total > 0:
-        for agg in by_sub.values():
-            agg["share"] = agg["tottime_s"] / total
-    rows.sort(key=lambda r: r[2], reverse=True)
-    return by_sub, rows[:top]
-
-
 def measure(
     scenario: str,
     seed: int = 0,
     repeats: int = 1,
-    profile: bool = False,
     tracer: Any = None,
 ) -> PerfResult:
     """Replay ``scenario`` ``repeats`` times; report the fastest run.
 
     Every repeat must produce the same digest (the harness's own
-    self-check of determinism).  With ``profile=True`` the *last*
-    repeat runs under cProfile (its wall time is excluded from the
-    events/sec figure, since profiling roughly doubles it).
+    self-check of determinism).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -287,18 +227,6 @@ def measure(
         if best_wall is None or wall < best_wall:
             best_wall = wall
     assert env is not None and result is not None
-    subsystems = None
-    hot: list[tuple[str, int, float]] = []
-    if profile:
-        prof = cProfile.Profile()
-        prof.enable()
-        penv, _ = run_scenario(scenario, seed=seed, tracer=tracer)
-        prof.disable()
-        if simulation_digest(penv) != digest:
-            raise AssertionError(
-                f"profiled replay of {scenario!r} diverged"
-            )
-        subsystems, hot = _profile_breakdown(pstats.Stats(prof))
     fingerprint = None
     if tracer is not None and result.trace is not None:
         fingerprint = result.trace.fingerprint()
@@ -307,71 +235,13 @@ def measure(
         seed=seed,
         wall_s=best_wall or 0.0,
         sim_s=env.now,
-        events=env._seq,
-        peak_heap=getattr(env, "_peak_pending", 0),
+        events=env.events_scheduled,
+        peak_heap=env.peak_pending,
         digest=digest or "",
         completed_ops=result.completed_ops,
         iops=result.iops,
         repeats=repeats,
         trace_fingerprint=fingerprint,
-        subsystems=subsystems,
-        hot=hot,
-    )
-
-
-@dataclass
-class HookOverhead:
-    """Detached vs attached-noop hook cost for one scenario."""
-
-    scenario: str
-    seed: int
-    detached_wall_s: float
-    noop_wall_s: float
-    digests_equal: bool
-
-    @property
-    def overhead_pct(self) -> float:
-        """Extra wall-clock of the noop-attached run, in percent.
-
-        Negative values are measurement noise (the runs are identical
-        event-for-event)."""
-        if self.detached_wall_s <= 0:
-            return 0.0
-        return 100.0 * (self.noop_wall_s / self.detached_wall_s - 1.0)
-
-
-def measure_hook_overhead(
-    scenario: str, seed: int = 0, repeats: int = 3
-) -> HookOverhead:
-    """Compare a detached run against an attached-but-noop fault plan.
-
-    The noop plan (``dma,p=0``) wires a LayerInjector into the DMA
-    engines so every per-transfer guard executes, but a zero probability
-    short-circuits before any RNG draw — the two runs are event-for-event
-    identical, so any wall-clock delta is pure hook overhead.  Fastest
-    of ``repeats`` runs per side, interleaved to cancel drift.
-    """
-    noop = FaultPlan.parse("dma,p=0", seed=seed)
-    detached_wall = noop_wall = None
-    detached_digest = noop_digest = None
-    for _ in range(max(1, repeats)):
-        t0 = perf_counter()
-        env_d, _ = run_scenario(scenario, seed=seed, fault_plan=None)
-        w = perf_counter() - t0
-        detached_wall = w if detached_wall is None else min(detached_wall, w)
-        detached_digest = simulation_digest(env_d)
-
-        t0 = perf_counter()
-        env_n, _ = run_scenario(scenario, seed=seed, fault_plan=noop)
-        w = perf_counter() - t0
-        noop_wall = w if noop_wall is None else min(noop_wall, w)
-        noop_digest = simulation_digest(env_n)
-    return HookOverhead(
-        scenario=scenario,
-        seed=seed,
-        detached_wall_s=detached_wall or 0.0,
-        noop_wall_s=noop_wall or 0.0,
-        digests_equal=detached_digest == noop_digest,
     )
 
 
@@ -397,20 +267,6 @@ def perf_result_dict(result: PerfResult) -> dict[str, Any]:
     }
     if result.trace_fingerprint is not None:
         out["trace_fingerprint"] = result.trace_fingerprint
-    if result.subsystems is not None:
-        out["subsystems"] = {
-            sub: {
-                "calls": int(agg["calls"]),
-                "tottime_s": round(agg["tottime_s"], 6),
-                "share": round(agg.get("share", 0.0), 6),
-            }
-            for sub, agg in sorted(result.subsystems.items())
-        }
-    if result.hot:
-        out["hot"] = [
-            {"where": where, "calls": calls, "tottime_s": round(t, 6)}
-            for where, calls, t in result.hot
-        ]
     return out
 
 
@@ -431,20 +287,4 @@ def format_perf_report(result: PerfResult) -> str:
     ]
     if result.trace_fingerprint is not None:
         lines.append(f"  trace fp:      {result.trace_fingerprint}")
-    if result.subsystems:
-        lines.append("  per-subsystem profile (tottime):")
-        ranked = sorted(
-            result.subsystems.items(),
-            key=lambda kv: kv[1]["tottime_s"], reverse=True,
-        )
-        for sub, agg in ranked:
-            lines.append(
-                f"    {sub:14s} {agg['tottime_s']:8.3f} s"
-                f"  {100 * agg.get('share', 0.0):5.1f} %"
-                f"  {int(agg['calls']):>9d} calls"
-            )
-    if result.hot:
-        lines.append("  hottest functions:")
-        for where, calls, tottime in result.hot:
-            lines.append(f"    {tottime:8.3f} s  {calls:>9d}  {where}")
     return "\n".join(lines)

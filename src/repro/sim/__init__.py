@@ -28,17 +28,6 @@ from .resources import (
     Store,
 )
 
-# Optional compiled kernel: opt in with REPRO_ENGINE=compiled (read via
-# the injectable wallclock boundary — the only sanctioned env read).
-# When the extension is missing the pure-Python loop silently remains;
-# both engines are digest-identical by contract (tests/test_engine_matrix.py).
-from ..util import wallclock as _wallclock
-
-if _wallclock.getenv("REPRO_ENGINE", "") == "compiled":
-    from . import compiled as _compiled
-
-    _compiled.activate()
-
 __all__ = [
     "AllOf",
     "AnyOf",

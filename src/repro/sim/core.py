@@ -477,24 +477,25 @@ class AnyOf(Condition):
         super().__init__(env, Condition.any_events, events)
 
 
-class _HeapTier:
-    """Stand-in for a current-tick FIFO on a single-heap environment:
-    ``append`` files the event on the heap under the key the FIFO's
-    position implies, so the tier itself is always empty."""
+def _finish_stopped(
+    event: Event, callbacks: list[Callable[[Event], None]], raised: Any
+) -> None:
+    """Run the callbacks parked behind the until-event's stop callback.
 
-    __slots__ = ("_env", "_priority")
-
-    def __init__(self, env: "Environment", priority: int) -> None:
-        self._env = env
-        self._priority = priority
-
-    def append(self, event: Event) -> None:
-        env = self._env
-        # The caller has already minted the sequence number.
-        heappush(env._queue, (env._now, self._priority, env._seq, event))
-
-    def __len__(self) -> int:
-        return 0
+    ``run(until=event)`` appends :meth:`StopSimulation.callback` to the
+    event, and that callback unwinds the loop from the middle of the
+    event's dispatch.  A process that parked on the event *after* the
+    call sits behind it in ``callbacks``, and ``event.callbacks`` is
+    already ``None``: resumed now or never.  ``raised`` is the callback
+    the :class:`StopSimulation` came out of; when a model callback
+    raised it, the rest of the dispatch is abandoned as before.
+    """
+    stop = StopSimulation.callback
+    if raised != stop:
+        return
+    for callback in callbacks[callbacks.index(stop) + 1:]:
+        if callback != stop:  # run(until=event) was asked for twice
+            callback(event)
 
 
 class Environment:
@@ -523,21 +524,12 @@ class Environment:
         "_peak_pending",
     )
 
-    #: Reference mode: environments constructed while this is set keep
-    #: every pending event on ``_queue`` alone (textbook one-heap order;
-    #: see :func:`_install_loop`).  Not a user option.
-    _single_heap = False
-
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         # Heap entries are (time, priority, seq, event).
         self._queue: list[tuple[float, int, int, Event]] = []
-        if self._single_heap:
-            self._urgent: Any = _HeapTier(self, PRIORITY_URGENT)
-            self._normal: Any = _HeapTier(self, PRIORITY_NORMAL)
-        else:
-            self._urgent = deque()
-            self._normal = deque()
+        self._urgent: deque[Event] = deque()
+        self._normal: deque[Event] = deque()
         self._seq = 0
         #: Events dispatched so far; ``_seq - _popped`` are pending.
         self._popped = 0
@@ -676,11 +668,18 @@ class Environment:
 
         callbacks = event.callbacks
         event.callbacks = None
-        if len(callbacks) == 1:
-            callbacks[0](event)
-        else:
-            for callback in callbacks:
-                callback(event)
+        try:
+            if len(callbacks) == 1:
+                callbacks[0](event)
+            else:
+                for callback in callbacks:
+                    callback(event)
+        except StopSimulation:
+            # A caller driving the until-protocol by hand (append
+            # StopSimulation.callback, catch it around step()).
+            if len(callbacks) > 1:
+                _finish_stopped(event, callbacks, callback)
+            raise
 
         if not event._ok and not event._defused:
             # An unhandled failure: surface it instead of losing it.
@@ -783,6 +782,9 @@ class Environment:
                     # An unhandled failure: surface it, don't lose it.
                     raise event._value  # type: ignore[misc]
         except StopSimulation as stop:
+            if len(callbacks) > 1:
+                # Waiters may be parked behind the stop callback.
+                _finish_stopped(event, callbacks, callback)
             return stop.args[0]
         finally:
             # Run-boundary sample: events scheduled since the last pop
@@ -801,29 +803,5 @@ class Environment:
             self._now = stop_at
         return None
 
-    #: Stable handle on the pure-Python loop: :func:`_install_loop`
-    #: rebinds ``run``; parity tests and ``compiled.deactivate()`` reach
-    #: the tiered implementation here.
-    _run_pure = run
-
     def __repr__(self) -> str:
         return f"<Environment now={self._now} pending={self._seq - self._popped}>"
-
-
-def _install_loop(
-    run: Callable[..., Any], single_heap: bool
-) -> tuple[Callable[..., Any], bool]:
-    """Swap :meth:`Environment.run` for every environment, and choose
-    whether environments constructed from now on are single-heap.
-
-    A loop that reads ``_queue`` alone — the C kernel, the tie-order
-    probe — must be installed with ``single_heap=True``, as is the
-    matrix tests' reference loop, for which one heap is the point;
-    :meth:`Environment._run_pure` and :meth:`Environment.step` serve
-    both kinds.  Returns the previous pair, to restore with
-    ``_install_loop(*previous)``.
-    """
-    previous = (Environment.run, Environment._single_heap)
-    Environment.run = run  # type: ignore[method-assign]
-    Environment._single_heap = single_heap
-    return previous

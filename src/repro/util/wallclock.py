@@ -1,42 +1,36 @@
-"""Injectable wall-clock and host-environment accessor.
+"""Injectable wall-clock accessor.
 
 The simulator's determinism contract says *model* code never reads the
 host: ``env.now`` is the only clock and :class:`~repro.util.rng.SeededRng`
-the only randomness.  Two harness concerns legitimately need the host,
-though — measuring how fast the *engine* runs (wall-clock seconds per
-simulated second) and reading opt-in configuration from the process
-environment.  This module is the single place both are allowed:
+the only randomness.  One harness concern legitimately needs the host —
+measuring how fast the *engine* runs (wall-clock seconds per simulated
+second) — and this module is the single place it is allowed:
 
 * :func:`perf_counter` — monotonic wall-clock read for engine-speed
   metrics.  Swappable via :func:`set_perf_counter` so tests can freeze
   or script it.
-* :func:`getenv` — environment-variable read.  Swappable via
-  :func:`set_env_reader` so tests can inject a fixed environment.
 
-``repro.lint``'s wall-clock rule (DET101) and env-read rule (DET106)
-ban direct ``time``/``os.environ`` access everywhere else, so every
-host read in the tree is forced through these two functions and can be
-stubbed in one move.
+``repro.lint``'s wall-clock rule (DET101) bans direct ``time`` access
+everywhere else, so every clock read in the tree is forced through this
+function and can be stubbed in one move.  Environment variables have no
+such accessor: the simulation takes no configuration from the process
+environment (DET106).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 __all__ = [
     "perf_counter",
-    "getenv",
     "set_perf_counter",
-    "set_env_reader",
     "reset",
 ]
 
-# The injectable sources.  Module-level indirection (rather than a
+# The injectable source.  Module-level indirection (rather than a
 # class) keeps the hot read to one global load + one call.
 _perf_counter: Callable[[], float] = time.perf_counter
-_env_reader: Callable[[str], Optional[str]] = os.environ.get
 
 
 def perf_counter() -> float:
@@ -49,12 +43,6 @@ def perf_counter() -> float:
     return _perf_counter()
 
 
-def getenv(name: str, default: Optional[str] = None) -> Optional[str]:
-    """Read one process environment variable through the injection point."""
-    value = _env_reader(name)
-    return default if value is None else value
-
-
 def set_perf_counter(source: Callable[[], float]) -> Callable[[], float]:
     """Replace the wall-clock source; returns the previous one."""
     global _perf_counter
@@ -62,17 +50,7 @@ def set_perf_counter(source: Callable[[], float]) -> Callable[[], float]:
     return previous
 
 
-def set_env_reader(
-    reader: Callable[[str], Optional[str]],
-) -> Callable[[str], Optional[str]]:
-    """Replace the environment reader; returns the previous one."""
-    global _env_reader
-    previous, _env_reader = _env_reader, reader
-    return previous
-
-
 def reset() -> None:
-    """Restore the real host clock and environment."""
-    global _perf_counter, _env_reader
+    """Restore the real host clock."""
+    global _perf_counter
     _perf_counter = time.perf_counter
-    _env_reader = os.environ.get

@@ -1,22 +1,41 @@
 """Helper factories shared across test modules."""
 
 import contextlib
+from heapq import heappush
 
 from repro.hw import CpuComplex, Network, Nic, TcpStackModel
 from repro.hw.node import NetStack
-from repro.sim import Environment, Event, StopSimulation
-from repro.sim.core import _install_loop
+from repro.sim import (
+    PRIORITY_NORMAL,
+    PRIORITY_URGENT,
+    Environment,
+    Event,
+    StopSimulation,
+)
 
 
-def stepping_run(observe=None):
-    """Build the textbook ``Environment.run``: re-test the horizon before
+class _HeapTier:
+    """Stand-in for a current-tick FIFO on a single-heap environment:
+    ``append`` files the event on the heap under the key the FIFO's
+    position implies, so the tier itself is always empty."""
+
+    def __init__(self, env, priority):
+        self._env = env
+        self._priority = priority
+
+    def append(self, event):
+        env = self._env
+        # The caller has already minted the sequence number.
+        heappush(env._queue, (env._now, self._priority, env._seq, event))
+
+    def __len__(self):
+        return 0
+
+
+def _stepping_run(observe):
+    """The textbook ``Environment.run``: re-test the horizon before
     every pop and take exactly one event per iteration via ``step()``,
-    calling ``observe(env)`` after each.
-
-    Installed with ``single_heap=True`` every pending event sits on one
-    heap in ``(time, priority, sequence)`` order and ``step()`` reduces
-    to a plain heap pop — the order the tiered loop must equal.
-    """
+    calling ``observe(env)`` after each."""
 
     def run(self, until=None):
         stop_at = None
@@ -43,14 +62,31 @@ def stepping_run(observe=None):
 
 
 @contextlib.contextmanager
-def installed_loop(run, single_heap):
-    """Install a dispatch loop (and the kind of ``Environment`` built
-    under it) for the duration of a ``with`` block."""
-    previous = _install_loop(run, single_heap)
+def reference_loop(observe=None, single_heap=True):
+    """The tests' reference implementation of the event kernel, patched
+    over ``Environment`` for the duration of a ``with`` block (``src/``
+    carries nothing for it).
+
+    ``run`` is the textbook loop above.  With ``single_heap`` every
+    environment *constructed inside the block* keeps all its pending
+    events on one heap in ``(time, priority, sequence)`` order, so
+    ``step()`` reduces to a plain heap pop whatever its pop rule says
+    about the FIFOs — the order the tiered store must equal.
+    """
+    init, run = Environment.__init__, Environment.run
+
+    def single_heap_init(self, initial_time=0.0):
+        init(self, initial_time)
+        self._urgent = _HeapTier(self, PRIORITY_URGENT)
+        self._normal = _HeapTier(self, PRIORITY_NORMAL)
+
+    Environment.run = _stepping_run(observe)
+    if single_heap:
+        Environment.__init__ = single_heap_init
     try:
         yield
     finally:
-        _install_loop(*previous)
+        Environment.__init__, Environment.run = init, run
 
 
 def make_stack(

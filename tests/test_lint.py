@@ -698,6 +698,69 @@ def test_fifo_drain_is_digest_neutral_with_until_events():
     assert native == drained
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("scenario", ["smoke", "fallback", "qos"])
+def test_fifo_drain_equals_native_digest_on_scenarios(scenario, seed):
+    """Feeding every tie class back through ``step()`` in FIFO order is
+    the native order: the probe's instrumentation perturbs nothing."""
+    from repro.perf import run_scenario
+
+    native, _ = run_scenario(scenario, seed=seed)
+    with patched_tie_order("fifo"):
+        drained, _ = run_scenario(scenario, seed=seed)
+    assert simulation_digest(drained) == simulation_digest(native)
+    assert drained.peak_pending == native.peak_pending
+
+
+def test_probe_leaves_a_stopped_batch_where_the_next_run_finds_it():
+    """``run(until=ev)`` returns from the middle of a tie batch; the
+    rest of it goes back under its own key: behind an urgent event
+    scheduled between the runs, ahead of a normal one."""
+
+    def scenario(log) -> Environment:
+        env = Environment()
+        first, second = env.timeout(1, "first"), env.timeout(1, "second")
+        second.callbacks.append(lambda ev: log.append("second"))
+        assert env.run(until=first) == "first"
+
+        def spawned(env):
+            log.append("spawned")
+            yield env.timeout(0)
+
+        env.event().succeed().callbacks.append(lambda ev: log.append("later"))
+        env.process(spawned(env))
+        env.run()
+        return env
+
+    native_log, fifo_log = [], []
+    native = simulation_digest(scenario(native_log))
+    with patched_tie_order("fifo"):
+        assert simulation_digest(scenario(fifo_log)) == native
+    assert native_log == fifo_log == ["spawned", "second", "later"]
+
+
+def test_patched_tie_order_restores_run_after_an_exception():
+    native = Environment.run
+    with pytest.raises(RuntimeError):
+        with patched_tie_order("lifo"):
+            assert Environment.run is not native
+
+            def boom(env):
+                yield env.timeout(1)
+                raise RuntimeError("model bug")
+
+            env = Environment()
+            env.timeout(1)  # same tick as the failure: a batch of two
+            env.process(boom(env))
+            env.run()
+    assert Environment.run is native
+    assert env.now == 1 and env.peek() == float("inf")
+    with pytest.raises(ValueError):
+        with patched_tie_order("sideways"):
+            pass
+    assert Environment.run is native
+
+
 def test_rule_catalogue_is_complete():
     assert sorted(RULES) == [
         "DET101", "DET102", "DET103", "DET104", "DET105", "DET106",

@@ -1,5 +1,5 @@
-"""Tests for repro.perf: golden-digest behavior invariance, the
-benchmark harness itself, hook-overhead measurement, and the blob-id
+"""Tests for repro.perf: golden-digest behavior invariance, the replay
+report, the inert detached fault plan, and the blob-id
 fresh-environment reset.
 
 The golden digests below were captured on the unoptimized engine
@@ -14,13 +14,8 @@ import json
 
 import pytest
 
-from repro.perf import (
-    SCENARIOS,
-    measure,
-    measure_hook_overhead,
-    perf_result_dict,
-    run_scenario,
-)
+from repro.faults import FaultPlan
+from repro.perf import SCENARIOS, measure, perf_result_dict, run_scenario
 from repro.sim import Environment
 from repro.trace import Tracer, simulation_digest
 from repro.util.bufferlist import DataBlob
@@ -100,10 +95,12 @@ def test_golden_traced_fingerprint(seed):
 def test_detached_fault_plan_is_inert():
     """A never-firing plan (p=0) must be event-for-event identical to a
     fully detached run — the guard hoisting the optimization relies on."""
-    overhead = measure_hook_overhead("smoke", seed=0, repeats=1)
-    assert overhead.digests_equal
-    assert overhead.detached_wall_s > 0
-    assert overhead.noop_wall_s > 0
+    detached, _ = run_scenario("smoke", seed=0, fault_plan=None)
+    noop, _ = run_scenario(
+        "smoke", seed=0, fault_plan=FaultPlan.parse("dma,p=0", seed=0)
+    )
+    assert simulation_digest(noop) == simulation_digest(detached)
+    assert simulation_digest(noop) == GOLDEN[("smoke", 0)]["digest"]
 
 
 # ------------------------------------------------------------------- harness
@@ -117,18 +114,6 @@ def test_measure_matches_golden_and_self_checks():
     assert res.events_per_sec > 0
     assert res.wall_per_sim_s > 0
     assert res.peak_heap > 0
-    assert res.subsystems is None  # no profile requested
-
-
-def test_measure_profile_breakdown():
-    res = measure("smoke", seed=0, repeats=1, profile=True)
-    assert res.digest == GOLDEN[("smoke", 0)]["digest"]
-    assert res.subsystems, "profiling must yield a subsystem breakdown"
-    # the kernel and the model layers must both appear
-    assert "sim" in res.subsystems
-    shares = [agg.get("share", 0.0) for agg in res.subsystems.values()]
-    assert 0.99 < sum(shares) < 1.01
-    assert res.hot, "profiling must yield hottest-function rows"
 
 
 def test_measure_rejects_bad_args():
@@ -147,7 +132,6 @@ def test_perf_result_dict_round_trips():
     assert doc["events"] == res.events
     assert doc["peak_heap"] == res.peak_heap
     assert "trace_fingerprint" not in doc  # no tracer attached
-    assert "subsystems" not in doc  # no profile requested
 
 
 def test_scenarios_are_well_formed():
@@ -159,8 +143,6 @@ def test_scenarios_are_well_formed():
 
 
 def test_qos_scenario_rejects_fault_plans():
-    from repro.faults import FaultPlan
-
     with pytest.raises(ValueError):
         run_scenario("qos", seed=0, fault_plan=FaultPlan.parse("dma,p=0"))
 
@@ -179,32 +161,6 @@ def test_cli_perf_runs_and_writes_json(capsys, tmp_path):
     doc = json.loads((tmp_path / "BENCH_perf_smoke.json").read_text())
     assert doc["digest"] == GOLDEN[("smoke", 0)]["digest"]
     assert doc["events"] == GOLDEN[("smoke", 0)]["events"]
-
-
-def test_cli_perf_baseline_digest_mismatch_exits_3(capsys, tmp_path):
-    from repro.cli import main
-
-    base = tmp_path / "base.json"
-    base.write_text(json.dumps({"digest": "not-the-digest",
-                                "wall_s": 100.0}))
-    code = main(["perf", "--scenario", "smoke", "--repeats", "1",
-                 "--baseline", str(base), "--no-json"])
-    assert code == 3
-    assert "MISMATCH" in capsys.readouterr().out
-
-
-def test_cli_perf_baseline_regression_exits_4(capsys, tmp_path):
-    from repro.cli import main
-
-    base = tmp_path / "base.json"
-    base.write_text(json.dumps({
-        "digest": GOLDEN[("smoke", 0)]["digest"],
-        "wall_s": 1e-6,  # impossibly fast baseline forces a regression
-    }))
-    code = main(["perf", "--scenario", "smoke", "--repeats", "1",
-                 "--baseline", str(base), "--no-json"])
-    assert code == 4
-    assert "REGRESSION" in capsys.readouterr().out
 
 
 # -------------------------------------------------- blob-id fresh-env reset

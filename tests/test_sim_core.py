@@ -8,6 +8,7 @@ from repro.sim import (
     Environment,
     Interrupt,
     SimulationError,
+    StopSimulation,
 )
 
 
@@ -75,6 +76,78 @@ def test_run_until_event_returns_value():
 
     p = env.process(proc(env))
     assert env.run(until=p) == 42
+
+
+def _late_waiter_model(env):
+    """The until-event fires at t=1; a waiter parks on it at t=0.5,
+    i.e. *behind* the stop callback ``run(until=ev)`` appended at t=0."""
+    ev = env.event()
+    woken = []
+
+    def trigger(env):
+        yield env.timeout(1)
+        ev.succeed("v")
+
+    def waiter(env, tag):
+        yield env.timeout(0.5)
+        woken.append((tag, (yield ev), env.now))
+
+    env.process(trigger(env))
+    env.process(waiter(env, "a"))
+    env.process(waiter(env, "b"))
+    return ev, woken
+
+
+def test_run_until_event_wakes_waiters_parked_after_the_call():
+    env = Environment()
+    ev, woken = _late_waiter_model(env)
+    assert env.run(until=ev) == "v"
+    assert ev.processed and env.now == 1
+    # resumed inside the until-event's own dispatch, not a tick later
+    assert woken == [("a", "v", 1), ("b", "v", 1)]
+    env.run()
+    assert len(woken) == 2
+
+
+def test_step_driven_until_loop_wakes_waiters_parked_after_the_stop():
+    """The same protocol driven by hand: append the stop callback, catch
+    it around ``step()`` (tests/helpers.py and every until-loop outside
+    ``run`` are written this way)."""
+    env = Environment()
+    ev, woken = _late_waiter_model(env)
+    ev.callbacks.append(StopSimulation.callback)
+    with pytest.raises(StopSimulation) as stop:
+        while True:
+            env.step()
+    assert stop.value.args == ("v",)
+    assert woken == [("a", "v", 1), ("b", "v", 1)]
+
+
+def test_run_until_event_asked_twice_stops_once_and_wakes_everyone():
+    env = Environment()
+    ev, woken = _late_waiter_model(env)
+    env.run(until=0.75)  # both waiters are parked
+    # as an earlier, abandoned run(until=ev) would have left it: one
+    # stop callback ahead of the waiters, and run() appends another
+    ev.callbacks.insert(0, StopSimulation.callback)
+    assert env.run(until=ev) == "v"
+    assert [tag for tag, _, _ in woken] == ["a", "b"]
+
+
+def test_stop_raised_by_a_model_callback_abandons_the_dispatch():
+    """Unchanged behaviour: only the until-protocol's own stop callback
+    has the rest of the event's callbacks finished for it."""
+    env = Environment()
+    ev = env.event()
+    seen = []
+
+    def bail(event):
+        raise StopSimulation("mine")
+
+    ev.callbacks.extend([bail, seen.append])
+    ev.succeed()
+    assert env.run() == "mine"
+    assert seen == [] and ev.processed
 
 
 def test_run_until_past_raises():

@@ -10,14 +10,15 @@ state; these tests compare the *sequence*:
   recycling resource beside ``timeout``), timestamps that collide
   across containers,
   ``step()`` / ``run(until=...)`` interleavings, ``StopSimulation`` in
-  the middle of a tick — run on a tiered and on a single-heap
-  environment, callback for callback;
-* the ``repro.perf`` scenarios driven one ``step()`` at a time in both
-  modes, hashing ``(now, events_scheduled)`` after every step.
+  the middle of a tick — run natively and under the tests' single-heap
+  reference (``helpers.reference_loop``), callback for callback;
+* the ``repro.perf`` scenarios driven one ``step()`` at a time on both
+  stores, hashing ``(now, events_scheduled)`` after every step.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import struct
 from collections import deque
@@ -36,7 +37,7 @@ from repro.sim import (
     StopSimulation,
 )
 
-from .helpers import installed_loop, stepping_run
+from .helpers import reference_loop
 
 INF = float("inf")
 
@@ -125,9 +126,10 @@ class _Program:
 
 
 def _drive(single_heap: bool, nodes: list, roots: int, actions: list):
-    """Run the program; returns everything the two modes must agree on."""
+    """Run the program, natively or under the single-heap reference;
+    returns everything the two must agree on."""
     returned = []
-    with installed_loop(Environment._run_pure, single_heap):
+    with reference_loop() if single_heap else contextlib.nullcontext():
         env = Environment()
         assert isinstance(env._normal, deque) != single_heap
         program = _Program(env, nodes)
@@ -173,7 +175,7 @@ def test_heap_entries_meet_both_now_fifos_at_one_timestamp():
     (seq 5) event for the same instant.  One heap pops 1, 5, 3, 4."""
     logs = []
     for single_heap in (False, True):
-        with installed_loop(Environment._run_pure, single_heap):
+        with reference_loop() if single_heap else contextlib.nullcontext():
             env = Environment()
             log = []
 
@@ -232,7 +234,7 @@ def _rolling_hash(scenario: str, seed: int, single_heap: bool):
         steps[0] += 1
         sha.update(struct.pack("<dq", env.now, env.events_scheduled))
 
-    with installed_loop(stepping_run(observe), single_heap):
+    with reference_loop(observe, single_heap):
         env, _ = run_scenario(scenario, seed=seed)
     assert isinstance(env._normal, deque) != single_heap
     return sha.hexdigest(), steps[0], env.peak_pending
