@@ -25,7 +25,7 @@ from ..objectstore.api import NoSuchObject, Transaction
 from ..objectstore.bluestore import BlueStore
 from ..sim import Container
 from .doca import CommChannel
-from .rpc import DEFERRED, PROXY_CATEGORY, RpcChannel, RpcRequest
+from .rpc import DEFERRED, PROXY_CATEGORY, RPC_ARGS, RpcChannel, RpcRequest
 
 __all__ = ["HostProxyServer"]
 
@@ -79,7 +79,7 @@ class HostProxyServer:
         """Commit a transaction whose bulk data already arrived via DMA
         (or the fallback socket).  Async: BlueStore commit must not
         block the RPC listener."""
-        txn = Transaction.decode(req.payload.decoder())
+        txn = Transaction.decode(req.payload)
         # span context does not survive the wire encoding; re-attach the
         # one carried by the RPC request so BlueStore's commit span
         # parents under the rpc.queue_txn attempt
@@ -119,8 +119,7 @@ class HostProxyServer:
     def _handle_stat(
         self, req: RpcRequest, thread: SimThread
     ) -> Generator[Any, Any, None]:
-        d = req.payload.decoder()
-        coll, oid = d.decode_str(), d.decode_str()
+        coll, oid = RPC_ARGS["stat"].decode(req.payload)
         self.control_ops += 1
         st = yield from self.store.stat(coll, oid, thread)
         req.reply = {"size": st.size, "attrs": st.attrs,
@@ -129,8 +128,7 @@ class HostProxyServer:
     def _handle_exists(
         self, req: RpcRequest, thread: SimThread
     ) -> Generator[Any, Any, None]:
-        d = req.payload.decoder()
-        coll, oid = d.decode_str(), d.decode_str()
+        coll, oid = RPC_ARGS["exists"].decode(req.payload)
         self.control_ops += 1
         ok = yield from self.store.exists(coll, oid, thread)
         req.reply = {"exists": ok}
@@ -138,8 +136,7 @@ class HostProxyServer:
     def _handle_getattr(
         self, req: RpcRequest, thread: SimThread
     ) -> Generator[Any, Any, None]:
-        d = req.payload.decoder()
-        coll, oid, key = d.decode_str(), d.decode_str(), d.decode_str()
+        coll, oid, key = RPC_ARGS["getattr"].decode(req.payload)
         self.control_ops += 1
         value = yield from self.store.getattr(coll, oid, key, thread)
         req.reply = {"value": value}
@@ -147,7 +144,7 @@ class HostProxyServer:
     def _handle_list(
         self, req: RpcRequest, thread: SimThread
     ) -> Generator[Any, Any, None]:
-        coll = req.payload.decoder().decode_str()
+        (coll,) = RPC_ARGS["list"].decode(req.payload)
         self.control_ops += 1
         names = yield from self.store.list_objects(coll, thread)
         req.reply = {"names": names}
@@ -157,9 +154,7 @@ class HostProxyServer:
     ) -> Generator[Any, Any, None]:
         """Read path (§5.5): host reads from BlueStore, then streams the
         data back to the DPU through the reverse DMA pipeline.  Async."""
-        d = req.payload.decoder()
-        coll, oid = d.decode_str(), d.decode_str()
-        offset, length = d.decode_u64(), d.decode_u64()
+        coll, oid, offset, length = RPC_ARGS["read"].decode(req.payload)
         req.reply = DEFERRED
         self.env.process(
             self._execute_read(req, coll, oid, offset, length),

@@ -34,8 +34,7 @@ from ..sim.exceptions import SimulationError
 from ..sim.machine import Machine
 from .doca import CommChannel, DocaDma, MemoryRegion
 from .fallback import FallbackController, PROBE_BYTES
-from .rpc import RpcChannel
-from ..util.bufferlist import BufferList
+from .rpc import RPC_ARGS, RpcChannel
 
 __all__ = ["DmaPipeline", "RequestTiming", "segment_sizes"]
 
@@ -371,11 +370,9 @@ class DmaPipeline:
                 fb_span.link(retry_of, "retry")
             if reason:
                 fb_span.tag("reason", reason)
-        bl = BufferList()
-        bl.encode_str("bulk")
-        bl.encode_u64(seg)
         yield from self.rpc.call(
-            "bulk", bl, thread, bulk_bytes=seg,
+            "bulk", RPC_ARGS["bulk"].encode("bulk", seg), thread,
+            bulk_bytes=seg,
             span_ctx=fb_span.context if fb_span is not None else None,
         )
         if fb_span is not None:

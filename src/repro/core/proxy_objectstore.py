@@ -32,12 +32,12 @@ from ..objectstore.api import (
     StoreError,
     Transaction,
 )
-from ..util.bufferlist import BufferList, DataBlob
+from ..util.bufferlist import DataBlob
 from .doca import DocaDma
 from .fallback import FallbackController
 from .host_server import HostProxyServer
 from .pipeline import DmaPipeline, RequestTiming
-from .rpc import PROXY_CATEGORY, RpcError
+from .rpc import PROXY_CATEGORY, RPC_ARGS, RpcError
 
 __all__ = ["ProxyObjectStore", "WriteBreakdown"]
 
@@ -250,14 +250,10 @@ class ProxyObjectStore(ObjectStore):
                 nbytes=length,
             )
         ctx = span.context if span is not None else None
-        bl = BufferList()
-        bl.encode_str(coll)
-        bl.encode_str(oid)
-        bl.encode_u64(offset)
-        bl.encode_u64(length)
+        payload = RPC_ARGS["read"].encode(coll, oid, offset, length)
         self.data_ops += 1
         try:
-            resp = yield from self.rpc.call("read", bl, thread,
+            resp = yield from self.rpc.call("read", payload, thread,
                                             span_ctx=ctx)
         except RpcError as exc:
             if "ENOENT" in str(exc):
@@ -305,12 +301,11 @@ class ProxyObjectStore(ObjectStore):
     def _control(
         self, op: str, args: list[str], thread: SimThread
     ) -> Generator[Any, Any, dict]:
-        bl = BufferList()
-        for arg in args:
-            bl.encode_str(arg)
         self.control_ops += 1
         try:
-            resp = yield from self.rpc.call(op, bl, thread)
+            resp = yield from self.rpc.call(
+                op, RPC_ARGS[op].encode(*args), thread
+            )
         except RpcError as exc:
             raise _store_error(exc) from None
         return resp.reply

@@ -32,15 +32,37 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Generator, Mapping, Optional
 
 from ..hw.cpu import SimThread
 from ..hw.net import BandwidthPipe
 from ..hw.node import ClusterNode
 from ..sim import Event, Store
+from ..util import wire
 from ..util.bufferlist import BufferList
 
-__all__ = ["RpcChannel", "RpcRequest", "RpcError", "DEFERRED", "PROXY_CATEGORY"]
+__all__ = [
+    "RpcChannel", "RpcRequest", "RpcError", "RPC_ARGS", "DEFERRED",
+    "PROXY_CATEGORY",
+]
+
+_OBJECT: wire.Schema = (("coll", wire.STR), ("oid", wire.STR))
+#: The argument payload of each op, in wire order: the caller encodes
+#: with ``RPC_ARGS[op].encode(*args)``, the handler gets the tuple back
+#: from ``.decode(request.payload)``.  (``queue_txn`` carries an encoded
+#: :class:`~repro.objectstore.api.Transaction` instead.)
+RPC_ARGS: Mapping[str, wire.Plan] = MappingProxyType({
+    op: wire.compile_schema(schema, name=f"rpc.{op}")
+    for op, schema in {
+        "list": _OBJECT[:1],
+        "stat": _OBJECT,
+        "exists": _OBJECT,
+        "getattr": _OBJECT + (("key", wire.STR),),
+        "read": _OBJECT + (("offset", wire.U64), ("length", wire.U64)),
+        "bulk": (("tag", wire.STR), ("nbytes", wire.U64)),
+    }.items()
+})
 
 #: Sentinel a handler assigns to ``request.reply`` to take ownership of
 #: responding (for handlers that must wait on I/O without blocking the

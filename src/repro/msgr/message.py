@@ -7,6 +7,11 @@ sizes on the wire — and the CPU charged per byte — come from the actual
 serialization, not estimates.  Bulk payloads ride as virtual
 :class:`~repro.util.bufferlist.DataBlob` extents.
 
+Each type declares its front section once, as a ``SCHEMA`` of
+``(field, kind)`` pairs; :mod:`repro.util.wire` compiles header + schema
+into the codec both directions use, so there is no encode/decode pair to
+keep in step.
+
 ``attachment`` is the one model-level escape hatch: cluster-map
 distribution attaches the live OSDMap object by reference (serializing a
 whole map faithfully is out of scope and irrelevant to the phenomena
@@ -24,7 +29,12 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, ClassVar, Optional, Type
 
-from ..util.bufferlist import BufferDecoder, BufferList, DataBlob, EncodeError
+from ..util import wire
+from ..util.bufferlist import BufferList, DataBlob, EncodeError
+from ..util.wire import (
+    BLOB, BOOL, F64, OPT_BLOB, S64, STR, STR_LIST, STR_U64_MAP, U16, U32,
+    U32_LIST, U64,
+)
 
 __all__ = [
     "MessageType",
@@ -81,8 +91,13 @@ class OpType(IntEnum):
 
 _REGISTRY: dict[int, Type["Message"]] = {}
 
+#: What every message starts with.  ``TYPE`` is read off the class and
+#: dropped on decode (the tag already selected the class).
+_HEADER: wire.Schema = (("TYPE", U16), ("tid", U64), ("src", STR))
+
 
 def _register(cls: Type["Message"]) -> Type["Message"]:
+    cls._PLAN = wire.compile_schema(_HEADER + cls.SCHEMA, cls)
     _REGISTRY[int(cls.TYPE)] = cls
     return cls
 
@@ -92,6 +107,9 @@ class Message:
     """Base message: header fields common to every type."""
 
     TYPE: ClassVar[MessageType]
+    #: The front section, in wire order (see :mod:`repro.util.wire`).
+    SCHEMA: ClassVar[wire.Schema]
+    _PLAN: ClassVar[wire.Plan]
 
     #: Tracing/throttle annotations attached per-hop by the messenger
     #: and OSD layers.  Class-level ``None`` defaults (ClassVar, so not
@@ -109,30 +127,15 @@ class Message:
     #: (used only for cluster-map distribution).
     attachment: Any = field(default=None, compare=False, repr=False)
 
-    # -- encoding ---------------------------------------------------------------
     def encode(self) -> BufferList:
-        """Full wire form: header + front + (optional) data blob."""
-        bl = BufferList()
-        bl.encode_u16(int(self.TYPE))
-        bl.encode_u64(self.tid)
-        bl.encode_str(self.src)
-        self._encode_front(bl)
-        self._encode_data(bl)
-        return bl
-
-    def _encode_front(self, bl: BufferList) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _encode_data(self, bl: BufferList) -> None:
-        """Override to append bulk-data blobs after the front section."""
-
-    @classmethod
-    def _decode_front(cls, d: BufferDecoder, src: str, tid: int) -> "Message":
-        raise NotImplementedError  # pragma: no cover
+        """Full wire form: header + front in one real extent, then the
+        data blob if the type carries one."""
+        return self._PLAN.encode(self)
 
     def wire_size(self) -> int:
-        """Total bytes this message occupies on the wire."""
-        return len(self.encode()) + WIRE_OVERHEAD
+        """Total bytes this message occupies on the wire (computed from
+        the schema; nothing is encoded)."""
+        return self._PLAN.size(self) + WIRE_OVERHEAD
 
     @property
     def data_len(self) -> int:
@@ -142,16 +145,35 @@ class Message:
 
 def decode_message(bl: BufferList, attachment: Any = None) -> Message:
     """Decode a wire bufferlist back into a typed message."""
-    d = bl.decoder()
-    mtype = d.decode_u16()
-    tid = d.decode_u64()
-    src = d.decode_str()
+    mtype, front, nxt = wire.tagged_front(bl)
     cls = _REGISTRY.get(mtype)
     if cls is None:
         raise EncodeError(f"unknown message type {mtype}")
-    msg = cls._decode_front(d, src, tid)
+    msg = cls._PLAN.decode_front(front, nxt)
     msg.attachment = attachment
     return msg
+
+
+def _pack_op_tenant(op: int, tenant: str) -> bytes:
+    if tenant:
+        return bytes((op | 0x80,)) + wire.pack_str(tenant)
+    return bytes((op,))
+
+
+def _unpack_op_tenant(buf: bytes, pos: int) -> tuple[tuple[OpType, str], int]:
+    raw = buf[pos]
+    if not raw & 0x80:
+        return (OpType(raw), ""), pos + 1
+    tenant, end = wire.unpack_str(buf, pos + 1)
+    if not tenant:
+        raise EncodeError("tenant bit set on an empty tenant tag")
+    return (OpType(raw & 0x7F), tenant), end
+
+
+#: MOSDOp's op byte: the 0x80 bit announces a tenant string right after
+#: it, so untagged ops keep their exact pre-QoS wire bytes (golden
+#: digests depend on them).
+_OP_TENANT = wire.Custom(_pack_op_tenant, _unpack_op_tenant)
 
 
 @_register
@@ -160,6 +182,11 @@ class MOSDOp(Message):
     """A client operation on an object (the paper's workload unit)."""
 
     TYPE: ClassVar[MessageType] = MessageType.OSD_OP
+    SCHEMA = (
+        ("pool", STR), ("object_name", STR), (("op", "tenant"), _OP_TENANT),
+        ("length", U64), ("offset", U64), ("map_epoch", U32),
+        ("data", OPT_BLOB),
+    )
 
     pool: str = ""
     object_name: str = ""
@@ -168,43 +195,8 @@ class MOSDOp(Message):
     offset: int = 0
     data: Optional[DataBlob] = None
     map_epoch: int = 0
-    #: QoS tenant tag ("" = untagged).  Encoded as the 0x80 high bit of
-    #: the op byte plus a trailing string, so untagged ops keep their
-    #: exact pre-QoS wire bytes (golden digests depend on them).
+    #: QoS tenant tag ("" = untagged).
     tenant: str = ""
-
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_str(self.pool)
-        bl.encode_str(self.object_name)
-        bl.encode_u8(int(self.op) | (0x80 if self.tenant else 0))
-        if self.tenant:
-            bl.encode_str(self.tenant)
-        bl.encode_u64(self.length)
-        bl.encode_u64(self.offset)
-        bl.encode_u32(self.map_epoch)
-        bl.encode_bool(self.data is not None)
-
-    def _encode_data(self, bl: BufferList) -> None:
-        if self.data is not None:
-            bl.append_blob(self.data)
-
-    @classmethod
-    def _decode_front(cls, d: BufferDecoder, src: str, tid: int) -> "MOSDOp":
-        pool = d.decode_str()
-        object_name = d.decode_str()
-        raw_op = d.decode_u8()
-        op = OpType(raw_op & 0x7F)
-        tenant = d.decode_str() if raw_op & 0x80 else ""
-        length = d.decode_u64()
-        offset = d.decode_u64()
-        epoch = d.decode_u32()
-        has_data = d.decode_bool()
-        data = d.decode_blob() if has_data else None
-        return cls(
-            src=src, tid=tid, pool=pool, object_name=object_name, op=op,
-            length=length, offset=offset, data=data, map_epoch=epoch,
-            tenant=tenant,
-        )
 
     @property
     def data_len(self) -> int:
@@ -217,27 +209,11 @@ class MOSDOpReply(Message):
     """Reply to a client op; carries read data for READ ops."""
 
     TYPE: ClassVar[MessageType] = MessageType.OSD_OP_REPLY
+    SCHEMA = (("result", S64), ("version", U64), ("data", OPT_BLOB))
 
     result: int = 0
     version: int = 0
     data: Optional[DataBlob] = None
-
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_s64(self.result)
-        bl.encode_u64(self.version)
-        bl.encode_bool(self.data is not None)
-
-    def _encode_data(self, bl: BufferList) -> None:
-        if self.data is not None:
-            bl.append_blob(self.data)
-
-    @classmethod
-    def _decode_front(cls, d: BufferDecoder, src: str, tid: int) -> "MOSDOpReply":
-        result = d.decode_s64()
-        version = d.decode_u64()
-        has_data = d.decode_bool()
-        data = d.decode_blob() if has_data else None
-        return cls(src=src, tid=tid, result=result, version=version, data=data)
 
     @property
     def data_len(self) -> int:
@@ -250,6 +226,11 @@ class MOSDRepOp(Message):
     """Primary → replica: apply this write transaction."""
 
     TYPE: ClassVar[MessageType] = MessageType.OSD_REPOP
+    SCHEMA = (
+        ("pool", STR), ("pg_seed", U32), ("object_name", STR),
+        ("length", U64), ("offset", U64), ("map_epoch", U32),
+        ("data", OPT_BLOB),
+    )
 
     pool: str = ""
     pg_seed: int = 0
@@ -258,35 +239,6 @@ class MOSDRepOp(Message):
     offset: int = 0
     data: Optional[DataBlob] = None
     map_epoch: int = 0
-
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_str(self.pool)
-        bl.encode_u32(self.pg_seed)
-        bl.encode_str(self.object_name)
-        bl.encode_u64(self.length)
-        bl.encode_u64(self.offset)
-        bl.encode_u32(self.map_epoch)
-        bl.encode_bool(self.data is not None)
-
-    def _encode_data(self, bl: BufferList) -> None:
-        if self.data is not None:
-            bl.append_blob(self.data)
-
-    @classmethod
-    def _decode_front(cls, d: BufferDecoder, src: str, tid: int) -> "MOSDRepOp":
-        pool = d.decode_str()
-        pg_seed = d.decode_u32()
-        object_name = d.decode_str()
-        length = d.decode_u64()
-        offset = d.decode_u64()
-        epoch = d.decode_u32()
-        has_data = d.decode_bool()
-        data = d.decode_blob() if has_data else None
-        return cls(
-            src=src, tid=tid, pool=pool, pg_seed=pg_seed,
-            object_name=object_name, length=length, offset=offset,
-            data=data, map_epoch=epoch,
-        )
 
     @property
     def data_len(self) -> int:
@@ -299,17 +251,9 @@ class MOSDRepOpReply(Message):
     """Replica → primary: transaction committed."""
 
     TYPE: ClassVar[MessageType] = MessageType.OSD_REPOP_REPLY
+    SCHEMA = (("result", S64),)
 
     result: int = 0
-
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_s64(self.result)
-
-    @classmethod
-    def _decode_front(
-        cls, d: BufferDecoder, src: str, tid: int
-    ) -> "MOSDRepOpReply":
-        return cls(src=src, tid=tid, result=d.decode_s64())
 
 
 @_register
@@ -318,18 +262,10 @@ class MOSDPing(Message):
     """OSD↔OSD heartbeat."""
 
     TYPE: ClassVar[MessageType] = MessageType.PING
+    SCHEMA = (("is_reply", BOOL), ("stamp", F64))
 
     is_reply: bool = False
     stamp: float = 0.0
-
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_bool(self.is_reply)
-        bl.encode_f64(self.stamp)
-
-    @classmethod
-    def _decode_front(cls, d: BufferDecoder, src: str, tid: int) -> "MOSDPing":
-        return cls(src=src, tid=tid, is_reply=d.decode_bool(),
-                   stamp=d.decode_f64())
 
 
 @_register
@@ -344,26 +280,11 @@ class MOSDBeacon(Message):
     beacon for simplicity)."""
 
     TYPE: ClassVar[MessageType] = MessageType.OSD_BEACON
+    SCHEMA = (("osd_id", U32), ("map_epoch", U32), ("failed_peers", U32_LIST))
 
     osd_id: int = 0
     map_epoch: int = 0
     failed_peers: tuple[int, ...] = ()
-
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_u32(self.osd_id)
-        bl.encode_u32(self.map_epoch)
-        bl.encode_u32(len(self.failed_peers))
-        for peer in self.failed_peers:
-            bl.encode_u32(peer)
-
-    @classmethod
-    def _decode_front(cls, d: BufferDecoder, src: str, tid: int) -> "MOSDBeacon":
-        osd_id = d.decode_u32()
-        map_epoch = d.decode_u32()
-        count = d.decode_u32()
-        failed = tuple(d.decode_u32() for _ in range(count))
-        return cls(src=src, tid=tid, osd_id=osd_id, map_epoch=map_epoch,
-                   failed_peers=failed)
 
 
 @_register
@@ -372,15 +293,9 @@ class MMonGetMap(Message):
     """Client/OSD → monitor: send me the current OSDMap."""
 
     TYPE: ClassVar[MessageType] = MessageType.MON_GET_MAP
+    SCHEMA = (("have_epoch", U32),)
 
     have_epoch: int = 0
-
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_u32(self.have_epoch)
-
-    @classmethod
-    def _decode_front(cls, d: BufferDecoder, src: str, tid: int) -> "MMonGetMap":
-        return cls(src=src, tid=tid, have_epoch=d.decode_u32())
 
 
 @_register
@@ -390,23 +305,16 @@ class MMonMapReply(Message):
     wire footprint modelled by a map-sized virtual blob)."""
 
     TYPE: ClassVar[MessageType] = MessageType.MON_MAP_REPLY
+    SCHEMA = (("epoch", U32), ("map_bytes", U32), ("map_blob", BLOB))
 
     epoch: int = 0
     map_bytes: int = 4096
 
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_u32(self.epoch)
-        bl.encode_u32(self.map_bytes)
-
-    def _encode_data(self, bl: BufferList) -> None:
-        bl.append_blob(DataBlob(self.map_bytes))
-
-    @classmethod
-    def _decode_front(cls, d: BufferDecoder, src: str, tid: int) -> "MMonMapReply":
-        epoch = d.decode_u32()
-        map_bytes = d.decode_u32()
-        d.decode_blob()
-        return cls(src=src, tid=tid, epoch=epoch, map_bytes=map_bytes)
+    @property
+    def map_blob(self) -> DataBlob:
+        """The map's stand-in on the wire, synthesised per encode (not a
+        constructor field, so decode checks it arrived and drops it)."""
+        return DataBlob(self.map_bytes)
 
     @property
     def data_len(self) -> int:
@@ -422,28 +330,15 @@ class MOSDPGPull(Message):
     member typically misses a handful of interim writes, not the PG)."""
 
     TYPE: ClassVar[MessageType] = MessageType.PG_PULL
+    SCHEMA = (
+        ("pool", STR), ("pg_seed", U32), ("map_epoch", U32),
+        ("have", STR_LIST),
+    )
 
     pool: str = ""
     pg_seed: int = 0
     map_epoch: int = 0
     have: tuple = ()
-
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_str(self.pool)
-        bl.encode_u32(self.pg_seed)
-        bl.encode_u32(self.map_epoch)
-        bl.encode_u32(len(self.have))
-        for name in self.have:
-            bl.encode_str(name)
-
-    @classmethod
-    def _decode_front(cls, d: BufferDecoder, src: str, tid: int) -> "MOSDPGPull":
-        pool = d.decode_str()
-        pg_seed = d.decode_u32()
-        map_epoch = d.decode_u32()
-        have = tuple(d.decode_str() for _ in range(d.decode_u32()))
-        return cls(src=src, tid=tid, pool=pool, pg_seed=pg_seed,
-                   map_epoch=map_epoch, have=have)
 
 
 @_register
@@ -460,6 +355,11 @@ class MOSDPGPush(Message):
     a hole in it)."""
 
     TYPE: ClassVar[MessageType] = MessageType.PG_PUSH
+    SCHEMA = (
+        ("pool", STR), ("pg_seed", U32), ("object_name", STR),
+        ("length", U64), ("last", BOOL), ("skipped", STR_LIST),
+        ("pushed", STR_LIST), ("data", OPT_BLOB),
+    )
 
     pool: str = ""
     pg_seed: int = 0
@@ -469,38 +369,6 @@ class MOSDPGPush(Message):
     last: bool = False
     skipped: tuple = ()
     pushed: tuple = ()
-
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_str(self.pool)
-        bl.encode_u32(self.pg_seed)
-        bl.encode_str(self.object_name)
-        bl.encode_u64(self.length)
-        bl.encode_bool(self.last)
-        bl.encode_u32(len(self.skipped))
-        for name in self.skipped:
-            bl.encode_str(name)
-        bl.encode_u32(len(self.pushed))
-        for name in self.pushed:
-            bl.encode_str(name)
-        bl.encode_bool(self.data is not None)
-
-    def _encode_data(self, bl: BufferList) -> None:
-        if self.data is not None:
-            bl.append_blob(self.data)
-
-    @classmethod
-    def _decode_front(cls, d: BufferDecoder, src: str, tid: int) -> "MOSDPGPush":
-        pool = d.decode_str()
-        pg_seed = d.decode_u32()
-        object_name = d.decode_str()
-        length = d.decode_u64()
-        last = d.decode_bool()
-        skipped = tuple(d.decode_str() for _ in range(d.decode_u32()))
-        pushed = tuple(d.decode_str() for _ in range(d.decode_u32()))
-        data = d.decode_blob() if d.decode_bool() else None
-        return cls(src=src, tid=tid, pool=pool, pg_seed=pg_seed,
-                   object_name=object_name, length=length, data=data,
-                   last=last, skipped=skipped, pushed=pushed)
 
     @property
     def data_len(self) -> int:
@@ -513,20 +381,10 @@ class MOSDPGPushReply(Message):
     """Recovery: member acknowledges a push."""
 
     TYPE: ClassVar[MessageType] = MessageType.PG_PUSH_REPLY
+    SCHEMA = (("pg_seed", U32), ("result", S64))
 
     pg_seed: int = 0
     result: int = 0
-
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_u32(self.pg_seed)
-        bl.encode_s64(self.result)
-
-    @classmethod
-    def _decode_front(
-        cls, d: BufferDecoder, src: str, tid: int
-    ) -> "MOSDPGPushReply":
-        return cls(src=src, tid=tid, pg_seed=d.decode_u32(),
-                   result=d.decode_s64())
 
 
 @_register
@@ -536,30 +394,11 @@ class MScrubDigest(Message):
     replicas compare against their own metadata."""
 
     TYPE: ClassVar[MessageType] = MessageType.SCRUB_DIGEST
+    SCHEMA = (("pool", STR), ("pg_seed", U32), ("digests", STR_U64_MAP))
 
     pool: str = ""
     pg_seed: int = 0
     digests: dict[str, int] = field(default_factory=dict, compare=True)
-
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_str(self.pool)
-        bl.encode_u32(self.pg_seed)
-        bl.encode_u32(len(self.digests))
-        for name in sorted(self.digests):
-            bl.encode_str(name)
-            bl.encode_u64(self.digests[name])
-
-    @classmethod
-    def _decode_front(cls, d: BufferDecoder, src: str, tid: int) -> "MScrubDigest":
-        pool = d.decode_str()
-        pg_seed = d.decode_u32()
-        n = d.decode_u32()
-        digests = {}
-        for _ in range(n):
-            name = d.decode_str()
-            digests[name] = d.decode_u64()
-        return cls(src=src, tid=tid, pool=pool, pg_seed=pg_seed,
-                   digests=digests)
 
 
 @_register
@@ -568,15 +407,7 @@ class MScrubReply(Message):
     """Scrub: replica's verdict for a PG digest comparison."""
 
     TYPE: ClassVar[MessageType] = MessageType.SCRUB_REPLY
+    SCHEMA = (("pg_seed", U32), ("mismatches", U32))
 
     pg_seed: int = 0
     mismatches: int = 0
-
-    def _encode_front(self, bl: BufferList) -> None:
-        bl.encode_u32(self.pg_seed)
-        bl.encode_u32(self.mismatches)
-
-    @classmethod
-    def _decode_front(cls, d: BufferDecoder, src: str, tid: int) -> "MScrubReply":
-        return cls(src=src, tid=tid, pg_seed=d.decode_u32(),
-                   mismatches=d.decode_u32())

@@ -24,7 +24,8 @@ from enum import IntEnum
 from typing import Any, Generator, Optional
 
 from ..hw.cpu import SimThread
-from ..util.bufferlist import BufferDecoder, BufferList, DataBlob
+from ..util import wire
+from ..util.bufferlist import BufferList, DataBlob
 
 __all__ = [
     "TxnOpKind",
@@ -69,6 +70,18 @@ class TxnOp:
     data: Optional[DataBlob] = None
     key: str = ""
     value: bytes = b""
+
+
+#: One op on the wire (:mod:`repro.util.wire`); a transaction is a u32
+#: count and this many of them.
+_OP_PLAN = wire.compile_schema(
+    (
+        ("kind", wire.enum(wire.U8, TxnOpKind)), ("coll", wire.STR),
+        ("oid", wire.STR), ("offset", wire.U64), ("length", wire.U64),
+        ("key", wire.STR), ("value", wire.BYTES), ("data", wire.OPT_BLOB),
+    ),
+    TxnOp,
+)
 
 
 @dataclass
@@ -141,39 +154,11 @@ class Transaction:
 
     # -- serialization (for the proxy channels) ------------------------------
     def encode(self) -> BufferList:
-        bl = BufferList()
-        bl.encode_u32(len(self.ops))
-        for op in self.ops:
-            bl.encode_u8(int(op.kind))
-            bl.encode_str(op.coll)
-            bl.encode_str(op.oid)
-            bl.encode_u64(op.offset)
-            bl.encode_u64(op.length)
-            bl.encode_str(op.key)
-            bl.encode_bytes(op.value)
-            bl.encode_bool(op.data is not None)
-            if op.data is not None:
-                bl.append_blob(op.data)
-        return bl
+        return _OP_PLAN.encode_list(self.ops)
 
     @classmethod
-    def decode(cls, d: BufferDecoder) -> "Transaction":
-        n = d.decode_u32()
-        txn = cls()
-        for _ in range(n):
-            kind = TxnOpKind(d.decode_u8())
-            coll = d.decode_str()
-            oid = d.decode_str()
-            offset = d.decode_u64()
-            length = d.decode_u64()
-            key = d.decode_str()
-            value = d.decode_bytes()
-            data = d.decode_blob() if d.decode_bool() else None
-            txn.ops.append(
-                TxnOp(kind, coll, oid, offset=offset, length=length,
-                      data=data, key=key, value=value)
-            )
-        return txn
+    def decode(cls, bl: BufferList) -> "Transaction":
+        return cls(_OP_PLAN.decode_list(bl))
 
 
 @dataclass(frozen=True)

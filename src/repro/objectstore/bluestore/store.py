@@ -154,6 +154,10 @@ class BlueStore(ObjectStore):
             self.config.device_capacity, self.config.alloc_unit
         )
         self.collections: dict[str, dict[str, Onode]] = {}
+        #: The KV value every onode update writes: one immutable record
+        #: shared by all keys (a fresh one per op per replica was 1.2 KB
+        #: per client op kept alive by the KV).
+        self._onode_record = b"\0" * self.config.onode_record_bytes
 
         self._txc_queue: Store = Store(env)
         self._kv_queue: Store = Store(env)
@@ -353,7 +357,7 @@ class BlueStore(ObjectStore):
                                    TxnOpKind.SETATTR, TxnOpKind.OMAP_SET,
                                    TxnOpKind.TRUNCATE):
                         wal.put(self._onode_key(op.coll, op.oid),
-                                b"\0" * cfg.onode_record_bytes)
+                                self._onode_record)
                     elif op.kind == TxnOpKind.REMOVE:
                         wal.delete(self._onode_key(op.coll, op.oid))
             flush_bytes = wal.size_bytes + wal_data

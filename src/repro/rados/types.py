@@ -14,7 +14,8 @@ remapping every object (only PGs in the split range move).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..util.rjenkins import ceph_str_hash_rjenkins, crush_hash32_2
 
@@ -54,16 +55,15 @@ class Pool:
     size: int = 2  # replica count (the paper's 2-node testbed uses 2)
     min_size: int = 1
     rule_name: str = "replicated_rule"
+    #: ``ceph_stable_mod``'s mask: next power of two above pg_num, minus 1.
+    pg_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.pg_num < 1:
             raise ValueError("pg_num must be >= 1")
         if not 1 <= self.min_size <= self.size:
             raise ValueError("need 1 <= min_size <= size")
-
-    @property
-    def pg_mask(self) -> int:
-        return _pg_num_mask(self.pg_num)
+        object.__setattr__(self, "pg_mask", _pg_num_mask(self.pg_num))
 
 
 @dataclass(frozen=True, order=True)
@@ -77,11 +77,17 @@ class PgId:
         return f"{self.pool}.{self.seed:x}"
 
 
+@lru_cache(maxsize=4096)
+def _place(pool_id: int, pg_num: int, pg_mask: int, object_name: str) -> PgId:
+    # pure in its arguments, and client and primary each place the same
+    # name within a few events of each other
+    raw = ceph_str_hash_rjenkins(object_name)
+    return PgId(pool_id, ceph_stable_mod(raw, pg_num, pg_mask))
+
+
 def object_to_pg(pool: Pool, object_name: str) -> PgId:
     """Map an object name to its PG within ``pool``."""
-    raw = ceph_str_hash_rjenkins(object_name)
-    seed = ceph_stable_mod(raw, pool.pg_num, pool.pg_mask)
-    return PgId(pool.id, seed)
+    return _place(pool.id, pool.pg_num, pool.pg_mask, object_name)
 
 
 def pg_to_crush_input(pgid: PgId) -> int:

@@ -118,12 +118,27 @@ Extent = Union[bytes, DataBlob]
 class BufferList:
     """An append-only list of real-byte and virtual-blob extents."""
 
-    __slots__ = ("_extents", "_tail", "_length")
+    __slots__ = ("_extents", "_tail", "_length", "_virtual")
 
     def __init__(self) -> None:
         self._extents: list[Extent] = []
         self._tail: bytearray | None = None
         self._length = 0
+        self._virtual = 0
+
+    @classmethod
+    def _adopt(
+        cls, extents: list[Extent], real: int, virtual: int
+    ) -> "BufferList":
+        """A bufferlist over ``extents`` (not copied), whose real and
+        virtual byte totals the caller already knows — how the compiled
+        codecs of :mod:`repro.util.wire` hand over a finished encoding."""
+        bl = cls.__new__(cls)
+        bl._extents = extents
+        bl._tail = None
+        bl._length = real + virtual
+        bl._virtual = virtual
+        return bl
 
     # -- sizes ---------------------------------------------------------------
     def __len__(self) -> int:
@@ -133,12 +148,12 @@ class BufferList:
     @property
     def real_length(self) -> int:
         """Bytes that exist for real (metadata, headers)."""
-        return sum(len(e) for e in self._flush() if isinstance(e, bytes))
+        return self._length - self._virtual
 
     @property
     def virtual_length(self) -> int:
         """Bytes represented only as virtual blobs (bulk payload)."""
-        return sum(e.length for e in self._flush() if isinstance(e, DataBlob))
+        return self._virtual
 
     def extents(self) -> list[Extent]:
         """The extent list (bytes objects and DataBlobs, in order)."""
@@ -173,6 +188,7 @@ class BufferList:
         self._flush()
         self._extents.append(blob)
         self._length += blob.length
+        self._virtual += blob.length
 
     def append_bufferlist(self, other: "BufferList") -> None:
         """Splice another bufferlist's extents onto this one."""

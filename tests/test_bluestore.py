@@ -58,7 +58,7 @@ def test_transaction_encode_decode_roundtrip():
         .truncate("pg2", "obj", 100)
         .remove("pg2", "gone")
     )
-    out = Transaction.decode(txn.encode().decoder())
+    out = Transaction.decode(txn.encode())
     assert out == txn
 
 
@@ -93,6 +93,19 @@ def test_write_commits_and_updates_onode():
     env.run(until=20.0)
     assert p.value.size == 1 << 20
     assert p.value.version == 1
+
+
+def test_committed_onodes_share_one_kv_record():
+    """The KV keeps every onode's value alive; a fresh 512-byte record
+    per op per replica was 1.2 KB of resident memory per client op."""
+    env, store, thread = make_store(onode_record_bytes=300)
+    for oid in ("a", "b"):
+        blob = DataBlob(1 << 20)
+        run_txn(env, store, thread,
+                Transaction().write("pg1", oid, 0, blob.length, blob))
+    a = store.kv.get(store._onode_key("pg1", "a"))
+    b = store.kv.get(store._onode_key("pg1", "b"))
+    assert a is b and a == b"\0" * 300
 
 
 def test_large_write_hits_data_device_before_commit():

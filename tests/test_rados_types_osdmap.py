@@ -82,6 +82,32 @@ def test_object_to_pg_deterministic_and_in_range():
     assert len(seen) > 90
 
 
+def test_pg_mask_is_the_next_power_of_two_minus_one():
+    for pg_num, mask in ((1, 0), (2, 1), (3, 3), (48, 63), (64, 63),
+                         (65, 127), (128, 127)):
+        pool = Pool(id=1, name="p", pg_num=pg_num)
+        assert pool.pg_mask == mask
+        # derived, not identity: equal pools stay equal and printable
+        assert pool == Pool(id=1, name="p", pg_num=pg_num)
+        assert "pg_mask" not in repr(pool)
+
+
+def test_object_to_pg_memo_is_keyed_by_pool_shape():
+    """Client and primary place the same name; the memo must not hand
+    one pool's answer to another with the same id or the same pg_num."""
+    from repro.util.rjenkins import ceph_str_hash_rjenkins
+
+    pools = [Pool(id=1, name="p", pg_num=48), Pool(id=1, name="p", pg_num=64),
+             Pool(id=2, name="q", pg_num=48)]
+    for _ in range(2):  # second pass is served from the memo
+        for pool in pools:
+            for i in range(50):
+                name = f"bench_{i}"
+                want = ceph_stable_mod(ceph_str_hash_rjenkins(name),
+                                       pool.pg_num, pool.pg_mask)
+                assert object_to_pg(pool, name) == PgId(pool.id, want)
+
+
 def test_pg_distribution_roughly_uniform():
     pool = Pool(id=1, name="p", pg_num=32)
     counts = collections.Counter(

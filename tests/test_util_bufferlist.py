@@ -217,3 +217,41 @@ def test_blob_slicing_partitions_cover_exactly(total, cuts):
         assert p.root_id == blob.blob_id
         pos += p.length
     assert pos == total
+
+
+@given(st.lists(
+    st.one_of(
+        st.binary(max_size=12).map(lambda b: ("raw", b)),
+        st.integers(0, 1 << 30).map(lambda n: ("blob", n)),
+        st.text(max_size=8).map(lambda t: ("str", t)),
+        st.just(("seal", None)),
+        st.just(("splice", None)),
+    ),
+    max_size=30,
+))
+@settings(max_examples=200)
+def test_running_length_counters_equal_the_recomputation(steps):
+    """``real_length`` / ``virtual_length`` are O(1) counters (the RPC
+    channel reads them per call); they must equal the sum over extents
+    after any append sequence."""
+    bl = BufferList()
+    for kind, arg in steps:
+        if kind == "raw":
+            bl.append_raw(arg)
+        elif kind == "blob":
+            bl.append_blob(DataBlob(arg))
+        elif kind == "str":
+            bl.encode_str(arg)
+        elif kind == "seal":
+            bl.extents()  # seals the tail into an extent
+        else:
+            other = BufferList()
+            other.encode_u32(7)
+            other.append_blob(DataBlob(5))
+            other.encode_u8(1)
+            bl.append_bufferlist(other)
+        extents = bl.extents()
+        real = sum(len(e) for e in extents if isinstance(e, bytes))
+        virtual = sum(e.length for e in extents if isinstance(e, DataBlob))
+        assert (bl.real_length, bl.virtual_length) == (real, virtual)
+        assert len(bl) == real + virtual
