@@ -13,7 +13,7 @@ per-second series, matching RADOS bench's built-in instrumentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..cluster.builder import BENCH_POOL, Cluster
 from ..core.proxy_objectstore import ProxyObjectStore, WriteBreakdown
@@ -94,31 +94,24 @@ class BenchResult:
         return CpuWindow.merge(self.ceph_cpu)
 
 
-def run_rados_bench(
+def _closed_loop(
     cluster: Cluster,
     object_size: int,
-    clients: int = 16,
-    duration: float = 30.0,
-    warmup: float = 3.0,
-    op: str = "write",
-    read_ratio: float = 0.5,
-    prepopulate: int = 64,
-    seed: int = 0,
+    clients: int,
+    duration: float,
+    warmup: float,
+    issue: Callable[[int, int], Generator[Any, Any, Any]],
+    prepopulate: list[str],
+    label: str,
 ) -> BenchResult:
-    """Boot the cluster (if needed) and run one bench configuration.
-
-    ``op`` selects the workload: ``write`` (paper default), ``randread``
-    (uniform reads over ``prepopulate`` pre-written objects), or
-    ``mixed`` (seeded coin: read with probability ``read_ratio``, else
-    write).  The ``write`` path draws no RNG and prepopulates nothing,
-    so its event schedule — and every golden digest built on it — is
-    byte-identical to the write-only harness.
+    """Boot the cluster (if needed), write the ``prepopulate`` objects,
+    then keep ``clients`` contexts each with one op outstanding until
+    the window closes.  ``issue(idx, n)`` is the ``n``-th op of context
+    ``idx``; ``label`` prefixes the process names.
 
     The simulation runs until every in-flight request issued inside the
     measurement window completes, so latency tails are never truncated.
     """
-    if op not in ("write", "randread", "mixed"):
-        raise ValueError(f"unknown op: {op}")
     env = cluster.env
     client = cluster.client
     assert client is not None
@@ -129,18 +122,12 @@ def run_rados_bench(
         boot = env.process(cluster.boot(), name="cluster-boot")
         env.run(until=boot)
 
-    rng = None
-    if op != "write":
-        rng = SeededRng(seed).child("bench").stream(op)
-
+    if prepopulate:
         def prep() -> Generator[Any, Any, None]:
-            for i in range(prepopulate):
-                yield from client.write_object(
-                    BENCH_POOL, f"bench_pre_{i}", object_size
-                )
+            for name in prepopulate:
+                yield from client.write_object(BENCH_POOL, name, object_size)
 
-        p = env.process(prep(), name="bench-prepopulate")
-        env.run(until=p)
+        env.run(until=env.process(prep(), name=f"{label}-prepopulate"))
 
     # reset any breakdown history from earlier runs
     for osd in cluster.osds:
@@ -156,24 +143,11 @@ def run_rados_bench(
     completed = [0]
 
     def io_context(idx: int) -> Generator[Any, Any, None]:
-        seq = 0
+        n = 0
         while env.now < t_close:
-            oid = f"bench_{idx}_{seq}"
-            seq += 1
             issued = env.now
-            if op == "write":
-                result = yield from client.write_object(
-                    BENCH_POOL, oid, object_size
-                )
-            elif op == "randread" or rng.random() < read_ratio:
-                result = yield from client.read_object(
-                    BENCH_POOL, f"bench_pre_{rng.randrange(prepopulate)}",
-                    object_size,
-                )
-            else:
-                result = yield from client.write_object(
-                    BENCH_POOL, oid, object_size
-                )
+            result = yield from issue(idx, n)
+            n += 1
             if issued >= t_open:
                 latencies.append(result.latency)
                 lat_stats.add(result.latency)
@@ -191,7 +165,7 @@ def run_rados_bench(
 
     env.process(measured_run(), name="bench-window")
     workers = [
-        env.process(io_context(i), name=f"bench-client-{i}")
+        env.process(io_context(i), name=f"{label}-client-{i}")
         for i in range(clients)
     ]
     for w in workers:
@@ -231,6 +205,54 @@ def run_rados_bench(
     )
 
 
+def run_rados_bench(
+    cluster: Cluster,
+    object_size: int,
+    clients: int = 16,
+    duration: float = 30.0,
+    warmup: float = 3.0,
+    op: str = "write",
+    read_ratio: float = 0.5,
+    prepopulate: int = 64,
+    seed: int = 0,
+) -> BenchResult:
+    """Boot the cluster (if needed) and run one bench configuration.
+
+    ``op`` selects the workload: ``write`` (paper default), ``randread``
+    (uniform reads over ``prepopulate`` pre-written objects), or
+    ``mixed`` (seeded coin: read with probability ``read_ratio``, else
+    write).  The ``write`` path draws no RNG and prepopulates nothing,
+    so its event schedule — and every golden digest built on it — is
+    byte-identical to the write-only harness.
+    """
+    if op not in ("write", "randread", "mixed"):
+        raise ValueError(f"unknown op: {op}")
+    client = cluster.client
+    assert client is not None
+
+    def write(idx: int, n: int) -> Generator[Any, Any, Any]:
+        return client.write_object(BENCH_POOL, f"bench_{idx}_{n}", object_size)
+
+    if op == "write":
+        return _closed_loop(cluster, object_size, clients, duration, warmup,
+                            write, [], "bench")
+
+    rng = SeededRng(seed).child("bench").stream(op)
+
+    def read_or_write(idx: int, n: int) -> Generator[Any, Any, Any]:
+        if op == "randread" or rng.random() < read_ratio:
+            return client.read_object(
+                BENCH_POOL, f"bench_pre_{rng.randrange(prepopulate)}",
+                object_size,
+            )
+        return write(idx, n)
+
+    return _closed_loop(
+        cluster, object_size, clients, duration, warmup, read_or_write,
+        [f"bench_pre_{i}" for i in range(prepopulate)], "bench",
+    )
+
+
 def run_read_bench(
     cluster: Cluster,
     object_size: int,
@@ -240,87 +262,18 @@ def run_read_bench(
     prepopulate: int = 64,
 ) -> BenchResult:
     """Read benchmark (the §5.5 'future work' path, implemented):
-    prepopulates objects with writes, then measures a read-only phase."""
-    env = cluster.env
+    prepopulates objects with writes, then measures a read-only phase
+    in which the contexts stride through the objects together."""
     client = cluster.client
     assert client is not None
-    t_wall = perf_counter()
-    seq_start = env.events_scheduled
-    if client.osdmap is None:
-        boot = env.process(cluster.boot(), name="cluster-boot")
-        env.run(until=boot)
 
-    def prep() -> Generator[Any, Any, None]:
-        for i in range(prepopulate):
-            yield from client.write_object(
-                BENCH_POOL, f"readbench_{i}", object_size
-            )
+    def read(idx: int, n: int) -> Generator[Any, Any, Any]:
+        return client.read_object(
+            BENCH_POOL, f"readbench_{(idx + n * clients) % prepopulate}",
+            object_size,
+        )
 
-    p = env.process(prep(), name="read-prepopulate")
-    env.run(until=p)
-
-    t_open = env.now + warmup
-    t_close = t_open + duration
-    latencies: list[float] = []
-    lat_stats = RunningStats()
-    per_second_ops = TimeSeries(interval=1.0)
-    per_second_lat = TimeSeries(interval=1.0)
-    completed = [0]
-
-    def io_context(idx: int) -> Generator[Any, Any, None]:
-        seq = idx
-        while env.now < t_close:
-            oid = f"readbench_{seq % prepopulate}"
-            seq += clients
-            issued = env.now
-            result = yield from client.read_object(
-                BENCH_POOL, oid, object_size
-            )
-            if issued >= t_open:
-                latencies.append(result.latency)
-                lat_stats.add(result.latency)
-                per_second_ops.add(env.now - t_open, 1.0)
-                per_second_lat.add(env.now - t_open, result.latency)
-                completed[0] += 1
-
-    sampler_hosts = CpuSampler(env, cluster.host_cpus())
-    sampler_ceph = CpuSampler(env, cluster.ceph_cpus())
-
-    def measured_run() -> Generator[Any, Any, None]:
-        yield env.timeout(t_open - env.now)
-        sampler_hosts.start()
-        sampler_ceph.start()
-
-    env.process(measured_run(), name="bench-window")
-    workers = [
-        env.process(io_context(i), name=f"read-client-{i}")
-        for i in range(clients)
-    ]
-    for w in workers:
-        env.run(until=w)
-
-    host_windows = sampler_hosts.stop()
-    ceph_windows = sampler_ceph.stop()
-    tracer = getattr(cluster, "tracer", None)
-    trace = (tracer.report(window=(t_open, env.now))
-             if tracer is not None else None)
-    measured = max(env.now - t_open, 1e-9)
-    return BenchResult(
-        object_size=object_size,
-        clients=clients,
-        duration=duration,
-        completed_ops=completed[0],
-        iops=completed[0] / measured,
-        throughput_bytes=completed[0] * object_size / measured,
-        latency=lat_stats,
-        latencies=latencies,
-        per_second_ops=per_second_ops,
-        per_second_latency=per_second_lat,
-        ceph_cpu=ceph_windows,
-        host_cpu=host_windows,
-        faults=collect_fault_report(cluster),
-        health=collect_health_report(cluster),
-        trace=trace,
-        wall_clock_s=perf_counter() - t_wall,
-        engine_events=env.events_scheduled - seq_start,
+    return _closed_loop(
+        cluster, object_size, clients, duration, warmup, read,
+        [f"readbench_{i}" for i in range(prepopulate)], "read",
     )

@@ -30,9 +30,7 @@ from typing import Any, Generator, Optional
 from ..hw.cpu import SimThread
 from ..hw.dma import DmaError
 from ..sim import Environment, Store
-from ..sim.exceptions import SimulationError
-from ..sim.machine import Machine
-from .doca import CommChannel, DocaDma, MemoryRegion
+from .doca import DocaDma, MemoryRegion
 from .fallback import FallbackController, PROBE_BYTES
 from .rpc import RPC_ARGS, RpcChannel
 
@@ -206,23 +204,6 @@ class DmaPipeline:
         sizes = segment_sizes(nbytes, self.segment_bytes)
         timing = RequestTiming(size=nbytes, segments=len(sizes))
         t_start = self.env.now
-        if self.pipelined:
-            yield from self._push_pipelined(sizes, thread, timing, span_ctx)
-        else:
-            yield from self._push_sequential(sizes, thread, timing, span_ctx)
-        timing.total = self.env.now - t_start
-        self.bytes_pushed += nbytes
-        self.requests += 1
-        return timing
-
-    # ---------------------------------------------------------------- modes
-    def _push_pipelined(
-        self,
-        sizes: list[int],
-        thread: SimThread,
-        timing: RequestTiming,
-        span_ctx: Any = None,
-    ) -> Generator[Any, Any, None]:
         inflight = []
         for i, seg in enumerate(sizes):
             now = self.env.now
@@ -239,37 +220,21 @@ class DmaPipeline:
             if self.env.now > t0:  # waited for a free staging buffer
                 timing.wait_intervals.append((t0, self.env.now))
             yield from self._stage(region, seg, timing, seg_span)
-            # post the DMA and immediately start staging the next segment
-            inflight.append(
-                _DmaSeg(self, region, seg, thread, timing, span_ctx, seg_span)
+            segment = self._dma_segment(
+                region, seg, thread, timing, span_ctx, seg_span
             )
+            if self.pipelined:
+                # post the DMA and immediately start staging the next
+                # segment (§3.3); joined below
+                inflight.append(self.env.process(segment, name="dma-seg"))
+            else:
+                yield from segment
         for proc in inflight:
             yield proc
-
-    def _push_sequential(
-        self,
-        sizes: list[int],
-        thread: SimThread,
-        timing: RequestTiming,
-        span_ctx: Any = None,
-    ) -> Generator[Any, Any, None]:
-        for i, seg in enumerate(sizes):
-            now = self.env.now
-            if self.fallback.probe_due(now) and self.fallback.begin_probe(now):
-                yield from self._probe(thread, span_ctx)
-            if not self.fallback.dma_allowed(self.env.now):
-                yield from self._segment_via_rpc(
-                    seg, thread, timing, span_ctx, reason="cooldown"
-                )
-                continue
-            seg_span = self._segment_span(span_ctx, i, seg)
-            t0 = self.env.now
-            region: MemoryRegion = yield self._buffers.get()
-            if self.env.now > t0:
-                timing.wait_intervals.append((t0, self.env.now))
-            yield from self._stage(region, seg, timing, seg_span)
-            yield from self._dma_segment(region, seg, thread, timing,
-                                         span_ctx, seg_span)
+        timing.total = self.env.now - t_start
+        self.bytes_pushed += nbytes
+        self.requests += 1
+        return timing
 
     def _segment_span(self, span_ctx: Any, index: int, seg: int) -> Any:
         if span_ctx is None:
@@ -407,206 +372,3 @@ class DmaPipeline:
             if not closing:
                 yield put_event
 
-
-class _DmaSeg(Machine):
-    """Flattened pipelined DMA segment.
-
-    Replaces ``env.process(self._dma_segment(...), name="dma-seg")`` in
-    :meth:`DmaPipeline._push_pipelined` with a state machine holding the
-    whole hot path inline: MR-cache lookup (``DocaDma.ensure_exported``),
-    channel request, service sleep, engine accounting, completion-poll
-    charge, buffer return.  Event parity with the generator chain is
-    exact, including the fault path: engine failure accounting, channel
-    release, cache invalidation, then the RPC fallback generator driven
-    to completion, and in *every* outcome the staging buffer is put back
-    before the machine completes (the generator's ``finally``).
-
-    The ``_dma_segment`` generator remains the sequential-mode
-    (ablation) implementation: inlining it there via ``yield from`` has
-    no completion event, so a machine cannot substitute without
-    changing the digest.
-    """
-
-    __slots__ = (
-        "_pl",
-        "_region",
-        "_seg",
-        "_thread",
-        "_timing",
-        "_span_ctx",
-        "_span",
-        "_t0",
-        "_t_req",
-        "_req",
-        "_negotiation",
-        "_waited",
-        "_setup",
-        "_duration",
-        "_exc",
-    )
-
-    def __init__(
-        self,
-        pipeline: DmaPipeline,
-        region: MemoryRegion,
-        seg: int,
-        thread: SimThread,
-        timing: RequestTiming,
-        span_ctx: Any,
-        span: Any,
-    ) -> None:
-        super().__init__(pipeline.env, "dma-seg")
-        self._init_interruptible()
-        self._pl = pipeline
-        self._region = region
-        self._seg = seg
-        self._thread = thread
-        self._timing = timing
-        self._span_ctx = span_ctx
-        self._span = span
-        self._req: Any = None
-        self._exc: Optional[BaseException] = None
-        self._start(self._s_kicked)
-
-    def _s_kicked(self, event: Any) -> None:
-        self._t0 = self.env.now
-        doca = self._pl.doca
-        region = self._region
-        seg = self._seg
-        if seg > region.size:
-            self._error_put(
-                ValueError(
-                    f"transfer of {seg} B exceeds region size {region.size} B"
-                )
-            )
-            return
-        # DocaDma.ensure_exported, flattened: cache hit is the zero-event
-        # fast path; a miss charges the negotiation CPU on the caller.
-        if doca.mr_cache_enabled and region.region_id in doca._exported:
-            doca.cache_hits += 1
-            self._s_engine(0.0)
-            return
-        doca.cache_misses += 1
-        self._charge(
-            self._thread, CommChannel.NEGOTIATE_CPU, self._s_negotiated
-        )
-
-    def _s_negotiated(self) -> None:
-        doca = self._pl.doca
-        doca.comm.negotiations += 1
-        if doca.mr_cache_enabled:
-            doca._exported.add(self._region.region_id)
-        self._s_engine(doca.comm.negotiate_latency)
-
-    def _s_engine(self, negotiation: float) -> None:
-        # DmaEngine.transfer, flattened (validations included so a bad
-        # segmentation fails the machine the way it failed the process).
-        engine = self._pl.doca.engine
-        seg = self._seg
-        if seg <= 0:
-            self._error_put(
-                SimulationError(f"transfer size must be positive: {seg}")
-            )
-            return
-        if seg > engine.max_transfer:
-            self._error_put(
-                SimulationError(
-                    f"transfer of {seg} B exceeds hardware cap "
-                    f"{engine.max_transfer} B — callers must segment"
-                )
-            )
-            return
-        self._negotiation = negotiation
-        self._t_req = self.env.now
-        req = engine._channels.request()
-        self._req = req
-        self._park(req, self._s_granted)
-
-    def _s_granted(self, event: Any) -> None:
-        engine = self._pl.doca.engine
-        waited = self.env.now - self._t_req
-        engine.wait_time += waited
-        self._waited = waited
-        setup = engine.setup_latency + self._negotiation
-        duration = setup + self._seg / engine.bandwidth
-        self._setup = setup
-        self._duration = duration
-        self._park(self._req.hold(duration), self._s_served)
-
-    def _s_served(self, event: Any) -> None:
-        pl = self._pl
-        engine = pl.doca.engine
-        seg = self._seg
-        now = self.env.now
-        engine.busy_time += self._duration
-        engine.setup_time += self._setup
-        if (engine.fault_hook is not None and engine.fault_hook(seg)) or (
-            engine.fault_injector is not None
-            and engine.fault_injector.fire(now, size=seg)
-        ):
-            # A failed transfer held the channel just as long as a
-            # successful one; its bytes stay on the books for busy-time
-            # conservation.  Ordering matches the generator unwind:
-            # engine stats, channel release, cache invalidation, then
-            # the pipeline's DmaError handling and the RPC resend.
-            engine.failures += 1
-            engine.failed_bytes += seg
-            engine._channels.finish(self._req)
-            self._req = None
-            pl.doca.invalidate(self._region)
-            pl.fallback.record_failure(self.env.now)
-            if self._span is not None:
-                self._span.error(self.env.now, "dma-error")
-            self._drive(
-                pl._segment_via_rpc(
-                    seg, self._thread, self._timing, self._span_ctx,
-                    retry_of=self._span, reason="dma-error",
-                ),
-                self._s_rpc_done,
-            )
-            return
-        engine.transfers += 1
-        engine.bytes_transferred += seg
-        engine._channels.finish(self._req)
-        self._req = None
-        timing = self._timing
-        waited = self._waited
-        t0 = self._t0
-        if waited > 0:
-            # queueing for the serial channel precedes the service
-            timing.wait_intervals.append((t0, t0 + waited))
-        timing.service_intervals.append((t0 + waited, self.env.now))
-        if pl.completion_thread is not None:
-            self._charge(
-                pl.completion_thread, pl.COMPLETION_POLL_CPU, self._s_polled
-            )
-            return
-        self._s_polled()
-
-    def _s_polled(self) -> None:
-        if self._span is not None:
-            self._span.finish(self.env.now)
-        self._s_put()
-
-    def _s_rpc_done(self, value: Any) -> None:
-        self._s_put()
-
-    def _s_put(self) -> None:
-        self._park(self._pl._buffers.put(self._region), self._s_done)
-
-    def _s_done(self, event: Any) -> None:
-        self._finish(None)
-
-    # -- failure paths: the buffer is returned before the machine fails,
-    # matching the generator's `finally: yield self._buffers.put(region)`.
-    def _error_put(self, exc: BaseException) -> None:
-        self._exc = exc
-        self._park(self._pl._buffers.put(self._region), self._s_error_done)
-
-    def _s_error_done(self, event: Any) -> None:
-        exc = self._exc
-        self._exc = None
-        self._fail(exc)  # type: ignore[arg-type]
-
-    def _on_gen_error(self, exc: BaseException) -> None:
-        self._error_put(exc)

@@ -47,7 +47,6 @@ from ..rados.osdmap import OsdMap
 from ..rados.types import PgId
 from ..sim import AllOf, Event
 from ..sim.exceptions import Interrupt
-from ..sim.machine import Machine
 from .optracker import OpTracker
 from .opqueue import (
     CLIENT_OP,
@@ -183,10 +182,7 @@ class OsdDaemon:
         self._completion_thread = SimThread(
             cpu, f"{self.name}.tp_osd_tp-complete", OSD_CATEGORY
         )
-        self._op_procs = [
-            _OpLoop(self, t, f"{self.name}.tp_osd_tp-{i}")
-            for i, t in enumerate(self._op_threads)
-        ]
+        self._op_procs = self._start_op_loops()
 
         self._repop_tid = 0
         self._inflight: dict[int, _InFlightWrite] = {}
@@ -382,10 +378,7 @@ class OsdDaemon:
                            key=lambda p: (p.pool, p.seed)):
             self.refresh_pg(pgid)
         self._down_handled = True
-        self._op_procs = [
-            _OpLoop(self, t, f"{self.name}.tp_osd_tp-{i}")
-            for i, t in enumerate(self._op_threads)
-        ]
+        self._op_procs = self._start_op_loops()
         self.messenger.startup()
         self.alive = True
         if self._hb_cfg is not None:
@@ -529,6 +522,56 @@ class OsdDaemon:
             _release(msg)
         if False:  # keep the generator form the messenger expects
             yield
+
+    def _start_op_loops(self) -> list[Any]:
+        return [
+            self.env.process(
+                self._op_loop(t), name=f"{self.name}.tp_osd_tp-{i}"
+            )
+            for i, t in enumerate(self._op_threads)
+        ]
+
+    def _op_loop(self, thread: SimThread) -> Generator[Any, Any, None]:
+        """One ``tp_osd_tp`` worker: pop an op, pay the context switch,
+        dispatch by message type.  Ends when :meth:`crash` interrupts
+        it, whichever park it is at."""
+        try:
+            while True:
+                msg = yield self._op_queue.dequeue()
+                yield from thread.ctx_switch()
+                if isinstance(msg, MOSDOp):
+                    if msg.op == OpType.WRITE:
+                        yield from self._handle_client_write(msg, thread)
+                    elif msg.op == OpType.READ:
+                        yield from self._handle_client_read(msg, thread)
+                    elif msg.op == OpType.STAT:
+                        yield from self._handle_client_stat(msg, thread)
+                    elif msg.op == OpType.DELETE:
+                        yield from self._handle_client_delete(msg, thread)
+                elif isinstance(msg, MOSDRepOp):
+                    yield from self._handle_repop(msg, thread)
+                elif isinstance(msg, MOSDPGPull):
+                    if self.recovery is not None:
+                        self.recovery.handle_pull(msg)
+                    _release(msg)
+                elif isinstance(msg, MOSDPGPush):
+                    if self.recovery is not None:
+                        self.env.process(
+                            self.recovery.handle_push(msg),
+                            name=f"{self.name}.recv-push",
+                        )
+                    else:
+                        _release(msg)
+                elif isinstance(msg, MScrubDigest):
+                    if self.scrub is not None:
+                        self.env.process(
+                            self.scrub.handle_digest(msg),
+                            name=f"{self.name}.scrub-check",
+                        )
+                    else:
+                        _release(msg)
+        except Interrupt:
+            return
 
     def _misdirected(self, msg: MOSDOp, pgid: PgId) -> bool:
         """Drop a client op we are not the current primary for.
@@ -884,96 +927,6 @@ class OsdDaemon:
 
     def __repr__(self) -> str:
         return f"<OsdDaemon {self.name} pgs={len(self.pgs)}>"
-
-
-class _OpLoop(Machine):
-    """Flattened ``tp_osd_tp`` worker: pop an op, pay the context
-    switch, dispatch by message type.
-
-    The loop shell (dequeue park → ctx-switch charge → dispatch) is
-    hand-flattened; the per-type handlers stay generators — they are
-    long, branchy, and individually cold — and run under the machine's
-    generator driver with exact ``yield from`` parity.  Interruptible
-    (daemon crash): an interrupt at any park, mid-charge, or mid-handler
-    completes the machine, matching the generator's
-    ``except Interrupt: return``.
-    """
-
-    __slots__ = ("_daemon", "_thread", "_msg")
-
-    def __init__(self, daemon: OsdDaemon, thread: SimThread, name: str) -> None:
-        super().__init__(daemon.env, name)
-        self._init_interruptible()
-        self._daemon = daemon
-        self._thread = thread
-        self._msg: Optional[Message] = None
-        self._start(self._s_kicked)
-
-    def _s_kicked(self, event: Any) -> None:
-        self._next_op()
-
-    def _next_op(self) -> None:
-        self._park(self._daemon._op_queue.dequeue(), self._s_got)
-
-    def _s_got(self, event: Any) -> None:
-        self._msg = event._value
-        self._ctx_switch(self._thread, self._s_dispatch)
-
-    def _s_dispatch(self) -> None:
-        msg = self._msg
-        self._msg = None
-        daemon = self._daemon
-        thread = self._thread
-        if isinstance(msg, MOSDOp):
-            op = msg.op
-            if op == OpType.WRITE:
-                self._drive(
-                    daemon._handle_client_write(msg, thread), self._s_handled
-                )
-            elif op == OpType.READ:
-                self._drive(
-                    daemon._handle_client_read(msg, thread), self._s_handled
-                )
-            elif op == OpType.STAT:
-                self._drive(
-                    daemon._handle_client_stat(msg, thread), self._s_handled
-                )
-            elif op == OpType.DELETE:
-                self._drive(
-                    daemon._handle_client_delete(msg, thread), self._s_handled
-                )
-            else:
-                self._next_op()
-        elif isinstance(msg, MOSDRepOp):
-            self._drive(daemon._handle_repop(msg, thread), self._s_handled)
-        elif isinstance(msg, MOSDPGPull):
-            if daemon.recovery is not None:
-                daemon.recovery.handle_pull(msg)
-            _release(msg)
-            self._next_op()
-        elif isinstance(msg, MOSDPGPush):
-            if daemon.recovery is not None:
-                daemon.env.process(
-                    daemon.recovery.handle_push(msg),
-                    name=f"{daemon.name}.recv-push",
-                )
-            else:
-                _release(msg)
-            self._next_op()
-        elif isinstance(msg, MScrubDigest):
-            if daemon.scrub is not None:
-                daemon.env.process(
-                    daemon.scrub.handle_digest(msg),
-                    name=f"{daemon.name}.scrub-check",
-                )
-            else:
-                _release(msg)
-            self._next_op()
-        else:
-            self._next_op()
-
-    def _s_handled(self, value: Any) -> None:
-        self._next_op()
 
 
 def _release(msg: Message) -> None:

@@ -20,8 +20,6 @@ from .core import (
 from .exceptions import Interrupt, SimulationError, StopSimulation
 from .resources import (
     Container,
-    FilterStore,
-    PriorityResource,
     Release,
     Request,
     Resource,
@@ -35,11 +33,9 @@ __all__ = [
     "Container",
     "Environment",
     "Event",
-    "FilterStore",
     "Interrupt",
     "PRIORITY_NORMAL",
     "PRIORITY_URGENT",
-    "PriorityResource",
     "Process",
     "Release",
     "Request",

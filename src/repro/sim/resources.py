@@ -4,12 +4,10 @@ Provides the queuing building blocks the hardware models are made of:
 
 * :class:`Resource` — ``capacity`` identical servers, FIFO queue
   (CPU cores, DMA channels, SSD submission slots).
-* :class:`PriorityResource` — like :class:`Resource` but requests carry a
-  priority (smaller = more urgent); ties break FIFO.
 * :class:`Container` — a continuous quantity with bounded capacity
   (buffer-pool bytes).
-* :class:`Store` / :class:`FilterStore` — queues of Python objects
-  (dispatch queues, mailboxes).
+* :class:`Store` — a queue of Python objects (dispatch queues,
+  mailboxes).
 
 All request/release operations are events, so processes simply ``yield``
 them.  Requests support the context-manager protocol::
@@ -24,20 +22,17 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .core import PRIORITY_NORMAL, Environment, Event, _PENDING
 from .exceptions import SimulationError
 
 __all__ = [
     "Resource",
-    "PriorityResource",
     "Request",
-    "PriorityRequest",
     "Release",
     "Container",
     "Store",
-    "FilterStore",
 ]
 
 
@@ -110,31 +105,16 @@ class Request(Event):
             # Recycle the request on opted-in resources: after a
             # with-block release nothing observes the event again, and
             # ``callbacks is None`` proves the event loop is done with
-            # it.  Priority requests keep their own identity.
+            # it.
             pool = resource._request_pool
             if (
                 pool is not None
                 and self.callbacks is None
-                and self.__class__ is Request
                 and len(pool) < 32
             ):
                 pool.append(self)
         else:
             self.cancel()
-
-
-class PriorityRequest(Request):
-    """A prioritized claim; smaller ``priority`` is served first."""
-
-    __slots__ = ("priority", "seq")
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0) -> None:
-        self.priority = priority
-        self.seq = resource._next_seq()
-        super().__init__(resource)
-
-    def sort_key(self) -> tuple[int, int]:
-        return (self.priority, self.seq)
 
 
 class Release(Event):
@@ -235,7 +215,6 @@ class Resource:
             if (
                 pool is not None
                 and request.callbacks is None
-                and request.__class__ is Request
                 and len(pool) < 32
             ):
                 pool.append(request)
@@ -276,39 +255,6 @@ class Resource:
             f"<{type(self).__name__} {self.count}/{self.capacity} busy,"
             f" {len(self.queue)} queued>"
         )
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by request priority."""
-
-    __slots__ = ("_seq",)
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._seq = 0
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        if len(self.users) < self.capacity and not self.queue:
-            self.users.append(request)
-            request.succeed()
-            return
-        # Insert in (priority, seq) order; deque insort by linear scan is
-        # fine at the queue lengths these models produce.
-        key = request.sort_key()
-        for i, waiting in enumerate(self.queue):
-            assert isinstance(waiting, PriorityRequest)
-            if key < waiting.sort_key():
-                self.queue.insert(i, request)
-                return
-        self.queue.append(request)
 
 
 class _ContainerGet(Event):
@@ -400,20 +346,15 @@ class Container:
 
 
 class _StoreGet(Event):
-    __slots__ = ("filter",)
+    __slots__ = ()
 
-    def __init__(
-        self,
-        store: "Store",
-        filter: Optional[Callable[[Any], bool]] = None,
-    ) -> None:
+    def __init__(self, store: "Store") -> None:
         # Inlined Event.__init__ (hot: every dispatch-queue pop).
         self.env = store.env
         self.callbacks = []
         self._value = _PENDING
         self._ok = True
         self._defused = False
-        self.filter = filter
         store._getters.append(self)
         store._trigger()
 
@@ -481,37 +422,3 @@ class Store:
             if not (progressed and self._putters):
                 return
 
-
-class FilterStore(Store):
-    """A :class:`Store` whose getters may select items by predicate."""
-
-    __slots__ = ()
-
-    def get(  # type: ignore[override]
-        self, filter: Optional[Callable[[Any], bool]] = None
-    ) -> _StoreGet:
-        """Pop the oldest item matching ``filter`` (all items if ``None``)."""
-        return _StoreGet(self, filter)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progressed = True
-            # Try every waiting getter (a later getter's filter may match
-            # even when the head getter's doesn't).
-            for get in list(self._getters):
-                matched = None
-                for item in self.items:
-                    if get.filter is None or get.filter(item):
-                        matched = item
-                        break
-                if matched is not None:
-                    self.items.remove(matched)
-                    self._getters.remove(get)
-                    get.succeed(matched)
-                    progressed = True

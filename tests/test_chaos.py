@@ -97,6 +97,54 @@ def test_crash_restart_lifecycle():
         assert osd.pgs[pgid].clean
 
 
+_OP_LOOP_PARKS = ["dequeue", "ctx-switch grant", "ctx-switch hold",
+                  "handler charge grant", "handler charge hold"]
+
+
+@pytest.mark.parametrize("park", _OP_LOOP_PARKS)
+def test_op_loop_interrupted_at_any_park_ends_cleanly(park):
+    """What ``crash()`` does to each ``tp_osd_tp`` loop, one park at a
+    time: the loop ends (finished, not failed) and whatever core it
+    was waiting for or holding goes back to the pool."""
+    env, c = make_cluster()
+    loops = [proc for osd in c.osds for proc in osd._op_procs]
+
+    def where(proc):
+        # A recycled Request is one object for the grant and the hold
+        # of consecutive charges; armed as a hold it sits on the heap.
+        target = proc.target
+        return id(target), any(entry[3] is target for entry in env._queue)
+
+    idle = {proc: where(proc) for proc in loops}
+    env.process(c.client.write_object(BENCH_POOL, "victim", 1 << 16))
+    proc = None
+    while proc is None:
+        env.step()
+        proc = next((p for p in loops if where(p) != idle[p]), None)
+    if park == "dequeue":
+        proc = next(p for p in loops if p is not proc)  # still idle
+    for _ in range(max(_OP_LOOP_PARKS.index(park) - 1, 0)):
+        here = where(proc)
+        while where(proc) == here:
+            env.step()
+    osd = next(o for o in c.osds if proc in o._op_procs)
+    pool = osd.messenger.stack.cpu._core_pool
+    request = proc.target
+    if park != "dequeue":
+        assert request.resource is pool
+        assert where(proc)[1] == park.endswith("hold")
+
+    proc.interrupt("osd crash")
+    env.step()  # urgent: delivered before anything else runs
+    assert proc.triggered and proc.ok and proc.value is None
+    assert request not in pool.users and request not in pool.queue
+    for _ in range(10_000):
+        if pool.count == 0:
+            break
+        env.step()
+    assert pool.count == 0
+
+
 def test_crash_preserves_acked_writes():
     env, c = make_cluster()
     written = write_objects(env, c, [f"durable-{i}" for i in range(6)])

@@ -448,6 +448,24 @@ def test_pipelined_beats_sequential_latency():
     assert run(True) < run(False)
 
 
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_pipelining_costs_one_process_per_segment(n):
+    """The two modes run the same loop and the same ``_dma_segment``;
+    pipelining only turns each segment into a process of its own, i.e.
+    one ``Initialize`` and one completion event per segment."""
+    def run(pipelined):
+        env = Environment()
+        node, pipe, fb, thread = make_pipeline(env, pipelined=pipelined)
+        p = env.process(pipe.push(n * 2 * MB, thread))
+        env.run()
+        assert p.value.segments == n and p.value.fallback_bytes == 0
+        assert node.dma.transfers == n
+        assert len(pipe._buffers.items) == 4  # every staging buffer is back
+        return env.events_scheduled
+
+    assert run(True) - run(False) == 2 * n
+
+
 def test_pipeline_requires_two_buffers_when_pipelined():
     env = Environment()
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ throttling, and heartbeats."""
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.hw import Network
 from repro.msgr import (
     AsyncMessenger,
@@ -13,8 +14,10 @@ from repro.msgr import (
     MSGR_CATEGORY,
     OpType,
 )
+from repro.msgr.messenger import Connection, WireFrame
 from repro.sim import Environment
 from repro.util import DataBlob
+from repro.util.bufferlist import BufferList
 
 from tests.helpers import make_stack
 
@@ -266,3 +269,88 @@ def test_heartbeat_detects_silence():
     # b has no dispatcher -> never replies
     env.run(until=3.0)
     assert agent_a.stale_peers(env.now) == ["b"]
+
+
+# ------------------------------------------- the wire pump vs Network.deliver
+
+_T0 = 1.0  # both sides put the frame on the wire at this instant
+
+
+def _wire_world(condition):
+    env = Environment()
+    a, _b = build_pair(env, bandwidth=8e9)
+    net = a.stack.network
+    drops = []
+    if condition == "degrade":
+        plan = FaultPlan.parse("net:degrade,p=0.4,factor=3", seed=11)
+        plan.attach_net(net.nic("a"), "a")
+        plan.attach_net(net.nic("b"), "b")
+    elif condition == "partition":
+        # opens while the first chunk is still crossing the link
+        net.partition(
+            {"b"}, _T0 + 5e-6, _T0 + 10.0,
+            on_drop=lambda nbytes: drops.append((env.now, nbytes)),
+        )
+    conn = a.connect("b")
+    env.run(until=_T0)
+    return env, net, a, conn, drops
+
+
+def _wire_outcome(env, net, events_before, finished, drops):
+    tx, rx = net.nic("a").tx, net.nic("b").rx
+    return {
+        # each side schedules two events of its own around the wire: a
+        # process its Initialize and completion, the pump the put and
+        # the get of its queue hand-off
+        "events": env.events_scheduled - events_before - 2,
+        "finished": finished,
+        "drops": drops,
+        "tx": (tx.bytes_transferred, tx.busy_time, tx.degraded_chunks),
+        "rx": (rx.bytes_transferred, rx.busy_time, rx.degraded_chunks),
+    }
+
+
+@pytest.mark.parametrize("condition", ["clean", "degrade", "partition"])
+@pytest.mark.parametrize("wire", [4 * (1 << 20) + 200, 1000])
+def test_wire_pump_matches_network_deliver(monkeypatch, wire, condition):
+    """``Network.deliver`` is the reference for the wire: a frame
+    through a ``_WirePump`` schedules the same events, finishes at the
+    same instant and leaves the same statistics on both pipes."""
+    env, net, _a, _conn, drops = _wire_world(condition)
+    finished = []
+
+    def reference():
+        ok = yield from net.deliver("a", "b", wire)
+        finished.append((env.now, ok))
+
+    before = env.events_scheduled
+    env.process(reference())
+    env.run()
+    expected = _wire_outcome(env, net, before, finished, drops)
+
+    env, net, a, conn, drops = _wire_world(condition)
+    finished = []
+    monkeypatch.setattr(
+        Connection, "_finish_delivery",
+        lambda self, frame, bl=None: finished.append((env.now, True)),
+    )
+    before = env.events_scheduled
+    conn.send_seq += 1
+    conn._wire_queue.put(
+        WireFrame(conn.send_seq, conn.epoch, None, BufferList(), None, wire, None)
+    )
+    env.run()
+    if a.messages_dropped:
+        finished.append((drops[-1][0], False))
+    assert _wire_outcome(env, net, before, finished, drops) == expected
+
+    chunks = -(-wire // net.nic("a").tx.chunk_bytes)
+    assert expected["tx"][0] == wire
+    if condition == "partition":
+        assert expected["finished"] == [(drops[0][0], False)]
+        assert drops == [(drops[0][0], wire)] and drops[0][0] > _T0 + 5e-6
+    else:
+        assert expected["finished"][0][1] is True and not drops
+        assert expected["rx"][0] == wire
+    if condition == "degrade" and chunks > 1:
+        assert expected["tx"][2] > 0 and expected["rx"][2] > 0

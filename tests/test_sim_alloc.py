@@ -6,8 +6,9 @@ wait objects and re-arm them (DESIGN.md §13, "Who owns an event
 object"): a granted ``Request`` is the timeout of its own hold, and an
 rx chunk machine returns to its pipe's free list with its kick, its
 latency timer and its prebound callbacks.  This gate counts, exactly,
-every construction of an :class:`Event` subclass defined in
-``repro.sim`` or ``repro.hw`` after a warm-up window.  On the parent
+every construction of an :class:`Event` subclass defined anywhere in
+``repro`` (the pump itself is a ``repro.msgr`` machine) after a
+warm-up window.  On the parent
 commit each 4 MB frame constructed 17 ``_RxChunk`` and 17 ``_Kick``.
 """
 
@@ -28,8 +29,8 @@ MB = 1 << 20
 
 
 class _Constructions:
-    """Context manager: exact count, by class name, of ``repro.sim`` /
-    ``repro.hw`` event objects constructed while it is active.
+    """Context manager: exact count, by class name, of the tree's
+    event objects constructed while it is active.
 
     Every ``Event`` subclass in the tree has a Python ``__init__``, so a
     profile hook sees each construction as a ``call`` of a code object
@@ -55,7 +56,7 @@ class _Constructions:
         ):
             return
         cls = type(obj)
-        if cls.__module__.startswith(("repro.sim", "repro.hw")):
+        if cls.__module__.startswith("repro."):
             self.counts[cls.__name__] += 1
 
     def __enter__(self) -> "_Constructions":
@@ -144,9 +145,10 @@ def test_frames_through_a_wire_pump_construct_nothing_after_warm_up(monkeypatch)
         push(frames)
     assert len(delivered) == 3 + frames
     assert rx_pipe.bytes_transferred == (3 + frames) * wire
-    # ~ 17 x (tx grant + tx hold + kick + latency + rx grant + rx hold +
-    # completion) events per frame were scheduled in the window ...
-    assert env.events_scheduled - events_before > frames * 17 * 7
+    # 17 x (tx grant + tx hold + kick + latency + rx grant + rx hold +
+    # completion) events per frame, and the put and the get of its
+    # hand-off, were scheduled in the window, no more and no fewer ...
+    assert env.events_scheduled - events_before == frames * (17 * 7 + 2)
     # ... on objects that all existed before it.
     assert seen.counts == {"_StorePut": frames, "_StoreGet": frames}
     assert {id(chunk) for chunk in rx_pipe._rx_free} == chunks

@@ -5,9 +5,7 @@ import pytest
 from repro.sim import (
     Container,
     Environment,
-    FilterStore,
     Interrupt,
-    PriorityResource,
     Resource,
     SimulationError,
     Store,
@@ -254,55 +252,6 @@ def test_interrupt_during_a_hold_releases_at_once_and_never_recycles():
     assert armed[0] not in res._request_pool
 
 
-def test_priority_resource_orders_by_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(5)
-
-    def user(env, name, prio, delay):
-        yield env.timeout(delay)
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-
-    env.process(holder(env))
-    env.process(user(env, "low", 10, 1))
-    env.process(user(env, "high", 1, 2))
-    env.process(user(env, "mid", 5, 3))
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_priority_resource_fifo_within_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(5)
-
-    def user(env, name, delay):
-        yield env.timeout(delay)
-        with res.request(priority=3) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-
-    env.process(holder(env))
-    env.process(user(env, "first", 1))
-    env.process(user(env, "second", 2))
-    env.run()
-    assert order == ["first", "second"]
-
-
 # ---------------------------------------------------------------- Container
 
 
@@ -448,65 +397,3 @@ def test_store_len():
     env.run()
     assert len(store) == 2
 
-
-def test_filter_store_selects_matching():
-    env = Environment()
-    store = FilterStore(env)
-    out = []
-
-    def producer(env):
-        for item in [1, 2, 3, 4]:
-            yield store.put(item)
-
-    def consumer(env):
-        even = yield store.get(lambda x: x % 2 == 0)
-        out.append(even)
-        any_item = yield store.get()
-        out.append(any_item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert out == [2, 1]
-
-
-def test_filter_store_waits_for_match():
-    env = Environment()
-    store = FilterStore(env)
-    out = []
-
-    def consumer(env):
-        item = yield store.get(lambda x: x == "wanted")
-        out.append((env.now, item))
-
-    def producer(env):
-        yield store.put("other")
-        yield env.timeout(5)
-        yield store.put("wanted")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert out == [(5, "wanted")]
-    assert list(store.items) == ["other"]
-
-
-def test_filter_store_later_getter_can_match_first():
-    env = Environment()
-    store = FilterStore(env)
-    out = []
-
-    def consumer(env, name, pred):
-        item = yield store.get(pred)
-        out.append((name, item))
-
-    env.process(consumer(env, "picky", lambda x: x > 10))
-    env.process(consumer(env, "easy", lambda x: True))
-
-    def producer(env):
-        yield env.timeout(1)
-        yield store.put(5)
-
-    env.process(producer(env))
-    env.run(until=10)
-    assert out == [("easy", 5)]
