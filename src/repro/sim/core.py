@@ -12,11 +12,16 @@ Design notes
   same seed produce identical traces.
 * **Pending events live where their key puts them** (DESIGN.md §13).
   Most events are scheduled for the current instant, so the pending set
-  is split three ways: ``_urgent`` and ``_normal`` are FIFOs of events
-  due *now* at each priority, and ``_queue`` is a heap of ``(time,
-  priority, sequence, event)`` for the future.  The pop rule
-  (:meth:`Environment.step`) walks them in an order that equals the
-  one-heap order exactly.  Heap entries keep their small ints unpacked,
+  is split four ways: ``_urgent`` and ``_normal`` are FIFOs of events
+  due *now* at each priority, ``_queue`` is the hot heap of ``(time,
+  priority, sequence, event)`` for the near future, and ``_far`` is a
+  second heap, keyed the same way, for timeouts filed at least
+  :data:`FAR_S` ahead — watchdogs and 1-s tickers, which almost never
+  fire as anything but no-ops and would otherwise make up nearly all
+  of the hot heap.  A far entry moves into the hot heap before the
+  clock can reach it.  The pop rule (:meth:`Environment.step`) walks
+  the containers in an order that equals the one-heap order exactly.
+  Heap entries keep their small ints unpacked,
   because CPython compares them in one machine word whereas a
   ``priority << k | seq`` packed key goes multi-digit and slows every
   heap sift (measured ~5% on the fallback scenario).
@@ -55,6 +60,7 @@ __all__ = [
     "AnyOf",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
+    "FAR_S",
     "register_fresh_env_hook",
 ]
 
@@ -65,6 +71,18 @@ PRIORITY_URGENT = 0
 
 #: Default scheduling priority.
 PRIORITY_NORMAL = 1
+
+#: Delay (simulated seconds) from which :class:`Timeout` and
+#: :meth:`Environment.schedule` file an event on the far heap instead of
+#: the hot one.  Read off the delay histogram of the benchmark workloads
+#: (DESIGN.md §13): every service hold, machine timer and short timeout
+#: is < 0.15 s ahead, and the RPC watchdogs (0.5 s under the
+#: fast-recovery profile, 1-10 s otherwise) and the heartbeat, beacon,
+#: recovery and metrics tickers (1 s) are >= 0.5 s.  Dispatch order
+#: does not depend on the value.
+FAR_S = 0.5
+
+_INF = float("inf")
 
 # Sentinel distinguishing "not yet triggered" from "triggered with None".
 _PENDING = object()
@@ -213,7 +231,7 @@ class Timeout(Event):
         # Timeouts are the highest-churn event type, so the generic
         # Event.__init__ chain is inlined: a timeout is born triggered,
         # and its fields are each written exactly once.
-        if not delay >= 0:  # negative, or NaN (which no comparison admits)
+        if not 0 <= delay < _INF:  # negative, infinite, or NaN
             raise SimulationError(f"invalid timeout delay: {delay!r}")
         self.env = env
         self.callbacks = []
@@ -225,7 +243,10 @@ class Timeout(Event):
         now = env._now
         at = now + delay
         if at > now:
-            heappush(env._queue, (at, PRIORITY_NORMAL, seq, self))
+            if delay < FAR_S:
+                heappush(env._queue, (at, PRIORITY_NORMAL, seq, self))
+            else:
+                env._file_far((at, PRIORITY_NORMAL, seq, self))
         else:
             # Zero delay, or one the clock's precision absorbs: due now.
             env._normal.append(self)
@@ -419,6 +440,8 @@ class Condition(Event):
             return
 
         for ev in self._events:
+            if self._value is not _PENDING:
+                break  # an already-processed child decided it
             if ev.callbacks is None:
                 self._check(ev)
             else:
@@ -433,20 +456,27 @@ class Condition(Event):
 
     def _check(self, event: Event) -> None:
         if self._value is not _PENDING:
-            if not event._ok and not event._defused:
-                # Condition already triggered; don't swallow the failure.
-                event._defused = False
-            return
+            return  # a child listed twice, dispatched once
         self._count += 1
         if not event._ok:
             event._defused = True
             self._ok = False
             self._value = event._value
-            self.env.schedule(self)
         elif self._evaluate(self._events, self._count):
             self._ok = True
             self._value = self._collect()
-            self.env.schedule(self)
+        else:
+            return
+        self.env.schedule(self)
+        # Let go of the children still pending: an RPC watchdog that
+        # lost to the reply would otherwise pin this condition, its
+        # events and its value until the deadline.  A child that fails
+        # later still surfaces from run(), as nothing defuses it.
+        check = self._check
+        for ev in self._events:
+            callbacks = ev.callbacks
+            if callbacks is not None and check in callbacks:
+                callbacks.remove(check)
 
     @staticmethod
     def all_events(events: list[Event], count: int) -> bool:
@@ -518,6 +548,8 @@ class Environment:
         "_urgent",
         "_normal",
         "_queue",
+        "_far",
+        "_far_at",
         "_seq",
         "_popped",
         "_active_process",
@@ -526,8 +558,11 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        # Heap entries are (time, priority, seq, event).
+        # Heap entries are (time, priority, seq, event), on both heaps.
         self._queue: list[tuple[float, int, int, Event]] = []
+        self._far: list[tuple[float, int, int, Event]] = []
+        #: Time of the far heap's top entry, ``inf`` when it is empty.
+        self._far_at = _INF
         self._urgent: deque[Event] = deque()
         self._normal: deque[Event] = deque()
         self._seq = 0
@@ -594,8 +629,12 @@ class Environment:
         The generic route into the pending set (hot constructors file
         their event inline).  ``priority`` is :data:`PRIORITY_NORMAL` or
         :data:`PRIORITY_URGENT`, and an urgent event is always due now:
-        the pop rule relies on every future entry being normal.
+        the pop rule relies on every future entry being normal.  A
+        negative, infinite or NaN ``delay`` raises
+        :class:`SimulationError` (a "never" is an untriggered event).
         """
+        if not 0 <= delay < _INF:  # negative, infinite, or NaN
+            raise SimulationError(f"invalid schedule delay: {delay!r}")
         now = self._now
         at = now + delay
         if at > now:
@@ -605,11 +644,10 @@ class Environment:
                     f"got priority={priority!r} with delay={delay!r}"
                 )
             self._seq = seq = self._seq + 1
-            heappush(self._queue, (at, priority, seq, event))
-        elif not delay >= 0:  # negative, or NaN
-            raise SimulationError(
-                f"cannot schedule in the past (delay={delay})"
-            )
+            if delay < FAR_S:
+                heappush(self._queue, (at, priority, seq, event))
+            else:
+                self._file_far((at, priority, seq, event))
         elif priority == PRIORITY_NORMAL:
             self._seq += 1
             self._normal.append(event)
@@ -619,11 +657,26 @@ class Environment:
         else:
             raise SimulationError(f"unknown scheduling priority: {priority!r}")
 
+    def _file_far(self, entry: tuple[float, int, int, Event]) -> None:
+        """File a heap entry at least :data:`FAR_S` ahead on the far heap."""
+        heappush(self._far, entry)
+        if entry[0] < self._far_at:
+            self._far_at = entry[0]
+
+    def _migrate(self, at: float) -> None:
+        """Move every far entry due at or before ``at`` to the hot heap."""
+        far = self._far
+        queue = self._queue
+        while far and far[0][0] <= at:
+            heappush(queue, heappop(far))
+        self._far_at = far[0][0] if far else _INF
+
     def peek(self) -> float:
         """Time of the next pending event, or ``inf`` if there is none."""
         if self._urgent or self._normal:
             return self._now
-        return self._queue[0][0] if self._queue else float("inf")
+        at = self._queue[0][0] if self._queue else _INF
+        return min(at, self._far_at)
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it).
@@ -632,9 +685,12 @@ class Environment:
         event is the first of:
 
         1. the head of the urgent FIFO;
-        2. the heap's top entry, if its time equals ``now``;
+        2. the hot heap's top entry, if its time equals ``now``;
         3. the head of the normal FIFO;
-        4. the heap's top entry; the clock advances to its time.
+        4. the hot heap's top entry; the clock advances to its time.
+           First, every far-heap entry due at or before that time (or,
+           with the hot heap empty, at the far heap's top time) moves
+           into the hot heap.
 
         This is the ``(time, priority, sequence)`` order of one heap
         holding everything.  Nothing pending is earlier than ``now``, so
@@ -643,7 +699,11 @@ class Environment:
         normal events due now, a heap entry was scheduled before the
         clock reached ``now`` and a FIFO entry after, so the heap entry
         holds the smaller sequence number; each FIFO is in sequence
-        order by construction.
+        order by construction.  A far entry is keyed like a hot one and
+        is born at least :data:`FAR_S` ahead, and step 4 moves it to
+        the hot heap before the clock can reach its time, so no far
+        entry is ever due now: the order does not depend on which heap
+        an entry waited in, nor on the value of :data:`FAR_S`.
 
         Interleaving ``step()`` with ``run()`` is behavior-identical to
         one uninterrupted ``run()``; neither may be called from inside
@@ -657,10 +717,13 @@ class Environment:
             event = heappop(queue)[3]
         elif self._normal:
             event = self._normal.popleft()
-        elif queue:
-            self._now, _, _, event = heappop(queue)
         else:
-            raise IndexError("no more events")
+            at = queue[0][0] if queue else self._far_at
+            if self._far_at <= at:
+                if at == _INF:
+                    raise IndexError("no more events")
+                self._migrate(at)
+            self._now, _, _, event = heappop(queue)
         pending = self._seq - self._popped
         if pending > self._peak_pending:
             self._peak_pending = pending
@@ -701,7 +764,9 @@ class Environment:
           with the containers, the clock and the counters held in
           locals: at hundreds of thousands of events per run a method
           call or an attribute load per event is measurable.  The
-          horizon is tested only where the clock would advance.
+          horizon is tested only where the clock would advance, after
+          the far-heap migration, which costs one float comparison
+          there unless a far entry is due.
         * Cyclic garbage collection is suspended for the duration of the
           loop.  Event/process/generator webs are cyclic by nature, so
           the collector otherwise scans a few hundred thousand live
@@ -734,7 +799,7 @@ class Environment:
         queue = self._queue
         # ``inf`` stands in for "no deadline" so the loop tests a single
         # float comparison per clock advance instead of a None check too.
-        horizon = float("inf") if stop_at is None else stop_at
+        horizon = _INF if stop_at is None else stop_at
         now = self._now
         popped = self._popped
         peak = self._peak_pending
@@ -755,15 +820,18 @@ class Environment:
                     event = pop(queue)[3]
                 elif normal:
                     event = normal.popleft()
-                elif queue:
-                    at = queue[0][0]
+                else:
+                    at = queue[0][0] if queue else self._far_at
+                    if self._far_at <= at:
+                        if at == _INF:
+                            break  # nothing is pending
+                        self._migrate(at)
+                        at = queue[0][0]
                     if at >= horizon:
                         self._now = stop_at  # type: ignore[assignment]
                         return None
                     self._now = now = at
                     event = pop(queue)[3]
-                else:
-                    break
                 count = self._seq - popped
                 if count > peak:
                     peak = count

@@ -24,7 +24,7 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Optional
 
-from .core import PRIORITY_NORMAL, Environment, Event, _PENDING
+from .core import _INF, PRIORITY_NORMAL, Environment, Event, _PENDING
 from .exceptions import SimulationError
 
 __all__ = [
@@ -66,8 +66,10 @@ class Request(Event):
 
         Between its grant and its release a request is an idle object;
         ``yield req.hold(d)`` files it — one sequence number, on the
-        heap or the normal FIFO exactly as ``Timeout(env, d)`` files
-        itself — instead of constructing a timeout to wait beside it.
+        hot heap or the normal FIFO exactly as ``Timeout(env, d)`` files
+        itself for ``d`` below :data:`~repro.sim.core.FAR_S` (a hold is
+        a service time: it is never parked on the far heap) — instead
+        of constructing a timeout to wait beside it.
         The contract: yield (or park on) the result in the same
         statement, once per grant dispatch, and release as usual
         afterwards.  Releasing *during* the hold (an interrupt unwinding
@@ -79,10 +81,10 @@ class Request(Event):
         # ``callbacks`` is None only between a dispatch and the next
         # filing, and only a grant or a hold is ever dispatched: one
         # test covers ungranted, granted-but-undispatched and armed.
-        if self.callbacks is not None or not delay >= 0:
+        if self.callbacks is not None or not 0 <= delay < _INF:
             raise SimulationError(
                 f"hold({delay!r}) needs a granted, dispatched, unarmed "
-                f"request and a delay >= 0: {self!r}"
+                f"request and a finite delay >= 0: {self!r}"
             )
         self.callbacks = []
         env = self.env

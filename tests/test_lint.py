@@ -712,6 +712,27 @@ def test_fifo_drain_equals_native_digest_on_scenarios(scenario, seed):
     assert drained.peak_pending == native.peak_pending
 
 
+def test_lifo_drain_digest_is_pinned():
+    """The LIFO drain reverses every tie class, so an event that lands
+    in another class — say a far entry still waiting outside the hot
+    heap when its instant is drained — moves this digest even where the
+    native order is unchanged.  Pinned on ``smoke`` seed 0; the native
+    digest is ``tests/test_perf.py``'s golden."""
+    from repro.perf import run_scenario
+
+    batches = [0]
+
+    def count(time, events):
+        batches[0] += 1
+
+    with patched_tie_order("lifo", recorder=count):
+        env, _ = run_scenario("smoke", seed=0)
+    assert simulation_digest(env) == (
+        "2dc2726428a3c610eaf0b83ae3a5c42ae42ae2a3294399c9f9862c9557c4a588"
+    )
+    assert batches[0] == 14468
+
+
 def test_probe_leaves_a_stopped_batch_where_the_next_run_finds_it():
     """``run(until=ev)`` returns from the middle of a tie batch; the
     rest of it goes back under its own key: behind an urgent event

@@ -370,6 +370,37 @@ def test_any_of_waits_for_first():
     assert w.value == 2
 
 
+def test_any_of_lets_go_of_the_children_it_no_longer_waits_for():
+    """The RPC watchdog shape: the reply wins, and the pending timeout
+    stops pinning the condition until its deadline."""
+    env = Environment()
+    reply, watchdog = env.event(), env.timeout(10.0)
+    late = env.event()
+    cond = AnyOf(env, [reply, watchdog, late])
+    assert len(watchdog.callbacks) == 1
+    reply.succeed("pong")
+    env.step()  # the reply's dispatch triggers the condition
+    assert cond.triggered and cond.value == {reply: "pong"}
+    assert watchdog.callbacks == [] and late.callbacks == []
+    # Built already decided, a condition attaches to nothing after that.
+    done = AnyOf(env, [reply, watchdog])
+    assert done.triggered and watchdog.callbacks == []
+    env.run()
+    assert env.now == 10.0
+
+
+def test_a_child_failing_after_the_condition_triggered_still_surfaces():
+    env = Environment()
+    reply, late = env.event(), env.event()
+    cond = AnyOf(env, [reply, late])
+    reply.succeed()
+    env.run()
+    assert cond.processed and late.callbacks == []
+    late.fail(RuntimeError("late"))
+    with pytest.raises(RuntimeError, match="late"):
+        env.run()
+
+
 def test_and_or_operators():
     env = Environment()
 

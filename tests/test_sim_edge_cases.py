@@ -203,3 +203,47 @@ def test_nan_delay_rejected_at_every_entry_point():
     with pytest.raises(SimulationError):
         env.run()
     assert cpu.accounting.total_busy() == 0.0 and not cpu._core_pool.users
+
+
+INF = float("inf")
+
+
+def test_infinite_timeout_rejected():
+    """An infinite delay used to be filed, and a drained ``run()`` then
+    wrote its missing horizon into the clock: ``env.now`` became
+    ``None``.  A "never" is an untriggered ``env.event()``."""
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(INF)
+    assert env.events_scheduled == 0 and env.peek() == INF
+
+
+def test_infinite_schedule_rejected():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.schedule(env.event(), delay=INF)
+    assert env.events_scheduled == 0 and env.peek() == INF
+
+
+def test_infinite_hold_rejected():
+    from repro.sim import Resource
+
+    env = Environment()
+    req = Resource(env).request()
+    env.step()
+    with pytest.raises(SimulationError):
+        req.hold(INF)
+    assert env.events_scheduled == 1 and env.peek() == INF
+    assert req.hold(1.0) is req  # the refusal left it unarmed
+
+
+def test_drained_run_leaves_a_float_clock():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(INF)
+    env.timeout(2.0)  # far heap
+    env.run()
+    assert type(env.now) is float and env.now == 2.0
+    env.timeout(1.0)
+    env.run(until=5)
+    assert type(env.now) is float and env.now == 5.0
