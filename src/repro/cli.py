@@ -565,10 +565,9 @@ def _cmd_lint(args: argparse.Namespace) -> tuple[str, int]:
     """Static analysis + optional dynamic tie-order probe.
 
     Returns (report text, exit code): 3 when there are findings not
-    covered by the baseline, when the dynamic probe's FIFO control
+    covered by the baseline, or when the dynamic probe's FIFO control
     run fails to reproduce the native digest (a probe defect, not a
-    model property), or when the ownership sanitizer reports a
-    violation or a digest perturbation."""
+    model property)."""
     from . import lint as lintmod
 
     lines: list[str] = []
@@ -606,20 +605,10 @@ def _cmd_lint(args: argparse.Namespace) -> tuple[str, int]:
         if new:
             code = 3
 
-    if args.ownership:
-        graph = lintmod.ownership_graph(report.project)
-        lines.append(lintmod.render_ownership_report(graph))
-
     if args.dynamic:
         tie = lintmod.check_tie_order(args.dynamic, seed=args.seed)
         lines.append(tie.render())
         if not tie.instrumentation_ok:
-            code = 3
-
-    if args.sanitize:
-        sane = lintmod.run_sanitized(args.sanitize, seed=args.seed)
-        lines.append(sane.render())
-        if not sane.ok:
             code = 3
 
     return "\n".join(lines), code
@@ -818,22 +807,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="finding output format: human (default) or "
                            "github (::error workflow-command "
                            "annotations for inline PR review)")
-    lint.add_argument("--ownership", action="store_true",
-                      help="append the whole-program ownership report "
-                           "(per-node class roles, attribute "
-                           "classification, declared fabric edges)")
     lint.add_argument("--dynamic", default=None, metavar="SCENARIO",
                       choices=sorted(SCENARIOS),
                       help="also run the tie-order probe against a "
                            "repro.perf scenario and report "
                            "order-sensitive schedule sites")
-    lint.add_argument("--sanitize", default=None, metavar="SCENARIO",
-                      choices=sorted(SCENARIOS),
-                      help="also run the dynamic ownership sanitizer "
-                           "against a repro.perf scenario (exit 3 on "
-                           "violations or digest perturbation)")
     lint.add_argument("--seed", type=int, default=0,
-                      help="scenario seed for --dynamic/--sanitize")
+                      help="scenario seed for --dynamic")
     return parser
 
 

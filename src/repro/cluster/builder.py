@@ -39,14 +39,6 @@ __all__ = ["Cluster", "build_baseline_cluster", "build_doceph_cluster"]
 #: Benchmark pool name used throughout the experiments.
 BENCH_POOL = "bench"
 
-#: Observation hook invoked with every fully wired :class:`Cluster`
-#: before it is returned.  The ownership sanitizer
-#: (:mod:`repro.lint.sanitizer`) installs its object tagger here —
-#: every build path (perf scenarios, qos strategies, chaos, bench)
-#: funnels through the two builders below, so this is the single
-#: interception point.  The hook must not mutate the cluster.
-_POST_BUILD_HOOK: Optional[Any] = None
-
 
 @dataclass
 class Cluster:
@@ -281,8 +273,6 @@ def build_baseline_cluster(
         cluster.fault_plan.attach_cluster(cluster)
     if tracer is not None:
         tracer.attach_cluster(cluster)
-    if _POST_BUILD_HOOK is not None:
-        _POST_BUILD_HOOK(cluster)
     return cluster
 
 
@@ -369,6 +359,4 @@ def build_doceph_cluster(
         cluster.fault_plan.attach_cluster(cluster)
     if tracer is not None:
         tracer.attach_cluster(cluster)
-    if _POST_BUILD_HOOK is not None:
-        _POST_BUILD_HOOK(cluster)
     return cluster

@@ -13,25 +13,15 @@ DET103   the global ``random`` stream outside ``repro.util.rng``
 DET104   set iteration feeding order-sensitive code
 DET105   ``id()``/``hash()``-keyed ordering
 DET106   env-var reads outside the CLI/config boundary
+DET107   a wire-adversary module owning randomness
 SIM201   real blocking calls/imports inside simulated layers
 SIM202   ``Resource.request()`` without an exception-safe release
+SIM203   a ``Request.hold()`` result not waited on where it is made
 PERF301  hot-module classes missing ``__slots__``
 PERF302  slotted classes assigning undeclared attributes
 PERF303  per-event allocation in hot drain loops and in the bodies
          of ``Machine``-subclass state callbacks
-OWN401   node-scoped object holding/mutating another node's object
-         off the declared fabric edges
-OWN402   module-level mutable state reachable from node-scoped code
-OWN403   handler code reading a fabric-resolved peer outside the
-         declared wire interface
 =======  ==========================================================
-
-The OWN4xx family is backed by a whole-program ownership analysis
-(:mod:`repro.lint.ownership`: roles, attribute classification, and the
-auditable edge manifest) and a runtime cross-check
-(:mod:`repro.lint.sanitizer`: tags live objects with their owning node
-and audits every attribute mutation, with a zero-perturbation digest
-guarantee).  DESIGN.md §14 has the full protocol.
 
 Static entry points: :func:`lint_paths` / :func:`lint_source`, with
 :mod:`repro.lint.baseline` handling grandfathered findings.  The
@@ -47,21 +37,6 @@ from .baseline import (
     save_baseline,
 )
 from .dynamic import TieOrderReport, TieSite, check_tie_order, patched_tie_order
-from .ownership import (
-    ClassOwnership,
-    OwnershipGraph,
-    Role,
-    ownership_graph,
-    role_of,
-)
-from .ownership import render_report as render_ownership_report
-from .sanitizer import (
-    OwnershipSanitizer,
-    OwnershipViolation,
-    SanitizerReport,
-    run_sanitized,
-    runtime_role,
-)
 from .engine import (
     DEFAULT_CONFIG,
     Finding,
@@ -73,19 +48,13 @@ from .engine import (
 from .rules import RULES, Rule
 
 __all__ = [
-    "ClassOwnership",
     "DEFAULT_BASELINE",
     "DEFAULT_CONFIG",
     "Finding",
     "LintConfig",
     "LintReport",
-    "OwnershipGraph",
-    "OwnershipSanitizer",
-    "OwnershipViolation",
     "RULES",
-    "Role",
     "Rule",
-    "SanitizerReport",
     "TieOrderReport",
     "TieSite",
     "check_tie_order",
@@ -93,11 +62,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "load_baseline",
-    "ownership_graph",
     "patched_tie_order",
-    "render_ownership_report",
-    "role_of",
-    "run_sanitized",
-    "runtime_role",
     "save_baseline",
 ]

@@ -168,9 +168,6 @@ class ClassInfo:
     #: Names assignable through descriptors (properties and their
     #: setters) — legal targets on a slotted class.
     descriptors: frozenset[str] = frozenset()
-    #: ``@dataclass(frozen=True)``: instances are immutable after
-    #: construction, so cross-node reads of their attributes are safe.
-    frozen: bool = False
 
     @property
     def qualname(self) -> str:
@@ -178,21 +175,10 @@ class ClassInfo:
 
 
 class ProjectIndex:
-    """Cross-file class table: ``module.Class`` → :class:`ClassInfo`.
-
-    Beyond the class table, the index keeps every parsed module tree
-    (``modules``) so whole-program passes — the ownership analysis —
-    can trace constructor-argument flow across files, plus a ``cache``
-    slot for analyses that are built once per lint run and shared by
-    several rules.
-    """
+    """Cross-file class table: ``module.Class`` → :class:`ClassInfo`."""
 
     def __init__(self) -> None:
         self.classes: dict[str, ClassInfo] = {}
-        #: module name → (package-relative path, parsed tree)
-        self.modules: dict[str, tuple[str, ast.Module]] = {}
-        #: scratch space for cross-rule analyses (ownership graph)
-        self.cache: dict[str, object] = {}
 
     def add(self, info: ClassInfo) -> None:
         self.classes[info.qualname] = info
@@ -397,9 +383,6 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: list[Finding] = field(default_factory=list)
-    #: The project index built during the run, so callers (the
-    #: ``--ownership`` report) can reuse the parse work.
-    project: "ProjectIndex" = field(default_factory=lambda: ProjectIndex())
 
     def counts_by_code(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -446,7 +429,6 @@ def _index_file(
 ) -> None:
     """Record every class in ``tree`` into the project index."""
     module = module_name(relpath)
-    project.modules[module] = (relpath, tree)
     imports = _build_import_table(tree, module)
 
     def resolve_base(expr: ast.expr) -> str:
@@ -480,7 +462,6 @@ def _index_file(
                 slots=slots,
                 opaque=opaque,
                 descriptors=descriptors,
-                frozen=dataclass_frozen_decorator(node),
             )
         )
 
@@ -503,26 +484,6 @@ def dataclass_slots_decorator(node: ast.ClassDef) -> Optional[bool]:
                     )
         return False
     return None
-
-
-def dataclass_frozen_decorator(node: ast.ClassDef) -> bool:
-    """``True`` when the class is declared ``@dataclass(frozen=True)``."""
-    for dec in node.decorator_list:
-        if not isinstance(dec, ast.Call):
-            continue
-        target = dec.func
-        name = target.attr if isinstance(target, ast.Attribute) else (
-            target.id if isinstance(target, ast.Name) else None
-        )
-        if name != "dataclass":
-            continue
-        for kw in dec.keywords:
-            if kw.arg == "frozen":
-                return (
-                    isinstance(kw.value, ast.Constant)
-                    and kw.value.value is True
-                )
-    return False
 
 
 def _annotated_fields(node: ast.ClassDef) -> frozenset[str]:
@@ -631,7 +592,7 @@ def lint_paths(
     resolve base classes across modules, then rules run per file.
     """
     report = LintReport()
-    project = report.project
+    project = ProjectIndex()
     parsed: list[tuple[str, str, ast.Module]] = []
     for path in iter_python_files(paths):
         relpath = package_relpath(path)

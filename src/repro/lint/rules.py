@@ -26,16 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import Finding, LintContext, dataclass_slots_decorator
-from .ownership import (
-    EDGE_ATTRS,
-    EDGE_INTERFACE,
-    OWN402_ALLOWED,
-    Role,
-    is_fabric_accessor_call,
-    is_node_module,
-    ownership_graph,
-    role_of,
-)
 
 __all__ = ["Rule", "RULES", "rule"]
 
@@ -1063,398 +1053,3 @@ def _is_machine_subclass(ctx: LintContext, cls: ast.ClassDef) -> bool:
         if info is not None:
             stack.extend(info.bases)
     return False
-
-
-# --------------------------------------------------------------- OWN4xx rules
-
-def _chain_root(expr: ast.expr) -> Optional[ast.expr]:
-    """Base of an attribute/call/subscript chain (``a`` in ``a.b().c``)."""
-    cur = expr
-    while True:
-        if isinstance(cur, ast.Attribute):
-            cur = cur.value
-        elif isinstance(cur, ast.Call):
-            cur = cur.func
-        elif isinstance(cur, ast.Subscript):
-            cur = cur.value
-        else:
-            return cur
-
-
-def _contains_accessor(expr: ast.expr) -> Optional[ast.Call]:
-    """First fabric-accessor call anywhere inside ``expr``."""
-    for node in ast.walk(expr):
-        if is_fabric_accessor_call(node):
-            return node
-    return None
-
-
-def _peer_handles(
-    ctx: LintContext,
-    graph,
-    qual: str,
-    method: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> dict[str, Optional[str]]:
-    """Local names bound to fabric-resolved peer objects → peer class.
-
-    A handle is a variable assigned from a fabric accessor call
-    (``directory.lookup(addr)``, ``network.nic(dst)``) or derived from
-    another handle (``conn = sender._connections.get(...)``).  The
-    derivation pass runs twice so one level of chaining resolves.
-    """
-    view = graph.view(ctx.module)
-    params = view.param_types(method) if view is not None else {}
-    own = graph.classes.get(qual)
-    handles: dict[str, Optional[str]] = {}
-    for _ in range(2):
-        for sub in _walk_local(method):
-            if not (
-                isinstance(sub, ast.Assign)
-                and len(sub.targets) == 1
-                and isinstance(sub.targets[0], ast.Name)
-            ):
-                continue
-            name = sub.targets[0].id
-            value = sub.value
-            accessor = _contains_accessor(value)
-            if accessor is not None and view is not None:
-                handles[name] = graph.accessor_return_class(
-                    accessor, view, params, own
-                )
-                continue
-            root = _chain_root(value)
-            if (
-                isinstance(root, ast.Name)
-                and root.id in handles
-                and value is not root
-            ):
-                handles.setdefault(name, None)
-    return handles
-
-
-def _iter_node_methods(ctx: LintContext):
-    """(class node, qualname, method) triples for this file's classes."""
-    for cls in ast.walk(ctx.tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        qual = f"{ctx.module}.{cls.name}"
-        for method in cls.body:
-            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield cls, qual, method
-
-
-@rule(
-    "OWN401",
-    "cross-node-reference",
-    "node-scoped object holding/mutating another node's object off the "
-    "declared fabric edges",
-)
-def own401_cross_node_reference(ctx: LintContext) -> list[Finding]:
-    """The "peer OSD reached without a wire" bug, caught three ways.
-
-    (1) Storing a fabric-resolved peer reference on ``self`` keeps a
-    direct pointer across the future shard boundary: only attributes
-    declared in :data:`repro.lint.ownership.EDGE_ATTRS` may do it.
-    (2) Mutating an attribute *through* a peer handle bypasses the wire
-    entirely.  (3) In the cluster builder, a node-scoped instance
-    constructed once must not fan out into several per-node
-    constructors (constructor-argument flow analysis) — that aliasing
-    is exactly what makes a shard cut unsound.
-    """
-    if not is_node_module(ctx.module):
-        return []
-    graph = ownership_graph(ctx.project, ctx.config)
-    findings = list(_builder_flow_findings(ctx, graph))
-    for _cls, qual, method in _iter_node_methods(ctx):
-        own = graph.classes.get(qual)
-        if own is not None and own.role is not Role.NODE:
-            continue
-        handles = _peer_handles(ctx, graph, qual, method)
-        self_name = method.args.args[0].arg if method.args.args else ""
-        for sub in _walk_local(method):
-            # (1) self.<attr> = <fabric-resolved peer>
-            if isinstance(sub, ast.Assign):
-                value = sub.value
-                is_peer_value = _contains_accessor(value) is not None or (
-                    isinstance(value, ast.Name) and value.id in handles
-                )
-                if not is_peer_value:
-                    continue
-                for t in sub.targets:
-                    if not (
-                        isinstance(t, ast.Attribute)
-                        and isinstance(t.value, ast.Name)
-                        and t.value.id == self_name
-                    ):
-                        continue
-                    if (qual, t.attr) in EDGE_ATTRS:
-                        continue
-                    findings.append(
-                        ctx.finding(
-                            t,
-                            "OWN401",
-                            f"self.{t.attr} stores a fabric-resolved peer "
-                            "reference — a direct cross-node pointer; "
-                            "declare it in ownership.EDGE_ATTRS or "
-                            "resolve the peer per use",
-                        )
-                    )
-            # (2) <handle>.<attr> = ... / augmented mutation
-            elif isinstance(sub, ast.Attribute) and isinstance(
-                sub.ctx, (ast.Store, ast.Del)
-            ):
-                root = _chain_root(sub.value)
-                via_handle = (
-                    isinstance(root, ast.Name) and root.id in handles
-                ) or _contains_accessor(sub.value) is not None
-                if via_handle:
-                    findings.append(
-                        ctx.finding(
-                            sub,
-                            "OWN401",
-                            f"mutates .{sub.attr} on another node's object "
-                            "without crossing the wire — send a message "
-                            "or declare the edge in the ownership "
-                            "manifest",
-                        )
-                    )
-    return findings
-
-
-def _builder_flow_findings(ctx: LintContext, graph) -> list[Finding]:
-    """Constructor-argument flow through the cluster builder.
-
-    Tags every local constructed in a builder function as per-node
-    (built inside a ``for`` loop) or shared (built outside), then flags
-    a node-scoped shared instance — or another iteration's instance —
-    flowing into a node-scoped constructor inside a loop.
-    """
-    if not ctx.module.startswith("repro.cluster"):
-        return []
-    view = graph.view(ctx.module)
-    if view is None:
-        return []
-    findings: list[Finding] = []
-
-    def class_of_call(call: ast.Call) -> Optional[str]:
-        dotted = view.resolve(call.func)
-        if dotted is not None and dotted.rpartition(".")[2][:1].isupper():
-            return dotted
-        if (
-            isinstance(call.func, ast.Name)
-            and call.func.id in view.func_defs
-        ):
-            helper = view.func_defs[call.func.id]
-            if helper.returns is not None:
-                return view.resolve_annotation(helper.returns)
-        return None
-
-    def role_of_class(dotted: Optional[str]) -> Optional[Role]:
-        if dotted is None:
-            return None
-        return role_of(dotted, ctx.project.lookup(dotted))[0]
-
-    for fn in ctx.tree.body:
-        if not isinstance(fn, ast.FunctionDef):
-            continue
-        tags: dict[str, tuple[str, object]] = {}
-
-        def check_calls(stmt: ast.stmt, loop: Optional[int]) -> None:
-            if loop is None:
-                return
-            for call in ast.walk(stmt):
-                if not isinstance(call, ast.Call):
-                    continue
-                if role_of_class(class_of_call(call)) is not Role.NODE:
-                    continue
-                args = list(call.args) + [kw.value for kw in call.keywords]
-                for arg in args:
-                    if not (isinstance(arg, ast.Name) and arg.id in tags):
-                        continue
-                    kind, detail = tags[arg.id]
-                    if kind == "outer" and detail is Role.NODE:
-                        findings.append(
-                            ctx.finding(
-                                call,
-                                "OWN401",
-                                f"node-scoped instance '{arg.id}' built "
-                                "once outside the loop flows into a "
-                                "per-node constructor — every node would "
-                                "alias the same object across the shard "
-                                "boundary",
-                            )
-                        )
-                    elif kind == "pernode" and detail != loop:
-                        findings.append(
-                            ctx.finding(
-                                call,
-                                "OWN401",
-                                f"'{arg.id}' belongs to a different "
-                                "build loop's node — cross-node "
-                                "constructor aliasing",
-                            )
-                        )
-
-        def record(stmt: ast.stmt, loop: Optional[int]) -> None:
-            if not (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-            ):
-                return
-            role = role_of_class(class_of_call(stmt.value))
-            if role is None:
-                return
-            name = stmt.targets[0].id
-            if loop is not None and role is Role.NODE:
-                tags[name] = ("pernode", loop)
-            else:
-                tags[name] = ("outer", role)
-
-        def visit(stmts: list[ast.stmt], loop: Optional[int]) -> None:
-            for stmt in stmts:
-                if isinstance(
-                    stmt,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-                ):
-                    continue
-                if isinstance(stmt, ast.For):
-                    visit(stmt.body, id(stmt))
-                    visit(stmt.orelse, loop)
-                    continue
-                check_calls(stmt, loop)
-                record(stmt, loop)
-                for suite in ("body", "orelse", "finalbody"):
-                    inner = getattr(stmt, suite, None)
-                    if inner:
-                        visit(inner, loop)
-                for handler in getattr(stmt, "handlers", []) or []:
-                    visit(handler.body, loop)
-
-        visit(fn.body, None)
-    return findings
-
-
-#: Module-level mutable container factories (shard-unsafe singletons).
-_MUTABLE_FACTORIES = frozenset(
-    {
-        "dict", "list", "set", "bytearray", "deque", "defaultdict",
-        "OrderedDict", "Counter",
-    }
-)
-
-
-@rule(
-    "OWN402",
-    "module-level-mutable-state",
-    "module-level mutable container reachable from node-scoped code",
-)
-def own402_module_mutable_state(ctx: LintContext) -> list[Finding]:
-    """A global dict/list/cache in a node-scoped module is a singleton
-    every shard would share: writes from two shards race the moment the
-    engine is partitioned, and even today it lets state leak between
-    nodes that never crossed the wire.  Write-once registries must be
-    declared in :data:`repro.lint.ownership.OWN402_ALLOWED`."""
-    if not is_node_module(ctx.module):
-        return []
-    findings = []
-    for stmt in ctx.tree.body:
-        targets: list[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if value is None:
-            continue
-        mutable = isinstance(
-            value,
-            (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-             ast.SetComp),
-        ) or (
-            isinstance(value, ast.Call)
-            and (
-                (isinstance(value.func, ast.Name)
-                 and value.func.id in _MUTABLE_FACTORIES)
-                or (isinstance(value.func, ast.Attribute)
-                    and value.func.attr in _MUTABLE_FACTORIES)
-            )
-        )
-        if not mutable:
-            continue
-        for t in targets:
-            if not isinstance(t, ast.Name) or t.id == "__all__":
-                continue
-            if (ctx.module, t.id) in OWN402_ALLOWED:
-                continue
-            findings.append(
-                ctx.finding(
-                    stmt,
-                    "OWN402",
-                    f"module-level mutable container '{t.id}' in a "
-                    "node-scoped module — a cross-shard singleton; move "
-                    "it onto a node-owned object or declare it in "
-                    "ownership.OWN402_ALLOWED with a justification",
-                )
-            )
-    return findings
-
-
-@rule(
-    "OWN403",
-    "cross-node-read",
-    "handler code reading another node's non-frozen attributes",
-)
-def own403_cross_node_read(ctx: LintContext) -> list[Finding]:
-    """Reads through a fabric-resolved peer handle see state the wire
-    never carried: under sharding the peer lives in another process and
-    the read returns stale (or unserializable) data.  The allowed
-    surface is the declared wire interface
-    (:data:`repro.lint.ownership.EDGE_INTERFACE`); reads of frozen
-    peer types are safe (immutable after construction)."""
-    if not is_node_module(ctx.module):
-        return []
-    graph = ownership_graph(ctx.project, ctx.config)
-    findings = []
-    for _cls, qual, method in _iter_node_methods(ctx):
-        own = graph.classes.get(qual)
-        if own is not None and own.role is not Role.NODE:
-            continue
-        handles = _peer_handles(ctx, graph, qual, method)
-        for sub in _walk_local(method):
-            if not (
-                isinstance(sub, ast.Attribute)
-                and isinstance(sub.ctx, ast.Load)
-            ):
-                continue
-            peer_cls: Optional[str] = None
-            if isinstance(sub.value, ast.Name) and sub.value.id in handles:
-                peer_cls = handles[sub.value.id]
-            elif is_fabric_accessor_call(sub.value):
-                view = graph.view(ctx.module)
-                if view is not None:
-                    peer_cls = graph.accessor_return_class(
-                        sub.value, view, view.param_types(method),
-                        own,
-                    )
-            else:
-                continue
-            if sub.attr in EDGE_INTERFACE:
-                continue
-            info = (
-                ctx.project.lookup(peer_cls) if peer_cls is not None else None
-            )
-            if info is not None and info.frozen:
-                continue
-            findings.append(
-                ctx.finding(
-                    sub,
-                    "OWN403",
-                    f"reads .{sub.attr} on a fabric-resolved peer — not "
-                    "part of the declared wire interface; request it "
-                    "over the wire or add it to ownership.EDGE_INTERFACE "
-                    "with a justification",
-                )
-            )
-    return findings

@@ -1,5 +1,5 @@
-"""Deterministic workload replay: the scenarios every digest golden,
-lint probe and sanitizer run is taken on.
+"""Deterministic workload replay: the scenarios every digest golden and
+lint probe is taken on.
 
 * :data:`SCENARIOS` — small, named, fully-deterministic workload
   configurations (the same cluster builders and RADOS bench driver the

@@ -263,8 +263,12 @@ class _ContainerGet(Event):
     __slots__ = ("amount",)
 
     def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise SimulationError(f"get amount must be positive: {amount}")
+        if not 0 < amount <= container.capacity:
+            # Above capacity it could never be served, and the FIFO
+            # would hold every later get behind it forever.
+            raise SimulationError(
+                f"get amount must be in (0, {container.capacity}]: {amount}"
+            )
         # Inlined Event.__init__ (hot: every throttle acquire).
         self.env = container.env
         self.callbacks = []
@@ -280,8 +284,12 @@ class _ContainerPut(Event):
     __slots__ = ("amount",)
 
     def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise SimulationError(f"put amount must be positive: {amount}")
+        if not 0 < amount <= container.capacity:
+            # Above capacity it could never be served, and the FIFO
+            # would hold every later put behind it forever.
+            raise SimulationError(
+                f"put amount must be in (0, {container.capacity}]: {amount}"
+            )
         # Inlined Event.__init__ (hot: every throttle release).
         self.env = container.env
         self.callbacks = []

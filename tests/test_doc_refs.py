@@ -1,0 +1,100 @@
+"""Dead references in the design documents fail tier-1.
+
+Every backticked repository path in DESIGN.md and docs/API.md must name
+a file that exists (and a ``:N`` suffix a line that exists), and every
+backticked dotted ``repro.…`` name must import or resolve by
+``getattr``.  A change that deletes or moves code then cannot leave the
+documents pointing at it.
+"""
+
+from __future__ import annotations
+
+import importlib
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOCS = ("DESIGN.md", "docs/API.md")
+
+#: Inline code spans, once fenced blocks are cut out.
+_SPAN = re.compile(r"`([^`\n]+)`")
+_FENCE = re.compile(r"^```.*?^```", re.S | re.M)
+#: A file reference: a path or bare name with an extension, optionally
+#: with a ``:N`` line suffix.
+_PATH = re.compile(
+    r"(?P<path>(?:[\w.-]+/)*[\w-][\w.-]*\.(?:py|md|json|txt|yml|toml|c|plan))"
+    r"(?::(?P<line>\d+))?"
+)
+_DOTTED = re.compile(r"repro(?:\.[A-Za-z_]\w*)+")
+_SEARCH_ROOTS = (ROOT, ROOT / "src", ROOT / "src" / "repro")
+_SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", ".hypothesis"}
+
+
+def _spans(doc: str) -> list[str]:
+    text = _FENCE.sub("", (ROOT / doc).read_text(encoding="utf-8"))
+    return [m.group(1).strip() for m in _SPAN.finditer(text)]
+
+
+def _tree_names() -> set[str]:
+    return {
+        p.name for p in ROOT.rglob("*")
+        if p.is_file() and not _SKIP_DIRS & set(p.relative_to(ROOT).parts)
+    }
+
+
+def _resolve_path(path: str) -> pathlib.Path | None:
+    for base in _SEARCH_ROOTS:
+        candidate = base / path
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def _resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_backticked_paths_resolve(doc):
+    names = _tree_names()
+    dead = []
+    for span in _spans(doc):
+        match = _PATH.fullmatch(span)
+        if match is None:
+            continue
+        path, line = match.group("path"), match.group("line")
+        if "/" not in path:
+            if path not in names:
+                dead.append(span)
+            continue
+        target = _resolve_path(path)
+        if target is None:
+            dead.append(span)
+        elif line is not None:
+            lines = target.read_text(encoding="utf-8").count("\n") + 1
+            if int(line) > lines:
+                dead.append(f"{span} (file has {lines} lines)")
+    assert dead == [], f"{doc}: dead file references {dead}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_backticked_repro_names_resolve(doc):
+    dead = [
+        span for span in _spans(doc)
+        if _DOTTED.fullmatch(span.removesuffix("()"))
+        and not _resolves(span.removesuffix("()"))
+    ]
+    assert dead == [], f"{doc}: dead repro.* references {dead}"

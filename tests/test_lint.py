@@ -785,180 +785,9 @@ def test_patched_tie_order_restores_run_after_an_exception():
 def test_rule_catalogue_is_complete():
     assert sorted(RULES) == [
         "DET101", "DET102", "DET103", "DET104", "DET105", "DET106",
-        "DET107", "OWN401", "OWN402", "OWN403", "PERF301", "PERF302",
-        "PERF303", "SIM201", "SIM202", "SIM203",
+        "DET107", "PERF301", "PERF302", "PERF303", "SIM201", "SIM202",
+        "SIM203",
     ]
-
-
-# ------------------------------------------------------------ OWN4xx rules
-
-
-def test_own401_flags_stored_fabric_peer_reference():
-    src = (
-        "class Daemon:\n"
-        "    def __init__(self, directory):\n"
-        "        self.directory = directory\n"
-        "\n"
-        "    def bad(self, addr):\n"
-        "        peer = self.directory.lookup(addr)\n"
-        "        self.peer = peer\n"
-    )
-    found = lint_source(src, "repro/osd/custom.py", select=["OWN401"])
-    assert codes(found) == ["OWN401"]
-    assert "self.peer" in found[0].message
-
-
-def test_own401_flags_mutation_through_peer_handle():
-    src = (
-        "class Daemon:\n"
-        "    def __init__(self, directory):\n"
-        "        self.directory = directory\n"
-        "\n"
-        "    def bad(self, addr):\n"
-        "        peer = self.directory.lookup(addr)\n"
-        "        peer.backlog = 5\n"
-    )
-    assert codes(
-        lint_source(src, "repro/osd/custom.py", select=["OWN401"])
-    ) == ["OWN401"]
-
-
-def test_own401_clean_on_declared_wire_interface():
-    src = (
-        "class Daemon:\n"
-        "    def __init__(self, directory):\n"
-        "        self.directory = directory\n"
-        "\n"
-        "    def good(self, addr, payload):\n"
-        "        peer = self.directory.lookup(addr)\n"
-        "        peer._enqueue_incoming(payload, 0)\n"
-    )
-    assert lint_source(
-        src, "repro/osd/custom.py", select=["OWN401", "OWN403"]
-    ) == []
-
-
-def test_own401_builder_flow_shared_instance_fanout():
-    """Constructor-arg flow: one node-scoped instance must not fan out
-    into several per-node constructors."""
-    src = (
-        "class CpuBlock:\n"
-        "    def __init__(self, env):\n"
-        "        self.env = env\n"
-        "\n"
-        "class NodeBox:\n"
-        "    def __init__(self, cpu):\n"
-        "        self.cpu = cpu\n"
-        "\n"
-        "def build_bad(env, n):\n"
-        "    shared = CpuBlock(env)\n"
-        "    nodes = []\n"
-        "    for i in range(n):\n"
-        "        nodes.append(NodeBox(shared))\n"
-        "    return nodes\n"
-    )
-    found = lint_source(src, "repro/cluster/custom_builder.py",
-                        select=["OWN401"])
-    assert codes(found) == ["OWN401"]
-    assert "shared" in found[0].message
-
-
-def test_own401_builder_flow_clean_on_per_node_construction():
-    src = (
-        "class CpuBlock:\n"
-        "    def __init__(self, env):\n"
-        "        self.env = env\n"
-        "\n"
-        "class NodeBox:\n"
-        "    def __init__(self, cpu):\n"
-        "        self.cpu = cpu\n"
-        "\n"
-        "def build_good(env, n):\n"
-        "    nodes = []\n"
-        "    for i in range(n):\n"
-        "        cpu = CpuBlock(env)\n"
-        "        nodes.append(NodeBox(cpu))\n"
-        "    return nodes\n"
-    )
-    assert lint_source(src, "repro/cluster/custom_builder.py",
-                       select=["OWN401"]) == []
-
-
-def test_own401_cross_module_constructor_flow(tmp_path):
-    """The whole-program half: the shared instance's class lives in a
-    different module, resolved through the project index."""
-    hw = tmp_path / "repro" / "hw"
-    cl = tmp_path / "repro" / "cluster"
-    hw.mkdir(parents=True)
-    cl.mkdir(parents=True)
-    (hw / "gadget.py").write_text(
-        "class Gadget:\n"
-        "    def __init__(self, env):\n"
-        "        self.env = env\n",
-        encoding="utf-8",
-    )
-    (cl / "build2.py").write_text(
-        "from ..hw.gadget import Gadget\n"
-        "\n"
-        "class Holder:\n"
-        "    def __init__(self, gadget):\n"
-        "        self.gadget = gadget\n"
-        "\n"
-        "def build(env, n):\n"
-        "    g = Gadget(env)\n"
-        "    out = []\n"
-        "    for i in range(n):\n"
-        "        out.append(Holder(g))\n"
-        "    return out\n",
-        encoding="utf-8",
-    )
-    report = lint_paths([tmp_path], select=["OWN401"])
-    assert codes(report.findings) == ["OWN401"]
-    assert report.findings[0].path == "repro/cluster/build2.py"
-
-
-def test_own402_flags_module_level_mutable_container():
-    src = "_CACHE = {}\n_OK = (1, 2)\n__all__ = ['x']\n"
-    found = lint_source(src, "repro/osd/helper.py", select=["OWN402"])
-    assert codes(found) == ["OWN402"]
-    assert "_CACHE" in found[0].message
-
-
-def test_own402_exempts_non_node_modules_and_manifested_registries():
-    src = "_CACHE = {}\n"
-    assert lint_source(src, "repro/util/helper.py", select=["OWN402"]) == []
-    # repro.cluster.strategy._REGISTRY is declared in OWN402_ALLOWED
-    reg = "_REGISTRY = {}\n"
-    assert lint_source(reg, "repro/cluster/strategy.py",
-                       select=["OWN402"]) == []
-
-
-def test_own403_flags_undeclared_peer_read():
-    src = (
-        "class Daemon:\n"
-        "    def __init__(self, directory):\n"
-        "        self.directory = directory\n"
-        "\n"
-        "    def bad(self, addr):\n"
-        "        peer = self.directory.lookup(addr)\n"
-        "        return peer.queue_depth\n"
-    )
-    found = lint_source(src, "repro/osd/custom.py", select=["OWN403"])
-    assert codes(found) == ["OWN403"]
-    assert "queue_depth" in found[0].message
-
-
-def test_own403_clean_on_wire_interface_reads():
-    src = (
-        "class Daemon:\n"
-        "    def __init__(self, directory):\n"
-        "        self.directory = directory\n"
-        "\n"
-        "    def good(self, addr):\n"
-        "        peer = self.directory.lookup(addr)\n"
-        "        return peer.down or peer.epoch\n"
-    )
-    assert lint_source(src, "repro/osd/custom.py", select=["OWN403"]) == []
 
 
 def test_perf303_covers_machine_callback_bodies():
@@ -975,112 +804,3 @@ def test_perf303_covers_machine_callback_bodies():
     found = lint_source(src, "repro/hw/custom.py", select=["PERF303"])
     assert codes(found) == ["PERF303"]
     assert "Pump._s_go" in found[0].message
-
-
-def test_ownership_graph_classifies_shipped_tree():
-    """Acceptance: every node-scoped class classified, report non-empty,
-    the declared fabric classes land in the fabric role."""
-    from repro.lint import Role, ownership_graph, render_ownership_report
-
-    root = pathlib.Path(__file__).resolve().parent.parent
-    report = lint_paths([root / "src"], select=["OWN401"])
-    graph = ownership_graph(report.project)
-    node_classes = [
-        c for c in graph.classes.values() if c.role is Role.NODE
-    ]
-    assert len(node_classes) >= 30
-    assert graph.classes["repro.hw.net.Network"].role is Role.FABRIC
-    assert graph.classes["repro.rados.osdmap.OsdMap"].role is Role.SHARED
-    rendered = render_ownership_report(graph)
-    assert "node-scoped classes" in rendered
-    assert "repro.osd.daemon.OsdDaemon" in rendered
-
-
-# ------------------------------------------------------- ownership sanitizer
-
-
-def _mini_runner(name: str, seed: int) -> Environment:
-    """A bench run small enough for unit tests (~1000s of events)."""
-    from repro.bench.radosbench import run_rados_bench
-    from repro.cluster.builder import build_baseline_cluster
-
-    env = Environment()
-    cluster = build_baseline_cluster(env)
-    run_rados_bench(
-        cluster, object_size=64 * 1024, clients=2, duration=0.3,
-        warmup=0.0, seed=seed,
-    )
-    return env
-
-
-def test_sanitizer_zero_perturbation_and_clean_mini_run():
-    """The armed run reproduces the plain digest byte-for-byte, finds no
-    violations, and un-arming leaves no trace (third run matches too)."""
-    from repro.lint import run_sanitized
-
-    report = run_sanitized("mini", seed=0, runner=_mini_runner)
-    assert report.instrumentation_ok, (
-        report.plain_digest, report.sanitized_digest
-    )
-    assert report.violations == [], [v.render() for v in report.violations]
-    assert report.mutations > 1000
-    assert any(o.startswith("node:") for o in report.objects_by_owner)
-    # sanitizer fully disarmed: a fresh plain run still matches
-    after = simulation_digest(_mini_runner("mini", 0))
-    assert after == report.plain_digest
-
-
-def test_sanitizer_catches_dynamic_attribute_violation():
-    """A cross-node setattr through a *computed* attribute name — the
-    static pass cannot see it, the sanitizer must."""
-    from repro.cluster.builder import build_baseline_cluster
-    from repro.lint import OwnershipSanitizer
-    from repro.osd.daemon import OsdDaemon
-
-    env = Environment()
-    cluster = build_baseline_cluster(env)
-    san = OwnershipSanitizer()
-    san.tag_cluster(cluster)
-
-    def evil(self, victim, attr_name):
-        setattr(victim, attr_name, 0)
-
-    OsdDaemon.evil = evil
-    try:
-        victim = cluster.nodes[1].nic.rx  # node:1's rx BandwidthPipe
-        name = "".join(["bytes", "_", "transferred"])  # dynamic name
-        with san.armed():
-            cluster.osds[0].evil(victim, name)
-    finally:
-        del OsdDaemon.evil
-    assert len(san.violations) == 1
-    v = san.violations[0]
-    assert v.attr == "bytes_transferred"
-    assert v.actor_owner == "node:0"
-    assert v.target_owner == "node:1"
-    assert "BandwidthPipe" in v.target_cls
-
-
-def test_sanitizer_allows_owner_mutation():
-    """The same mutation performed by the owning node is not flagged."""
-    from repro.cluster.builder import build_baseline_cluster
-    from repro.lint import OwnershipSanitizer
-    from repro.osd.daemon import OsdDaemon
-
-    env = Environment()
-    cluster = build_baseline_cluster(env)
-    san = OwnershipSanitizer()
-    san.tag_cluster(cluster)
-
-    def poke(self, victim, attr_name):
-        setattr(victim, attr_name, 0)
-
-    OsdDaemon.poke = poke
-    try:
-        victim = cluster.nodes[1].nic.rx
-        with san.armed():
-            cluster.osds[1].poke(victim, "bytes_transferred")
-    finally:
-        del OsdDaemon.poke
-    assert san.violations == []
-    assert san.mutations >= 1

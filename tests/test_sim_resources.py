@@ -322,6 +322,72 @@ def test_container_invalid_args():
         box.put(-1)
 
 
+def test_container_rejects_amounts_above_capacity():
+    """Such a request could never be served, and at the head of the
+    FIFO it would starve every later one on the same container."""
+    env = Environment()
+    box = Container(env, capacity=5, init=5)
+    with pytest.raises(SimulationError, match="get amount"):
+        box.get(6)
+    with pytest.raises(SimulationError, match="put amount"):
+        box.put(5.5)
+    with pytest.raises(SimulationError):
+        box.get(float("nan"))
+    got = []
+
+    def getter(env):
+        yield box.get(2)
+        got.append(env.now)
+
+    env.process(getter(env))
+    env.run()
+    assert got == [0.0] and box.level == 3
+
+
+def test_container_get_of_exactly_capacity_is_served():
+    env = Environment()
+    box = Container(env, capacity=5, init=0)
+    times = []
+
+    def getter(env):
+        yield box.get(5)
+        times.append(env.now)
+
+    def putter(env):
+        yield env.timeout(2)
+        yield box.put(5)
+
+    env.process(getter(env))
+    env.process(putter(env))
+    env.run()
+    assert times == [2] and box.level == 0
+
+
+def test_messenger_throttle_smaller_than_a_frame_fails_loudly():
+    """A dispatch throttle below one frame's size used to deadlock the
+    receive path in silence; now the run stops with the reason."""
+    from repro.hw import Network
+    from repro.msgr import AsyncMessenger, MOSDOp, MsgrDirectory, OpType
+    from repro.util import DataBlob
+
+    from tests.helpers import make_stack
+
+    env = Environment()
+    net = Network(env, latency_s=10e-6)
+    directory = MsgrDirectory()
+    a = AsyncMessenger(make_stack(env, net, "a"), "ms.a", directory)
+    AsyncMessenger(make_stack(env, net, "b"), "ms.b", directory,
+                   throttle_bytes=4096)
+    blob = DataBlob(64 * 1024)
+    a.send_message(
+        MOSDOp(tid=1, pool="p", object_name="o", op=OpType.WRITE,
+               length=blob.length, data=blob),
+        "b",
+    )
+    with pytest.raises(SimulationError, match="get amount must be in"):
+        env.run(until=1.0)
+
+
 # ---------------------------------------------------------------- Store
 
 
