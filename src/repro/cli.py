@@ -564,10 +564,9 @@ def _cmd_qos(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_lint(args: argparse.Namespace) -> tuple[str, int]:
     """Static analysis + optional dynamic tie-order probe.
 
-    Returns (report text, exit code): 3 when there are findings not
-    covered by the baseline, or when the dynamic probe's FIFO control
-    run fails to reproduce the native digest (a probe defect, not a
-    model property)."""
+    Returns (report text, exit code): 3 when there are findings, or
+    when the dynamic probe's FIFO control run fails to reproduce the
+    native digest (a probe defect, not a model property)."""
     from . import lint as lintmod
 
     lines: list[str] = []
@@ -582,28 +581,8 @@ def _cmd_lint(args: argparse.Namespace) -> tuple[str, int]:
         else None
     )
     report = lintmod.lint_paths(args.paths, select=select)
-    code = 0
-
-    if args.fix_baseline:
-        lintmod.save_baseline(args.baseline, report.findings)
-        lines.append(
-            f"lint: wrote {len(report.findings)} finding(s) to {args.baseline}"
-        )
-    else:
-        baseline = lintmod.load_baseline(args.baseline)
-        new = lintmod.filter_new(report.findings, baseline)
-        for finding in new:
-            lines.append(
-                finding.render_github() if args.format == "github"
-                else finding.render()
-            )
-        grandfathered = len(report.findings) - len(new)
-        lines.append(
-            f"lint: {len(new)} new finding(s), {grandfathered} baselined,"
-            f" {report.files_checked} file(s) checked"
-        )
-        if new:
-            code = 3
+    lines.append(report.render())
+    code = 3 if report.findings else 0
 
     if args.dynamic:
         tie = lintmod.check_tie_order(args.dynamic, seed=args.seed)
@@ -788,25 +767,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="determinism & sim-safety static analysis "
-                     "(repro.lint; exit 3 on findings not in the baseline)")
+                     "(repro.lint; exit 3 on any finding)")
     lint.add_argument("paths", nargs="*", default=["src"],
                       help="files/directories to check (default: src)")
-    lint.add_argument("--baseline", default="lint-baseline.txt",
-                      metavar="FILE",
-                      help="grandfathered-findings file (missing = empty)")
-    lint.add_argument("--fix-baseline", action="store_true",
-                      help="rewrite the baseline from current findings "
-                           "instead of failing on them")
     lint.add_argument("--select", default=None, metavar="CODES",
                       help="comma-separated rule codes to run "
                            "(default: all)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
-    lint.add_argument("--format", default="human",
-                      choices=["human", "github"],
-                      help="finding output format: human (default) or "
-                           "github (::error workflow-command "
-                           "annotations for inline PR review)")
     lint.add_argument("--dynamic", default=None, metavar="SCENARIO",
                       choices=sorted(SCENARIOS),
                       help="also run the tie-order probe against a "
@@ -852,7 +820,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             text, code = _cmd_lint(args)
             print(text)
             if code:
-                return code  # 3 = new findings / probe defect
+                return code  # 3 = findings / probe defect
         else:
             print(_EXPERIMENTS[args.command](args))
     except ValueError as exc:

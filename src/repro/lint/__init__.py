@@ -23,19 +23,13 @@ PERF303  per-event allocation in hot drain loops and in the bodies
          of ``Machine``-subclass state callbacks
 =======  ==========================================================
 
-Static entry points: :func:`lint_paths` / :func:`lint_source`, with
-:mod:`repro.lint.baseline` handling grandfathered findings.  The
+Static entry points: :func:`lint_paths` / :func:`lint_source`; there
+is no baseline, so the shipped tree must have zero findings.  The
 dynamic companion :func:`check_tie_order` probes a scenario for
 same-timestamp tie-order sensitivity by perturbing heap tie-breaking
 and diffing digests.  CLI: ``python -m repro lint``.
 """
 
-from .baseline import (
-    DEFAULT_BASELINE,
-    filter_new,
-    load_baseline,
-    save_baseline,
-)
 from .dynamic import TieOrderReport, TieSite, check_tie_order, patched_tie_order
 from .engine import (
     DEFAULT_CONFIG,
@@ -48,7 +42,6 @@ from .engine import (
 from .rules import RULES, Rule
 
 __all__ = [
-    "DEFAULT_BASELINE",
     "DEFAULT_CONFIG",
     "Finding",
     "LintConfig",
@@ -58,10 +51,7 @@ __all__ = [
     "TieOrderReport",
     "TieSite",
     "check_tie_order",
-    "filter_new",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "patched_tie_order",
-    "save_baseline",
 ]

@@ -13,8 +13,8 @@ through the suppression directives:
   codes for the whole file.
 
 Suppressing ``all`` disables every rule for the line/file.  Suppression
-is deliberate and visible — grandfathered findings belong in the
-baseline file instead (:mod:`repro.lint.baseline`).
+is deliberate and visible; there is no baseline of grandfathered
+findings, so any unsuppressed finding fails ``python -m repro lint``.
 """
 
 from __future__ import annotations
@@ -110,43 +110,11 @@ class Finding:
     code: str
     message: str
     scope: str  # enclosing qualname, or "<module>"
-    source_line: str  # the offending line, stripped
-
-    def fingerprint(self) -> tuple[str, str, str, str]:
-        """Line-number-free identity used by the baseline file.
-
-        Stable across unrelated edits that merely shift lines: a
-        finding is identified by where it lives (path + enclosing
-        scope), what rule it violates, and the offending source text.
-        """
-        return (self.path, self.code, self.scope, self.source_line)
 
     def render(self) -> str:
         return (
             f"{self.path}:{self.line}:{self.col}: {self.code} "
             f"{self.message} [{self.scope}]"
-        )
-
-    def render_github(self) -> str:
-        """GitHub Actions ``::error`` workflow-command annotation.
-
-        Package-relative paths are mapped back under ``src/`` so the
-        annotation lands on the file in the repository checkout.
-        Newlines in the message would terminate the command, so they
-        are escaped per the workflow-command spec.
-        """
-        path = self.path
-        if path.startswith("repro/"):
-            path = f"src/{path}"
-        message = (
-            f"{self.message} [{self.scope}]"
-            .replace("%", "%25")
-            .replace("\r", "%0D")
-            .replace("\n", "%0A")
-        )
-        return (
-            f"::error file={path},line={self.line},col={self.col},"
-            f"title={self.code}::{message}"
         )
 
 
@@ -268,7 +236,6 @@ class LintContext:
         self.config = config
         self.project = project if project is not None else ProjectIndex()
         self.module = module_name(relpath)
-        self.lines = source.splitlines()
         self.imports = _build_import_table(tree, self.module)
         self.parents: dict[ast.AST, ast.AST] = {
             child: parent
@@ -321,11 +288,6 @@ class LintContext:
             cur, parent = parent, self.parents.get(parent)
         return False
 
-    def source_line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
     def finding(self, node: ast.AST, code: str, message: str) -> Finding:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
@@ -336,7 +298,6 @@ class LintContext:
             code=code,
             message=message,
             scope=self.scope_of(node),
-            source_line=self.source_line(line),
         )
 
 
@@ -608,7 +569,6 @@ def lint_paths(
                     code="LINT000",
                     message=f"cannot parse: {exc}",
                     scope="<module>",
-                    source_line="",
                 )
             )
             continue

@@ -293,6 +293,12 @@ def det104_unordered_iteration(ctx: LintContext) -> list[Finding]:
                 node.iter, known
             ):
                 flag(node.iter, "a comprehension")
+            elif (
+                isinstance(node, ast.Starred)
+                and not isinstance(ctx.parents.get(node), ast.Set)
+                and _is_setish(node.value, known)
+            ):
+                flag(node.value, "a starred unpacking")
             elif isinstance(node, ast.Call):
                 fn = node.func
                 if (

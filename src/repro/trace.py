@@ -688,7 +688,7 @@ def simulation_digest(env: Any) -> str:
     ``env._seq`` counts every event ever scheduled; together with the
     final clock it pins down the shape of the whole run — any extra
     timeout, process or charge introduced by tracing would change it.
-    Used by the zero-perturbation tests and the CI trace-smoke job."""
+    Used by the zero-perturbation tests and the golden digests."""
     doc = {"seq": getattr(env, "_seq", None), "now": round(env.now, 9)}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
