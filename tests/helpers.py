@@ -1,6 +1,8 @@
 """Helper factories shared across test modules."""
 
 import contextlib
+import pathlib
+import re
 from heapq import heappush
 
 from repro.hw import CpuComplex, Network, Nic, TcpStackModel
@@ -119,3 +121,16 @@ def make_stack(
         address=address,
         tcp=tcp or TcpStackModel(),
     )
+
+
+WORKFLOWS = pathlib.Path(__file__).resolve().parent.parent / ".github" / "workflows"
+#: Job ids: two-space-indented keys under a workflow's ``jobs:``.
+_JOB_ID = re.compile(r"^  ([\w-]+):\s*$", re.M)
+
+
+def workflow_jobs(text: str) -> dict[str, str]:
+    """Job id -> the text of that job, for one workflow file's text."""
+    body = text[text.index("\njobs:\n"):]
+    marks = [(m.group(1), m.start()) for m in _JOB_ID.finditer(body)]
+    ends = [start for _, start in marks[1:]] + [len(body)]
+    return {name: body[start:end] for (name, start), end in zip(marks, ends)}
