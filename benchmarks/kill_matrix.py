@@ -32,6 +32,14 @@ second run under the first document's ``rejudge`` key::
     python3 benchmarks/kill_matrix.py --tree SCRATCH/change --jobs 2 \\
         --commit COMMIT --gates hash-tier1 --only MUTANT ... --rejudge \\
         --out benchmarks/results/BENCH_kill_matrix.json
+
+The ``alloc.*`` rows came with the two-level allocator and are judged
+on their own, into their own document::
+
+    python3 benchmarks/kill_matrix.py --tree SCRATCH/change \\
+        --commit COMMIT --gates hash-tier1 \\
+        --only alloc.double_free_unchecked alloc.page_claim_left_free \\
+        --out benchmarks/results/BENCH_kill_matrix_alloc.json
 """
 
 from __future__ import annotations
@@ -285,6 +293,22 @@ MUTANTS = (
         "a corrupted frame is delivered although its crc is wrong",
         ("fuzz-corpus-each", "fuzz-session@0", "fuzz-session@1",
          "fuzz-session@2")),
+    Mutant(
+        "alloc.double_free_unchecked",
+        "src/repro/objectstore/bluestore/allocator.py",
+        (('            raise AllocError(f"double free at block {first + lo}")\n',
+          "            return\n"),
+         ("        if gaps:\n            raise", "        if False:\n            raise")),
+        "free skips the double-free raise, on a FREE page and in L0 bits",
+        ("tier1",)),
+    Mutant(
+        "alloc.page_claim_left_free",
+        "src/repro/objectstore/bluestore/allocator.py",
+        (("            self._store(page, n, ((1 << taken) - 1) << lo, taken)\n",
+          "            if taken < n:\n"
+          "                self._store(page, n, ((1 << taken) - 1) << lo, taken)\n"),),
+        "a whole-page claim leaves its L1 entry FREE",
+        ("tier1",)),
 )
 
 

@@ -1,11 +1,26 @@
-"""Bitmap block allocator (BlueStore's default allocator family).
+"""Two-level bitmap block allocator (BlueStore's default allocator family).
 
-Tracks device space in fixed ``alloc_unit`` blocks using a real bitmap
-(one bit per block, packed in a ``bytearray``).  Allocation is first-fit
-from a roving hint — the same policy class as BlueStore's bitmap
-allocator — returning possibly-fragmented extent lists.  Frees validate
-double-free, and accounting invariants (free + used == capacity) are
-enforced by property tests.
+Tracks device space in fixed ``alloc_unit`` blocks on BlueStore's
+two-level layout.  L0 is one bit per block (set = used).  The L1
+summary holds one state per page of ``1 << _PAGE_SHIFT`` L0 bits:
+
+* FREE: every block of the page is free; no L0 storage.
+* FULL: every block of the page is used; no L0 storage.
+* PARTIAL: the page's L0 bits, materialized as a ``bytearray``, plus
+  its used-block count.
+
+So memory follows the space a run has touched, not device capacity:
+a 1 TiB device in 64 KiB blocks starts as a 4 KiB summary instead of a
+2 MiB bitmap.  A page whose last used block is freed drops back to
+FREE; one whose last free block is taken becomes FULL.
+
+Allocation is first-fit from a roving hint, wrapping once, and returns
+possibly-fragmented extent lists.  FULL pages are skipped and FREE
+pages claimed without a bit scan (a whole one in L1 alone), but the
+extents, the hint and every error are those of the dense walk over one
+bit per block (the reference the tests compare against).  Frees
+validate double-free, and accounting invariants (free + used ==
+capacity) are enforced by property tests.
 """
 
 from __future__ import annotations
@@ -13,6 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["BitmapAllocator", "Extent", "AllocError"]
+
+_FREE, _FULL, _PARTIAL = 0, 1, 2
+
+#: log2 of the L0 bits per L1 entry: 4096 blocks (a 512-byte L0 page).
+#: At least 3, so a page is whole bytes; tests shrink it to span many
+#: pages on a small device.
+_PAGE_SHIFT = 12
 
 
 class AllocError(Exception):
@@ -28,7 +50,7 @@ class Extent:
 
 
 class BitmapAllocator:
-    """First-fit bitmap allocator over ``capacity`` bytes."""
+    """First-fit two-level bitmap allocator over ``capacity`` bytes."""
 
     def __init__(self, capacity: int, alloc_unit: int = 65536) -> None:
         if capacity <= 0 or alloc_unit <= 0:
@@ -38,20 +60,105 @@ class BitmapAllocator:
         self.capacity = capacity
         self.alloc_unit = alloc_unit
         self.num_blocks = capacity // alloc_unit
-        # bit set = used
-        self._bitmap = bytearray((self.num_blocks + 7) // 8)
+        self._shift = _PAGE_SHIFT
+        #: L1: one state per page, all FREE
+        self._l1 = bytearray(((self.num_blocks - 1) >> self._shift) + 1)
+        #: L0 bits and used-block count of each PARTIAL page
+        self._l0: dict[int, bytearray] = {}
+        self._l0_used: dict[int, int] = {}
         self._free_blocks = self.num_blocks
         self._hint = 0
 
-    # -- bit helpers -------------------------------------------------------------
-    def _test(self, block: int) -> bool:
-        return bool(self._bitmap[block >> 3] & (1 << (block & 7)))
+    # -- pages -------------------------------------------------------------------
+    def _page_len(self, page: int) -> int:
+        """Blocks in ``page`` (only the last page may be short)."""
+        return min(1 << self._shift, self.num_blocks - (page << self._shift))
 
-    def _set(self, block: int) -> None:
-        self._bitmap[block >> 3] |= 1 << (block & 7)
+    def _store(self, page: int, n: int, word: int, used: int) -> None:
+        """Record ``page`` (``n`` blocks) with L0 bits ``word`` holding
+        ``used`` blocks: FREE or FULL in L1 alone, else PARTIAL."""
+        if 0 < used < n:
+            self._l1[page] = _PARTIAL
+            self._l0[page] = bytearray(word.to_bytes((n + 7) >> 3, "little"))
+            self._l0_used[page] = used
+            return
+        self._l1[page] = _FULL if used else _FREE
+        self._l0.pop(page, None)
+        self._l0_used.pop(page, None)
 
-    def _clear(self, block: int) -> None:
-        self._bitmap[block >> 3] &= ~(1 << (block & 7)) & 0xFF
+    def _claim(self, page: int, lo: int, hi: int,
+               need: int) -> list[tuple[int, int]]:
+        """Take up to ``need`` free blocks of a FREE or PARTIAL ``page``
+        in ``[lo, hi)`` (page-local), lowest first; return them as
+        ``(block, count)`` runs in device block numbers."""
+        first = page << self._shift
+        n = self._page_len(page)
+        bits = self._l0.get(page)
+        if bits is None:
+            # FREE: the first ``need`` blocks from lo, no scan; taking
+            # the whole page touches L1 alone
+            taken = min(hi - lo, need)
+            self._store(page, n, ((1 << taken) - 1) << lo, taken)
+            return [(first + lo, taken)]
+        # PARTIAL: scan [lo, hi) in windows of ``need`` blocks, doubling,
+        # so a claim reads about as many bytes as it takes
+        runs = []
+        taken = 0
+        size = need
+        while lo < hi and taken < need:
+            stop = min(hi, lo + size)
+            a, b = lo >> 3, (stop + 7) >> 3
+            off = lo & 7  # bit of ``word`` that is block lo
+            word = int.from_bytes(bits[a:b], "little")
+            free = ~word >> off & ((1 << (stop - lo)) - 1)
+            while free and taken < need:
+                low = (free & -free).bit_length() - 1
+                ones = free >> low
+                run = (~ones & (ones + 1)).bit_length() - 1
+                k = min(run, need - taken)
+                runs.append((first + lo + low, k))
+                word |= ((1 << k) - 1) << (off + low)
+                free = ones >> run << (low + run)
+                taken += k
+            bits[a:b] = word.to_bytes(b - a, "little")
+            lo = stop
+            size *= 2
+        used = self._l0_used[page] + taken
+        if used < n:
+            self._l0_used[page] = used
+        else:
+            self._store(page, n, 0, used)
+        return runs
+
+    def _release(self, page: int, lo: int, hi: int) -> None:
+        """Clear the used blocks ``[lo, hi)`` of ``page`` (page-local).
+
+        At the first block already free, raise a double free, keeping
+        the blocks before it cleared, as a block-by-block walk would."""
+        first = page << self._shift
+        n = self._page_len(page)
+        state = self._l1[page]
+        if state == _FREE:
+            raise AllocError(f"double free at block {first + lo}")
+        mask = (1 << (hi - lo)) - 1
+        if state == _FULL:
+            self._store(page, n, ((1 << n) - 1) ^ (mask << lo), n - (hi - lo))
+            return
+        bits = self._l0[page]
+        a, b = lo >> 3, (hi + 7) >> 3
+        off = lo & 7
+        word = int.from_bytes(bits[a:b], "little")
+        gaps = ~(word >> off) & mask
+        cleared = (gaps & -gaps).bit_length() - 1 if gaps else hi - lo
+        word &= ~(((1 << cleared) - 1) << off)
+        used = self._l0_used[page] - cleared
+        if used:
+            bits[a:b] = word.to_bytes(b - a, "little")
+            self._l0_used[page] = used
+        else:
+            self._store(page, n, 0, 0)
+        if gaps:
+            raise AllocError(f"double free at block {first + lo + cleared}")
 
     # -- public API -------------------------------------------------------------
     @property
@@ -82,50 +189,36 @@ class BitmapAllocator:
         num = self.num_blocks
         start = self._hint % num
         unit = self.alloc_unit
-        bitmap = self._bitmap
+        shift = self._shift
+        l1 = self._l1
         cur_start = -1
         cur_len = 0
-        # First-fit scan from the hint, wrapping once: identical visit
-        # order to a modulo walk over every block, but written as two
-        # linear passes with inlined bit tests, a fast skip over
-        # fully-used bytes (0xFF = 8 allocated blocks at once) and a
-        # whole-byte claim of fully-free ones (the bit walk would take
-        # the same 8 blocks one by one).  On a mostly-full device the
-        # scan spends its time in the skip, on a mostly-empty one in
-        # the claim.
+        # The dense walk's visit order (from the hint to the end, then
+        # from 0 to the hint), a page at a time: FULL pages are skipped
+        # and FREE ones claimed without a scan.
         for lo, hi in ((start, num), (0, start)):
             block = lo
             while block < hi and got < want:
-                bit = block & 7
-                byte = bitmap[block >> 3]
-                if byte == 0xFF:
-                    block += 8 - bit
+                page = block >> shift
+                page_lo = page << shift
+                page_hi = min(page_lo + (1 << shift), num)
+                end = min(page_hi, hi)
+                if l1[page] == _FULL:
+                    block = end
                     continue
-                if not byte and not bit and want - got >= 8 and hi - block >= 8:
-                    bitmap[block >> 3] = 0xFF
-                    got += 8
-                    if block == cur_start + cur_len:
-                        cur_len += 8
+                runs = self._claim(page, block - page_lo, end - page_lo,
+                                   want - got)
+                for run_start, n in runs:
+                    got += n
+                    if run_start == cur_start + cur_len:
+                        cur_len += n
                     else:
                         if cur_start >= 0:
                             extents.append(
                                 Extent(cur_start * unit, cur_len * unit)
                             )
-                        cur_start, cur_len = block, 8
-                    block += 8
-                    continue
-                if not byte & (1 << bit):
-                    bitmap[block >> 3] = byte | (1 << bit)
-                    got += 1
-                    if block == cur_start + cur_len:
-                        cur_len += 1
-                    else:
-                        if cur_start >= 0:
-                            extents.append(
-                                Extent(cur_start * unit, cur_len * unit)
-                            )
-                        cur_start, cur_len = block, 1
-                block += 1
+                        cur_start, cur_len = run_start, n
+                block = end
             if got == want:
                 break
         if cur_start >= 0:
@@ -141,43 +234,47 @@ class BitmapAllocator:
 
     def free(self, extents: list[Extent]) -> None:
         """Return extents to the free pool (validates double-free)."""
+        shift = self._shift
         for e in extents:
             if e.offset % self.alloc_unit or e.length % self.alloc_unit:
                 raise AllocError(f"misaligned extent: {e}")
             first = e.offset // self.alloc_unit
             count = e.length // self.alloc_unit
-            if first + count > self.num_blocks:
+            if first < 0 or count < 0 or first + count > self.num_blocks:
                 raise AllocError(f"extent out of range: {e}")
-            bitmap = self._bitmap
             b = first
             end = first + count
             while b < end:
-                if not b & 7 and end - b >= 8 and bitmap[b >> 3] == 0xFF:
-                    # a whole used byte: 8 blocks the bit walk would
-                    # clear one by one (anything less falls through to
-                    # it, so a double free is reported at the same block)
-                    bitmap[b >> 3] = 0
-                    b += 8
-                    continue
-                mask = 1 << (b & 7)
-                if not bitmap[b >> 3] & mask:
-                    raise AllocError(f"double free at block {b}")
-                bitmap[b >> 3] &= ~mask & 0xFF
-                b += 1
+                page = b >> shift
+                page_lo = page << shift
+                stop = min(page_lo + (1 << shift), end)
+                self._release(page, b - page_lo, stop - page_lo)
+                b = stop
             self._free_blocks += count
 
     def fragmentation(self) -> float:
-        """Crude score: 1 - (largest free run / total free blocks)."""
+        """Crude score: 1 - (largest free run / total free blocks).
+
+        Read off L1 plus the PARTIAL pages' bits, never a walk over
+        every block."""
         if self._free_blocks == 0:
             return 0.0
         largest = 0
-        run = 0
-        for b in range(self.num_blocks):
-            if not self._test(b):
-                run += 1
-                largest = max(largest, run)
-            else:
+        run = 0  # free blocks ending at the current page boundary
+        for page, state in enumerate(self._l1):
+            if state == _FULL:
                 run = 0
+                continue
+            n = self._page_len(page)
+            if state == _FREE:
+                run += n
+                largest = max(largest, run)
+                continue
+            word = int.from_bytes(self._l0[page], "little")
+            # the page's free runs, block 0 first
+            gaps = format(word, f"0{n}b")[::-1].split("1")
+            largest = max(largest, run + len(gaps[0]), *map(len, gaps))
+            run = len(gaps[-1])
         return 1.0 - largest / self._free_blocks
 
     def __repr__(self) -> str:

@@ -330,7 +330,7 @@ class RadosClient:
                 break
             self.timeouts += 1
             if attempt_span is not None:
-                attempt_span.error(self.env.now, "timeout")
+                attempt_span.abandon(self.env.now, "timeout")
             if attempt >= self.max_attempts:
                 self.ops_failed += 1
                 if root_span is not None:

@@ -30,7 +30,10 @@ bit-identical to an untraced run; with a tracer attached only
 begins and ends within its parent).  Causality that is not time-nested
 — a receive that starts after its send finished, a retry that follows a
 failed attempt — is expressed as span *links* instead, so the span tree
-stays well-formed under the nesting invariant.
+stays well-formed under the nesting invariant.  The one exception is
+OpenTelemetry's: a span its owner *abandoned* (a client attempt given
+up on a timeout) may be outlived by the work it started, and every
+child that does so is tagged ``outlives=abandoned-parent``.
 
 Critical-path extraction walks backwards from a root span's end: at
 each step the predecessor is the child-or-link with the latest end time
@@ -135,6 +138,12 @@ class Span:
     def finish(self, now: float, status: Optional[str] = None) -> None:
         if self.end is None:
             self.end = now
+            parent = self.parent
+            if (parent is not None and parent.end is not None
+                    and now > parent.end + EPS and "abandoned" in parent.tags):
+                # late work of an abandoned parent: the one case where a
+                # child may outlive its parent (OpenTelemetry's rule)
+                self.tags["outlives"] = "abandoned-parent"
         if status is not None:
             self.status = status
 
@@ -142,6 +151,15 @@ class Span:
         """Finish the span in error state with a reason tag."""
         self.tag("error", reason)
         self.finish(now, status="error")
+
+    def abandon(self, now: float, reason: str) -> None:
+        """Finish the span in error state as given up on by its owner.
+
+        Work it started elsewhere (a server's ``osd.op``, the reply's
+        wire spans) carries on and may end later; those children are
+        tagged ``outlives=abandoned-parent`` when they finish."""
+        self.tag("abandoned", True)
+        self.error(now, reason)
 
     # -- context -----------------------------------------------------------
     @property

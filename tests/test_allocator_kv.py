@@ -1,10 +1,13 @@
 """Tests for the bitmap allocator and the embedded KV store."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.objectstore import BitmapAllocator, Extent, KVStore, WriteBatch
+from repro.objectstore.bluestore import allocator
 from repro.objectstore.bluestore.allocator import AllocError
 
 
@@ -48,8 +51,9 @@ def test_fragmented_allocation_spans_extents():
     a.free([Extent(3 * UNIT, UNIT)])
     a.free([Extent(5 * UNIT, UNIT)])
     extents = a.allocate(3 * UNIT)
-    assert sum(e.length for e in extents) == 3 * UNIT
-    assert len(extents) == 3  # necessarily fragmented
+    # necessarily fragmented: the three holes, first-fit order
+    assert extents == [Extent(1 * UNIT, UNIT), Extent(3 * UNIT, UNIT),
+                       Extent(5 * UNIT, UNIT)]
     assert a.free_bytes == 0
 
 
@@ -65,8 +69,10 @@ def test_misaligned_and_out_of_range_free():
     a = make_alloc(blocks=4)
     with pytest.raises(AllocError, match="misaligned"):
         a.free([Extent(100, UNIT)])
-    with pytest.raises(AllocError, match="range"):
-        a.free([Extent(10 * UNIT, UNIT)])
+    for bad in (Extent(10 * UNIT, UNIT), Extent(-UNIT, UNIT), Extent(0, -UNIT)):
+        with pytest.raises(AllocError, match="range"):
+            a.free([bad])
+    assert a.free_bytes == a.capacity
 
 
 def test_invalid_construction_and_sizes():
@@ -93,6 +99,16 @@ def test_fragmentation_score():
     a.allocate(8 * UNIT)
     a.free([Extent(0, UNIT), Extent(4 * UNIT, UNIT)])
     assert a.fragmentation() > 0.0
+    # a default 1 TiB device (16.8 M blocks): the score comes from the
+    # page summary, exact, and with no walk over every block
+    a = BitmapAllocator(1 << 40)
+    blocks = a.num_blocks
+    a.allocate(1 << 30)  # 16 384 blocks: whole pages
+    assert a.fragmentation() == 0.0
+    a.free([Extent(0, a.alloc_unit)])
+    a.free([Extent(8192 * a.alloc_unit, a.alloc_unit)])
+    free = blocks - 16384 + 2
+    assert a.fragmentation() == 1.0 - (blocks - 16384) / free
 
 
 @given(
@@ -126,60 +142,100 @@ def test_allocator_conservation_property(requests):
     assert a.fragmentation() == 0.0
 
 
-class _BitWalkAllocator(BitmapAllocator):
-    """The reference: one bit per step, as ``allocate``/``free`` were
-    written before they learned to take a whole bitmap byte at a time."""
+class _DenseBitWalk:
+    """The reference: one bit per block in one dense ``bytearray``,
+    walked one block per step, as the allocator was before it learned
+    pages.  It owns its state and shares no code with the allocator."""
+
+    def __init__(self, blocks):
+        self.num_blocks = blocks
+        self.bitmap = bytearray((blocks + 7) // 8)
+        self.free_blocks = blocks
+        self.hint = 0
+
+    def _test(self, block):
+        return bool(self.bitmap[block >> 3] & (1 << (block & 7)))
 
     def allocate(self, nbytes):
         if nbytes <= 0:
             raise AllocError(f"allocation size must be positive: {nbytes}")
-        want = -(-nbytes // self.alloc_unit)
-        if want > self._free_blocks:
+        want = -(-nbytes // UNIT)
+        if want > self.free_blocks:
             raise AllocError(
-                f"out of space: want {want} blocks, have {self._free_blocks}"
+                f"out of space: want {want} blocks, have {self.free_blocks}"
             )
         extents = []
         got = 0
         num = self.num_blocks
-        start = self._hint % num
-        unit = self.alloc_unit
+        start = self.hint % num
         cur_start, cur_len = -1, 0
         for lo, hi in ((start, num), (0, start)):
             block = lo
             while block < hi and got < want:
                 if not self._test(block):
-                    self._set(block)
+                    self.bitmap[block >> 3] |= 1 << (block & 7)
                     got += 1
                     if block == cur_start + cur_len:
                         cur_len += 1
                     else:
                         if cur_start >= 0:
-                            extents.append(Extent(cur_start * unit, cur_len * unit))
+                            extents.append(Extent(cur_start * UNIT, cur_len * UNIT))
                         cur_start, cur_len = block, 1
                 block += 1
             if got == want:
                 break
         if cur_start >= 0:
-            extents.append(Extent(cur_start * unit, cur_len * unit))
+            extents.append(Extent(cur_start * UNIT, cur_len * UNIT))
         assert got == want
-        self._free_blocks -= want
+        self.free_blocks -= want
         last = extents[-1]
-        self._hint = ((last.offset + last.length) // unit) % num
+        self.hint = ((last.offset + last.length) // UNIT) % num
         return extents
 
     def free(self, extents):
         for e in extents:
-            if e.offset % self.alloc_unit or e.length % self.alloc_unit:
+            if e.offset % UNIT or e.length % UNIT:
                 raise AllocError(f"misaligned extent: {e}")
-            first = e.offset // self.alloc_unit
-            count = e.length // self.alloc_unit
-            if first + count > self.num_blocks:
+            first = e.offset // UNIT
+            count = e.length // UNIT
+            if first < 0 or count < 0 or first + count > self.num_blocks:
                 raise AllocError(f"extent out of range: {e}")
             for b in range(first, first + count):
                 if not self._test(b):
                     raise AllocError(f"double free at block {b}")
-                self._clear(b)
-            self._free_blocks += count
+                self.bitmap[b >> 3] &= ~(1 << (b & 7)) & 0xFF
+            self.free_blocks += count
+
+    def fragmentation(self):
+        if self.free_blocks == 0:
+            return 0.0
+        largest = run = 0
+        for b in range(self.num_blocks):
+            run = 0 if self._test(b) else run + 1
+            largest = max(largest, run)
+        return 1.0 - largest / self.free_blocks
+
+    def used_blocks(self):
+        return {b for b in range(self.num_blocks) if self._test(b)}
+
+
+def _used_blocks(alloc):
+    """The blocks ``alloc`` holds, read off its L1 summary and L0 pages;
+    also checks that the summary agrees with the pages it stands for."""
+    used = set()
+    for page, state in enumerate(alloc._l1):
+        first = page << alloc._shift
+        n = alloc._page_len(page)
+        if state == allocator._PARTIAL:
+            bits = int.from_bytes(alloc._l0[page], "little")
+            assert bits >> n == 0, "L0 bits past the end of the page"
+            assert 0 < bits.bit_count() == alloc._l0_used[page] < n
+            used.update(first + i for i in range(n) if bits >> i & 1)
+        else:
+            assert page not in alloc._l0 and page not in alloc._l0_used
+            if state == allocator._FULL:
+                used.update(range(first, first + n))
+    return used
 
 
 _alloc_op = st.one_of(
@@ -199,32 +255,45 @@ _alloc_op = st.one_of(
 
 
 @given(
-    blocks=st.sampled_from((64, 200, 203)),  # 203: last bitmap byte is partial
+    # every device spans 2+ pages; 200 and 203 end in a short page, and
+    # 203 in a short last L0 byte as well
+    blocks=st.sampled_from((64, 200, 203)),
+    page_shift=st.sampled_from((3, 4, 5)),
+    # fill the device in chunks of this many blocks first (0: start
+    # empty), so frees punch scattered holes that one claim must walk
+    fill=st.integers(min_value=0, max_value=4),
     ops=st.lists(_alloc_op, min_size=1, max_size=60),
 )
 @settings(max_examples=300, deadline=None)
-def test_byte_steps_equal_the_bit_walk(blocks, ops):
-    """Whole-byte claims and clears change nothing observable: extents,
-    roving hint, bitmap, free space and every error — message and the
-    state it leaves behind — equal the one-bit-per-step reference after
-    every operation."""
-    fast = BitmapAllocator(blocks * UNIT, alloc_unit=UNIT)
-    ref = _BitWalkAllocator(blocks * UNIT, alloc_unit=UNIT)
+def test_byte_steps_equal_the_bit_walk(blocks, page_shift, fill, ops):
+    """Pages claimed, skipped and dropped whole change nothing
+    observable: extents, roving hint, used blocks, free space,
+    fragmentation and every error, its message and the state it leaves
+    behind, equal the dense one-bit-per-step walk after every operation."""
+    with mock.patch.object(allocator, "_PAGE_SHIFT", page_shift):
+        paged = BitmapAllocator(blocks * UNIT, alloc_unit=UNIT)
+    assert len(paged._l1) > 1
+    ref = _DenseBitWalk(blocks)
     live = []
 
     def both(call):
         outcomes = []
-        for alloc in (fast, ref):
+        for alloc in (paged, ref):
             try:
                 outcomes.append(("ok", call(alloc)))
             except AllocError as exc:
                 outcomes.append(("error", str(exc)))
         assert outcomes[0] == outcomes[1]
-        assert fast._bitmap == ref._bitmap
-        assert fast._hint == ref._hint
-        assert fast.free_bytes == ref.free_bytes
+        assert _used_blocks(paged) == ref.used_blocks()
+        assert paged._hint == ref.hint
+        assert paged.free_bytes == ref.free_blocks * UNIT
+        assert paged.fragmentation() == ref.fragmentation()
         return outcomes[0]
 
+    for start in range(0, blocks if fill else 0, fill or 1):
+        size = min(fill, blocks - start) * UNIT
+        live.append(paged.allocate(size))
+        assert live[-1] == ref.allocate(size)
     for op in ops:
         if op[0] == "alloc":
             size = op[1] * UNIT or 100

@@ -2,6 +2,7 @@
 
 import pytest
 from dataclasses import replace
+import tracemalloc
 
 from repro.cluster import (
     BENCH_POOL,
@@ -89,6 +90,26 @@ def test_cluster_scales_to_more_nodes():
         if "scale" in objects
     )
     assert found == 3  # replication factor honored on the larger cluster
+
+
+def test_booted_cluster_memory_is_not_per_device():
+    """Building and booting a default DoCeph cluster (two 1 TiB
+    BlueStores) traces at most 1 MB: no structure sized by device
+    capacity, such as a dense one-bit-per-block bitmap (2 MiB each)."""
+
+    def build_and_boot():
+        env = Environment()
+        cluster = build_doceph_cluster(env)
+        env.run(until=env.process(cluster.boot()))
+
+    build_and_boot()  # first build imports the lazily loaded modules
+    tracemalloc.start()
+    try:
+        build_and_boot()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000, f"{peak} bytes traced to build and boot"
 
 
 def test_osdmap_addresses_match_nodes():

@@ -2,7 +2,8 @@
 well-formedness, CPU cross-checks, exporters, and fault annotations.
 
 Seeded tests run under the one fixed ``SEED`` below; the OSD-crash test
-also runs seeds 1 and 2, which fail on a known defect (ROADMAP 10(c)).
+also runs seeds 1 and 2, whose abandoned attempts are outlived by their
+late server work.
 """
 
 import pytest
@@ -69,6 +70,23 @@ def test_span_tree_basics():
     other.finish(5.0)
     assert other.end == 1.0 and other.status == "error"
     assert other.tags["error"] == "boom"
+    # a child may outlive its parent only when the parent was abandoned
+    for abandoned in (False, True):
+        tracer = Tracer()
+        parent = tracer.start_span("client.attempt", 0.0)
+        late = parent.child("osd.op", 0.5)
+        if abandoned:
+            parent.abandon(1.0, "timeout")
+        else:
+            parent.error(1.0, "timeout")
+        late.finish(2.0)
+        assert late.tags.get("outlives") == (
+            "abandoned-parent" if abandoned else None)
+        if abandoned:
+            _assert_well_formed(tracer.report())
+        else:
+            with pytest.raises(AssertionError, match="escapes"):
+                _assert_well_formed(tracer.report())
 
 
 def test_critical_path_hand_built():
@@ -135,12 +153,14 @@ def _assert_well_formed(report, allow_drops=False):
             if span.parent_id is not None:
                 parent = by_id[span.parent_id]
                 assert parent.trace_id == span.trace_id
-                # children are time-nested within their parents
+                # children are time-nested within their parents, except
+                # the tagged late work of an abandoned parent
                 assert span.begin >= parent.begin - EPS
                 if span.end is not None and parent.end is not None:
-                    assert span.end <= parent.end + EPS, (
-                        f"{span!r} escapes {parent!r}"
-                    )
+                    late = span.end > parent.end + EPS
+                    excused = span.tags.get("outlives") == "abandoned-parent"
+                    assert late == excused, f"{span!r} escapes {parent!r}"
+                    assert not excused or parent.tags.get("abandoned")
     # every send span is consumed by exactly one recv (via its
     # "follows" link) unless it was dropped or still on the wire
     recv_targets = [
@@ -364,11 +384,19 @@ def test_osd_crash_resend_annotated_spans():
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP 10(c): an osd.op span outlives the client.attempt that was "
-    "abandoned and resent"))
 def test_osd_crash_resend_annotated_spans_other_seeds(seed):
-    _check_osd_crash_resend(seed)
+    """These seeds leave an abandoned attempt's osd.op and reply
+    running past it: its tagged late work, the one excused escape.
+    Tagging it perturbs nothing: the untraced replay is identical."""
+    report, chaos = _check_osd_crash_resend(seed)
+    late = [s for s in report.spans
+            if s.tags.get("outlives") == "abandoned-parent"]
+    assert {s.name for s in late} >= {"osd.op"}
+    untraced = run_chaos(
+        mode="baseline", seed=seed, duration=4.0, clients=2,
+        object_size=1 << 20, crashes=2, partitions=0,
+    )
+    assert untraced.fingerprint() == chaos.fingerprint()
 
 
 def _check_osd_crash_resend(seed):
@@ -403,3 +431,4 @@ def _check_osd_crash_resend(seed):
     ]
     if health["resends"] > 0 or health["timeouts"] > 0:
         assert evidence
+    return report, report_chaos
