@@ -40,6 +40,15 @@ on their own, into their own document::
         --commit COMMIT --gates hash-tier1 \\
         --only alloc.double_free_unchecked alloc.page_claim_left_free \\
         --out benchmarks/results/BENCH_kill_matrix_alloc.json
+
+The ``rpc.*`` and ``store.*`` rows came with the exact RPC dedup
+lifetime and the lean onodes, likewise::
+
+    python3 benchmarks/kill_matrix.py --tree SCRATCH/change \\
+        --commit COMMIT --gates hash-tier1 \\
+        --only rpc.dedup_drop_at_send rpc.dedup_drop_on_giveup \\
+        store.attrs_count_zero \\
+        --out benchmarks/results/BENCH_kill_matrix_mem.json
 """
 
 from __future__ import annotations
@@ -308,6 +317,28 @@ MUTANTS = (
           "            if taken < n:\n"
           "                self._store(page, n, ((1 << taken) - 1) << lo, taken)\n"),),
         "a whole-page claim leaves its L1 entry FREE",
+        ("tier1",)),
+    Mutant(
+        "rpc.dedup_drop_at_send", "src/repro/core/rpc.py",
+        (("            self._done[rid] = (req.reply, req.error)\n",
+          "            self._done[rid] = (req.reply, req.error)\n"
+          "            del self._done[rid]\n"),),
+        "the dedup record is dropped as soon as it is made, so a retry "
+        "after a lost reply runs the handler again",
+        ("tier1",)),
+    Mutant(
+        "rpc.dedup_drop_on_giveup", "src/repro/core/rpc.py",
+        (("        if req_id in self._queued or req_id in self._inflight:\n",
+          "        self._done.pop(req_id, None)\n"
+          "        if req_id in self._queued or req_id in self._inflight:\n"),),
+        "a caller that gives up drops the record while its retry is "
+        "still queued, so the retry runs the handler again",
+        ("tier1",)),
+    Mutant(
+        "store.attrs_count_zero",
+        "src/repro/objectstore/bluestore/store.py",
+        (("attrs=len(onode.attrs or ())", "attrs=0"),),
+        "stat reports no attrs on an object that has some",
         ("tier1",)),
 )
 

@@ -26,7 +26,6 @@ schedule depends only on the seed, never on simulation interleaving.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Generator, Optional
@@ -41,6 +40,7 @@ from .cluster.config import DocephProfile, HardwareProfile
 from .rados.client import RadosClient, RadosError
 from .sim import Environment
 from .util.bufferlist import DataBlob
+from .util.digest import sha256_hex
 from .util.rng import SeededRng
 
 __all__ = [
@@ -433,7 +433,7 @@ class ChaosReport:
             "qos_incidents": dict(sorted(self.qos_incidents.items())),
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256_hex(blob.encode("utf-8"))
 
     def as_dict(self) -> dict[str, Any]:
         return {

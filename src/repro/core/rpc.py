@@ -21,9 +21,15 @@ request id**: a retry of a request whose handler already ran gets the
 recorded outcome replayed instead of a second execution (handlers —
 BlueStore commits, write-buffer releases — are not idempotent), and a
 retry that lands while the original is still executing just re-points
-the eventual reply at the newest attempt.  The retried *transport* still
-pays socket CPU on both ends — which is why fallback traffic under
-faults costs extra CPU.  Request/reply loss and delay are injected
+the eventual reply at the newest attempt.  A recorded outcome lives
+exactly as long as a duplicate of its request can still be dequeued:
+the caller drops it on receiving the reply (the server queue is FIFO
+and attempts are sequential, so every attempt was dequeued before the
+reply was sent); a caller that gives up or is interrupted leaves it to
+its last queued attempt, or to the end of a still-running handler.  No
+bound evicts a record a retry may still need.  The retried *transport*
+still pays socket CPU on both ends — which is why fallback traffic
+under faults costs extra CPU.  Request/reply loss and delay are injected
 through the unified :mod:`repro.faults` plan (``rpc:request_loss``,
 ``rpc:reply_loss``, ``rpc:delay``).
 """
@@ -126,6 +132,11 @@ class RpcChannel:
         # server-side retry dedup: req_id -> executing attempt / outcome
         self._inflight: dict[int, RpcRequest] = {}
         self._done: dict[int, tuple[Any, Optional[str]]] = {}
+        # req_id -> attempts put on the server queue and not yet looked up
+        self._queued: dict[int, int] = {}
+        # req_ids whose caller stopped waiting before the last attempt was
+        # looked up or the handler finished
+        self._abandoned: set[int] = set()
 
         bw = profile.rpc_socket_bandwidth
         self._to_host = BandwidthPipe(self.env, f"{node.name}.rpc.tx", bw * 8)
@@ -200,95 +211,113 @@ class RpcChannel:
         send_cpu, _, send_ctx, _ = tcp.costs(wire)
         attempts = 1 + max(0, self.max_retries)
         prev_span = None
-        for attempt in range(attempts):
-            span = None
-            if span_ctx is not None:
-                span = span_ctx.start_span(
-                    f"rpc.{op}", self.env.now, thread=thread, nbytes=wire,
+        replied = False
+        try:
+            for attempt in range(attempts):
+                span = None
+                if span_ctx is not None:
+                    span = span_ctx.start_span(
+                        f"rpc.{op}", self.env.now, thread=thread, nbytes=wire,
+                    )
+                    span.tag("req_id", req_id)
+                    span.tag("attempt", attempt)
+                    if prev_span is not None:
+                        span.link(prev_span, "retry")
+                    prev_span = span
+                req = RpcRequest(
+                    req_id=req_id,
+                    op=op,
+                    payload=payload,
+                    bulk_bytes=bulk_bytes,
+                    response=self.env.event(),
+                    submitted_at=self.env.now,
+                    attempt=attempt,
+                    span_ctx=span.context if span is not None else None,
                 )
-                span.tag("req_id", req_id)
-                span.tag("attempt", attempt)
-                if prev_span is not None:
-                    span.link(prev_span, "retry")
-                prev_span = span
-            req = RpcRequest(
-                req_id=req_id,
-                op=op,
-                payload=payload,
-                bulk_bytes=bulk_bytes,
-                response=self.env.event(),
-                submitted_at=self.env.now,
-                attempt=attempt,
-                span_ctx=span.context if span is not None else None,
-            )
-            yield from thread.charge(send_cpu)
-            yield from thread.ctx_switch(send_ctx)
-            yield from self._to_host.transmit(wire)
-            latency = self.node.pcie_rpc_latency
-            lost = False
-            if self.fault_injector is not None:
-                spec = self.fault_injector.fire(
-                    self.env.now, kind="delay", size=wire
-                )
-                if spec is not None:
-                    latency += spec.delay
-                    self.delays += 1
-                if self.fault_injector.fire(
-                    self.env.now, kind="request_loss", size=wire
-                ):
-                    lost = True
-                    self.request_losses += 1
-                    if span is not None:
-                        span.tag("dropped", "request-loss")
-            yield self.env.timeout(latency)
-            if not lost:
-                yield self._server_queue.put(req)
+                yield from thread.charge(send_cpu)
+                yield from thread.ctx_switch(send_ctx)
+                yield from self._to_host.transmit(wire)
+                latency = self.node.pcie_rpc_latency
+                lost = False
+                if self.fault_injector is not None:
+                    spec = self.fault_injector.fire(
+                        self.env.now, kind="delay", size=wire
+                    )
+                    if spec is not None:
+                        latency += spec.delay
+                        self.delays += 1
+                    if self.fault_injector.fire(
+                        self.env.now, kind="request_loss", size=wire
+                    ):
+                        lost = True
+                        self.request_losses += 1
+                        if span is not None:
+                            span.tag("dropped", "request-loss")
+                yield self.env.timeout(latency)
+                if not lost:
+                    self._queued[req_id] = self._queued.get(req_id, 0) + 1
+                    yield self._server_queue.put(req)
 
-            assert req.response is not None
-            if self.timeout_seconds > 0:
-                deadline = self.timeout_seconds * (
-                    self.backoff_factor ** attempt
-                )
-                yield self.env.any_of(
-                    [req.response, self.env.timeout(deadline)]
-                )
-            else:  # timeout disabled: legacy wait-forever behaviour
-                yield req.response
+                assert req.response is not None
+                if self.timeout_seconds > 0:
+                    deadline = self.timeout_seconds * (
+                        self.backoff_factor ** attempt
+                    )
+                    yield self.env.any_of(
+                        [req.response, self.env.timeout(deadline)]
+                    )
+                else:  # timeout disabled: legacy wait-forever behaviour
+                    yield req.response
 
-            if req.response.triggered:
-                # Receiving the reply is a kernel socket read on the
-                # caller's complex — charge it, or fallback bulk reads
-                # undercount DPU CPU.
-                reply_wire = req.reply_wire_bytes or 64
-                _, recv_cpu, _, recv_ctx = tcp.costs(reply_wire)
-                yield from thread.charge(recv_cpu)
-                yield from thread.ctx_switch(recv_ctx)
-                self.calls += 1
-                self.bulk_bytes += bulk_bytes
-                if req.error is not None:
-                    self.errors += 1
+                if req.response.triggered:
+                    # Every attempt was dequeued before this reply was
+                    # sent (FIFO queue, sequential attempts), so no
+                    # duplicate can ask for the outcome again.
+                    self._done.pop(req_id, None)
+                    replied = True
+                    # Receiving the reply is a kernel socket read on the
+                    # caller's complex — charge it, or fallback bulk reads
+                    # undercount DPU CPU.
+                    reply_wire = req.reply_wire_bytes or 64
+                    _, recv_cpu, _, recv_ctx = tcp.costs(reply_wire)
+                    yield from thread.charge(recv_cpu)
+                    yield from thread.ctx_switch(recv_ctx)
+                    self.calls += 1
+                    self.bulk_bytes += bulk_bytes
+                    if req.error is not None:
+                        self.errors += 1
+                        if span is not None:
+                            span.error(self.env.now, "handler-error")
+                        raise RpcError(req.error)
                     if span is not None:
-                        span.error(self.env.now, "handler-error")
-                    raise RpcError(req.error)
+                        span.finish(self.env.now)
+                    return req
+
+                self.timeouts += 1
                 if span is not None:
-                    span.finish(self.env.now)
-                return req
+                    span.error(self.env.now, "timeout")
+                if attempt < attempts - 1:
+                    self.retries += 1
+            self.errors += 1
+            raise RpcError(
+                f"{op}: no reply for req {req_id} after {attempts} attempts"
+                f" (timeout)"
+            )
+        finally:
+            if not replied:
+                self._abandon(req_id)
 
-            self.timeouts += 1
-            if span is not None:
-                span.error(self.env.now, "timeout")
-            if attempt < attempts - 1:
-                self.retries += 1
-        self.errors += 1
-        raise RpcError(
-            f"{op}: no reply for req {req_id} after {attempts} attempts"
-            f" (timeout)"
-        )
+    def _abandon(self, req_id: int) -> None:
+        """The caller of ``req_id`` stopped waiting without a reply (it
+        gave up, or its process was interrupted): keep the outcome only
+        while a queued attempt can still ask for it or the handler is
+        still running."""
+        if req_id in self._queued or req_id in self._inflight:
+            self._abandoned.add(req_id)
+        else:
+            self._done.pop(req_id, None)
 
     # ---------------------------------------------------------------- host side
-    #: Completed-outcome entries kept for retry deduplication.
-    DEDUP_CACHE = 4096
-
     def _server_loop(self) -> Generator[Any, Any, None]:
         """Event-driven listener on the host (§4: 'persistent socket
         listener … effectively acting as an event-driven loop')."""
@@ -299,21 +328,29 @@ class RpcChannel:
             yield from thread.ctx_switch()
             wire = req.payload.real_length + req.bulk_bytes + 32
             yield from thread.charge(tcp.costs(wire)[1])
-            if req.req_id in self._done:
+            rid = req.req_id
+            left = self._queued.pop(rid) - 1
+            if left:
+                self._queued[rid] = left
+            if rid in self._done:
                 # retry of a completed request: replay the recorded
                 # outcome — handlers must not run twice (commits and
                 # write-buffer releases are not idempotent)
-                req.reply, req.error = self._done[req.req_id]
+                if left or rid not in self._abandoned:
+                    req.reply, req.error = self._done[rid]
+                else:  # an abandoned call's last duplicate
+                    self._abandoned.remove(rid)
+                    req.reply, req.error = self._done.pop(rid)
                 self.duplicates_suppressed += 1
                 yield from self._send_reply(req, thread)
                 continue
-            if req.req_id in self._inflight:
+            if rid in self._inflight:
                 # retry while the original is still executing: answer
                 # the newest attempt when that execution completes
-                self._inflight[req.req_id] = req
+                self._inflight[rid] = req
                 self.duplicates_suppressed += 1
                 continue
-            self._inflight[req.req_id] = req
+            self._inflight[rid] = req
             handler = self._handlers.get(req.op)
             if handler is None:
                 req.error = f"no handler for op {req.op!r}"
@@ -329,11 +366,15 @@ class RpcChannel:
 
     def _finalize(self, req: RpcRequest) -> RpcRequest:
         """Record ``req``'s outcome for dedup and return the newest
-        attempt (a retry may have superseded ``req`` mid-execution)."""
-        latest = self._inflight.pop(req.req_id, req)
-        self._done[req.req_id] = (req.reply, req.error)
-        while len(self._done) > self.DEDUP_CACHE:
-            self._done.pop(next(iter(self._done)))
+        attempt (a retry may have superseded ``req`` mid-execution).
+        An abandoned call with no attempt left to look it up records
+        nothing."""
+        rid = req.req_id
+        latest = self._inflight.pop(rid, req)
+        if rid in self._abandoned and rid not in self._queued:
+            self._abandoned.remove(rid)
+        else:
+            self._done[rid] = (req.reply, req.error)
         if latest is not req:
             latest.reply, latest.error = req.reply, req.error
         return latest

@@ -25,12 +25,12 @@ cutoff.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
+from ..util.digest import sha256_hex
 from ..util.rng import SeededRng
 from ..util.wallclock import perf_counter
 from .coverage import CoverageMap
@@ -115,7 +115,7 @@ class FuzzReport:
             ],
         }
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256_hex(blob.encode("utf-8"))
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -205,7 +205,7 @@ class Fuzzer:
     def _write_corpus_entry(self, record_text: str, signature: str) -> str:
         """Persist a shrunk violation plan; returns the path written."""
         assert self.corpus_dir is not None
-        digest = hashlib.sha256(record_text.encode("utf-8")).hexdigest()
+        digest = sha256_hex(record_text.encode("utf-8"))
         name = f"crash-{signature.replace('+', '_')}-{digest[:12]}.plan"
         self.corpus_dir.mkdir(parents=True, exist_ok=True)
         path = self.corpus_dir / name

@@ -41,7 +41,7 @@ class AllocError(Exception):
     """Out of space, double free, or misaligned request."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Extent:
     """A contiguous run of device blocks: byte ``offset`` + ``length``."""
 

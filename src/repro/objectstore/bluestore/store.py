@@ -86,14 +86,18 @@ class BlueStoreConfig:
     """Number of bstore_aio worker threads."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Onode:
-    """In-memory object metadata (mirrors the KV-persisted record)."""
+    """In-memory object metadata (mirrors the KV-persisted record).
+
+    ``attrs`` and ``omap`` stay ``None`` until the first key is set:
+    most objects never carry either, and an empty dict each would be a
+    large share of a written object's footprint."""
 
     size: int = 0
     version: int = 0
-    attrs: dict[str, bytes] = field(default_factory=dict)
-    omap: dict[str, bytes] = field(default_factory=dict)
+    attrs: Optional[dict[str, bytes]] = None
+    omap: Optional[dict[str, bytes]] = None
     extents: list[Extent] = field(default_factory=list)
     allocated: int = 0  # bytes of device space held
     content_id: int = 0
@@ -266,7 +270,7 @@ class BlueStore(ObjectStore):
     ) -> Generator[Any, Any, StatResult]:
         yield from thread.charge(self.config.control_cpu)
         onode = self._get_onode(coll, oid)
-        return StatResult(size=onode.size, attrs=len(onode.attrs),
+        return StatResult(size=onode.size, attrs=len(onode.attrs or ()),
                           version=onode.version,
                           content_id=onode.content_id)
 
@@ -282,10 +286,9 @@ class BlueStore(ObjectStore):
     ) -> Generator[Any, Any, bytes]:
         yield from thread.charge(self.config.control_cpu)
         onode = self._get_onode(coll, oid)
-        try:
-            return onode.attrs[key]
-        except KeyError:
-            raise NoSuchObject(f"{coll}/{oid}: no attr {key!r}") from None
+        if onode.attrs is None or key not in onode.attrs:
+            raise NoSuchObject(f"{coll}/{oid}: no attr {key!r}")
+        return onode.attrs[key]
 
     def list_objects(
         self, coll: str, thread: SimThread
@@ -396,11 +399,19 @@ class BlueStore(ObjectStore):
             objects = self.collections.get(op.coll)
             if objects is None:
                 raise StoreError(f"no such collection: {op.coll}")
+            if op.kind == TxnOpKind.REMOVE:
+                onode = objects.pop(op.oid, None)
+                if onode is None:
+                    raise NoSuchObject(f"{op.coll}/{op.oid}")
+                if onode.extents:
+                    self.allocator.free(onode.extents)
+                continue
+            onode = objects.get(op.oid)
+            if onode is None:
+                onode = objects[op.oid] = Onode()
             if op.kind == TxnOpKind.TOUCH:
-                onode = objects.setdefault(op.oid, Onode())
                 onode.version += 1
             elif op.kind == TxnOpKind.WRITE:
-                onode = objects.setdefault(op.oid, Onode())
                 prev_size = onode.size
                 end = op.offset + op.length
                 if end > onode.allocated:
@@ -421,24 +432,19 @@ class BlueStore(ObjectStore):
                         f"w:{op.offset}:{op.length}:{root}",
                     )
             elif op.kind == TxnOpKind.TRUNCATE:
-                onode = objects.setdefault(op.oid, Onode())
                 onode.size = op.length
                 onode.version += 1
                 onode.content_id = hash_combine(
                     onode.content_id, f"t:{op.length}"
                 )
-            elif op.kind == TxnOpKind.REMOVE:
-                onode = objects.pop(op.oid, None)
-                if onode is None:
-                    raise NoSuchObject(f"{op.coll}/{op.oid}")
-                if onode.extents:
-                    self.allocator.free(onode.extents)
             elif op.kind == TxnOpKind.SETATTR:
-                onode = objects.setdefault(op.oid, Onode())
+                if onode.attrs is None:
+                    onode.attrs = {}
                 onode.attrs[op.key] = op.value
                 onode.version += 1
             elif op.kind == TxnOpKind.OMAP_SET:
-                onode = objects.setdefault(op.oid, Onode())
+                if onode.omap is None:
+                    onode.omap = {}
                 onode.omap[op.key] = op.value
                 onode.version += 1
             else:  # pragma: no cover - exhaustive

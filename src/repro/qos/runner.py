@@ -19,7 +19,6 @@ simulated seconds, and reports:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional, Sequence
@@ -35,6 +34,7 @@ from ..cluster.strategy import get_strategy
 from ..osd.opqueue import QosSpec
 from ..sim import Environment
 from ..trace import Tracer
+from ..util.digest import sha256_hex
 from ..util.stats import (
     RunningStats,
     TimeSeries,
@@ -315,5 +315,5 @@ def qos_payload(result: QosResult) -> dict[str, Any]:
     }
     scrubbed = {k: v for k, v in payload.items() if k != "engine"}
     blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
-    payload["fingerprint"] = hashlib.sha256(blob.encode()).hexdigest()
+    payload["fingerprint"] = sha256_hex(blob.encode())
     return payload

@@ -44,11 +44,11 @@ name answers "what would speeding up DMA actually buy".
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
+from .util.digest import sha256_hex
 from .util.rng import SeededRng
 
 __all__ = [
@@ -413,7 +413,7 @@ class TraceReport:
             )
         ]
         blob = json.dumps(docs, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return sha256_hex(blob.encode())
 
     # -- critical path -----------------------------------------------------
     def critical_path(self, root: Span) -> list[PathStep]:
@@ -709,4 +709,4 @@ def simulation_digest(env: Any) -> str:
     Used by the zero-perturbation tests and the golden digests."""
     doc = {"seq": getattr(env, "_seq", None), "now": round(env.now, 9)}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256_hex(blob.encode())

@@ -1,7 +1,9 @@
-"""Shared utilities: Ceph-compatible hashing, bufferlist encoding,
-statistics accumulators, and deterministic RNG streams."""
+"""Shared utilities: Ceph-compatible hashing, SHA-256 fingerprints,
+bufferlist encoding, statistics accumulators, and deterministic RNG
+streams."""
 
 from .bufferlist import BufferDecoder, BufferList, DataBlob, EncodeError
+from .digest import sha256_hex
 from .rjenkins import (
     ceph_str_hash_rjenkins,
     crush_hash32,
@@ -27,4 +29,5 @@ __all__ = [
     "crush_hash32_3",
     "crush_hash32_4",
     "percentile",
+    "sha256_hex",
 ]

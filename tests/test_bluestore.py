@@ -254,6 +254,31 @@ def test_getattr_missing_attr_raises():
     assert p.value == "noattr"
 
 
+def test_attrs_and_omap_are_created_on_first_set():
+    """A written object carries no attr or omap dict until a key is set;
+    ``stat`` counts the attrs either way."""
+    env, store, thread = make_store()
+    blob = DataBlob(1 << 16)
+    run_txn(env, store, thread,
+            Transaction().write("pg1", "obj", 0, blob.length, blob))
+    onode = store.collections["pg1"]["obj"]
+    assert onode.attrs is None and onode.omap is None
+    counts = []
+
+    def stat():
+        st = yield from store.stat("pg1", "obj", thread)
+        counts.append(st.attrs)
+
+    env.run(until=env.process(stat()))
+    run_txn(env, store, thread, Transaction()
+            .setattr("pg1", "obj", "_", b"oi")
+            .setattr("pg1", "obj", "s", b"ss"))
+    env.run(until=env.process(stat()))
+    assert counts == [0, 2]
+    assert onode.omap is None
+    assert not hasattr(onode, "__dict__")
+
+
 def test_read_returns_blob_and_charges_device():
     env, store, thread = make_store()
     blob = DataBlob(1 << 20)

@@ -17,6 +17,7 @@ from repro.core import (
     FallbackController,
     DmaPipeline,
     RpcChannel,
+    RpcError,
 )
 from repro.faults import (
     FAULT_KINDS,
@@ -36,7 +37,7 @@ from repro.hw import (
     SsdDevice,
     StorageError,
 )
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 from repro.util import BufferList
 
 MB = 1 << 20
@@ -392,8 +393,6 @@ def test_rpc_request_loss_recovers_and_backs_off():
 
 
 def test_rpc_exhausted_retries_raise_instead_of_hanging():
-    from repro.core import RpcError
-
     env = Environment()
     profile = DocephProfile(rpc_timeout_seconds=0.25, rpc_max_retries=2)
     node, channel, thread = make_rpc(env, profile)
@@ -442,6 +441,183 @@ def test_rpc_caller_charged_for_reply_receive():
     assert busy >= tcp.send_cpu(wire) + tcp.recv_cpu(64)
     ctx = node.dpu_cpu.accounting.ctx_by_category.get("proxy", 0)
     assert ctx >= tcp.send_ctx(wire) + tcp.recv_ctx(64)
+
+
+def _dedup_state(channel):
+    """Everything the server keeps per request id for deduplication."""
+    return (channel._done, channel._queued, channel._abandoned,
+            channel._inflight)
+
+
+def _counting_rpc(env, profile, plan):
+    """An RPC rig whose ``commit`` and ``slow`` handlers count their runs;
+    ``slow`` holds the listener for one simulated second."""
+    node, channel, thread = make_rpc(env, profile)
+    runs = {"commit": 0, "slow": 0}
+
+    def commit(req, t):
+        runs["commit"] += 1
+        req.reply = {"committed": True}
+        if False:
+            yield
+
+    def slow(req, t):
+        runs["slow"] += 1
+        yield env.timeout(1.0)
+        req.reply = {"slow": True}
+
+    channel.register_handler("commit", commit)
+    channel.register_handler("slow", slow)
+    plan.attach_rpc(channel, "n")
+    return node, channel, thread, runs
+
+
+def test_rpc_retry_after_thousands_of_other_calls_runs_the_handler_once():
+    """A retry dequeued after more than 4 096 newer calls completed still
+    gets the recorded outcome: the record lives until the caller has its
+    reply, not until newer outcomes push it out of a bounded cache."""
+    env = Environment()
+    plan = FaultPlan(seed=SEED, specs=[
+        FaultSpec("rpc", kind="reply_loss", nth=1),
+    ])
+    node, channel, thread, runs = _counting_rpc(
+        env, DocephProfile(rpc_timeout_seconds=1.0), plan)
+    others = SimThread(node.dpu_cpu, "others", "proxy")
+
+    def victim():
+        req = yield from channel.call("commit", BufferList(), thread)
+        return req.reply
+
+    def filler():
+        for _ in range(4200):
+            yield from channel.call("echo", BufferList(), others)
+        return env.now
+
+    p = env.process(victim())
+    f = env.process(filler())
+    env.run(until=p)
+    assert p.value == {"committed": True}
+    assert channel.reply_losses == 1 and channel.retries == 1
+    # all 4 200 other calls completed before the retry was sent
+    assert f.triggered and f.value < 1.0
+    assert runs["commit"] == 1
+    assert channel.duplicates_suppressed == 1
+    assert not any(_dedup_state(channel))
+
+
+def _queued_retry_rig(env):
+    """``commit`` runs at once but its reply is lost; its retry then
+    queues behind a ``slow`` call until t≈1.05, long after the caller's
+    0.1 s + 0.2 s of attempts are spent."""
+    plan = FaultPlan(seed=SEED, specs=[
+        FaultSpec("rpc", kind="reply_loss", nth=1),
+    ])
+    profile = DocephProfile(rpc_timeout_seconds=0.1, rpc_max_retries=1)
+    node, channel, thread, runs = _counting_rpc(env, profile, plan)
+    others = SimThread(node.dpu_cpu, "others", "proxy")
+
+    def slow_caller():
+        yield env.timeout(0.05)
+        with pytest.raises(RpcError):
+            yield from channel.call("slow", BufferList(), others)
+
+    env.process(slow_caller())
+    return channel, thread, runs
+
+
+def test_rpc_gave_up_call_keeps_its_outcome_for_a_queued_retry():
+    env = Environment()
+    channel, thread, runs = _queued_retry_rig(env)
+
+    def victim():
+        with pytest.raises(RpcError, match="no reply"):
+            yield from channel.call("commit", BufferList(), thread)
+        # the retry is still queued behind ``slow``: the outcome stays
+        assert channel._queued and channel._done
+        return env.now
+
+    p = env.process(victim())
+    env.run()
+    assert p.value < 1.0
+    assert runs == {"commit": 1, "slow": 1}
+    assert channel.duplicates_suppressed == 2  # both queued retries
+    assert not any(_dedup_state(channel))
+
+
+def test_rpc_interrupted_caller_keeps_its_outcome_for_a_queued_retry():
+    """An OSD crash interrupts the calling process mid-call: its queued
+    retry must still be answered from the record, then the record goes."""
+    env = Environment()
+    channel, thread, runs = _queued_retry_rig(env)
+
+    def victim():
+        try:
+            yield from channel.call("commit", BufferList(), thread)
+        except Interrupt:
+            return env.now
+
+    p = env.process(victim())
+
+    def crash():
+        yield env.timeout(0.2)  # the retry is queued behind ``slow``
+        p.interrupt("osd crash")
+
+    env.process(crash())
+    env.run()
+    assert p.value == pytest.approx(0.2)
+    assert runs == {"commit": 1, "slow": 1}
+    assert not any(_dedup_state(channel))
+
+
+def test_rpc_dedup_record_ends_with_every_kind_of_call():
+    """Reply, handler error, give-up with nothing queued, and an
+    interrupt while the handler still runs: none leaves a record."""
+    env = Environment()
+    plan = FaultPlan(seed=SEED, specs=[
+        FaultSpec("rpc", kind="request_loss", nth=3, burst=2),
+    ])
+    profile = DocephProfile(rpc_timeout_seconds=0.1, rpc_max_retries=1)
+    node, channel, thread, runs = _counting_rpc(env, profile, plan)
+
+    def fail(req, t):
+        raise RuntimeError("boom")
+        yield
+
+    channel.register_handler("fail", fail)
+    outcomes = []
+
+    def caller():
+        req = yield from channel.call("commit", BufferList(), thread)
+        outcomes.append(req.reply)
+        with pytest.raises(RpcError, match="boom"):
+            yield from channel.call("fail", BufferList(), thread)
+        outcomes.append("error")
+        # requests 3 and 4 are lost: both attempts time out
+        with pytest.raises(RpcError, match="no reply"):
+            yield from channel.call("commit", BufferList(), thread)
+        outcomes.append("gave up")
+
+    env.run(until=env.process(caller()))
+    assert outcomes == [{"committed": True}, "error", "gave up"]
+    assert not any(_dedup_state(channel))
+
+    def slow_caller():
+        try:
+            yield from channel.call("slow", BufferList(), thread)
+        except Interrupt:
+            pass
+
+    p = env.process(slow_caller())
+
+    def crash():
+        yield env.timeout(0.05)  # ``slow`` is running on the listener
+        assert channel._inflight
+        p.interrupt("osd crash")
+
+    env.process(crash())
+    env.run()
+    assert runs == {"commit": 1, "slow": 1}
+    assert not any(_dedup_state(channel))
 
 
 # --------------------------------------------------------------- probe guard
