@@ -14,41 +14,23 @@ mutant was written against (``targets``) and the static lint gates run;
 when it survives, every gate runs.  Seed-0 legs of ``REPRO_FAULT_SEED``
 pytest steps are not gates here: tier-1 runs them with the same input.
 
-``GATES`` is the CI of commit 5d2be62, the tree this matrix judged, and
-is kept as it ran there.  On a later tree only the pytest gates mean
-what they say (``tier1``, ``hash-tier1``, ``hash-perf``): ``lint-src``
-and ``lint-relaxed`` pass flags that were deleted with the lint
-baseline, and nothing reads ``REPRO_FAULT_SEED`` any more, so the
-``faults@k``/``chaos@k``/``trace@k`` gates re-run tier-1's seed.  Name
-the gates with ``--gates`` there.
+``GATES`` holds every CI step of commit 5d2be62, the first tree this
+matrix judged, kept as they ran there.  On a later tree only the pytest
+and e2e gates mean what they say: ``lint-src`` and ``lint-relaxed`` pass
+flags that were deleted with the lint baseline, and nothing reads
+``REPRO_FAULT_SEED`` any more, so the ``faults@k``/``chaos@k``/
+``trace@k`` gates re-run tier-1's seed.  Later trees name their gates
+with ``--gates``: ``hash-tier1`` for a mutant of the model, and
+``LINT_JUDGES`` for the mutant of a lint rule (``LINT_RULE``).
 
-Judge 5d2be62, then re-judge the tree that replaced its CI, storing the
-second run under the first document's ``rejudge`` key::
+Judge the committed files of a tree and store the run as that tree's
+entry of the one results document, replacing an entry for the same
+commit::
 
-    git archive 5d2be62 --prefix=parent/ | tar -x -C SCRATCH
-    python3 benchmarks/kill_matrix.py --tree SCRATCH/parent --jobs 2 \\
-        --commit 5d2be62 --out benchmarks/results/BENCH_kill_matrix.json
-    git archive HEAD --prefix=change/ | tar -x -C SCRATCH
-    python3 benchmarks/kill_matrix.py --tree SCRATCH/change --jobs 2 \\
-        --commit COMMIT --gates hash-tier1 --only MUTANT ... --rejudge \\
+    git archive COMMIT --prefix=tree/ | tar -x -C SCRATCH
+    python3 benchmarks/kill_matrix.py --tree SCRATCH/tree --jobs 2 \\
+        --commit COMMIT --gates GATE ... --only MUTANT ... \\
         --out benchmarks/results/BENCH_kill_matrix.json
-
-The ``alloc.*`` rows came with the two-level allocator and are judged
-on their own, into their own document::
-
-    python3 benchmarks/kill_matrix.py --tree SCRATCH/change \\
-        --commit COMMIT --gates hash-tier1 \\
-        --only alloc.double_free_unchecked alloc.page_claim_left_free \\
-        --out benchmarks/results/BENCH_kill_matrix_alloc.json
-
-The ``rpc.*`` and ``store.*`` rows came with the exact RPC dedup
-lifetime and the lean onodes, likewise::
-
-    python3 benchmarks/kill_matrix.py --tree SCRATCH/change \\
-        --commit COMMIT --gates hash-tier1 \\
-        --only rpc.dedup_drop_at_send rpc.dedup_drop_on_giveup \\
-        store.attrs_count_zero \\
-        --out benchmarks/results/BENCH_kill_matrix_mem.json
 """
 
 from __future__ import annotations
@@ -74,6 +56,15 @@ RULE = (
     "tests/) survives only if some mutant here is killed by it and by "
     "no tier-1 test.  A surviving check runs once: in tier-1 when it "
     "costs seconds, else as its CI step without any re-run of tier-1."
+)
+
+#: Rule fixed before any lint mutant ran.
+LINT_RULE = (
+    "A lint rule is deleted when every one of its mutants is killed by "
+    "tier1-nolint under both PYTHONHASHSEED=1 and =2, or by the four e2e "
+    "goldens, and CHANGES.md records no real catch by the rule (DET101, "
+    "DET104, DET106, PERF301 and PERF303 have one).  Otherwise "
+    "the rule stays and its mutant becomes its tier-1 test."
 )
 
 _TRACE_INLINE = """
@@ -116,6 +107,22 @@ d1=$(grep -oE '[0-9a-f]{64}' run1.txt | head -1)
 d2=$(grep -oE '[0-9a-f]{64}' run2.txt | head -1)
 test -n "$d1" && test "$d1" = "$d2"
 """
+
+
+#: Tier-1 without the lint: the tests of the lint package and the five
+#: CLI tests that drive ``repro lint``.
+_NOLINT = ("--ignore", "tests/test_lint.py", *(
+    f"--deselect=tests/test_cli.py::{t}" for t in (
+        "test_lint_command_clean_tree_exits_zero",
+        "test_lint_command_new_findings_exit_three",
+        "test_lint_dynamic_fails_on_a_probe_defect_not_on_order_sensitivity",
+        "test_lint_shipped_tree_is_clean",
+        "test_lint_list_rules")))
+
+_E2E_WORKLOADS = ("w4m_baseline", "w4m_doceph", "w4m_fallback", "mix64k_qos")
+
+#: The gates a lint rule's mutant must not get past for the rule to go.
+LINT_JUDGES = ("tier1-nolint@1", "tier1-nolint@2", "e2e-goldens")
 
 
 def _pytest(*args: str) -> list[str]:
@@ -183,6 +190,12 @@ def _gates() -> dict[str, Gate]:
     gates["hash-perf"] = Gate(_pytest("tests/test_perf.py"),
                               {"PYTHONHASHSEED": "2"})
     gates["hash-smoke"] = Gate(_sh(_HASH_SMOKE))
+    for k in ("1", "2"):
+        gates[f"tier1-nolint@{k}"] = Gate(_pytest("-x", *_NOLINT),
+                                          {"PYTHONHASHSEED": k})
+    gates["e2e-goldens"] = Gate(_sh("".join(
+        f"python3 benchmarks/e2e/run.py --workload {w} --seconds 0\n"
+        for w in _E2E_WORKLOADS)))
     return gates
 
 
@@ -196,6 +209,8 @@ class Mutant:
     edits: tuple[tuple[str, str], ...]
     why: str
     targets: tuple[str, ...]
+    #: The lint rule that flags the edit, for a row that judges one.
+    rule: str = ""
 
 
 MUTANTS = (
@@ -209,13 +224,13 @@ MUTANTS = (
           "from __future__ import annotations\nimport time\n"
           "_BOOTED_AT = time.time()\n"),),
         "a wall-clock read in a simulated layer (DET101)",
-        ("lint-src",)),
+        ("lint-src", *LINT_JUDGES), "DET101"),
     Mutant(
         "tests.wallclock_in_helper", "tests/helpers.py",
         (("import contextlib\n",
           "import contextlib\nimport time\n_LOADED_AT = time.time()\n"),),
         "a wall-clock read in a test helper (DET101 over tests/)",
-        ("lint-relaxed",)),
+        ("lint-relaxed", *LINT_JUDGES), "DET101"),
     Mutant(
         "probe.fifo_drains_backwards", "src/repro/lint/dynamic.py",
         (("event = batch.popleft()", "event = batch.pop()"),),
@@ -236,7 +251,8 @@ MUTANTS = (
         (("backlog = sorted(set(local) - targets[addr])",
           "backlog = [*(set(local) - targets[addr])]"),),
         "recovery pushes objects in string-hash order",
-        ("hash-tier1", "hash-perf", "hash-smoke", "chaos@1", "chaos@2")),
+        ("hash-tier1", "hash-perf", "hash-smoke", "chaos@1", "chaos@2",
+         *LINT_JUDGES), "DET104"),
     Mutant(
         "faults.burst_after_random_hit", "src/repro/faults.py",
         (("                hit = True\n"
@@ -340,6 +356,103 @@ MUTANTS = (
         (("attrs=len(onode.attrs or ())", "attrs=0"),),
         "stat reports no attrs on an object that has some",
         ("tier1",)),
+    Mutant(
+        "lint.uuid_region_id", "src/repro/core/doca.py",
+        (("from dataclasses import dataclass, field\n",
+          "import uuid\nfrom dataclasses import dataclass, field\n"),
+         ("field(default_factory=lambda: next(_region_ids))",
+          "field(default_factory=lambda: uuid.uuid4().int)")),
+        "memory-region ids come from ambient entropy (DET102)",
+        LINT_JUDGES, "DET102"),
+    Mutant(
+        "tests.uuid_in_helper", "tests/helpers.py",
+        (("import contextlib\n",
+          "import contextlib\nimport uuid\n_RUN_ID = uuid.uuid4().hex\n"),),
+        "ambient entropy in a test helper (DET102 over tests/)",
+        LINT_JUDGES, "DET102"),
+    Mutant(
+        "lint.global_random_resend_jitter", "src/repro/rados/client.py",
+        (("from dataclasses import dataclass\n",
+          "import random\nfrom dataclasses import dataclass\n"),
+         ("            yield from self._refetch_map()\n"
+          "            yield self.env.timeout(self.retry_backoff * attempt)\n",
+          "            yield from self._refetch_map()\n"
+          "            yield self.env.timeout(\n"
+          "                self.retry_backoff * attempt * (1 + random.random()))\n")),
+        "the op resend after a map refetch draws jitter from the global "
+        "random stream (DET103)",
+        LINT_JUDGES, "DET103"),
+    Mutant(
+        "tests.unseeded_random_in_test", "tests/test_util_hash_stats.py",
+        (("rng = random.Random(7)", "rng = random.Random()"),),
+        "a test draws from an unseeded stream (DET103 over tests/)",
+        LINT_JUDGES, "DET103"),
+    Mutant(
+        "lint.heartbeat_id_order", "src/repro/msgr/heartbeat.py",
+        (("for addr in sorted(peers):", "for addr in sorted(peers, key=id):"),),
+        "heartbeat pings go out in object-address order (DET105)",
+        LINT_JUDGES, "DET105"),
+    Mutant(
+        "lint.fault_seed_from_env", "src/repro/faults.py",
+        (("from dataclasses import dataclass, field\n",
+          "import os\nfrom dataclasses import dataclass, field\n"),
+         ("        return cls(seed=seed, specs=parse_fault_specs(text))\n",
+          "        seed = int(os.environ.get(\"REPRO_FAULT_SEED\", seed))\n"
+          "        return cls(seed=seed, specs=parse_fault_specs(text))\n")),
+        "a parsed fault plan takes its seed from the environment (DET106)",
+        LINT_JUDGES, "DET106"),
+    Mutant(
+        "lint.adversary_own_rng", "src/repro/msgr/adversary.py",
+        (("from ..util.bufferlist import BufferList, DataBlob\n",
+          "from ..util.bufferlist import BufferList, DataBlob\n"
+          "from ..util.rng import SeededRng\n"),
+         ('_ACTION_ORDER = ("corrupt", "truncate", "dup", "reorder", "jitter")\n',
+          '_ACTION_ORDER = ("corrupt", "truncate", "dup", "reorder", "jitter")\n'
+          '_ORDER_RNG = SeededRng(7).stream("adversary")\n'),
+         ("        for kind in self._kinds:\n",
+          "        for kind in _ORDER_RNG.sample(self._kinds, len(self._kinds)):\n")),
+        "the wire adversary shuffles its kinds with an RNG of its own (DET107)",
+        LINT_JUDGES, "DET107"),
+    Mutant(
+        "lint.real_sleep_in_dma", "src/repro/hw/dma.py",
+        (("from typing import Any, Callable, Generator, Optional\n",
+          "import time\nfrom typing import Any, Callable, Generator, Optional\n"),
+         ("            setup = self.setup_latency + extra_setup\n",
+          "            setup = self.setup_latency + extra_setup\n"
+          "            time.sleep(setup)\n")),
+        "a DMA transfer blocks the host for its setup time (SIM201)",
+        LINT_JUDGES, "SIM201"),
+    Mutant(
+        "lint.dma_finish_outside_finally", "src/repro/hw/dma.py",
+        (("        finally:\n            channels.finish(req)\n",
+          "        except DmaError:\n            raise\n"
+          "        channels.finish(req)\n"),),
+        "a failed DMA transfer leaks its channel (SIM202)",
+        LINT_JUDGES, "SIM202"),
+    Mutant(
+        "lint.cpu_hold_not_waited", "src/repro/hw/cpu.py",
+        (("            yield req.hold(wall)\n",
+          "            req.hold(wall)\n"
+          "            yield self.env.timeout(wall)\n"),),
+        "a CPU hold is made and a second timeout waited instead (SIM203)",
+        LINT_JUDGES, "SIM203"),
+    Mutant(
+        "lint.adversary_unslotted", "src/repro/msgr/adversary.py",
+        (('    __slots__ = ("injector", "_kinds")\n\n', ""),),
+        "a hot-module class loses its __slots__ (PERF301)",
+        LINT_JUDGES, "PERF301"),
+    Mutant(
+        "lint.dma_failure_stamp", "src/repro/hw/dma.py",
+        (("                self.failures += 1\n",
+          "                self.failures += 1\n"
+          "                self.last_failure_at = self.env.now\n"),),
+        "a slotted DMA engine assigns an undeclared attribute (PERF302)",
+        LINT_JUDGES, "PERF302"),
+    Mutant(
+        "lint.rx_chunk_bound_method", "src/repro/hw/net.py",
+        (("append(self._cb_granted)", "append(self._s_granted)"),),
+        "the rx chunk machine binds a method per chunk again (PERF303)",
+        LINT_JUDGES, "PERF303"),
 )
 
 
@@ -391,8 +504,11 @@ def judge(tree: pathlib.Path, mutant: Mutant, timeout: float,
             if tier1_killed and not gate.static and name not in mutant.targets:
                 continue
             results[name] = _run_gate(root, gate, timeout)
-    return {"name": mutant.name, "path": mutant.path, "why": mutant.why,
-            "targets": list(mutant.targets), "results": results}
+    row = {"name": mutant.name, "path": mutant.path, "why": mutant.why,
+           "targets": list(mutant.targets), "results": results}
+    if mutant.rule:
+        row["rule"] = mutant.rule
+    return row
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -408,13 +524,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="seconds before a gate counts as a kill")
     parser.add_argument("--commit", default="",
                         help="commit id of --tree, recorded in the output")
-    parser.add_argument("--out", type=pathlib.Path, default=None)
-    parser.add_argument("--rejudge", action="store_true",
-                        help="store the run under the 'rejudge' key of the "
-                             "existing --out document instead of replacing it")
+    parser.add_argument("--out", type=pathlib.Path, default=None,
+                        help="results document; this tree's entry is "
+                             "added or replaced")
     args = parser.parse_args(argv)
-    if args.rejudge and args.out is None:
-        parser.error("--rejudge needs --out")
 
     mutants = [m for m in MUTANTS if args.only is None or m.name in args.only]
     gates = {n: g for n, g in GATES.items()
@@ -423,16 +536,20 @@ def main(argv: list[str] | None = None) -> int:
         rows = list(pool.map(
             lambda m: judge(args.tree.resolve(), m, args.timeout, gates),
             mutants))
-    doc = {"tree_commit": args.commit, "rule": RULE,
-           "gates": {n: {"command": g.command, "env": g.env}
-                     for n, g in gates.items()},
-           "mutants": rows}
-    if args.rejudge:
-        doc = {**json.loads(args.out.read_text(encoding="utf-8")),
-               "rejudge": doc}
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    entry = {"tree_commit": args.commit, "rule": RULE,
+             "gates": {n: {"command": g.command, "env": g.env}
+                       for n, g in gates.items()},
+             "mutants": rows}
+    if any(m.rule for m in mutants):
+        entry["lint_rule"] = LINT_RULE
     if args.out:
-        args.out.write_text(text, encoding="utf-8")
+        trees = []
+        if args.out.exists():
+            trees = json.loads(args.out.read_text(encoding="utf-8"))["trees"]
+        trees = [t for t in trees if t["tree_commit"] != args.commit]
+        text = json.dumps({"trees": [*trees, entry]}, indent=1,
+                          sort_keys=True)
+        args.out.write_text(text + "\n", encoding="utf-8")
     for row in rows:
         killers = sorted(g for g, r in row["results"].items() if r["killed"])
         print(f"{row['name']:34s} {', '.join(killers) or 'SURVIVES'}")

@@ -11,14 +11,9 @@ DET101   wall-clock reads outside ``repro.util.wallclock``
 DET102   ambient entropy (``uuid4``, ``os.urandom``, ``secrets``)
 DET103   the global ``random`` stream outside ``repro.util.rng``
 DET104   set iteration feeding order-sensitive code
-DET105   ``id()``/``hash()``-keyed ordering
 DET106   env-var reads outside the CLI/config boundary
-DET107   a wire-adversary module owning randomness
 SIM201   real blocking calls/imports inside simulated layers
-SIM202   ``Resource.request()`` without an exception-safe release
-SIM203   a ``Request.hold()`` result not waited on where it is made
 PERF301  hot-module classes missing ``__slots__``
-PERF302  slotted classes assigning undeclared attributes
 PERF303  per-event allocation in hot drain loops and in the bodies
          of ``Machine``-subclass state callbacks
 =======  ==========================================================
@@ -31,20 +26,11 @@ and diffing digests.  CLI: ``python -m repro lint``.
 """
 
 from .dynamic import TieOrderReport, TieSite, check_tie_order, patched_tie_order
-from .engine import (
-    DEFAULT_CONFIG,
-    Finding,
-    LintConfig,
-    LintReport,
-    lint_paths,
-    lint_source,
-)
+from .engine import Finding, LintReport, lint_paths, lint_source
 from .rules import RULES, Rule
 
 __all__ = [
-    "DEFAULT_CONFIG",
     "Finding",
-    "LintConfig",
     "LintReport",
     "RULES",
     "Rule",

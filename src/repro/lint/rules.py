@@ -4,19 +4,20 @@ Three families, each guarding one of the invariants the reproduction is
 load-bearing on (see DESIGN.md §9):
 
 * ``DET1xx`` — determinism: no wall-clock, no ambient entropy, no
-  unordered-collection iteration feeding order-sensitive code, no
-  identity-keyed ordering, no env reads outside the config boundary.
+  unordered-collection iteration feeding order-sensitive code, no env
+  reads outside the config boundary.
 * ``SIM2xx`` — sim-safety: no real blocking calls inside simulated
-  layers; every ``Resource.request()`` must be released on all
-  exception paths (the simulated-concurrency analogue of a lock-leak
-  checker).
+  layers.
 * ``PERF3xx`` — perf-invariants: hot-module classes declare
-  ``__slots__``; slotted classes never assign undeclared attributes
-  (which would raise ``AttributeError`` at runtime); synchronous
-  drain loops in hot modules allocate nothing per event.
+  ``__slots__``; synchronous drain loops in hot modules allocate
+  nothing per event.
 
-Rules are plain functions registered by code; each takes a
-:class:`~repro.lint.engine.LintContext` and returns findings.
+A rule is here only while no other gate enforces its invariant: its
+mutant in ``benchmarks/kill_matrix.py`` gets past tier-1 without the
+lint and past the e2e goldens.  Rules are plain functions registered by
+code; each takes a :class:`~repro.lint.engine.LintContext` and returns
+findings.  Which paths play which role is fixed by the module constants
+below.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import ast
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .engine import Finding, LintContext, dataclass_slots_decorator
+from .engine import Finding, LintContext
 
 __all__ = ["Rule", "RULES", "rule"]
 
@@ -47,6 +48,24 @@ def rule(code: str, name: str, description: str):
         return fn
 
     return register
+
+
+#: The only module allowed to read the host wall clock (DET101) — the
+#: injectable accessor everything else must import.
+_WALLCLOCK_MODULE = "repro/util/wallclock.py"
+#: The only module allowed to touch the global ``random`` machinery
+#: (DET103): the seeded-stream factory.
+_RNG_MODULE = "repro/util/rng.py"
+#: The CLI/config boundary, the only modules that may read process
+#: environment variables (DET106).
+_ENV_MODULES = ("repro/cli.py", "repro/cluster/config.py")
+#: Layers that run inside simulated time: real blocking calls here
+#: would stall the event loop for every model at once (SIM201).
+_SIM_LAYERS = ("repro/sim/", "repro/hw/", "repro/core/", "repro/osd/",
+               "repro/msgr/")
+#: Hot allocation paths (PERF301, PERF303), matched by prefix.
+_HOT_PATHS = ("repro/sim/", "repro/hw/", "repro/msgr/", "repro/osd/",
+              "repro/qos/", "repro/util/bufferlist.py")
 
 
 # --------------------------------------------------------------- DET1xx rules
@@ -79,7 +98,7 @@ _WALLCLOCK_CALLS = frozenset(
     "host clock read outside the injectable wallclock accessor",
 )
 def det101_wallclock(ctx: LintContext) -> list[Finding]:
-    if ctx.relpath in ctx.config.wallclock_modules:
+    if ctx.relpath == _WALLCLOCK_MODULE:
         return []
     findings = []
     for node in ast.walk(ctx.tree):
@@ -173,7 +192,7 @@ _GLOBAL_RANDOM = frozenset(
     "global/unseeded random outside the seeded-stream factory",
 )
 def det103_global_random(ctx: LintContext) -> list[Finding]:
-    if ctx.relpath in ctx.config.rng_modules:
+    if ctx.relpath == _RNG_MODULE:
         return []
     findings = []
     for node in ast.walk(ctx.tree):
@@ -318,59 +337,13 @@ def det104_unordered_iteration(ctx: LintContext) -> list[Finding]:
     return findings
 
 
-def _lambda_calls(node: ast.Lambda, names: tuple[str, ...]) -> bool:
-    return any(
-        isinstance(n, ast.Call)
-        and isinstance(n.func, ast.Name)
-        and n.func.id in names
-        for n in ast.walk(node.body)
-    )
-
-
-@rule(
-    "DET105",
-    "identity-keyed-ordering",
-    "id()/hash() used as a sort key",
-)
-def det105_identity_ordering(ctx: LintContext) -> list[Finding]:
-    findings = []
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        fn = node.func
-        is_order_call = (
-            isinstance(fn, ast.Name) and fn.id in ("sorted", "min", "max")
-        ) or (isinstance(fn, ast.Attribute) and fn.attr == "sort")
-        if not is_order_call:
-            continue
-        for kw in node.keywords:
-            if kw.arg != "key":
-                continue
-            bad = (
-                isinstance(kw.value, ast.Name) and kw.value.id in ("id", "hash")
-            ) or (
-                isinstance(kw.value, ast.Lambda)
-                and _lambda_calls(kw.value, ("id", "hash"))
-            )
-            if bad:
-                findings.append(
-                    ctx.finding(
-                        node,
-                        "DET105",
-                        "ordering keyed on id()/hash() — interpreter-specific "
-                        "and PYTHONHASHSEED-dependent; key on a stable field",
-                    )
-                )
-    return findings
-
-
 @rule(
     "DET106",
     "env-read",
     "environment-variable read outside the CLI/config boundary",
 )
 def det106_env_read(ctx: LintContext) -> list[Finding]:
-    if ctx.relpath in ctx.config.env_modules:
+    if ctx.relpath in _ENV_MODULES:
         return []
     findings = []
     for node in ast.walk(ctx.tree):
@@ -394,63 +367,6 @@ def det106_env_read(ctx: LintContext) -> list[Finding]:
                         "DET106",
                         f"{resolved} access outside the CLI/config layer — "
                         "env reads are banned; take the value as an argument",
-                    )
-                )
-    return findings
-
-
-@rule(
-    "DET107",
-    "adversary-own-rng",
-    "wire-adversary module owning randomness instead of receiving it",
-)
-def det107_adversary_rng(ctx: LintContext) -> list[Finding]:
-    """Adversary modules must stay RNG-free: every perturbation decision
-    has to come from the per-(layer, node) injector stream the FaultPlan
-    hands in, or two runs with the same seed diverge the moment the
-    adversary is armed.  Flags ``import random``, any ``random.*`` use,
-    and ``SeededRng(...)`` construction inside
-    ``config.adversary_modules``."""
-    if ctx.relpath not in ctx.config.adversary_modules:
-        return []
-    findings = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "random":
-                    findings.append(
-                        ctx.finding(
-                            node,
-                            "DET107",
-                            "adversary module imports random — decisions "
-                            "must come from the FaultPlan injector stream",
-                        )
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            mod = (node.module or "").split(".")[0]
-            if mod == "random" or any(
-                alias.name == "SeededRng" for alias in node.names
-            ):
-                findings.append(
-                    ctx.finding(
-                        node,
-                        "DET107",
-                        "adversary module imports its own RNG — decisions "
-                        "must come from the FaultPlan injector stream",
-                    )
-                )
-        elif isinstance(node, ast.Call):
-            resolved = ctx.resolve(node.func)
-            if resolved is not None and (
-                resolved.startswith("random.")
-                or resolved.split(".")[-1] == "SeededRng"
-            ):
-                findings.append(
-                    ctx.finding(
-                        node,
-                        "DET107",
-                        f"{resolved}() inside an adversary module — use the "
-                        "injector stream handed in by FaultPlan.attach_msgr",
                     )
                 )
     return findings
@@ -494,7 +410,7 @@ _BLOCKING_MODULES = frozenset(
     "real blocking primitive inside a simulated layer",
 )
 def sim201_blocking(ctx: LintContext) -> list[Finding]:
-    if not ctx.config.in_sim_layer(ctx.relpath):
+    if not ctx.relpath.startswith(_SIM_LAYERS):
         return []
     findings = []
     for node in ast.walk(ctx.tree):
@@ -530,178 +446,6 @@ def sim201_blocking(ctx: LintContext) -> list[Finding]:
                             "simulated layer",
                         )
                     )
-    return findings
-
-
-def _walk_local(node: ast.AST):
-    """Walk ``node`` without descending into nested function/class defs."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if not isinstance(
-            child,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-        ):
-            stack.extend(ast.iter_child_nodes(child))
-
-
-def _func_yields(fn: ast.AST) -> bool:
-    return any(
-        isinstance(n, (ast.Yield, ast.YieldFrom)) for n in _walk_local(fn)
-    )
-
-
-def _is_release_call(node: ast.AST, name: str) -> bool:
-    """``pool.finish(req)`` / ``pool.release(req)`` / ``req.release()``."""
-    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-        return False
-    attr = node.func.attr
-    if attr in ("finish", "release", "cancel"):
-        if any(
-            isinstance(arg, ast.Name) and arg.id == name for arg in node.args
-        ):
-            return True
-        if (
-            isinstance(node.func.value, ast.Name)
-            and node.func.value.id == name
-            and not node.args
-        ):
-            return True
-    return False
-
-
-@rule(
-    "SIM202",
-    "resource-leak",
-    "Resource.request() whose release is not on all exception paths",
-)
-def sim202_resource_leak(ctx: LintContext) -> list[Finding]:
-    if not ctx.config.in_sim_layer(ctx.relpath):
-        return []
-    findings = []
-    functions = [
-        n
-        for n in ast.walk(ctx.tree)
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    for fn in functions:
-        for stmt in _walk_local(fn):
-            # ``with pool.request() as req:`` handles its own cleanup.
-            if isinstance(stmt, ast.Expr) and _is_request_call(stmt.value):
-                findings.append(
-                    ctx.finding(
-                        stmt,
-                        "SIM202",
-                        "request() result discarded — the grant can never "
-                        "be released",
-                    )
-                )
-                continue
-            if not (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and _is_request_call(stmt.value)
-            ):
-                continue
-            name = stmt.targets[0].id
-            # ``self._req = req`` hands ownership to the instance: a
-            # flattened state machine acquires in one state and releases
-            # in a later one (or on interrupt), so the function-local
-            # leak heuristic does not apply.  The machine's release
-            # discipline is pinned by the digest goldens instead.
-            escapes = any(
-                isinstance(n, ast.Assign)
-                and any(
-                    isinstance(t, ast.Attribute)
-                    and isinstance(t.value, ast.Name)
-                    and t.value.id == "self"
-                    for t in n.targets
-                )
-                and isinstance(n.value, ast.Name)
-                and n.value.id == name
-                for n in _walk_local(fn)
-            )
-            if escapes:
-                continue
-            releases = [
-                n for n in _walk_local(fn) if _is_release_call(n, name)
-            ]
-            if not releases:
-                findings.append(
-                    ctx.finding(
-                        stmt,
-                        "SIM202",
-                        f"request() assigned to '{name}' is never released "
-                        "in this function — use try/finally or a with block",
-                    )
-                )
-                continue
-            # A release is exception-safe when it sits in a finally suite.
-            # For simulated processes (generators), any yield between the
-            # request and a bare release is an interrupt window: the
-            # release must be in a finally to run on Interrupt.
-            safe = any(ctx.in_finally(r) for r in releases)
-            if not safe and _func_yields(fn):
-                findings.append(
-                    ctx.finding(
-                        stmt,
-                        "SIM202",
-                        f"release of '{name}' is not in a finally suite — "
-                        "an Interrupt raised at a yield leaks the grant",
-                    )
-                )
-    return findings
-
-
-def _is_request_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "request"
-    )
-
-
-@rule(
-    "SIM203",
-    "hold-kept",
-    "Request.hold() result neither yielded nor parked in the same statement",
-)
-def sim203_hold_kept(ctx: LintContext) -> list[Finding]:
-    """``req.hold(d)`` *is* ``req``, armed: there is no second object to
-    keep.  The contract is to wait on it at once — ``yield req.hold(d)``,
-    ``self._park(req.hold(d), state)`` or
-    ``req.hold(d).callbacks.append(state)`` — because an armed request
-    nobody is parked on is a hold that releases nothing when it fires,
-    and a stored result invites waiting on it after the request has
-    been released and handed to someone else."""
-    if not ctx.config.in_sim_layer(ctx.relpath):
-        return []
-    findings = []
-    for node in ast.walk(ctx.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "hold"
-        ):
-            continue
-        parent = ctx.parents.get(node)
-        waited = (
-            isinstance(parent, ast.Yield)
-            or (isinstance(parent, ast.Call) and node in parent.args)
-            or (isinstance(parent, ast.Attribute) and parent.attr == "callbacks")
-        )
-        if not waited:
-            findings.append(
-                ctx.finding(
-                    node,
-                    "SIM203",
-                    "hold() result is not waited on where it is made — "
-                    "yield it, or park a callback on it, in the same "
-                    "statement",
-                )
-            )
     return findings
 
 
@@ -742,13 +486,33 @@ def _slots_exempt(node: ast.ClassDef) -> bool:
     return False
 
 
+def _dataclass_slots(node: ast.ClassDef) -> Optional[bool]:
+    """``None`` if not a dataclass; else whether ``slots=True`` was passed."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else (
+            target.id if isinstance(target, ast.Name) else None
+        )
+        if name != "dataclass":
+            continue
+        if isinstance(dec, ast.Call):
+            for kw in dec.keywords:
+                if kw.arg == "slots":
+                    return (
+                        isinstance(kw.value, ast.Constant)
+                        and kw.value.value is True
+                    )
+        return False
+    return None
+
+
 @rule(
     "PERF301",
     "missing-slots",
     "hot-module class lacks __slots__",
 )
 def perf301_missing_slots(ctx: LintContext) -> list[Finding]:
-    if not ctx.config.is_hot(ctx.relpath):
+    if not ctx.relpath.startswith(_HOT_PATHS):
         return []
     findings = []
     for node in ast.walk(ctx.tree):
@@ -773,7 +537,7 @@ def perf301_missing_slots(ctx: LintContext) -> list[Finding]:
         )
         if has_slots:
             continue
-        is_dc_slotted = dataclass_slots_decorator(node)
+        is_dc_slotted = _dataclass_slots(node)
         if is_dc_slotted:
             continue
         hint = (
@@ -792,60 +556,17 @@ def perf301_missing_slots(ctx: LintContext) -> list[Finding]:
     return findings
 
 
-@rule(
-    "PERF302",
-    "slot-violation",
-    "slotted class assigns an attribute not declared in __slots__",
-)
-def perf302_slot_violation(ctx: LintContext) -> list[Finding]:
-    findings = []
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        info = ctx.project.lookup(f"{ctx.module}.{node.name}")
-        if info is None or info.slots is None or info.opaque:
-            continue
-        allowed = ctx.project.resolve_slots(info)
-        if allowed is None:
-            continue  # some base unslotted/unresolvable: __dict__ possible
-        # Class-level names (methods, class attrs) are not instance slots
-        # but are readable; only *assignments* through self must hit slots
-        # or descriptors.
-        for method in node.body:
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not method.args.args:
-                continue
-            self_name = method.args.args[0].arg
-            for sub in _walk_local(method):
-                target: Optional[ast.Attribute] = None
-                if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    targets = (
-                        sub.targets
-                        if isinstance(sub, ast.Assign)
-                        else [sub.target]
-                    )
-                    for t in targets:
-                        if (
-                            isinstance(t, ast.Attribute)
-                            and isinstance(t.value, ast.Name)
-                            and t.value.id == self_name
-                        ):
-                            target = t
-                            break
-                if target is None:
-                    continue
-                if target.attr not in allowed:
-                    findings.append(
-                        ctx.finding(
-                            target,
-                            "PERF302",
-                            f"assignment to self.{target.attr} not declared "
-                            f"in __slots__ of {node.name} (or its bases) — "
-                            "AttributeError at runtime",
-                        )
-                    )
-    return findings
+def _walk_local(node: ast.AST):
+    """Walk ``node`` without descending into nested function/class defs."""
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        yield child
+        if not isinstance(
+            child,
+            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
+        ):
+            stack.extend(ast.iter_child_nodes(child))
 
 
 def _is_drain_loop(node: ast.While) -> bool:
@@ -904,7 +625,7 @@ def perf303_hot_loop_allocation(ctx: LintContext) -> list[Finding]:
       append the prebound slot instead.  Appending a data attribute or
       an already-prebound reference is clean.
     """
-    if not ctx.config.is_hot(ctx.relpath):
+    if not ctx.relpath.startswith(_HOT_PATHS):
         return []
     findings = []
     # Map each drain loop to (self_name, method names of the enclosing
@@ -1055,7 +776,5 @@ def _is_machine_subclass(ctx: LintContext, cls: ast.ClassDef) -> bool:
         seen.add(qual)
         if qual == "repro.sim.machine.Machine":
             return True
-        info = ctx.project.lookup(qual)
-        if info is not None:
-            stack.extend(info.bases)
+        stack.extend(ctx.bases.get(qual, ()))
     return False

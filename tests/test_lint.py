@@ -1,16 +1,20 @@
 """Tests for repro.lint: rule fixtures, suppressions, dynamic probe.
 
-Every rule code gets a good/bad snippet pair; the engine-level features
-(suppression comments, path-role exemptions) and the dynamic tie-order
-probe get targeted tests of their own.  The shipped tree itself is
-checked here too: src/ under every rule (one lint run per session,
-shared with the CLI test through the ``shipped_src_report`` fixture),
-tests/ and benchmarks/ under the wall-clock and entropy rules.
+Every rule code gets a good/bad snippet pair, and its pre-registered
+mutant in ``benchmarks/kill_matrix.py`` must be flagged by it alone;
+the engine-level features (suppression comments, path-role exemptions)
+and the dynamic tie-order probe get targeted tests of their own.  The
+shipped tree itself is checked here too: src/ under every rule (one
+lint run per session, shared with the CLI test through the
+``shipped_src_report`` fixture), tests/ and benchmarks/ under the
+wall-clock and entropy rules.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -150,24 +154,6 @@ def test_det104_ignores_reassigned_names():
     assert lint_source(src, "repro/util/stats.py") == []
 
 
-# ------------------------------------------------------------------ DET105
-
-
-def test_det105_flags_id_and_hash_keys():
-    src = (
-        "def f(xs):\n"
-        "    xs.sort(key=id)\n"
-        "    return sorted(xs, key=lambda o: hash(o))\n"
-    )
-    found = lint_source(src, "repro/util/stats.py", select=["DET105"])
-    assert [f.code for f in found] == ["DET105", "DET105"]
-
-
-def test_det105_stable_key_is_clean():
-    src = "def f(xs):\n    return sorted(xs, key=lambda o: o.name)\n"
-    assert lint_source(src, "repro/util/stats.py", select=["DET105"]) == []
-
-
 # ------------------------------------------------------------------ DET106
 
 
@@ -183,35 +169,6 @@ def test_det106_cli_and_config_are_exempt():
     assert lint_source(src, "repro/cluster/config.py", select=["DET106"]) == []
 
 
-# ------------------------------------------------------------------ DET107
-
-
-def test_det107_flags_adversary_owning_rng():
-    src = (
-        "import random\n"
-        "from repro.util.rng import SeededRng\n"
-        "def f():\n"
-        "    r = SeededRng(1)\n"
-        "    return random.random()\n"
-    )
-    found = lint_source(src, "repro/msgr/adversary.py", select=["DET107"])
-    assert [f.code for f in found] == ["DET107"] * 4
-
-
-def test_det107_other_modules_are_exempt():
-    src = "from repro.util.rng import SeededRng\n\nr = SeededRng(1)\n"
-    assert lint_source(src, "repro/faults.py", select=["DET107"]) == []
-
-
-def test_det107_real_adversary_module_is_clean():
-    import pathlib
-
-    path = pathlib.Path("src/repro/msgr/adversary.py")
-    found = lint_source(path.read_text(), "repro/msgr/adversary.py",
-                        select=["DET107"])
-    assert found == []
-
-
 # ------------------------------------------------------------------ SIM201
 
 
@@ -225,102 +182,6 @@ def test_sim201_flags_blocking_calls_and_imports_in_sim_layers():
 def test_sim201_outside_sim_layers_is_not_checked():
     src = "import time\n\ndef f():\n    time.sleep(1)\n"
     assert lint_source(src, "repro/bench/tool.py", select=["SIM201"]) == []
-
-
-# ------------------------------------------------------------------ SIM202
-
-
-_LEAK = (
-    "def work(pool, env):\n"
-    "    req = pool.request()\n"
-    "    yield req\n"
-    "    yield env.timeout(1)\n"
-)
-
-_BARE_RELEASE = (
-    "def work(pool, env):\n"
-    "    req = pool.request()\n"
-    "    yield req\n"
-    "    yield env.timeout(1)\n"
-    "    pool.finish(req)\n"
-)
-
-_SAFE = (
-    "def work(pool, env):\n"
-    "    req = pool.request()\n"
-    "    try:\n"
-    "        yield req\n"
-    "        yield env.timeout(1)\n"
-    "    finally:\n"
-    "        pool.finish(req)\n"
-)
-
-
-def test_sim202_flags_never_released_request():
-    found = lint_source(_LEAK, "repro/hw/dev.py", select=["SIM202"])
-    assert codes(found) == ["SIM202"]
-    assert "never released" in found[0].message
-
-
-def test_sim202_flags_release_outside_finally_in_generator():
-    found = lint_source(_BARE_RELEASE, "repro/hw/dev.py", select=["SIM202"])
-    assert codes(found) == ["SIM202"]
-    assert "finally" in found[0].message
-
-
-def test_sim202_try_finally_and_with_are_clean():
-    assert lint_source(_SAFE, "repro/hw/dev.py", select=["SIM202"]) == []
-    with_src = (
-        "def work(pool, env):\n"
-        "    with pool.request() as req:\n"
-        "        yield req\n"
-        "        yield env.timeout(1)\n"
-    )
-    assert lint_source(with_src, "repro/hw/dev.py", select=["SIM202"]) == []
-
-
-def test_sim202_discarded_request_is_flagged():
-    src = "def work(pool):\n    pool.request()\n"
-    found = lint_source(src, "repro/hw/dev.py", select=["SIM202"])
-    assert codes(found) == ["SIM202"]
-
-
-# ------------------------------------------------------------------ SIM203
-
-
-def test_sim203_flags_a_hold_that_is_kept_or_dropped():
-    src = (
-        "def work(pool):\n"
-        "    req = pool.request()\n"
-        "    try:\n"
-        "        yield req\n"
-        "        timer = req.hold(1.0)\n"  # kept: waited on who knows when
-        "        yield timer\n"
-        "        req.hold(1.0)\n"  # dropped: fires for nobody
-        "    finally:\n"
-        "        pool.finish(req)\n"
-    )
-    found = lint_source(src, "repro/hw/dev.py", select=["SIM203"])
-    assert [(f.code, f.line) for f in found] == [("SIM203", 5), ("SIM203", 7)]
-    assert lint_source(src, "repro/bench/tool.py", select=["SIM203"]) == []
-
-
-def test_sim203_yielded_and_parked_holds_are_clean():
-    src = (
-        "class Seg:\n"
-        "    def work(self, pool):\n"
-        "        req = pool.request()\n"
-        "        try:\n"
-        "            yield req\n"
-        "            yield req.hold(1.0)\n"
-        "        finally:\n"
-        "            pool.finish(req)\n"
-        "    def _s_granted(self, event):\n"
-        "        self._park(event.hold(self._ser), self._cb_done)\n"
-        "    def _s_granted_direct(self, event):\n"
-        "        event.hold(self._ser).callbacks.append(self._cb_done)\n"
-    )
-    assert lint_source(src, "repro/hw/dev.py", select=["SIM203"]) == []
 
 
 # ------------------------------------------------------------------ PERF301
@@ -355,90 +216,6 @@ def test_perf301_exemptions():
     assert lint_source(proto, "repro/hw/dev.py", select=["PERF301"]) == []
     cold = "class Thing:\n    pass\n"
     assert lint_source(cold, "repro/bench/tool.py", select=["PERF301"]) == []
-
-
-# ------------------------------------------------------------------ PERF302
-
-
-def test_perf302_flags_undeclared_slot_assignment():
-    src = (
-        "class Thing:\n"
-        "    __slots__ = ('x',)\n"
-        "    def __init__(self):\n"
-        "        self.x = 1\n"
-        "    def poke(self):\n"
-        "        self.y = 2\n"
-    )
-    found = lint_source(src, "repro/hw/dev.py", select=["PERF302"])
-    assert codes(found) == ["PERF302"]
-    assert "self.y" in found[0].message
-
-
-def test_perf302_declared_slots_and_properties_are_clean():
-    src = (
-        "class Thing:\n"
-        "    __slots__ = ('_x',)\n"
-        "    def __init__(self):\n"
-        "        self._x = 1\n"
-        "    @property\n"
-        "    def x(self):\n"
-        "        return self._x\n"
-        "    @x.setter\n"
-        "    def x(self, v):\n"
-        "        self._x = v\n"
-        "    def bump(self):\n"
-        "        self.x = 3\n"
-        "        self._x += 1\n"
-    )
-    assert lint_source(src, "repro/hw/dev.py", select=["PERF302"]) == []
-
-
-def test_perf302_inherited_slots_resolve_within_file():
-    src = (
-        "class Base:\n"
-        "    __slots__ = ('a',)\n"
-        "class Child(Base):\n"
-        "    __slots__ = ('b',)\n"
-        "    def __init__(self):\n"
-        "        self.a = 1\n"
-        "        self.b = 2\n"
-        "    def poke(self):\n"
-        "        self.c = 3\n"
-    )
-    found = lint_source(src, "repro/hw/dev.py", select=["PERF302"])
-    assert len(found) == 1 and "self.c" in found[0].message
-
-
-def test_perf302_unslotted_base_disables_the_check():
-    src = (
-        "class Base:\n"
-        "    pass\n"
-        "class Child(Base):\n"
-        "    __slots__ = ('b',)\n"
-        "    def poke(self):\n"
-        "        self.c = 3\n"  # legal: Base gives instances a __dict__
-    )
-    assert lint_source(src, "repro/msgr/dev.py", select=["PERF302"]) == []
-
-
-def test_perf302_cross_file_base_resolution(tmp_path):
-    pkg = tmp_path / "repro" / "hw"
-    pkg.mkdir(parents=True)
-    (pkg / "base.py").write_text(
-        "class Base:\n    __slots__ = ('a',)\n", encoding="utf-8"
-    )
-    (pkg / "child.py").write_text(
-        "from .base import Base\n\n"
-        "class Child(Base):\n"
-        "    __slots__ = ('b',)\n"
-        "    def poke(self):\n"
-        "        self.a = 1\n"
-        "        self.zap = 9\n",
-        encoding="utf-8",
-    )
-    report = lint_paths([tmp_path], select=["PERF302"])
-    assert len(report.findings) == 1
-    assert "self.zap" in report.findings[0].message
 
 
 # ------------------------------------------------------------------ PERF303
@@ -545,14 +322,6 @@ def test_file_suppression_silences_whole_file():
     assert lint_source(src, "repro/util/stats.py") == []
 
 
-def test_disable_all_on_a_line():
-    src = (
-        "import time\n\n"
-        "a = time.time()  # repro-lint: disable=all\n"
-    )
-    assert lint_source(src, "repro/util/stats.py") == []
-
-
 def test_suppression_is_code_specific():
     src = (
         "import time\n\n"
@@ -566,6 +335,9 @@ def test_suppression_is_code_specific():
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+#: The rules tier-1 runs over tests/ and benchmarks/ (the test below).
+_TESTS_SURFACE = ["DET101", "DET102", "DET103"]
+
 
 def test_shipped_tree_is_clean(shipped_src_report):
     """Acceptance: the shipped src/ tree has zero findings."""
@@ -577,8 +349,36 @@ def test_tests_and_benchmarks_read_no_wall_clock_or_entropy():
     entropy or the global ``random`` stream in a test helper or a
     harness would skew the digests they pin."""
     report = lint_paths([ROOT / "tests", ROOT / "benchmarks"],
-                        select=["DET101", "DET102", "DET103"])
+                        select=_TESTS_SURFACE)
     assert report.findings == [], report.render()
+
+
+def _kill_matrix():
+    path = ROOT / "benchmarks" / "kill_matrix.py"
+    spec = importlib.util.spec_from_file_location("kill_matrix", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_rule_has_a_registered_mutant_only_it_flags():
+    """A rule stays only while its mutant gets past every other gate
+    (``benchmarks/results/BENCH_kill_matrix.json``), so each mutant is
+    also its rule's test: its anchors still occur exactly once in the
+    tree, and the edited file, linted under its own path and surface,
+    is flagged by that rule and by no other."""
+    rows = [m for m in _kill_matrix().MUTANTS if m.rule in RULES]
+    assert sorted({m.rule for m in rows}) == sorted(RULES)
+    for mutant in rows:
+        text = (ROOT / mutant.path).read_text(encoding="utf-8")
+        for old, new in mutant.edits:
+            assert text.count(old) == 1, (mutant.name, old)
+            text = text.replace(old, new)
+        on_src = mutant.path.startswith("src/")
+        found = lint_source(text, mutant.path.removeprefix("src/"),
+                            select=None if on_src else _TESTS_SURFACE)
+        assert codes(found) == [mutant.rule], (mutant.name, found)
 
 
 # ------------------------------------------------------------ dynamic probe
@@ -750,14 +550,6 @@ def test_patched_tie_order_restores_run_after_an_exception():
         with patched_tie_order("sideways"):
             pass
     assert Environment.run is native
-
-
-def test_rule_catalogue_is_complete():
-    assert sorted(RULES) == [
-        "DET101", "DET102", "DET103", "DET104", "DET105", "DET106",
-        "DET107", "PERF301", "PERF302", "PERF303", "SIM201", "SIM202",
-        "SIM203",
-    ]
 
 
 def test_perf303_covers_machine_callback_bodies():
