@@ -453,6 +453,27 @@ MUTANTS = (
         (("append(self._cb_granted)", "append(self._s_granted)"),),
         "the rx chunk machine binds a method per chunk again (PERF303)",
         LINT_JUDGES, "PERF303"),
+    Mutant(
+        "store.breakdown_view_drops_store",
+        "src/repro/core/proxy_objectstore.py",
+        (("self._parts = tuple((log._columns, len(log)) for log in logs)",
+          "self._parts = tuple((log._columns, len(log)) for log in logs)"
+          "[:-1]"),),
+        "the bench's breakdown view loses the last proxy's writes",
+        ("e2e-goldens",)),
+    Mutant(
+        "store.wal_ignores_key_bytes", "src/repro/objectstore/bluestore/kv.py",
+        (("self.size_bytes += len(key) + len(value) + ENTRY_OVERHEAD",
+          "self.size_bytes += len(value) + ENTRY_OVERHEAD"),),
+        "a WAL put logs its value but not its key",
+        ("e2e-goldens",)),
+    Mutant(
+        "store.allocated_first_extent_only",
+        "src/repro/objectstore/bluestore/store.py",
+        (("return sum(e.length for e in self.extents)",
+          "return self.extents[0].length if self.extents else 0"),),
+        "an onode's allocated bytes count its first extent only",
+        ("e2e-goldens",)),
 )
 
 

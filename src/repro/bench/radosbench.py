@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
 from ..cluster.builder import BENCH_POOL, Cluster
-from ..core.proxy_objectstore import ProxyObjectStore, WriteBreakdown
+from ..core.proxy_objectstore import BreakdownView, ProxyObjectStore
 from ..util.rng import SeededRng
 from ..util.stats import RunningStats, TimeSeries, percentile
 from ..util.wallclock import perf_counter
@@ -51,8 +51,9 @@ class BenchResult:
     ceph_cpu: list[CpuWindow] = field(default_factory=list)
     #: One window per storage node's *host* complex (Fig. 7's metric).
     host_cpu: list[CpuWindow] = field(default_factory=list)
-    #: DoCeph only: per-write latency breakdowns (Table 3).
-    breakdowns: list[WriteBreakdown] = field(default_factory=list)
+    #: DoCeph only: per-write latency breakdowns (Table 3), a view of the
+    #: proxies' logs as the run left them.
+    breakdowns: BreakdownView = field(default_factory=BreakdownView)
     #: Cumulative fault/recovery counters at the end of the run.
     faults: Optional[FaultReport] = None
     #: Cluster-health counters (daemon lifecycle, monitor activity,
@@ -174,10 +175,10 @@ def _closed_loop(
     host_windows = sampler_hosts.stop()
     ceph_windows = sampler_ceph.stop()
 
-    breakdowns: list[WriteBreakdown] = []
-    for osd in cluster.osds:
-        if isinstance(osd.store, ProxyObjectStore):
-            breakdowns.extend(osd.store.breakdowns)
+    breakdowns = BreakdownView(
+        osd.store.breakdowns for osd in cluster.osds
+        if isinstance(osd.store, ProxyObjectStore)
+    )
 
     tracer = getattr(cluster, "tracer", None)
     trace = (tracer.report(window=(t_open, env.now))

@@ -390,6 +390,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> tuple[str, int]:
         lines.append("replay: pass")
         return "\n".join(lines), 0
 
+    # Without --iterations, plain fuzz runs its default count and a soak
+    # session is bounded by its time budget alone.
+    count = {} if args.iterations is None else {"iterations": args.iterations}
     if args.soak:
         from .fuzz import run_soak
 
@@ -401,7 +404,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> tuple[str, int]:
             ),
             state_path=args.soak_state,
             corpus_dir=args.corpus,
-            iterations=args.iterations if args.iterations else 1_000_000,
+            **count,
             log=log_lines.append,
         )
         report = soak.report
@@ -438,7 +441,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> tuple[str, int]:
     log_lines: list[str] = []
     report = run_fuzz(
         seed=args.seed,
-        iterations=args.iterations,
+        **count,
         time_budget=args.time_budget,
         corpus_dir=args.corpus,
         log=log_lines.append,
@@ -708,8 +711,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, default=0,
                       help="session seed: same seed + iterations + corpus"
                            " replays the whole session bit-identically")
-    fuzz.add_argument("--iterations", type=int, default=20,
-                      help="fuzz iterations after corpus replay")
+    fuzz.add_argument("--iterations", type=int, default=None,
+                      help="fuzz iterations after corpus replay (default"
+                           " 20; --soak is bounded by --time-budget alone"
+                           " unless this is given)")
     fuzz.add_argument("--time-budget", type=float, default=None,
                       metavar="SECONDS",
                       help="wall-clock cutoff; stops drawing new "

@@ -10,10 +10,17 @@ from .doca import CommChannel, DocaDma, MemoryRegion
 from .fallback import FallbackController, PROBE_BYTES
 from .host_server import HostProxyServer
 from .pipeline import DmaPipeline, RequestTiming, segment_sizes
-from .proxy_objectstore import ProxyObjectStore, WriteBreakdown
+from .proxy_objectstore import (
+    BreakdownLog,
+    BreakdownView,
+    ProxyObjectStore,
+    WriteBreakdown,
+)
 from .rpc import DEFERRED, PROXY_CATEGORY, RpcChannel, RpcError, RpcRequest
 
 __all__ = [
+    "BreakdownLog",
+    "BreakdownView",
     "CommChannel",
     "DEFERRED",
     "DmaPipeline",

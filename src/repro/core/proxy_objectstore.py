@@ -15,13 +15,16 @@ BlueStore — and forwards every call to the host:
   ack only fires after host BlueStore commits — preserving Ceph's
   write-through semantics;
 * per-request latency breakdowns (Table 3's Host-write / DMA /
-  DMA-wait / Others) are recorded on every write.
+  DMA-wait / Others) are recorded on every write, column by column
+  (:class:`BreakdownLog`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Generator
+from array import array
+from dataclasses import dataclass, fields
+from itertools import islice
+from typing import Any, Generator, Iterable, Iterator
 
 from ..hw.cpu import SimThread
 from ..hw.node import ClusterNode
@@ -39,7 +42,9 @@ from .host_server import HostProxyServer
 from .pipeline import DmaPipeline, RequestTiming
 from .rpc import PROXY_CATEGORY, RPC_ARGS, RpcError
 
-__all__ = ["ProxyObjectStore", "WriteBreakdown"]
+__all__ = [
+    "BreakdownLog", "BreakdownView", "ProxyObjectStore", "WriteBreakdown",
+]
 
 #: DPU-side thread category for proxy work.
 DPU_PROXY_CATEGORY = "proxy"
@@ -70,6 +75,58 @@ class WriteBreakdown:
         """Everything not attributed: DPU OSD processing, messenger
         activity, replication coordination, serialization, ACK waits."""
         return max(0.0, self.total - self.host_write - self.dma - self.dma_wait)
+
+
+#: ``WriteBreakdown``'s fields in order, and each one's array type code.
+_FIELDS = tuple(f.name for f in fields(WriteBreakdown))
+_CODES = tuple("q" if f.type == "int" else "d" for f in fields(WriteBreakdown))
+
+
+class BreakdownLog:
+    """A proxy's per-write breakdowns, one ``array`` per field.
+
+    A slotted ``WriteBreakdown`` kept per write costs ~240 B (the
+    instance and its six number objects); a row of seven 8-byte columns
+    costs 56.  Iteration rebuilds the records, equal field for field to
+    the appended ones and in append order.  ``clear()`` starts fresh
+    columns, so a :class:`BreakdownView` taken earlier keeps its rows."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def append(self, breakdown: WriteBreakdown) -> None:
+        for column, name in zip(self._columns, _FIELDS):
+            column.append(getattr(breakdown, name))
+
+    def clear(self) -> None:
+        self._columns = tuple(array(code) for code in _CODES)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[WriteBreakdown]:
+        return map(WriteBreakdown, *self._columns)
+
+
+class BreakdownView:
+    """Several logs' breakdowns read as one sequence, without a copy.
+
+    It holds each log's columns and the row count when it was taken, so
+    rows appended later and a later ``clear()`` leave it unchanged."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, logs: Iterable[BreakdownLog] = ()) -> None:
+        self._parts = tuple((log._columns, len(log)) for log in logs)
+
+    def __len__(self) -> int:
+        return sum(n for _, n in self._parts)
+
+    def __iter__(self) -> Iterator[WriteBreakdown]:
+        for columns, n in self._parts:
+            yield from islice(map(WriteBreakdown, *columns), n)
 
 
 class ProxyObjectStore(ObjectStore):
@@ -142,7 +199,7 @@ class ProxyObjectStore(ObjectStore):
         # wired by the cluster builder through a repro.faults.FaultPlan.
 
         #: Per-write breakdown records (cleared by the bench harness).
-        self.breakdowns: list[WriteBreakdown] = []
+        self.breakdowns = BreakdownLog()
 
         # statistics
         self.data_ops = 0

@@ -12,7 +12,9 @@ exceeded the bound the profile guarantees.
 Storage faults are fail-stop by design (BlueStore treats an I/O error
 like real Ceph's EIO assert), so a run they abort is *not* a violation
 — it is recorded as ``abort.storage`` coverage and the durability
-verdict is skipped (there is no healed cluster to verify against).
+verdict is skipped (there is no healed cluster to verify against).  A
+DoCeph proxy whose RPC retries run out while the cluster boots raises
+``StoreError``; that run is recorded the same way, as ``abort.store``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Any, Callable, Iterable, Optional
 from ..chaos import ChaosReport, run_chaos
 from ..faults import FaultPlan
 from ..hw import StorageError
+from ..objectstore import StoreError
 from ..rados.client import RadosError
 from ..trace import Tracer
 from .scenario import Scenario
@@ -38,7 +41,7 @@ class ScenarioOutcome:
     violations: tuple[str, ...]
     coverage: frozenset[str]
     fingerprint: str  # ChaosReport fingerprint; "" when the run aborted
-    aborted: str  # "" | "storage: ..." | "rados: ..."
+    aborted: str  # "" | "storage: ..." | "rados: ..." | "store: ..."
     writes_acked: int = 0
     writes_failed: int = 0
     sim_elapsed: float = 0.0
@@ -154,6 +157,8 @@ def execute_scenario(
         aborted = f"storage: {exc}"
     except RadosError as exc:
         aborted = f"rados: {exc}"
+    except StoreError as exc:
+        aborted = f"store: {exc}"
 
     violations: list[str] = []
     if report is not None:

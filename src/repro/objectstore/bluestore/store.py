@@ -8,16 +8,17 @@ measures:
   write to the raw device — large writes go straight to their allocated
   extents (write-through), small writes are *deferred* into the WAL;
 * a ``bstore_kv_sync`` thread batches transaction commits into RocksDB
-  (the KV model) with one WAL flush per batch, then completes the
-  waiting submitters — this is the durability point;
-* object metadata lives in onodes, persisted through the KV store;
+  with one WAL flush per batch, then completes the waiting submitters —
+  this is the durability point;
+* object metadata lives in onodes (``collections``); each onode update
+  logs a fixed-size record through the WAL, which keeps only its bytes;
 * all CPU burned here lands in the ``bstore`` accounting category —
   the slice of Figure 5 that *stays on the host* under DoCeph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from ...hw.cpu import CpuComplex, SimThread
@@ -88,24 +89,29 @@ class BlueStoreConfig:
 
 @dataclass(slots=True)
 class Onode:
-    """In-memory object metadata (mirrors the KV-persisted record).
+    """In-memory object metadata (what BlueStore persists as the onode).
 
-    ``attrs`` and ``omap`` stay ``None`` until the first key is set:
-    most objects never carry either, and an empty dict each would be a
+    ``attrs`` and ``omap`` stay ``None`` until the first key is set, and
+    ``extents`` is a tuple, ``()`` until the first write: most objects
+    never carry attrs or omap, and an empty container each would be a
     large share of a written object's footprint."""
 
     size: int = 0
     version: int = 0
     attrs: Optional[dict[str, bytes]] = None
     omap: Optional[dict[str, bytes]] = None
-    extents: list[Extent] = field(default_factory=list)
-    allocated: int = 0  # bytes of device space held
+    extents: tuple[Extent, ...] = ()
     content_id: int = 0
     """Virtual-payload fingerprint: the simulation carries no real bytes,
     so this stands in for "what data is stored here".  A full overwrite
     adopts the written blob's root id; partial writes and truncates fold
     into the running fingerprint.  Replicas holding byte-identical data
     hold equal (size, content_id) pairs."""
+
+    @property
+    def allocated(self) -> int:
+        """Bytes of device space held: the extents' total length."""
+        return sum(e.length for e in self.extents)
 
 
 @dataclass(frozen=True)
@@ -158,9 +164,7 @@ class BlueStore(ObjectStore):
             self.config.device_capacity, self.config.alloc_unit
         )
         self.collections: dict[str, dict[str, Onode]] = {}
-        #: The KV value every onode update writes: one immutable record
-        #: shared by all keys (a fresh one per op per replica was 1.2 KB
-        #: per client op kept alive by the KV).
+        #: The KV value every onode update logs; the WAL counts its bytes.
         self._onode_record = b"\0" * self.config.onode_record_bytes
 
         self._txc_queue: Store = Store(env)
@@ -414,11 +418,10 @@ class BlueStore(ObjectStore):
             elif op.kind == TxnOpKind.WRITE:
                 prev_size = onode.size
                 end = op.offset + op.length
-                if end > onode.allocated:
-                    grow = end - onode.allocated
-                    extents = self.allocator.allocate(grow)
-                    onode.extents.extend(extents)
-                    onode.allocated += sum(e.length for e in extents)
+                allocated = onode.allocated
+                if end > allocated:
+                    extents = self.allocator.allocate(end - allocated)
+                    onode.extents += tuple(extents)
                     new_extents.extend(extents)
                 onode.size = max(onode.size, end)
                 onode.version += 1

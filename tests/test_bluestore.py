@@ -95,17 +95,19 @@ def test_write_commits_and_updates_onode():
     assert p.value.version == 1
 
 
-def test_committed_onodes_share_one_kv_record():
-    """The KV keeps every onode's value alive; a fresh 512-byte record
-    per op per replica was 1.2 KB of resident memory per client op."""
+def test_onode_updates_log_key_and_record_bytes():
+    """Each onode update logs its ``O/<coll>/<oid>`` key and one
+    fixed-size record through the WAL; the WAL flush is what the SSD
+    writes besides the data."""
     env, store, thread = make_store(onode_record_bytes=300)
-    for oid in ("a", "b"):
+    for oid in ("a", "bb"):
         blob = DataBlob(1 << 20)
         run_txn(env, store, thread,
                 Transaction().write("pg1", oid, 0, blob.length, blob))
-    a = store.kv.get(store._onode_key("pg1", "a"))
-    b = store.kv.get(store._onode_key("pg1", "b"))
-    assert a is b and a == b"\0" * 300
+    wal = sum(len(f"O/pg1/{oid}") + 300 + 16 for oid in ("a", "bb"))
+    assert store.kv.batches_committed == 2
+    assert store.kv.bytes_logged == wal
+    assert store.ssd.bytes_written == 2 * (1 << 20) + wal
 
 
 def test_large_write_hits_data_device_before_commit():
@@ -159,6 +161,20 @@ def test_overwrite_does_not_leak_space():
     onode = store.collections["pg1"]["obj"]
     assert onode.allocated == store.allocator.used_bytes
     assert onode.version == 3
+
+
+def test_grown_object_holds_every_extent():
+    """A write past the end allocates only the growth, as a second
+    extent; ``allocated`` sums them all, so a rewrite allocates nothing."""
+    env, store, thread = make_store()
+    for size in (100_000, 300_000, 300_000):
+        blob = DataBlob(size)
+        run_txn(env, store, thread,
+                Transaction().write("pg1", "obj", 0, size, blob))
+    onode = store.collections["pg1"]["obj"]
+    unit = store.config.alloc_unit
+    assert len(onode.extents) == 2
+    assert onode.allocated == 5 * unit == store.allocator.used_bytes
 
 
 def test_cpu_charged_to_bstore_category():

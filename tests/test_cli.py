@@ -269,3 +269,30 @@ def test_fuzz_session_writes_json_and_prints_fingerprint(
     )
     assert payload["passed"] is True
     assert payload["iterations_run"] == 3
+
+
+class _SoakCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, iterations", [
+    pytest.param([], None, id="time-only"),
+    pytest.param(["--iterations", "7"], 7, id="explicit"),
+])
+def test_fuzz_soak_is_bounded_by_time_unless_iterations_given(
+    monkeypatch, tmp_path, argv, iterations
+):
+    """``--iterations``' plain-fuzz default of 20 must not cap a soak
+    session: only the time budget bounds it."""
+    seen = {}
+
+    def fake_run_soak(**kwargs):
+        seen.update(kwargs)
+        raise _SoakCalled
+
+    monkeypatch.setattr("repro.fuzz.run_soak", fake_run_soak)
+    with pytest.raises(_SoakCalled):
+        main(["fuzz", "--soak", "--time-budget", "5", "--soak-state",
+              str(tmp_path / "state.json"), "--no-json", *argv])
+    assert seen["time_budget"] == 5.0
+    assert seen.get("iterations") == iterations

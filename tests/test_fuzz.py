@@ -374,3 +374,19 @@ def test_corruption_corpus_plan_caught_by_oracle_without_crc():
     assert outcome.violations
     assert violation_signature(outcome.violations) == "identity"
     assert "wire.crc_rejected" not in outcome.coverage
+
+
+def test_proxy_store_error_is_recorded_as_an_abort():
+    """A DoCeph proxy whose RPC retries run out while the cluster boots
+    raises ``StoreError``: the executor records it like a storage or a
+    RADOS abort instead of letting it end the session."""
+    scenario = scenario_from_text("\n".join((
+        "mode=doceph clients=2 size=1048576 duration=1 think=0.1"
+        " crashes=2 partitions=0 chaos_seed=218 fault_seed=3283"
+        " faults=rpc,p=0.357,burst=3;dma,p=0.195"
+    ).split(" ")))
+    outcome = execute_scenario(scenario)
+    assert outcome.aborted.startswith("store: "), outcome.aborted
+    assert "no reply" in outcome.aborted
+    assert outcome.violations == () and outcome.fingerprint == ""
+    assert "abort.store" in outcome.coverage

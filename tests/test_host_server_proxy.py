@@ -231,7 +231,7 @@ def test_breakdown_recorded_per_data_op():
         assert bd.total > 0
         assert bd.others >= 0
     proxy.reset_breakdowns()
-    assert proxy.breakdowns == []
+    assert list(proxy.breakdowns) == []
 
 
 def test_proxy_requires_dpu_node():

@@ -1,7 +1,7 @@
 """Memory guards: a replay keeps only what the run still needs.
 
-* the traced bytes a DoCeph bench retains per client op, as the slope
-  between two points of a live run;
+* the traced bytes a DoCeph or a Baseline bench retains per client op,
+  as the slope between two points of a live run;
 * the RPC dedup records, which must all be gone once every call ended;
 * the SHA-256 helper, which must not map OpenSSL to hash a few bytes.
 """
@@ -20,7 +20,11 @@ from hypothesis import strategies as st
 import repro
 from repro.bench import run_rados_bench
 from repro.chaos import run_chaos
-from repro.cluster import DocephProfile, build_doceph_cluster
+from repro.cluster import (
+    DocephProfile,
+    build_baseline_cluster,
+    build_doceph_cluster,
+)
 from repro.core import RpcChannel
 from repro.faults import FaultPlan
 from repro.sim import Environment
@@ -29,14 +33,12 @@ from repro.util import sha256_hex
 MB = 1 << 20
 
 
-def test_doceph_bench_retains_at_most_2200_bytes_per_client_op():
-    """Slope of traced memory between 2 and 8 sim-s of a 4 MB DoCeph
-    bench (16 clients), per client op completed in between.  Each op
-    legitimately leaves onodes, extents, KV records and a write
-    breakdown behind; a dedup record kept after its reply, or an empty
-    dict per object, pushes it past the bound."""
+def _retained_per_op(build):
+    """Slope of traced memory between 2 and 8 sim-s of a 4 MB bench (16
+    clients) on ``build(env)``'s cluster, per client op completed in
+    between."""
     env = Environment()
-    cluster = build_doceph_cluster(env)
+    cluster = build(env)
     samples = []
 
     def probe():
@@ -53,9 +55,24 @@ def test_doceph_bench_retains_at_most_2200_bytes_per_client_op():
     finally:
         tracemalloc.stop()
     (bytes0, ops0), (bytes1, ops1) = samples
-    per_op = (bytes1 - bytes0) / (ops1 - ops0)
     assert ops1 - ops0 > 500
-    assert per_op <= 2200, f"{per_op:.0f} bytes retained per client op"
+    return (bytes1 - bytes0) / (ops1 - ops0)
+
+
+def test_doceph_bench_retains_at_most_1400_bytes_per_client_op():
+    """Each op legitimately leaves onodes, extents and two packed write
+    breakdowns behind; a dedup record kept after its reply, a KV key
+    per object, or a breakdown object per write pushes it past the
+    bound."""
+    per_op = _retained_per_op(build_doceph_cluster)
+    assert per_op <= 1400, f"{per_op:.0f} bytes retained per client op"
+
+
+def test_baseline_bench_retains_at_most_950_bytes_per_client_op():
+    """The Baseline build never enters the proxy: its bound guards the
+    onodes, their extents and the WAL alone."""
+    per_op = _retained_per_op(build_baseline_cluster)
+    assert per_op <= 950, f"{per_op:.0f} bytes retained per client op"
 
 
 @pytest.fixture
