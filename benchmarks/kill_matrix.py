@@ -99,10 +99,8 @@ grep -q 'corpus entr(ies) replayed' fuzz1.txt
 """
 
 _HASH_SMOKE = """
-PYTHONHASHSEED=1 python -m repro perf --scenario smoke --seed 0 \\
-  --repeats 1 --no-json > run1.txt
-PYTHONHASHSEED=2 python -m repro perf --scenario smoke --seed 0 \\
-  --repeats 1 --no-json > run2.txt
+PYTHONHASHSEED=1 python -m repro perf --scenario smoke --seed 0 > run1.txt
+PYTHONHASHSEED=2 python -m repro perf --scenario smoke --seed 0 > run2.txt
 d1=$(grep -oE '[0-9a-f]{64}' run1.txt | head -1)
 d2=$(grep -oE '[0-9a-f]{64}' run2.txt | head -1)
 test -n "$d1" && test "$d1" = "$d2"

@@ -1,34 +1,50 @@
 """Pair two commits on one end-to-end metric of the benchmark.
 
-    python3 benchmarks/pair.py PARENT CHANGE --workload W --metric rss \\
-        [--rounds N]
+    python3 benchmarks/pair.py PARENT CHANGE --workload W \\
+        --metric cpu|wall|rss [--rounds N]
 
-Both commits are checked out with ``git worktree`` into a temporary
-directory, removed afterwards; fresh checkouts hold no ``__pycache__``,
+Each commit is exported with ``git archive`` into a temporary
+directory, removed afterwards; a fresh export holds no ``__pycache__``,
 so neither side starts with compiled bytecode the other lacks.  The
 script refuses (exit 2) unless ``benchmarks/e2e/`` and
 ``BENCHMARK.json`` are byte-identical at both commits: the harness is
 the instrument and must not differ between the sides.
 
+``cpu`` and ``wall`` run three long-lived workers, each a process that
+imports its own export's unmodified ``benchmarks/e2e`` harness: A
+(``parent``), B (``change``) and A2 (``parent2``, a second export of
+the parent: the A/A control).  A round gives each worker one turn, and
+the order rotates by one worker every round.  A turn is one discarded
+and one measured :data:`REPLAY_SIM_S` replay of the workload at seed 0;
+``cpu`` is the measured replay's process time, ``wall`` its
+``wall_s`` (build + boot + drive, as ``run.py`` times it).  Samples
+are seconds of host time per replay.  Every worker runs under the same
+:data:`HASH_SEED`, so string-hash randomisation is not one of the ways
+two workers differ.  What is left of the setup's bias (memory layout,
+placement) is what the A/A worker measures: two workers of one tree
+have read up to 11 % apart over a whole pairing on a shared 2-core host.
+
 ``rss`` runs one fresh, unmodified ``benchmarks/e2e/run.py --workload
 W`` per sample, because ``ru_maxrss`` only grows within a process.
 Each round runs both sides, and the side that goes first alternates.
-A round whose sides disagree on ``golden_match`` or on any of the six
-simulated metrics aborts the pairing (exit 3): that is a behaviour
-change, not a speed result.
+
+A round whose sides disagree on the replay digest (cpu, wall), on
+``golden_match`` (rss) or on any of the six simulated metrics aborts
+the pairing (exit 3): that is a behaviour change, not a speed result.
 
 Every metric it pairs is better when lower.  The verdict gives the
 median change/parent ratio, its quartiles, wins/N, an exact two-sided
-sign-test p and the rule below.  One JSON document,
+sign-test p and the rule below; with an A/A control, also the quartiles
+of the per-round A2/A ratio (the A/A spread).  One JSON document,
 ``benchmarks/results/BENCH_pair_<workload>_<metric>_<change>.json``,
-keeps the commits, the machine, the method and every sample.  The
-``cpu`` and ``wall`` modes (long-lived workers with an A/A control) are
-not built yet.
+keeps the commits, the machine, the method and every sample.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import io
 import json
 import math
 import os
@@ -38,27 +54,42 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
-from typing import Callable
+from typing import Callable, Optional
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+HERE = pathlib.Path(__file__).resolve().parent
 RESULTS = ROOT / "benchmarks" / "results"
 
-#: The harness both sides must share, byte for byte.
+#: The harness every side must share, byte for byte.
 HARNESS = ("benchmarks/e2e", "BENCHMARK.json")
 
-#: ``--metric`` → the end-to-end metric ``run.py`` prints.
-METRICS = {"rss": "peak_rss_mb"}
+#: ``--metric`` → the name the samples and the JSON document use.
+METRICS = {"rss": "peak_rss_mb", "cpu": "cpu_s", "wall": "wall_s"}
 
-#: Simulated outputs that must be equal on both sides of every round.
+#: Simulated outputs that must be equal on every side of every round.
 SIMULATED = ("events_per_op", "sim_iops", "sim_lat_p50_ms",
              "sim_lat_p99_ms", "sim_host_cpu_pct", "ops_ok_pct")
 
+#: Simulated seconds of every replay a cpu/wall worker runs, the length
+#: of ``run.py``'s timing replays (``harness.HOST_SIM_S``).
+REPLAY_SIM_S = 5.0
+
+#: The cpu/wall workers, in the order of round 0.
+WORKERS = ("parent", "change", "parent2")
+
+#: ``PYTHONHASHSEED`` of every cpu/wall worker.
+HASH_SEED = "0"
+
 RULE = (
-    "resolved = the change reads lower in >= 9 of 10 pairs (>= 0.9 n) "
-    "and its median differs from the parent's by more than the parent's "
-    "q3 - q1; quartiles are statistics.quantiles(method='inclusive'); "
-    "the sign test is exact and two-sided over pairs that are not tied"
+    "resolved = the change reads lower (higher) in >= 9 of 10 pairs "
+    "(>= 0.9 n), its median differs from the parent's by more than the "
+    "parent's q3 - q1, and, with an A/A control, the median of the "
+    "per-round change/parent ratios lies outside [q1, q3] of the "
+    "per-round parent2/parent ratios; quartiles are "
+    "statistics.quantiles(method='inclusive'); the sign test is exact "
+    "and two-sided over pairs that are not tied"
 )
 
 Sample = dict
@@ -92,30 +123,42 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def verdict(parent: list[float], change: list[float]) -> dict:
-    """Judge paired samples (``parent[i]`` ran beside ``change[i]``) of
-    a lower-is-better metric."""
+def verdict(parent: list[float], change: list[float],
+            control: Optional[list[float]] = None) -> dict:
+    """Judge paired samples (``parent[i]`` ran beside ``change[i]`` and,
+    if given, ``control[i]``, a second run of the parent) of a
+    lower-is-better metric."""
     if not parent or len(parent) != len(change):
         raise ValueError("need one change sample per parent sample")
     wins = sum(c < p for p, c in zip(parent, change))
     losses = sum(c > p for p, c in zip(parent, change))
     n = len(parent)
     a, b = _quartiles(parent), _quartiles(change)
+    ratios = _quartiles([c / p for p, c in zip(parent, change)])
     gap = abs(b["median"] - a["median"]) > a["q3"] - a["q1"]
+    aa = None
+    if control is not None:
+        if len(control) != n:
+            raise ValueError("need one control sample per parent sample")
+        aa = _quartiles([c / p for p, c in zip(parent, control)])
+        gap = gap and not aa["q1"] <= ratios["median"] <= aa["q3"]
     if wins >= 0.9 * n and gap:
         word = "resolved lower"
     elif losses >= 0.9 * n and gap:
         word = "resolved higher"
     else:
         word = "not resolved"
-    return {
+    out = {
         "n": n, "wins": wins, "losses": losses, "ties": n - wins - losses,
         "sign_test_p": sign_test_p(wins, losses),
         "parent": a, "change": b,
         "median_ratio": b["median"] / a["median"],
-        "pair_ratios": _quartiles([c / p for p, c in zip(parent, change)]),
+        "pair_ratios": ratios,
         "verdict": word,
     }
+    if aa is not None:
+        out["aa_ratios"] = aa
+    return out
 
 
 # ------------------------------------------------------------------ pairing
@@ -139,19 +182,49 @@ def parse_run(stdout: str, returncode: int) -> Sample:
     }
 
 
+def _check_same(r: int, got: dict[str, Sample]) -> None:
+    """Abort unless every side of round ``r`` simulated the same thing."""
+    sides = list(got)
+    first = got[sides[0]]
+    for side in sides[1:]:
+        other = got[side]
+        moved = [k for k in SIMULATED
+                 if first["metrics"][k] != other["metrics"][k]]
+        for key in ("golden_match", "digest"):
+            if first.get(key) != other.get(key):
+                moved.insert(0, key)
+        if moved:
+            raise BehaviourChanged(
+                f"round {r}: {side} differs from {sides[0]} in "
+                + ", ".join(moved))
+
+
 def run_pairs(sample: Callable[[str], Sample], rounds: int) -> list[dict]:
     """``rounds`` rounds of both sides, alternating which goes first."""
     out = []
     for r in range(rounds):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         got = {side: sample(side) for side in order}
-        a, b = got["parent"], got["change"]
-        moved = [k for k in SIMULATED if a["metrics"][k] != b["metrics"][k]]
-        if a["golden_match"] != b["golden_match"] or moved:
-            raise BehaviourChanged(
-                f"round {r}: golden_match {a['golden_match']} vs "
-                f"{b['golden_match']}, moved {moved or 'nothing else'}")
+        _check_same(r, {side: got[side] for side in ("parent", "change")})
         out.append({"round": r, "first": order[0], **got})
+    return out
+
+
+def rotation(r: int) -> tuple[str, ...]:
+    """The order of the workers' turns in round ``r``."""
+    k = r % len(WORKERS)
+    return WORKERS[k:] + WORKERS[:k]
+
+
+def run_rotated(turn: Callable[[str], Sample], rounds: int) -> list[dict]:
+    """``rounds`` rounds of one turn per worker, in :func:`rotation`
+    order."""
+    out = []
+    for r in range(rounds):
+        order = rotation(r)
+        got = {side: turn(side) for side in order}
+        _check_same(r, {side: got[side] for side in WORKERS})
+        out.append({"round": r, "order": list(order), **got})
     return out
 
 
@@ -161,6 +234,27 @@ def document(label: str, workload: str, metric: str,
     name = METRICS[metric]
     parent = [s["parent"]["metrics"][name] for s in samples]
     change = [s["change"]["metrics"][name] for s in samples]
+    if metric == "rss":
+        control = None
+        method = (
+            f"one fresh, unmodified `python3 benchmarks/e2e/run.py "
+            f"--workload {workload}` per sample, in a `git archive` export "
+            f"of each commit; {len(samples)} rounds, the first side "
+            f"alternating; golden_match and {', '.join(SIMULATED)} equal "
+            f"on both sides of every round")
+    else:
+        control = [s["parent2"]["metrics"][name] for s in samples]
+        method = (
+            f"three long-lived workers (parent, change, parent2 = the A/A "
+            f"control), each importing the unmodified benchmarks/e2e "
+            f"harness of its own `git archive` export; {len(samples)} "
+            f"rounds of one turn per worker, the order rotating by one "
+            f"every round; a turn is one discarded and one measured "
+            f"{REPLAY_SIM_S:g}-sim-s replay of {workload} at seed 0, and "
+            f"{name} is the measured replay's "
+            + ("process time" if metric == "cpu" else "wall_s")
+            + f"; every worker at PYTHONHASHSEED={HASH_SEED}; the digest "
+            f"and {', '.join(SIMULATED)} equal on every side of every round")
     return {
         "schema": "pair/1",
         "label": label,
@@ -170,16 +264,78 @@ def document(label: str, workload: str, metric: str,
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version(),
                     "cpus": os.cpu_count()},
-        "method": (
-            f"one fresh, unmodified `python3 benchmarks/e2e/run.py "
-            f"--workload {workload}` per sample, in a git worktree of each "
-            f"commit; {len(samples)} rounds, the first side alternating; "
-            f"golden_match and {', '.join(SIMULATED)} equal on both sides "
-            f"of every round"),
+        "method": method,
         "rule": RULE,
         "samples": samples,
-        "verdict": verdict(parent, change),
+        "verdict": verdict(parent, change, control),
     }
+
+
+# ------------------------------------------------------------------ workers
+
+
+def worker(tree: str, workload: str) -> None:
+    """Body of one cpu/wall worker process: import ``tree``'s simulator
+    and harness, then answer every line on stdin with one turn, as one
+    JSON line on stdout."""
+    root = pathlib.Path(tree)
+    sys.path[:0] = [str(root / "src"), str(root / "benchmarks" / "e2e")]
+    out, sys.stdout = sys.stdout, sys.stderr
+    import time
+
+    import harness
+    import metrics
+    from spans import SpanLog
+    from workloads import WORKLOADS, replay
+
+    harness.verify_tree()
+    w = WORKLOADS[workload]
+    for _ in sys.stdin:
+        replay(w, 0, SpanLog(), 0, duration=REPLAY_SIM_S)
+        gc.collect()
+        # Host CPU time of this process is the quantity measured here;
+        # no simulated value reads it.
+        t0 = time.process_time()  # repro-lint: disable=DET101
+        r = replay(w, 0, SpanLog(), 1, duration=REPLAY_SIM_S)
+        cpu = time.process_time() - t0  # repro-lint: disable=DET101
+        sim = metrics.simulated(w, r)
+        got = {"digest": r.digest, "events": r.events,
+               "metrics": {"cpu_s": cpu, "wall_s": r.wall_s,
+                           **{k: sim[k] for k in SIMULATED}}}
+        del r
+        gc.collect()
+        out.write(json.dumps(got) + "\n")
+        out.flush()
+
+
+class Worker:
+    """A running :func:`worker` process."""
+
+    def __init__(self, tree: pathlib.Path, workload: str) -> None:
+        code = (f"import sys; sys.path.insert(0, {str(HERE)!r}); "
+                f"import pair; pair.worker({str(tree)!r}, {workload!r})")
+        self.proc = subprocess.Popen(
+            [sys.executable, "-B", "-c", code], cwd=tree, text=True,
+            env={**os.environ, "PYTHONHASHSEED": HASH_SEED},
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+
+    def turn(self) -> Sample:
+        self.proc.stdin.write("turn\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise BehaviourChanged(
+                f"a worker died (exit {self.proc.wait()})")
+        return json.loads(line)
+
+    def close(self) -> None:
+        if self.proc.poll() is None:
+            self.proc.stdin.close()
+            try:
+                self.proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+                self.proc.wait()
 
 
 # ------------------------------------------------------------------ trees
@@ -205,6 +361,14 @@ def check_same_harness(root: pathlib.Path, parent: str, change: str) -> None:
                       + ", ".join(differ.splitlines()))
 
 
+def export(root: pathlib.Path, sha: str, dest: pathlib.Path) -> None:
+    """Write the files of commit ``sha`` into ``dest``."""
+    data = subprocess.run(["git", "-C", str(root), "archive", sha],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest)
+
+
 def run_sample(tree: pathlib.Path, workload: str) -> Sample:
     proc = subprocess.run(
         [sys.executable, "benchmarks/e2e/run.py", "--workload", workload],
@@ -217,27 +381,33 @@ def pair(root: pathlib.Path, parent: str, change: str, workload: str,
     commits = {"parent": resolve(root, parent), "change": resolve(root, change)}
     check_same_harness(root, commits["parent"], commits["change"])
     label = f"{workload}_{metric}_{commits['change'][:7]}"
+    sides = ("parent", "change") if metric == "rss" else WORKERS
+    name = METRICS[metric]
     tmp = pathlib.Path(tempfile.mkdtemp(prefix="pair-"))
-    trees = {side: tmp / side for side in commits}
+    workers: dict[str, Worker] = {}
     try:
-        for side, sha in commits.items():
-            _git(root, "worktree", "add", "--detach", str(trees[side]), sha)
-            if any(trees[side].rglob("__pycache__")):
-                raise Refused(f"{side} worktree holds compiled bytecode")
+        trees = {side: tmp / side for side in sides}
+        for side, tree in trees.items():
+            export(root, commits[side.rstrip("2")], tree)
 
-        def sample(side: str) -> Sample:
-            got = run_sample(trees[side], workload)
-            print(f"  {side:6s} {METRICS[metric]}="
-                  f"{got['metrics'][METRICS[metric]]}", file=sys.stderr)
+        def show(side: str, got: Sample) -> Sample:
+            print(f"  {side:7s} {name}={got['metrics'][name]:.4f}",
+                  file=sys.stderr)
             return got
 
-        samples = run_pairs(sample, rounds)
+        if metric == "rss":
+            samples = run_pairs(
+                lambda side: show(side, run_sample(trees[side], workload)),
+                rounds)
+        else:
+            for side, tree in trees.items():
+                workers[side] = Worker(tree, workload)
+            samples = run_rotated(
+                lambda side: show(side, workers[side].turn()), rounds)
     finally:
-        for tree in trees.values():
-            if tree.exists():
-                _git(root, "worktree", "remove", "--force", str(tree))
+        for w in workers.values():
+            w.close()
         shutil.rmtree(tmp, ignore_errors=True)
-        _git(root, "worktree", "prune")
     return document(label, workload, metric, commits, samples)
 
 
@@ -269,6 +439,10 @@ def main(argv: list[str] | None = None) -> int:
           f"{v['pair_ratios']['q1']:.4f} q3 {v['pair_ratios']['q3']:.4f}), "
           f"{v['wins']}/{v['n']} lower, sign p "
           f"{v['sign_test_p']:.4g}: {v['verdict']}")
+    if "aa_ratios" in v:
+        aa = v["aa_ratios"]
+        print(f"A/A spread (parent2/parent per round): median "
+              f"{aa['median']:.4f}, q1 {aa['q1']:.4f} q3 {aa['q3']:.4f}")
     print(f"wrote {out.relative_to(ROOT)}")
     return 0
 

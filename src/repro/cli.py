@@ -337,20 +337,25 @@ def _cmd_chaos(args: argparse.Namespace) -> tuple[str, bool]:
 
 
 def _cmd_perf(args: argparse.Namespace) -> str:
-    """Replay a scenario and report its digest, event count and wall
-    time.  Speed is judged by ``benchmarks/e2e``; this is the quick look."""
-    from . import perf as perfmod
+    """Replay a scenario and report its digest, event count and peak
+    pending events.  Host time is measured by ``benchmarks/pair.py``."""
+    from .perf import run_scenario
+    from .trace import Tracer, simulation_digest
 
-    tracer = None
-    if args.trace:
-        from .trace import Tracer
-        tracer = Tracer(seed=args.seed)
-    result = perfmod.measure(
-        args.scenario, seed=args.seed, repeats=args.repeats, tracer=tracer,
-    )
-    _publish(args, f"perf_{args.scenario}",
-             perfmod.perf_result_dict(result))
-    return perfmod.format_perf_report(result)
+    tracer = Tracer(seed=args.seed) if args.trace else None
+    env, result = run_scenario(args.scenario, seed=args.seed, tracer=tracer)
+    lines = [
+        f"scenario={args.scenario} seed={args.seed}",
+        f"  sim time:      {env.now:.3f} s",
+        f"  events:        {env.events_scheduled}",
+        f"  peak heap:     {env.peak_pending} pending events",
+        f"  completed ops: {result.completed_ops}"
+        f" ({result.iops:.1f} IOPS simulated)",
+        f"  digest:        {simulation_digest(env)}",
+    ]
+    if tracer is not None and result.trace is not None:
+        lines.append(f"  trace fp:      {result.trace.fingerprint()}")
+    return "\n".join(lines)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> tuple[str, int]:
@@ -690,19 +695,15 @@ def build_parser() -> argparse.ArgumentParser:
     from .perf import SCENARIOS
     perf = sub.add_parser(
         "perf", help="replay a deterministic scenario and report its "
-                     "behavior digest, event count and wall time")
+                     "behavior digest, event count and peak pending events")
     perf.add_argument("--scenario", choices=sorted(SCENARIOS),
                       default="fallback",
                       help="named workload from repro.perf.SCENARIOS")
     perf.add_argument("--seed", type=int, default=0,
                       help="fault-plan / tracer seed for the replay")
-    perf.add_argument("--repeats", type=int, default=5,
-                      help="replay count; wall time is the fastest run "
-                           "(digests must all match)")
     perf.add_argument("--trace", action="store_true",
                       help="attach the tracer and report the trace "
                            "fingerprint (slower; separate golden)")
-    add_json_opts(perf)
 
     fuzz = sub.add_parser(
         "fuzz", help="coverage-guided scenario fuzzing over the chaos/"

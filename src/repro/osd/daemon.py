@@ -92,21 +92,27 @@ class OsdConfig:
 class _InFlightWrite:
     """Tracks one client write until commit + all replica acks."""
 
-    __slots__ = ("ack_events", "_next", "failed")
+    __slots__ = ("acks", "failed")
 
-    def __init__(self, needed_acks: int, env: Any) -> None:
-        self.ack_events: list[Event] = [env.event() for _ in range(needed_acks)]
-        self._next = 0
+    def __init__(self, replicas: list[str], env: Any) -> None:
+        #: replica address -> the event its reply triggers
+        self.acks: dict[str, Event] = {addr: env.event() for addr in replicas}
         #: a replica reported it could not persist the sub-op: the op
         #: must fail to the client (acking a write that some replica
         #: does not hold silently breaks durability)
         self.failed = False
 
-    def ack(self, ok: bool = True) -> None:
+    def ack(self, src: str, ok: bool = True) -> None:
+        """Take the reply of the replica at ``src``.  A sub-op
+        retransmitted after a wire reset is applied and answered again,
+        so a second reply from one replica is ignored, as is a reply
+        from an OSD the sub-op was not sent to."""
+        event = self.acks.get(src)
+        if event is None or event.triggered:
+            return
         if not ok:
             self.failed = True
-        self.ack_events[self._next].succeed()
-        self._next += 1
+        event.succeed()
 
 
 class OsdDaemon:
@@ -505,7 +511,7 @@ class OsdDaemon:
         elif isinstance(msg, MOSDRepOpReply):
             inflight = self._inflight.get(msg.tid)
             if inflight is not None:
-                inflight.ack(ok=msg.result == 0)
+                inflight.ack(msg.src, ok=msg.result == 0)
             _release(msg)
         elif isinstance(msg, MOSDPing):
             if self.heartbeat is not None:
@@ -645,7 +651,9 @@ class OsdDaemon:
         op_span = getattr(msg, "op_span", None)
         if op_span is not None:
             txn.span_ctx = op_span.context
-        inflight = _InFlightWrite(len(pg.replicas), self.env)
+        inflight = _InFlightWrite(
+            [self.osdmap.address_of(r) for r in pg.replicas], self.env
+        )
         self._repop_tid += 1
         repop_tid = self._repop_tid
         if pg.replicas:
@@ -697,7 +705,7 @@ class OsdDaemon:
         )
         result = 0
         try:
-            yield AllOf(self.env, [local, *inflight.ack_events])
+            yield AllOf(self.env, [local, *inflight.acks.values()])
         except StoreError:
             result = -22  # -EINVAL
         if inflight.failed:
@@ -837,7 +845,9 @@ class OsdDaemon:
         op_span = getattr(msg, "op_span", None)
         if op_span is not None:
             txn.span_ctx = op_span.context
-        inflight = _InFlightWrite(len(pg.replicas), self.env)
+        inflight = _InFlightWrite(
+            [self.osdmap.address_of(r) for r in pg.replicas], self.env
+        )
         self._repop_tid += 1
         repop_tid = self._repop_tid
         if pg.replicas:

@@ -7,11 +7,9 @@ lint probe is taken on.
   the same event sequence, so its :func:`~repro.trace.simulation_digest`
   is a golden value: any engine "optimization" that perturbs behavior
   changes the digest and fails loudly.
-* :func:`measure` — replay a scenario and report its digest, event
-  count, peak pending events and wall time (the ``perf`` CLI
-  subcommand prints it).  It is a quick look, not a gate: speed claims
-  are made on ``benchmarks/e2e`` (alternating parent/change pairs,
-  per-layer ledger), the repository's one speed instrument.
+* :func:`run_scenario` — replay one; the ``perf`` CLI subcommand
+  prints its digest, event count and peak pending events.  Host time is
+  measured only by ``benchmarks/pair.py`` and ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -26,17 +24,11 @@ from .faults import FaultPlan
 from .qos.runner import run_qos
 from .qos.tenants import default_tenants
 from .sim import Environment
-from .trace import simulation_digest
-from .util.wallclock import perf_counter
 
 __all__ = [
     "PerfScenario",
-    "PerfResult",
     "SCENARIOS",
     "run_scenario",
-    "measure",
-    "perf_result_dict",
-    "format_perf_report",
 ]
 
 KB = 1 << 10
@@ -168,123 +160,3 @@ def run_scenario(
         warmup=scenario.warmup,
     )
     return env, result
-
-
-@dataclass
-class PerfResult:
-    """Engine-speed metrics from one scenario replay."""
-
-    scenario: str
-    seed: int
-    wall_s: float
-    sim_s: float
-    events: int
-    peak_heap: int
-    digest: str
-    completed_ops: int
-    iops: float
-    repeats: int = 1
-    trace_fingerprint: Optional[str] = None
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def wall_per_sim_s(self) -> float:
-        """Wall-clock seconds spent per simulated second."""
-        return self.wall_s / self.sim_s if self.sim_s > 0 else 0.0
-
-
-def measure(
-    scenario: str,
-    seed: int = 0,
-    repeats: int = 1,
-    tracer: Any = None,
-) -> PerfResult:
-    """Replay ``scenario`` ``repeats`` times; report the fastest run.
-
-    Every repeat must produce the same digest (the harness's own
-    self-check of determinism).
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    best_wall = None
-    digest = None
-    env = result = None
-    for _ in range(repeats):
-        t0 = perf_counter()
-        env, result = run_scenario(scenario, seed=seed, tracer=tracer)
-        wall = perf_counter() - t0
-        d = simulation_digest(env)
-        if digest is None:
-            digest = d
-        elif d != digest:
-            raise AssertionError(
-                f"non-deterministic replay of {scenario!r}: "
-                f"{d} != {digest}"
-            )
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-    assert env is not None and result is not None
-    fingerprint = None
-    if tracer is not None and result.trace is not None:
-        fingerprint = result.trace.fingerprint()
-    return PerfResult(
-        scenario=scenario,
-        seed=seed,
-        wall_s=best_wall or 0.0,
-        sim_s=env.now,
-        events=env.events_scheduled,
-        peak_heap=env.peak_pending,
-        digest=digest or "",
-        completed_ops=result.completed_ops,
-        iops=result.iops,
-        repeats=repeats,
-        trace_fingerprint=fingerprint,
-    )
-
-
-def perf_result_dict(result: PerfResult) -> dict[str, Any]:
-    """Machine-readable perf summary (``BENCH_perf_<scenario>.json``).
-
-    The ``digest``/``events``/``sim_s`` fields are deterministic golden
-    values; the wall-clock figures vary with the host machine and are
-    rounded to microseconds."""
-    out: dict[str, Any] = {
-        "scenario": result.scenario,
-        "seed": result.seed,
-        "digest": result.digest,
-        "events": result.events,
-        "sim_s": round(result.sim_s, 9),
-        "peak_heap": result.peak_heap,
-        "completed_ops": result.completed_ops,
-        "iops": round(result.iops, 9),
-        "wall_s": round(result.wall_s, 6),
-        "events_per_sec": round(result.events_per_sec, 1),
-        "wall_per_sim_s": round(result.wall_per_sim_s, 6),
-        "repeats": result.repeats,
-    }
-    if result.trace_fingerprint is not None:
-        out["trace_fingerprint"] = result.trace_fingerprint
-    return out
-
-
-def format_perf_report(result: PerfResult) -> str:
-    """Human-readable perf report for the CLI."""
-    lines = [
-        f"scenario={result.scenario} seed={result.seed}"
-        f" (best of {result.repeats})",
-        f"  wall time:     {result.wall_s:.3f} s"
-        f" for {result.sim_s:.3f} simulated s"
-        f" ({result.wall_per_sim_s:.3f} wall-s per sim-s)",
-        f"  events:        {result.events}"
-        f" ({result.events_per_sec:,.0f} events/s)",
-        f"  peak heap:     {result.peak_heap} pending events",
-        f"  completed ops: {result.completed_ops}"
-        f" ({result.iops:.1f} IOPS simulated)",
-        f"  digest:        {result.digest}",
-    ]
-    if result.trace_fingerprint is not None:
-        lines.append(f"  trace fp:      {result.trace_fingerprint}")
-    return "\n".join(lines)

@@ -732,11 +732,8 @@ class Environment:
         callbacks = event.callbacks
         event.callbacks = None
         try:
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            else:
-                for callback in callbacks:
-                    callback(event)
+            for callback in callbacks:
+                callback(event)
         except StopSimulation:
             # A caller driving the until-protocol by hand (append
             # StopSimulation.callback, catch it around step()).
@@ -839,12 +836,8 @@ class Environment:
 
                 callbacks = event.callbacks
                 event.callbacks = None
-                if len(callbacks) == 1:
-                    # The overwhelmingly common case: one parked process.
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
+                for callback in callbacks:
+                    callback(event)
 
                 if not event._ok and not event._defused:
                     # An unhandled failure: surface it, don't lose it.

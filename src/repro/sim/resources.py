@@ -103,22 +103,7 @@ class Request(Event):
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        if self._value is not _PENDING:  # triggered (inlined: hot path)
-            resource = self.resource
-            resource._do_release(self)
-            # Recycle the request on opted-in resources: after a
-            # with-block release nothing observes the event again, and
-            # ``callbacks is None`` proves the event loop is done with
-            # it.
-            pool = resource._request_pool
-            if (
-                pool is not None
-                and self.callbacks is None
-                and len(pool) < 32
-            ):
-                pool.append(self)
-        else:
-            self.cancel()
+        self.resource.finish(self)
 
 
 class Release(Event):
@@ -128,7 +113,9 @@ class Release(Event):
 
     def __init__(self, resource: "Resource", request: Request) -> None:
         super().__init__(resource.env)
-        resource._do_release(request)
+        if request._value is _PENDING:
+            raise SimulationError("release of a request that holds nothing")
+        resource.finish(request)
         self.succeed()
 
 
@@ -136,11 +123,11 @@ class Resource:
     """``capacity`` identical servers with a FIFO wait queue.
 
     ``recycle_requests=True`` opts the resource into a request free
-    list: a :class:`Request` released by its with-block is reset and
-    reused by a later :meth:`request` call.  Only safe for resources
-    whose callers never inspect a request after releasing it (the
-    with-statement discipline) — the hardware models' core pools, DMA
-    channels, and NIC pipes qualify.
+    list: a :class:`Request` released by :meth:`finish` (or its
+    with-block) is reset and reused by a later :meth:`request` call.
+    Only safe for resources whose callers never inspect a request after
+    releasing it — the hardware models' core pools, DMA channels, and
+    NIC pipes qualify.
     """
 
     __slots__ = ("env", "capacity", "users", "queue", "_request_pool")
@@ -170,22 +157,12 @@ class Resource:
         """Claim one unit of the resource (an event to ``yield``)."""
         pool = self._request_pool
         if pool:
-            # Recycled requests skip the Event/Request constructor chain
-            # entirely; _do_request and succeed() are inlined (a pooled
-            # request's _ok is already True from its granted life).
+            # A recycled request skips the Event/Request constructors.
             req = pool.pop()
             req.callbacks = []
+            req._value = _PENDING
             req._defused = False
-            users = self.users
-            if len(users) < self.capacity and not self.queue:
-                users.append(req)
-                req._value = None
-                env = self.env
-                env._seq += 1
-                env._normal.append(req)
-            else:
-                req._value = _PENDING
-                self.queue.append(req)
+            self._do_request(req)
             return req
         return Request(self)
 
@@ -194,36 +171,31 @@ class Resource:
         return Release(self, request)
 
     def finish(self, request: Request) -> None:
-        """Hot-path equivalent of ``Request.__exit__``: release a
-        granted request (or cancel an ungranted one) and recycle it when
-        the resource opted in.  For model inner loops that would pay the
-        with-statement's ``__enter__``/``__exit__`` dispatch per call;
-        semantics are identical."""
-        if request._value is not _PENDING:
-            # Inlined _do_release + _grant_next.
-            users = self.users
-            try:
-                users.remove(request)
-            except ValueError:
-                raise SimulationError(
-                    "release of a request that holds nothing"
-                ) from None
-            queue = self.queue
-            if queue:
-                capacity = self.capacity
-                while queue and len(users) < capacity:
-                    nxt = queue.popleft()
-                    users.append(nxt)
-                    nxt.succeed()
-            pool = self._request_pool
-            if (
-                pool is not None
-                and request.callbacks is None
-                and len(pool) < 32
-            ):
-                pool.append(request)
-        else:
+        """Release a granted request or cancel an ungranted one — what
+        ``Request.__exit__`` does, for code that releases in a
+        ``finally`` instead of a with-statement — and recycle it when
+        the resource opted in: ``callbacks is None`` proves the event
+        loop is done with it."""
+        if request._value is _PENDING:
             self._withdraw(request)
+            return
+        users = self.users
+        try:
+            users.remove(request)
+        except ValueError:
+            # Releasing an already-released request is a model bug;
+            # surface it loudly.
+            raise SimulationError(
+                "release of a request that holds nothing"
+            ) from None
+        queue = self.queue
+        while queue and len(users) < self.capacity:
+            nxt = queue.popleft()
+            users.append(nxt)
+            nxt.succeed()
+        pool = self._request_pool
+        if pool is not None and request.callbacks is None and len(pool) < 32:
+            pool.append(request)
 
     # -- internals -----------------------------------------------------------
     def _do_request(self, request: Request) -> None:
@@ -238,21 +210,6 @@ class Resource:
             self.queue.remove(request)
         except ValueError:
             pass
-
-    def _do_release(self, request: Request) -> None:
-        try:
-            self.users.remove(request)
-        except ValueError:
-            # Releasing an ungranted or already-released request is a
-            # model bug; surface it loudly.
-            raise SimulationError("release of a request that holds nothing")
-        self._grant_next()
-
-    def _grant_next(self) -> None:
-        while self.queue and len(self.users) < self.capacity:
-            nxt = self.queue.popleft()
-            self.users.append(nxt)
-            nxt.succeed()
 
     def __repr__(self) -> str:
         return (

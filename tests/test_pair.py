@@ -1,5 +1,5 @@
-"""``benchmarks/pair.py``: its verdict, its schema and its refusals,
-against a stub worker instead of real benchmark runs."""
+"""``benchmarks/pair.py``: its verdict, its schema, its rotation and
+its refusals, against stub workers instead of real benchmark runs."""
 
 from __future__ import annotations
 
@@ -127,3 +127,86 @@ def test_refuses_unless_the_harness_is_identical(pair, tmp_path):
         pair.check_same_harness(tmp_path, a, c)
     with pytest.raises(pair.Refused, match="not a commit"):
         pair.resolve(tmp_path, "no-such-ref")
+
+
+def _turns(pair, cpu: dict[str, list[float]], digest=None):
+    """A cpu/wall turn per worker, answered in turn from ``cpu``;
+    ``digest`` overrides one worker's replay digest."""
+    calls = []
+    left = {side: list(values) for side, values in cpu.items()}
+
+    def turn(side):
+        calls.append(side)
+        metrics = {k: 1.0 for k in pair.SIMULATED}
+        metrics["cpu_s"] = metrics["wall_s"] = left[side].pop(0)
+        d = (digest or {}).get(side, "d" * 64)
+        return {"digest": d, "events": 10, "metrics": metrics}
+
+    return turn, calls
+
+
+def test_the_order_rotates_one_worker_every_round(pair):
+    turn, calls = _turns(pair, {s: [1.0] * 4 for s in pair.WORKERS})
+    samples = pair.run_rotated(turn, rounds=4)
+    a, b, a2 = pair.WORKERS
+    assert calls == [a, b, a2, b, a2, a, a2, a, b, a, b, a2]
+    assert [s["order"][0] for s in samples] == [a, b, a2, a]
+    doc = pair.document("w_cpu_ccccccc", "w", "cpu",
+                        {"parent": "a" * 40, "change": "c" * 40}, samples)
+    doc = json.loads(json.dumps(doc))
+    assert doc["schema"] == "pair/1" and doc["metric"] == "cpu_s"
+    assert "parent2" in doc["samples"][0] and "aa_ratios" in doc["verdict"]
+
+
+def test_a_worker_that_replays_differently_aborts(pair):
+    turn, _ = _turns(pair, {s: [1.0] * 3 for s in pair.WORKERS},
+                     digest={"parent2": "e" * 64})
+    with pytest.raises(pair.BehaviourChanged, match="parent2.*digest"):
+        pair.run_rotated(turn, rounds=3)
+
+
+def test_the_aa_spread_holds_back_a_verdict_inside_it(pair):
+    """Ten pairs slower by ~8 % resolve as higher against a quiet A/A
+    control, and do not when the A/A ratios spread as wide."""
+    parent = [1.0 + 0.004 * i for i in range(10)]
+    change = [p * 1.08 for p in parent]
+    quiet = [p * r for p, r in zip(parent, [1.0, 1.01, 0.99] * 3 + [1.0])]
+    loud = [p * r for p, r in zip(parent, [0.9, 1.12, 1.0] * 3 + [1.0])]
+    v = pair.verdict(parent, change, quiet)
+    assert v["verdict"] == "resolved higher"
+    assert v["aa_ratios"]["q3"] < v["pair_ratios"]["median"]
+    v = pair.verdict(parent, change, loud)
+    assert v["losses"] == 10 and v["verdict"] == "not resolved"
+    assert v["aa_ratios"]["q1"] <= v["pair_ratios"]["median"] \
+        <= v["aa_ratios"]["q3"]
+    assert pair.verdict(parent, change)["verdict"] == "resolved higher"
+
+
+def test_a_worker_process_answers_one_turn_per_line(pair, tmp_path):
+    """The real worker protocol, against a stub harness that replays in
+    no time: one JSON line per turn, with its digest and metrics."""
+    e2e = tmp_path / "benchmarks" / "e2e"
+    e2e.mkdir(parents=True)
+    (tmp_path / "src").mkdir()
+    (e2e / "harness.py").write_text("def verify_tree():\n    return 'pure'\n")
+    (e2e / "spans.py").write_text("class SpanLog:\n    pass\n")
+    (e2e / "workloads.py").write_text(
+        "class R:\n    digest = 'f' * 64\n    events = 7\n"
+        "    wall_s = 0.25\n"
+        "WORKLOADS = {'w': 'w'}\n"
+        "def replay(w, seed, log, replay_id, duration):\n"
+        "    assert duration == 5.0\n    return R()\n")
+    sim = ", ".join(f"{k!r}: 2.0" for k in pair.SIMULATED)
+    (e2e / "metrics.py").write_text(
+        f"def simulated(w, r):\n    return {{{sim}, 'sim_s': 5.0}}\n")
+    worker = pair.Worker(tmp_path, "w")
+    try:
+        got = [worker.turn() for _ in range(2)]
+    finally:
+        worker.close()
+    assert worker.proc.returncode == 0
+    for turn in got:
+        assert turn["digest"] == "f" * 64 and turn["events"] == 7
+        assert turn["metrics"]["wall_s"] == 0.25
+        assert turn["metrics"]["cpu_s"] >= 0.0
+        assert all(turn["metrics"][k] == 2.0 for k in pair.SIMULATED)
