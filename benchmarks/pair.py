@@ -33,9 +33,12 @@ A round whose sides disagree on the replay digest (cpu, wall), on
 the pairing (exit 3): that is a behaviour change, not a speed result.
 
 Every metric it pairs is better when lower.  The verdict gives the
-median change/parent ratio, its quartiles, wins/N, an exact two-sided
-sign-test p and the rule below; with an A/A control, also the quartiles
-of the per-round A2/A ratio (the A/A spread).  One JSON document,
+median change/parent ratio, the quartiles of the per-round ratios,
+wins/N, an exact two-sided sign-test p and the rule below; with an A/A
+control, also the quartiles of the per-round A2/A ratio (the A/A
+spread).  The rule reads the per-round ratios only: a pairing's rounds
+drift together, so the parent's spread across rounds is not the noise
+of one pair.  One JSON document,
 ``benchmarks/results/BENCH_pair_<workload>_<metric>_<change>.json``,
 keeps the commits, the machine, the method and every sample.
 """
@@ -83,11 +86,13 @@ WORKERS = ("parent", "change", "parent2")
 HASH_SEED = "0"
 
 RULE = (
-    "resolved = the change reads lower (higher) in >= 9 of 10 pairs "
-    "(>= 0.9 n), its median differs from the parent's by more than the "
-    "parent's q3 - q1, and, with an A/A control, the median of the "
-    "per-round change/parent ratios lies outside [q1, q3] of the "
-    "per-round parent2/parent ratios; quartiles are "
+    "resolved higher = the change reads higher in >= 9 of 10 rounds "
+    "(>= 0.9 n) and the q1 of the per-round change/parent ratios lies "
+    "above the q3 of the reference ratios; resolved lower = it reads "
+    "lower in >= 0.9 n rounds and the ratios' q3 lies below the "
+    "reference q1.  The reference ratios are the per-round "
+    "parent2/parent ratios (the A/A control) where there is one, else "
+    "(rss) each parent sample over the parent median; quartiles are "
     "statistics.quantiles(method='inclusive'); the sign test is exact "
     "and two-sided over pairs that are not tied"
 )
@@ -135,16 +140,16 @@ def verdict(parent: list[float], change: list[float],
     n = len(parent)
     a, b = _quartiles(parent), _quartiles(change)
     ratios = _quartiles([c / p for p, c in zip(parent, change)])
-    gap = abs(b["median"] - a["median"]) > a["q3"] - a["q1"]
     aa = None
     if control is not None:
         if len(control) != n:
             raise ValueError("need one control sample per parent sample")
-        aa = _quartiles([c / p for p, c in zip(parent, control)])
-        gap = gap and not aa["q1"] <= ratios["median"] <= aa["q3"]
-    if wins >= 0.9 * n and gap:
+        aa = ref = _quartiles([c / p for p, c in zip(parent, control)])
+    else:
+        ref = _quartiles([p / a["median"] for p in parent])
+    if wins >= 0.9 * n and ratios["q3"] < ref["q1"]:
         word = "resolved lower"
-    elif losses >= 0.9 * n and gap:
+    elif losses >= 0.9 * n and ratios["q1"] > ref["q3"]:
         word = "resolved higher"
     else:
         word = "not resolved"

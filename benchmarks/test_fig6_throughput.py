@@ -7,12 +7,12 @@ caps throughput, while at 100 G the storage path saturates first.
 
 from conftest import BENCH_CLIENTS, BENCH_DURATION, publish
 
-from repro.bench import experiment_fig6, fig5_row_dict, render_fig6
+from repro.bench import experiment_fig5, fig5_row_dict, render_fig6
 
 
 def test_fig6_throughput(benchmark, results_dir):
     rows = benchmark.pedantic(
-        lambda: experiment_fig6(duration=BENCH_DURATION,
+        lambda: experiment_fig5(duration=BENCH_DURATION,
                                 clients=BENCH_CLIENTS),
         rounds=1, iterations=1,
     )

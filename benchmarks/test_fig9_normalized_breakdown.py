@@ -7,13 +7,13 @@ block sizes, which is why the DoCeph/Baseline gap closes.
 
 from conftest import BENCH_CLIENTS, BENCH_DURATION, publish
 
-from repro.bench import experiment_fig9, render_fig9, table3_row_dict
+from repro.bench import experiment_table3, render_fig9, table3_row_dict
 
 
 def test_fig9_normalized_breakdown(benchmark, sweep, results_dir):
     rows = benchmark.pedantic(
-        lambda: experiment_fig9(duration=BENCH_DURATION,
-                                clients=BENCH_CLIENTS),
+        lambda: experiment_table3(duration=BENCH_DURATION,
+                                  clients=BENCH_CLIENTS),
         rounds=1, iterations=1,
     )
     publish(results_dir, "fig9_normalized_breakdown", render_fig9(rows),

@@ -37,13 +37,8 @@ __all__ = [
     "ComparisonPoint",
     "FallbackResult",
     "experiment_fig5",
-    "experiment_fig6",
     "experiment_table2",
-    "experiment_fig7",
-    "experiment_fig8",
     "experiment_table3",
-    "experiment_fig9",
-    "experiment_fig10",
     "experiment_fallback",
     "experiment_chaos",
     "experiment_qos",
@@ -111,14 +106,13 @@ def run_comparison_sweep(
     duration: float = 10.0,
     clients: int = 16,
     warmup: float = 2.0,
-    use_cache: bool = True,
 ) -> list[ComparisonPoint]:
     """Baseline vs DoCeph across the paper's size sweep.
 
     Results are memoized per parameter set so the Fig. 7/8/9/10 and
     Table 3 harnesses share one set of runs (as the paper's do)."""
     key = (sizes, duration, clients, warmup)
-    if use_cache and key in _sweep_cache:
+    if key in _sweep_cache:
         return _sweep_cache[key]
     points = []
     for size in sizes:
@@ -133,8 +127,7 @@ def run_comparison_sweep(
             clients=clients, duration=duration, warmup=warmup,
         )
         points.append(ComparisonPoint(size, base, doceph))
-    if use_cache:
-        _sweep_cache[key] = points
+    _sweep_cache[key] = points
     return points
 
 
@@ -181,18 +174,12 @@ def _run_breakdown(bandwidth: float, label: str, duration: float,
 
 def experiment_fig5(duration: float = 10.0, clients: int = 16) -> list[Fig5Row]:
     """Fig. 5: CPU usage breakdown under 1 Gbps and 100 Gbps (baseline,
-    4 MB writes)."""
+    4 MB writes).  Fig. 6's throughput comes from the same runs, as in
+    the paper."""
     return [
         _run_breakdown(GIGABIT, "1G", duration, clients),
         _run_breakdown(HUNDRED_GIG, "100G", duration, clients),
     ]
-
-
-def experiment_fig6(duration: float = 10.0, clients: int = 16) -> list[Fig5Row]:
-    """Fig. 6: throughput under the same two network configurations.
-
-    Same runs as Fig. 5 (the paper derives both from one experiment)."""
-    return experiment_fig5(duration, clients)
 
 
 # --------------------------------------------------------------- Table 2
@@ -211,32 +198,18 @@ class Table2Result:
             return float("inf")
         return self.messenger_per_s / self.objectstore_per_s
 
+    @classmethod
+    def of(cls, row: Fig5Row) -> Table2Result:
+        """Table 2 read off a Fig. 5 row: the same run."""
+        return cls(messenger_per_s=row.ctx_msgr_per_s,
+                   objectstore_per_s=row.ctx_objectstore_per_s)
+
 
 def experiment_table2(duration: float = 10.0, clients: int = 16) -> Table2Result:
-    """Table 2: per-second context switches by component."""
-    row = _run_breakdown(HUNDRED_GIG, "100G", duration, clients)
-    return Table2Result(
-        messenger_per_s=row.ctx_msgr_per_s,
-        objectstore_per_s=row.ctx_objectstore_per_s,
-    )
-
-
-# --------------------------------------------------------------- Fig. 7 – 10
-
-
-def experiment_fig7(duration: float = 10.0, clients: int = 16) -> list[ComparisonPoint]:
-    """Fig. 7: host CPU utilization, Baseline vs DoCeph, per size."""
-    return run_comparison_sweep(duration=duration, clients=clients)
-
-
-def experiment_fig8(duration: float = 10.0, clients: int = 16) -> list[ComparisonPoint]:
-    """Fig. 8: average end-to-end write latency per size."""
-    return run_comparison_sweep(duration=duration, clients=clients)
-
-
-def experiment_fig10(duration: float = 10.0, clients: int = 16) -> list[ComparisonPoint]:
-    """Fig. 10: average IOPS per size."""
-    return run_comparison_sweep(duration=duration, clients=clients)
+    """Table 2: per-second context switches by component (Fig. 5's
+    100 Gbps run)."""
+    return Table2Result.of(
+        _run_breakdown(HUNDRED_GIG, "100G", duration, clients))
 
 
 # --------------------------------------------------------------- Table 3 / Fig. 9
@@ -270,7 +243,8 @@ def experiment_table3(duration: float = 10.0, clients: int = 16) -> list[Table3R
 
     ``total`` is the client-observed latency; host-write/DMA/DMA-wait
     come from the proxy instrumentation; Others is the residual (DPU
-    OSD work, messenger activity, replication coordination, ACK waits)."""
+    OSD work, messenger activity, replication coordination, ACK waits).
+    Fig. 9 is the same rows normalized."""
     points = run_comparison_sweep(duration=duration, clients=clients)
     rows = []
     for point in points:
@@ -293,11 +267,6 @@ def experiment_table3(duration: float = 10.0, clients: int = 16) -> list[Table3R
             )
         )
     return rows
-
-
-def experiment_fig9(duration: float = 10.0, clients: int = 16) -> list[Table3Row]:
-    """Fig. 9: Table 3 normalized to shares of total latency."""
-    return experiment_table3(duration=duration, clients=clients)
 
 
 # --------------------------------------------------------------- §4 robustness

@@ -1,13 +1,12 @@
 """RADOS bench: the paper's workload generator (§5.1).
 
 Closed-loop pattern: ``clients`` concurrent I/O contexts each keep one
-request outstanding for ``duration`` seconds after a warm-up.  Three op
-modes: ``write`` (the paper's workload — uniquely-named objects of
-``object_size`` bytes), ``randread`` (uniform random reads over a
-prepopulated object set), and ``mixed`` (a seeded read/write coin at
-``read_ratio``).  Latency is the end-to-end client-observed response
-time; IOPS is completed ops per second; both are also recorded as
-per-second series, matching RADOS bench's built-in instrumentation.
+request outstanding for ``duration`` seconds after a warm-up.
+:func:`run_rados_bench` is the paper's workload (uniquely-named writes
+of ``object_size`` bytes); :func:`run_read_bench` reads back a
+prepopulated object set.  Latency is the end-to-end client-observed
+response time; IOPS is completed ops per second; both are also recorded
+as per-second series, matching RADOS bench's built-in instrumentation.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Any, Callable, Generator, Optional
 
 from ..cluster.builder import BENCH_POOL, Cluster
 from ..core.proxy_objectstore import BreakdownView, ProxyObjectStore
-from ..util.rng import SeededRng
 from ..util.stats import RunningStats, TimeSeries, percentile
 from ..util.wallclock import perf_counter
 from .metrics import (
@@ -212,46 +210,17 @@ def run_rados_bench(
     clients: int = 16,
     duration: float = 30.0,
     warmup: float = 3.0,
-    op: str = "write",
-    read_ratio: float = 0.5,
-    prepopulate: int = 64,
-    seed: int = 0,
 ) -> BenchResult:
-    """Boot the cluster (if needed) and run one bench configuration.
-
-    ``op`` selects the workload: ``write`` (paper default), ``randread``
-    (uniform reads over ``prepopulate`` pre-written objects), or
-    ``mixed`` (seeded coin: read with probability ``read_ratio``, else
-    write).  The ``write`` path draws no RNG and prepopulates nothing,
-    so its event schedule — and every golden digest built on it — is
-    byte-identical to the write-only harness.
-    """
-    if op not in ("write", "randread", "mixed"):
-        raise ValueError(f"unknown op: {op}")
+    """Boot the cluster (if needed) and run one write bench: each
+    context writes uniquely-named objects of ``object_size`` bytes."""
     client = cluster.client
     assert client is not None
 
     def write(idx: int, n: int) -> Generator[Any, Any, Any]:
         return client.write_object(BENCH_POOL, f"bench_{idx}_{n}", object_size)
 
-    if op == "write":
-        return _closed_loop(cluster, object_size, clients, duration, warmup,
-                            write, [], "bench")
-
-    rng = SeededRng(seed).child("bench").stream(op)
-
-    def read_or_write(idx: int, n: int) -> Generator[Any, Any, Any]:
-        if op == "randread" or rng.random() < read_ratio:
-            return client.read_object(
-                BENCH_POOL, f"bench_pre_{rng.randrange(prepopulate)}",
-                object_size,
-            )
-        return write(idx, n)
-
-    return _closed_loop(
-        cluster, object_size, clients, duration, warmup, read_or_write,
-        [f"bench_pre_{i}" for i in range(prepopulate)], "bench",
-    )
+    return _closed_loop(cluster, object_size, clients, duration, warmup,
+                        write, [], "bench")
 
 
 def run_read_bench(

@@ -31,14 +31,13 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .bench import (
     bench_result_dict,
     comparison_point_dict,
     experiment_fallback,
     experiment_fig5,
-    experiment_table2,
     experiment_table3,
     fig5_row_dict,
     table2_dict,
@@ -55,6 +54,7 @@ from .bench import (
     run_comparison_sweep,
     run_rados_bench,
 )
+from .bench.experiments import Fig5Row, Table2Result
 from .cluster import (
     STRATEGY_NAMES,
     build_baseline_cluster,
@@ -91,71 +91,47 @@ def _publish(args: argparse.Namespace, name: str, payload: dict) -> None:
     write_bench_json(name, payload, out_dir)
 
 
-def _cmd_fig5(args: argparse.Namespace) -> str:
-    rows = experiment_fig5(duration=args.duration)
-    _publish(args, "fig5", {"rows": [fig5_row_dict(r) for r in rows]})
-    return render_fig5(rows)
+def _rows(to_dict: Callable[[Any], dict]) -> Callable[[list], dict]:
+    return lambda rows: {"rows": [to_dict(r) for r in rows]}
 
 
-def _cmd_fig6(args: argparse.Namespace) -> str:
-    rows = experiment_fig5(duration=args.duration)
-    _publish(args, "fig6", {"rows": [fig5_row_dict(r) for r in rows]})
-    return render_fig6(rows)
+def _points(points: list) -> dict:
+    return {"points": [comparison_point_dict(p) for p in points]}
 
 
-def _cmd_table2(args: argparse.Namespace) -> str:
-    result = experiment_table2(duration=args.duration)
-    _publish(args, "table2", table2_dict(result))
-    return render_table2(result)
+def _table2(rows: list[Fig5Row]) -> Table2Result:
+    """Table 2 is read off Fig. 5's 100 Gbps run."""
+    (row,) = [r for r in rows if r.label == "100G"]
+    return Table2Result.of(row)
 
 
-def _cmd_fig7(args: argparse.Namespace) -> str:
-    points = run_comparison_sweep(duration=args.duration)
-    _publish(args, "fig7",
-             {"points": [comparison_point_dict(p) for p in points]})
-    return render_fig7(points)
-
-
-def _cmd_fig8(args: argparse.Namespace) -> str:
-    points = run_comparison_sweep(duration=args.duration)
-    _publish(args, "fig8",
-             {"points": [comparison_point_dict(p) for p in points]})
-    return render_fig8(points)
-
-
-def _cmd_table3(args: argparse.Namespace) -> str:
-    rows = experiment_table3(duration=args.duration)
-    _publish(args, "table3", {"rows": [table3_row_dict(r) for r in rows]})
-    return render_table3(rows)
-
-
-def _cmd_fig9(args: argparse.Namespace) -> str:
-    rows = experiment_table3(duration=args.duration)
-    _publish(args, "fig9", {"rows": [table3_row_dict(r) for r in rows]})
-    return render_fig9(rows)
-
-
-def _cmd_fig10(args: argparse.Namespace) -> str:
-    points = run_comparison_sweep(duration=args.duration)
-    _publish(args, "fig10",
-             {"points": [comparison_point_dict(p) for p in points]})
-    return render_fig10(points)
-
-
-_EXPERIMENTS: dict[str, Callable[[argparse.Namespace], str]] = {
-    "fig5": _cmd_fig5,
-    "fig6": _cmd_fig6,
-    "table2": _cmd_table2,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "table3": _cmd_table3,
-    "fig9": _cmd_fig9,
-    "fig10": _cmd_fig10,
+#: Each paper table/figure: (experiment, payload builder, renderer).
+#: Names that share an experiment share its runs.
+_EXPERIMENTS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "fig5": (experiment_fig5, _rows(fig5_row_dict), render_fig5),
+    "fig6": (experiment_fig5, _rows(fig5_row_dict), render_fig6),
+    "table2": (experiment_fig5, lambda rows: table2_dict(_table2(rows)),
+               lambda rows: render_table2(_table2(rows))),
+    "fig7": (run_comparison_sweep, _points, render_fig7),
+    "fig8": (run_comparison_sweep, _points, render_fig8),
+    "table3": (experiment_table3, _rows(table3_row_dict), render_table3),
+    "fig9": (experiment_table3, _rows(table3_row_dict), render_fig9),
+    "fig10": (run_comparison_sweep, _points, render_fig10),
 }
 
 
-def _cmd_all(args: argparse.Namespace) -> str:
-    return "\n\n".join(fn(args) for fn in _EXPERIMENTS.values())
+def _cmd_experiments(args: argparse.Namespace, names: Sequence[str]) -> str:
+    """Publish and render each of ``names``, running each distinct
+    experiment once."""
+    results: dict[Callable, Any] = {}
+    out = []
+    for name in names:
+        experiment, payload, render = _EXPERIMENTS[name]
+        if experiment not in results:
+            results[experiment] = experiment(duration=args.duration)
+        _publish(args, name, payload(results[experiment]))
+        out.append(render(results[experiment]))
+    return "\n\n".join(out)
 
 
 def _cmd_bench(args: argparse.Namespace) -> str:
@@ -795,7 +771,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "all":
-            print(_cmd_all(args))
+            print(_cmd_experiments(args, list(_EXPERIMENTS)))
         elif args.command == "bench":
             print(_cmd_bench(args))
         elif args.command == "faults":
@@ -828,7 +804,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if code:
                 return code  # 3 = findings / probe defect
         else:
-            print(_EXPERIMENTS[args.command](args))
+            print(_cmd_experiments(args, [args.command]))
     except ValueError as exc:
         # malformed --faults / --plan spec
         print(f"error: {exc}", file=sys.stderr)

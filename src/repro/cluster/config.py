@@ -20,7 +20,7 @@ convention; see ``repro.bench.metrics``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..hw.tcp import TcpStackModel
 from ..msgr.messenger import MessengerCostModel
@@ -170,8 +170,7 @@ class HardwareProfile:
     # -- RPC reliability (see repro.core.rpc) -----------------------------------
     rpc_timeout_seconds: float = 5.0
     """Per-attempt reply timeout of the DPU↔host RPC; attempt *k* waits
-    ``rpc_timeout_seconds × rpc_backoff_factor^k``.  ``0`` disables the
-    timeout (legacy wait-forever behaviour)."""
+    ``rpc_timeout_seconds × rpc_backoff_factor^k``; it must be positive."""
 
     rpc_max_retries: int = 4
     """Retries after the first attempt before a call fails RpcError."""
@@ -207,19 +206,6 @@ class HardwareProfile:
     recovery_tick: float = 1.0
     """Recovery manager detection-loop period per OSD."""
 
-    # -- fault injection (see repro.faults) -------------------------------------
-    fault_seed: int = 0
-    """Seed of the fault plan's RNG streams; the same seed reproduces
-    the exact same fault schedule."""
-
-    fault_plan: object | None = None
-    """Optional :class:`repro.faults.FaultPlan` attached to every layer
-    by the cluster builders.  Takes precedence over ``dma_fault_rate``."""
-
-    def with_bandwidth(self, bps: float) -> "HardwareProfile":
-        """This profile at a different link speed."""
-        return replace(self, net_bandwidth=bps)
-
 
 @dataclass(frozen=True)
 class DocephProfile(HardwareProfile):
@@ -232,16 +218,8 @@ class DocephProfile(HardwareProfile):
     """Reuse pre-established memory regions instead of renegotiating
     the CommChannel per transfer (§3.3)."""
 
-    fallback_enabled: bool = True
-    """RPC fallback + cooldown on DMA errors (§4)."""
-
     cooldown_seconds: float = 2.0
     """DMA disable window after a failure."""
-
-    dma_fault_rate: float = 0.0
-    """Injected per-transfer DMA failure probability (robustness tests).
-    Shorthand for a fault plan of ``dma,p=<rate>`` seeded with
-    ``fault_seed``; ignored when ``fault_plan`` is set."""
 
     zero_copy: bool = False
     """Skip the DPU-side staging memcpy into DMA-able buffers (Palladium-

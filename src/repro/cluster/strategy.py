@@ -17,8 +17,9 @@ parameter:
 * ``zero-copy`` — DoCeph with a Palladium-style registered-buffer
   fabric: the DPU staging memcpy disappears (``zero_copy=True``).
 
-Every strategy pins the *client* node's TCP costs to the stock model
-(``client_tcp``), so a sweep varies only the storage side.
+The client node always runs the stock TCP model: only ``tcp-only``
+changes ``tcp``, and it pins ``client_tcp`` to the stock costs, so a
+sweep varies only the storage side.
 """
 
 from __future__ import annotations
@@ -82,24 +83,13 @@ class OffloadStrategy:
         return f"<OffloadStrategy {self.name}>"
 
 
-def _baseline_profile() -> HardwareProfile:
-    base = HardwareProfile()
-    return replace(base, client_tcp=base.tcp)
-
-
 def _tcp_only_profile() -> HardwareProfile:
     base = HardwareProfile()
     return replace(base, tcp=base.tcp.stack_free(), client_tcp=base.tcp)
 
 
-def _full_osd_profile() -> DocephProfile:
-    base = DocephProfile()
-    return replace(base, client_tcp=base.tcp)
-
-
 def _zero_copy_profile() -> DocephProfile:
-    base = DocephProfile()
-    return replace(base, client_tcp=base.tcp, zero_copy=True)
+    return DocephProfile(zero_copy=True)
 
 
 _REGISTRY: dict[str, OffloadStrategy] = {
@@ -108,7 +98,7 @@ _REGISTRY: dict[str, OffloadStrategy] = {
         OffloadStrategy(
             "baseline",
             "no offload: full Ceph stack on host CPUs",
-            _baseline_profile, build_baseline_cluster,
+            HardwareProfile, build_baseline_cluster,
         ),
         OffloadStrategy(
             "tcp-only",
@@ -118,7 +108,7 @@ _REGISTRY: dict[str, OffloadStrategy] = {
         OffloadStrategy(
             "full-osd",
             "DoCeph: OSD+messenger on the DPU, staged DMA to the host",
-            _full_osd_profile, build_doceph_cluster,
+            DocephProfile, build_doceph_cluster,
         ),
         OffloadStrategy(
             "zero-copy",

@@ -32,9 +32,8 @@ PROBE_BYTES = 4096
 class FallbackController:
     """Cooldown state machine shared by all requests on one node."""
 
-    def __init__(self, cooldown_seconds: float, enabled: bool = True) -> None:
+    def __init__(self, cooldown_seconds: float) -> None:
         self.cooldown_seconds = cooldown_seconds
-        self.enabled = enabled
         self._cooldown_until = -float("inf")
         self._needs_probe = False
         self._probe_inflight = False
@@ -53,20 +52,14 @@ class FallbackController:
     # -- state queries -----------------------------------------------------------
     def dma_allowed(self, now: float) -> bool:
         """May a normal segment use DMA right now?"""
-        if not self.enabled:
-            return True  # fallback machinery disabled: always try DMA
         return now >= self._cooldown_until and not self._needs_probe
 
     def in_cooldown(self, now: float) -> bool:
-        return self.enabled and now < self._cooldown_until
+        return now < self._cooldown_until
 
     def probe_due(self, now: float) -> bool:
         """Cooldown expired but DMA not yet revalidated."""
-        return (
-            self.enabled
-            and self._needs_probe
-            and now >= self._cooldown_until
-        )
+        return self._needs_probe and now >= self._cooldown_until
 
     def probe_inflight(self) -> bool:
         return self._probe_inflight
@@ -75,11 +68,10 @@ class FallbackController:
     def record_failure(self, now: float) -> None:
         """A DMA transfer failed: start (or restart) the cooldown."""
         self.failures += 1
-        if self.enabled:
-            self._cooldown_until = now + self.cooldown_seconds
-            self._needs_probe = True
-            if self._outage_start is None:
-                self._outage_start = now
+        self._cooldown_until = now + self.cooldown_seconds
+        self._needs_probe = True
+        if self._outage_start is None:
+            self._outage_start = now
 
     def record_fallback_segment(self) -> None:
         self.fallback_segments += 1

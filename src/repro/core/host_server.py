@@ -17,7 +17,7 @@ experiments can show exactly how little host CPU survives the offload
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import TYPE_CHECKING, Any, Generator
 
 from ..hw.cpu import SimThread
 from ..hw.node import ClusterNode
@@ -27,13 +27,18 @@ from ..sim import Container
 from .doca import CommChannel
 from .rpc import DEFERRED, PROXY_CATEGORY, RPC_ARGS, RpcChannel, RpcRequest
 
+if TYPE_CHECKING:
+    from ..cluster.config import HardwareProfile
+
 __all__ = ["HostProxyServer"]
 
 
 class HostProxyServer:
     """Host side of the ProxyObjectStore split."""
 
-    def __init__(self, node: ClusterNode, store: BlueStore, profile: Any) -> None:
+    def __init__(
+        self, node: ClusterNode, store: BlueStore, profile: HardwareProfile
+    ) -> None:
         self.node = node
         self.store = store
         self.profile = profile

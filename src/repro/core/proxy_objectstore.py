@@ -24,7 +24,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, fields
 from itertools import islice
-from typing import Any, Generator, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Iterator
 
 from ..hw.cpu import SimThread
 from ..hw.node import ClusterNode
@@ -41,6 +41,9 @@ from .fallback import FallbackController
 from .host_server import HostProxyServer
 from .pipeline import DmaPipeline, RequestTiming
 from .rpc import PROXY_CATEGORY, RPC_ARGS, RpcError
+
+if TYPE_CHECKING:
+    from ..cluster.config import DocephProfile
 
 __all__ = [
     "BreakdownLog", "BreakdownView", "ProxyObjectStore", "WriteBreakdown",
@@ -139,8 +142,7 @@ class ProxyObjectStore(ObjectStore):
         self,
         node: ClusterNode,
         server: HostProxyServer,
-        profile: Any,
-        seed: int = 0,
+        profile: DocephProfile,
     ) -> None:
         if node.dpu_cpu is None:
             raise ValueError("ProxyObjectStore requires a DPU-mode node")
@@ -152,17 +154,14 @@ class ProxyObjectStore(ObjectStore):
 
         self.doca = DocaDma(
             node, server.comm,
-            mr_cache_enabled=getattr(profile, "mr_cache", True),
+            mr_cache_enabled=profile.mr_cache,
         )
-        self.fallback = FallbackController(
-            cooldown_seconds=getattr(profile, "cooldown_seconds", 2.0),
-            enabled=getattr(profile, "fallback_enabled", True),
-        )
+        self.fallback = FallbackController(profile.cooldown_seconds)
 
         self._stage_thread = SimThread(
             node.dpu_cpu, f"{node.name}.proxy-stage", DPU_PROXY_CATEGORY
         )
-        pipelined = getattr(profile, "pipelining", True)
+        pipelined = profile.pipelining
         self.write_pipeline = DmaPipeline(
             self.env,
             self.doca,
@@ -175,7 +174,7 @@ class ProxyObjectStore(ObjectStore):
             pipelined=pipelined,
             completion_thread=server.poll_thread,
             region_side="dpu",
-            zero_copy=getattr(profile, "zero_copy", False),
+            zero_copy=profile.zero_copy,
         )
         # Reverse direction (read returns): staging buffers on the host
         # side, staged by host CPU at host memcpy rates (§3.3 symmetry).
@@ -191,12 +190,12 @@ class ProxyObjectStore(ObjectStore):
             pipelined=pipelined,
             completion_thread=self._stage_thread,
             region_side="host",
-            zero_copy=getattr(profile, "zero_copy", False),
+            zero_copy=profile.zero_copy,
         )
         server.read_pipeline = self.read_pipeline
 
-        # DMA fault injection (``profile.dma_fault_rate`` and friends) is
-        # wired by the cluster builder through a repro.faults.FaultPlan.
+        # DMA fault injection is wired by the cluster builder through a
+        # repro.faults.FaultPlan.
 
         #: Per-write breakdown records (cleared by the bench harness).
         self.breakdowns = BreakdownLog()

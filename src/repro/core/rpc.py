@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Generator, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Optional
 
 from ..hw.cpu import SimThread
 from ..hw.net import BandwidthPipe
@@ -47,6 +47,9 @@ from ..hw.node import ClusterNode
 from ..sim import Event, Store
 from ..util import wire
 from ..util.bufferlist import BufferList
+
+if TYPE_CHECKING:
+    from ..cluster.config import HardwareProfile
 
 __all__ = [
     "RpcChannel", "RpcRequest", "RpcError", "RPC_ARGS", "DEFERRED",
@@ -120,9 +123,14 @@ class RpcChannel:
     * CPU: kernel socket send/recv on the owning complex of each side.
     """
 
-    def __init__(self, node: ClusterNode, profile: Any) -> None:
+    def __init__(self, node: ClusterNode, profile: HardwareProfile) -> None:
         if node.dpu_cpu is None:
             raise ValueError("RPC channel requires a DPU-mode node")
+        if not profile.rpc_timeout_seconds > 0:
+            raise ValueError(
+                "rpc_timeout_seconds must be positive, got "
+                f"{profile.rpc_timeout_seconds!r}"
+            )
         self.node = node
         self.env = node.env
         self.profile = profile
@@ -148,13 +156,9 @@ class RpcChannel:
         self.env.process(self._server_loop(), name=f"{node.name}.proxy-rpc")
 
         # reliability knobs (see module docstring)
-        self.timeout_seconds: float = getattr(
-            profile, "rpc_timeout_seconds", 5.0
-        )
-        self.max_retries: int = getattr(profile, "rpc_max_retries", 4)
-        self.backoff_factor: float = getattr(
-            profile, "rpc_backoff_factor", 2.0
-        )
+        self.timeout_seconds = profile.rpc_timeout_seconds
+        self.max_retries = profile.rpc_max_retries
+        self.backoff_factor = profile.rpc_backoff_factor
 
         #: Optional :class:`~repro.faults.LayerInjector` (layer "rpc")
         #: injecting request/reply loss and delivery delay.
@@ -259,15 +263,12 @@ class RpcChannel:
                     yield self._server_queue.put(req)
 
                 assert req.response is not None
-                if self.timeout_seconds > 0:
-                    deadline = self.timeout_seconds * (
-                        self.backoff_factor ** attempt
-                    )
-                    yield self.env.any_of(
-                        [req.response, self.env.timeout(deadline)]
-                    )
-                else:  # timeout disabled: legacy wait-forever behaviour
-                    yield req.response
+                deadline = self.timeout_seconds * (
+                    self.backoff_factor ** attempt
+                )
+                yield self.env.any_of(
+                    [req.response, self.env.timeout(deadline)]
+                )
 
                 if req.response.triggered:
                     # Every attempt was dequeued before this reply was

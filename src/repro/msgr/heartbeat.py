@@ -5,27 +5,24 @@ heartbeats as part of the messenger's steady CPU load.  The
 :class:`HeartbeatAgent` generates that background traffic and tracks
 last-seen times per peer.
 
-Two modes:
-
-* **static** (``peer_addrs`` given, no ``osdmap``): ping each listed
-  address forever with deterministic per-peer phase offsets — the
-  original fixed-topology behavior, kept for unit tests and ad-hoc
-  wiring;
-* **dynamic** (``osdmap`` + ``whoami`` given): a single loop recomputes
-  the peer set from the OSDMap every ``interval``, so peers marked
-  down/out stop being pinged and rejoining peers are picked up on the
-  next map epoch.  :meth:`failed_peer_ids` reports currently-up peers
-  that have been silent past ``grace``; OSDs fold that list into their
-  monitor beacons so the monitor can mark unreachable peers down early.
+A single loop recomputes the peer set from the OSDMap every
+``interval``, so peers marked down/out stop being pinged and rejoining
+peers are picked up on the next map epoch.  :meth:`failed_peer_ids`
+reports currently-up peers that have been silent past ``grace``; OSDs
+fold that list into their monitor beacons so the monitor can mark
+unreachable peers down early.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
 from ..sim.exceptions import Interrupt
 from .message import MOSDPing
 from .messenger import AsyncMessenger
+
+if TYPE_CHECKING:
+    from ..rados.osdmap import OsdMap
 
 __all__ = ["HeartbeatAgent"]
 
@@ -44,74 +41,43 @@ class HeartbeatAgent:
         "_tid",
         "_last_tid_in",
         "_peer_ids",
-        "_procs",
+        "_proc",
     )
 
     def __init__(
         self,
         messenger: AsyncMessenger,
-        peer_addrs: Iterable[str] = (),
+        osdmap: OsdMap,
+        whoami: int,
         interval: float = 1.0,
         grace: float = 4.0,
-        osdmap: Optional[Any] = None,
-        whoami: Optional[int] = None,
     ) -> None:
-        if osdmap is not None and whoami is None:
-            raise ValueError("dynamic heartbeat mode needs whoami")
         self.messenger = messenger
-        self.peer_addrs = list(peer_addrs)
-        self.interval = interval
-        self.grace = grace
         self.osdmap = osdmap
         self.whoami = whoami
+        self.interval = interval
+        self.grace = grace
+        #: Addresses of the current peer set, sorted.
+        self.peer_addrs: list[str] = []
         self.last_seen: dict[str, float] = {}
         self._tid = 0
         #: (src, is_reply) → highest tid seen, so a ping delayed or
         #: replayed past a newer one cannot masquerade as fresh liveness
         self._last_tid_in: dict[tuple[str, bool], int] = {}
-        #: addr → osd id for the current dynamic peer set.
+        #: addr → osd id for the current peer set.
         self._peer_ids: dict[str, int] = {}
-        if osdmap is None:
-            self._procs = [
-                messenger.env.process(
-                    self._beat(
-                        addr, phase=0.1 * i / max(1, len(self.peer_addrs))
-                    ),
-                    name=f"hb:{messenger.name}->{addr}",
-                )
-                for i, addr in enumerate(self.peer_addrs)
-            ]
-        else:
-            self._procs = [
-                messenger.env.process(
-                    self._dynamic_loop(), name=f"hb:{messenger.name}"
-                )
-            ]
+        self._proc: Any = messenger.env.process(
+            self._loop(), name=f"hb:{messenger.name}"
+        )
 
     def stop(self) -> None:
         """Halt all ping traffic (daemon crash/shutdown)."""
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("heartbeat stop")
-        self._procs = []
-
-    def _beat(self, addr: str, phase: float) -> Generator[Any, Any, None]:
-        env = self.messenger.env
-        try:
-            if phase > 0:
-                yield env.timeout(phase * self.interval)
-            while True:
-                self._tid += 1
-                self.messenger.send_message(
-                    MOSDPing(tid=self._tid, stamp=env.now), addr
-                )
-                yield env.timeout(self.interval)
-        except Interrupt:
-            return
+        if self._proc is not None and self._proc.is_alive:
+            self._proc.interrupt("heartbeat stop")
+        self._proc = None
 
     def _map_peers(self) -> dict[str, int]:
         """addr → osd id for every *up* OSD in the map except ourselves."""
-        assert self.osdmap is not None
         peers: dict[str, int] = {}
         for osd_id in self.osdmap.osds:
             if osd_id == self.whoami or not self.osdmap.is_up(osd_id):
@@ -119,7 +85,7 @@ class HeartbeatAgent:
             peers[self.osdmap.address_of(osd_id)] = osd_id
         return peers
 
-    def _dynamic_loop(self) -> Generator[Any, Any, None]:
+    def _loop(self) -> Generator[Any, Any, None]:
         env = self.messenger.env
         try:
             while True:
@@ -161,14 +127,6 @@ class HeartbeatAgent:
             return None
         return MOSDPing(tid=msg.tid, is_reply=True, stamp=msg.stamp)
 
-    def healthy_peers(self, now: float) -> list[str]:
-        """Peers heard from within the grace window."""
-        return [
-            addr
-            for addr in self.peer_addrs
-            if now - self.last_seen.get(addr, -float("inf")) <= self.grace
-        ]
-
     def stale_peers(self, now: float) -> list[str]:
         """Peers silent for longer than the grace window."""
         return [
@@ -178,12 +136,5 @@ class HeartbeatAgent:
         ]
 
     def failed_peer_ids(self, now: float) -> list[int]:
-        """OSD ids of map-up peers silent past ``grace`` (dynamic mode
-        only; static mode has no id mapping and returns ``[]``)."""
-        if self.osdmap is None:
-            return []
-        return sorted(
-            self._peer_ids[addr]
-            for addr in self.stale_peers(now)
-            if addr in self._peer_ids
-        )
+        """OSD ids of map-up peers silent past ``grace``."""
+        return sorted(self._peer_ids[addr] for addr in self.stale_peers(now))

@@ -142,7 +142,7 @@ class OsdDaemon:
         "incarnation",
         "_beacon_proc",
         "_beacon_cfg",
-        "_hb_cfg",
+        "_hb_started",
         "_recovery_cfg",
         "_scrub_cfg",
         "_down_handled",
@@ -204,7 +204,7 @@ class OsdDaemon:
         self.incarnation = 0
         self._beacon_proc: Optional[Any] = None
         self._beacon_cfg: Optional[tuple[str, float]] = None
-        self._hb_cfg: Optional[dict[str, Any]] = None
+        self._hb_started = False
         self._recovery_cfg: Optional[tuple[list[str], float]] = None
         self._scrub_cfg: Optional[tuple[list[str], float]] = None
         #: set once the daemon has resynced after being marked down, so
@@ -240,25 +240,17 @@ class OsdDaemon:
         if txn.num_ops:
             yield from self.store.queue_transaction(txn, self._op_threads[0])
 
-    def start_heartbeats(
-        self,
-        peer_addrs: Optional[list[str]] = None,
-        dynamic: bool = False,
-    ) -> None:
+    def start_heartbeats(self) -> None:
         """Begin pinging peer OSDs.
 
-        With ``dynamic=True`` the agent recomputes its peer set from the
-        shared OSDMap each interval (peers marked down stop being
-        pinged; unreachable-but-up peers are reported in beacons);
-        otherwise the given static address list is pinged forever.
+        The agent recomputes its peer set from the shared OSDMap each
+        interval: peers marked down stop being pinged, and
+        unreachable-but-up peers are reported in beacons.
         """
-        self._hb_cfg = {"peer_addrs": peer_addrs, "dynamic": dynamic}
+        self._hb_started = True
         self.heartbeat = HeartbeatAgent(
-            self.messenger,
-            peer_addrs or [],
+            self.messenger, self.osdmap, self.osd_id,
             interval=self.config.heartbeat_interval,
-            osdmap=self.osdmap if dynamic else None,
-            whoami=self.osd_id if dynamic else None,
         )
 
     def start_mon_beacon(self, mon_addr: str, interval: float = 1.0) -> None:
@@ -387,8 +379,8 @@ class OsdDaemon:
         self._op_procs = self._start_op_loops()
         self.messenger.startup()
         self.alive = True
-        if self._hb_cfg is not None:
-            self.start_heartbeats(**self._hb_cfg)
+        if self._hb_started:
+            self.start_heartbeats()
         if self._recovery_cfg is not None:
             self.enable_recovery(*self._recovery_cfg)
         if self._scrub_cfg is not None:

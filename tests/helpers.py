@@ -5,8 +5,10 @@ import pathlib
 import re
 from heapq import heappush
 
+from repro.crush import CrushMap
 from repro.hw import CpuComplex, Network, Nic, TcpStackModel
 from repro.hw.node import NetStack
+from repro.rados.osdmap import OsdMap
 from repro.sim import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
@@ -99,6 +101,14 @@ def reference_loop(observe=None, single_heap=True):
         Environment.__init__, Environment.run, Environment._file_far = (
             init, run, file_far
         )
+
+
+def two_osd_map():
+    """osd.0 at "a" and osd.1 at "b", both up."""
+    osdmap = OsdMap(crush=CrushMap())
+    osdmap.add_osd(0, address="a")
+    osdmap.add_osd(1, address="b")
+    return osdmap
 
 
 def make_stack(

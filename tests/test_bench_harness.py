@@ -182,33 +182,6 @@ def test_run_rados_bench_result_consistency():
     assert r.host_utilization_pct > 0
 
 
-def test_bench_rejects_unknown_op():
-    env = Environment()
-    cluster = build_baseline_cluster(env)
-    with pytest.raises(ValueError):
-        run_rados_bench(cluster, object_size=MB, clients=1, duration=1.0,
-                        warmup=0.1, op="scribble")
-
-
-def test_randread_and_mixed_ops():
-    def run(op):
-        env = Environment()
-        cluster = build_baseline_cluster(env)
-        return run_rados_bench(
-            cluster, object_size=256 * 1024, clients=2, duration=2.0,
-            warmup=0.5, op=op, read_ratio=0.5, prepopulate=8, seed=4,
-        )
-
-    for op in ("randread", "mixed"):
-        r = run(op)
-        assert r.completed_ops > 0
-        assert r.completed_ops == len(r.latencies)
-        # same seed => identical op sequence and results
-        again = run(op)
-        assert again.completed_ops == r.completed_ops
-        assert again.latencies == r.latencies
-
-
 # ---------------------------------------------------------------- schema
 
 

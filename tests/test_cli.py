@@ -36,6 +36,53 @@ def test_parser_accepts_all_experiments():
         assert args.duration == 5.0
 
 
+def test_all_runs_each_distinct_experiment_once(capsys, monkeypatch,
+                                                tmp_path):
+    """``all`` publishes the eight tables and figures under their names
+    and calls each distinct experiment once: Fig. 5's two runs serve
+    Figs. 5 and 6 and Table 2, and the one sweep serves the rest."""
+    import repro.cli as cli
+
+    calls = []
+    stubs = {}
+    table = {}
+    for name, (experiment, _, _) in cli._EXPERIMENTS.items():
+        if experiment not in stubs:
+            def run(duration, label=experiment.__name__):
+                calls.append(label)
+                return label
+            stubs[experiment] = run
+        table[name] = (stubs[experiment], lambda result: {"of": result},
+                       lambda result, name=name: f"{name} <- {result}")
+    monkeypatch.setattr(cli, "_EXPERIMENTS", table)
+    published = []
+    monkeypatch.setattr(cli, "write_bench_json",
+                        lambda name, payload, out_dir: published.append(name))
+
+    assert main(["all", "--duration", "1", "--json-dir", str(tmp_path)]) == 0
+    assert published == ["fig5", "fig6", "table2", "fig7", "fig8", "table3",
+                         "fig9", "fig10"]
+    assert sorted(calls) == ["experiment_fig5", "experiment_table3",
+                             "run_comparison_sweep"]
+    assert "table2 <- experiment_fig5" in capsys.readouterr().out
+
+
+def test_table2_is_read_off_the_fig5_100g_row():
+    from repro.bench import table2_dict
+    from repro.bench.experiments import Fig5Row, Table2Result
+    from repro.cli import _EXPERIMENTS
+
+    def row(label, ctx_msgr, ctx_store):
+        return Fig5Row(label, 0.0, 0.8, 0.1, 0.1, 50.0, 1e8, ctx_msgr,
+                       ctx_store)
+
+    experiment, payload, render = _EXPERIMENTS["table2"]
+    rows = [row("1G", 10.0, 2.0), row("100G", 6000.0, 500.0)]
+    assert experiment is _EXPERIMENTS["fig5"][0]
+    assert payload(rows) == table2_dict(Table2Result(6000.0, 500.0))
+    assert "6000/s" in render(rows) and "12.0x" in render(rows)
+
+
 def test_bench_command_runs(capsys, tmp_path):
     code = main(["bench", "--mode", "baseline", "--size", "1M",
                  "--clients", "2", "--duration", "2",

@@ -1,19 +1,22 @@
 """Tests for hardware profiles and cluster construction options."""
 
+import ast
+import pathlib
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 import tracemalloc
 
 from repro.cluster import (
     BENCH_POOL,
     DocephProfile,
-    GIGABIT,
     HUNDRED_GIG,
     HardwareProfile,
     build_baseline_cluster,
     build_doceph_cluster,
 )
 from repro.sim import Environment
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def test_profile_defaults_match_paper_testbed():
@@ -26,19 +29,44 @@ def test_profile_defaults_match_paper_testbed():
     assert p.scrub_interval is None  # off by default
 
 
-def test_with_bandwidth_builds_variant():
-    p = HardwareProfile().with_bandwidth(GIGABIT)
-    assert p.net_bandwidth == GIGABIT
-    assert p.storage_nodes == 2  # everything else unchanged
-
-
 def test_doceph_profile_extends_hardware_profile():
     p = DocephProfile()
     assert isinstance(p, HardwareProfile)
-    assert p.pipelining and p.mr_cache and p.fallback_enabled
-    variant = replace(p, pipelining=False, dma_fault_rate=0.5)
+    assert p.pipelining and p.mr_cache and not p.zero_copy
+    variant = replace(p, pipelining=False, cooldown_seconds=0.5)
     assert not variant.pipelining
     assert variant.mr_cache  # untouched fields preserved
+
+
+def _is_profile(node: ast.expr) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "profile")
+            or (isinstance(node, ast.Attribute) and node.attr == "profile"))
+
+
+def test_every_profile_field_is_read_and_has_one_default():
+    """A profile field no module reads is a knob that changes nothing,
+    and ``getattr(profile, name, default)`` repeats a dataclass default
+    in a second place.  Every field of ``HardwareProfile`` and
+    ``DocephProfile`` is read as an attribute outside ``config.py``,
+    and no module reads a profile through ``getattr`` with a default."""
+    read: set[str] = set()
+    defaulted = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "cluster" / "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) == 3
+                  and _is_profile(node.args[0])):
+                defaulted.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    unread = sorted(f.name for f in fields(DocephProfile)
+                    if f.name not in read)
+    assert unread == []
+    assert defaulted == []
 
 
 def test_profiles_are_frozen():

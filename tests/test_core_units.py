@@ -141,13 +141,6 @@ def test_fallback_probe_failure_extends_cooldown():
     assert fb.probe_due(4.6)
 
 
-def test_fallback_disabled_always_allows():
-    fb = FallbackController(cooldown_seconds=2.0, enabled=False)
-    fb.record_failure(0.0)
-    assert fb.dma_allowed(0.1)
-    assert not fb.in_cooldown(0.1)
-
-
 def test_fallback_statistics():
     fb = FallbackController(cooldown_seconds=1.0)
     fb.record_failure(0.0)
@@ -382,6 +375,16 @@ def test_rpc_requires_dpu_node():
                        nic_bandwidth=1e9, tcp=TcpStackModel())
     with pytest.raises(ValueError):
         RpcChannel(node, DocephProfile())
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+def test_rpc_rejects_a_timeout_that_is_not_positive(timeout):
+    """Every call waits a bounded time: a channel that would wait
+    forever (or never) is refused when it is built."""
+    env = Environment()
+    node, _ = make_dpu_node(env)
+    with pytest.raises(ValueError, match="rpc_timeout_seconds"):
+        RpcChannel(node, DocephProfile(rpc_timeout_seconds=timeout))
 
 
 # --------------------------------------------------------------- pipeline

@@ -811,19 +811,6 @@ def test_e2e_same_seed_reproduces_bytewise():
     assert r1.host_utilization_pct == r2.host_utilization_pct
 
 
-def test_e2e_dma_fault_rate_shorthand_still_works():
-    """The legacy DocephProfile(dma_fault_rate=...) knob now routes
-    through a FaultPlan built by the cluster builder."""
-    env = Environment()
-    profile = DocephProfile(dma_fault_rate=1.0, cooldown_seconds=0.2)
-    cluster = build_doceph_cluster(env, profile)
-    assert cluster.fault_plan is not None
-    (spec,) = cluster.fault_plan.specs
-    assert spec.layer == "dma" and spec.probability == 1.0
-    for node in cluster.nodes:
-        assert node.dma.fault_injector is not None
-
-
 def test_e2e_fault_free_run_reports_all_zero():
     result = _bench_with_plan(None, duration=2.0)
     report = result.faults

@@ -139,7 +139,7 @@ def test_heartbeats_flow_between_osds(cluster):
     env.run(until=env.now + 5.0)
     for osd in cluster.osds:
         assert osd.heartbeat is not None
-        assert osd.heartbeat.healthy_peers(env.now)
+        assert osd.heartbeat.peer_addrs
         assert not osd.heartbeat.stale_peers(env.now)
 
 

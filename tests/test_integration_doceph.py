@@ -13,6 +13,7 @@ from repro.cluster import (
     build_doceph_cluster,
 )
 from repro.core import ProxyObjectStore
+from repro.faults import FaultPlan
 from repro.sim import Environment
 
 
@@ -172,8 +173,9 @@ def test_segmentation_respects_2mb_cap(cluster):
 
 def test_fault_injection_profile_falls_back():
     env = Environment()
-    profile = DocephProfile(dma_fault_rate=1.0, cooldown_seconds=0.2)
-    c = build_doceph_cluster(env, profile)
+    profile = DocephProfile(cooldown_seconds=0.2)
+    c = build_doceph_cluster(env, profile,
+                             fault_plan=FaultPlan.parse("dma,p=1.0"))
     boot = env.process(c.boot())
     env.run(until=boot)
 

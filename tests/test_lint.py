@@ -381,6 +381,18 @@ def test_every_rule_has_a_registered_mutant_only_it_flags():
         assert codes(found) == [mutant.rule], (mutant.name, found)
 
 
+def test_every_kill_matrix_mutant_still_applies():
+    """Every row of ``benchmarks/kill_matrix.py``, not only the lint
+    rules' rows, names edits whose anchors each occur exactly once in
+    the file they edit, applied in order: a refactor that moves an
+    anchor must move the row with it."""
+    for mutant in _kill_matrix().MUTANTS:
+        text = (ROOT / mutant.path).read_text(encoding="utf-8")
+        for old, new in mutant.edits:
+            assert text.count(old) == 1, (mutant.name, old)
+            text = text.replace(old, new)
+
+
 # ------------------------------------------------------------ dynamic probe
 
 

@@ -12,7 +12,7 @@ from repro.msgr import (
 )
 from repro.sim import Environment
 
-from tests.helpers import make_stack
+from tests.helpers import make_stack, two_osd_map
 
 
 def build_pair(env):
@@ -24,51 +24,26 @@ def build_pair(env):
 
 
 def test_heartbeat_agent_no_peers_is_quiet():
+    """With its only peer marked down, the agent pings no one."""
     env = Environment()
     a, b = build_pair(env)
-    agent = HeartbeatAgent(a, [], interval=0.5)
+    osdmap = two_osd_map()
+    osdmap.mark_down(1)
+    agent = HeartbeatAgent(a, osdmap, 0, interval=0.5)
     env.run(until=3.0)
     assert a.messages_sent == 0
-    assert agent.healthy_peers(env.now) == []
+    assert agent.peer_addrs == []
     assert agent.stale_peers(env.now) == []
+    assert agent.failed_peer_ids(env.now) == []
 
 
 def test_heartbeat_handle_ping_reply_returns_none():
     env = Environment()
     a, b = build_pair(env)
-    agent = HeartbeatAgent(a, ["b"], interval=10.0)
+    agent = HeartbeatAgent(a, two_osd_map(), 0, interval=10.0)
     reply_msg = MOSDPing(src="b", tid=1, is_reply=True, stamp=0.0)
     assert agent.handle_ping(reply_msg) is None
     assert agent.last_seen["b"] == env.now
-
-
-def test_heartbeat_phase_offsets_desynchronize():
-    """Multiple peers' beats are phase-shifted, not simultaneous."""
-    env = Environment()
-    net = Network(env, latency_s=10e-6)
-    directory = MsgrDirectory()
-    hub = AsyncMessenger(make_stack(env, net, "hub"), "hub", directory)
-    peers = []
-    for name in ("p1", "p2", "p3"):
-        peer = AsyncMessenger(make_stack(env, net, name), name, directory)
-        arrivals = []
-
-        class Sink:
-            def __init__(self, arrivals):
-                self.arrivals = arrivals
-
-            def ms_dispatch(self, msg, conn):
-                self.arrivals.append(env.now)
-                if False:
-                    yield
-
-        peer.register_dispatcher(Sink(arrivals))
-        peers.append(arrivals)
-    HeartbeatAgent(hub, ["p1", "p2", "p3"], interval=1.0)
-    env.run(until=0.5)
-    firsts = [arr[0] for arr in peers if arr]
-    assert len(firsts) == 3
-    assert len(set(round(t, 9) for t in firsts)) == 3  # distinct phases
 
 
 def test_messenger_cost_model_scaling():

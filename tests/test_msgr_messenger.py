@@ -19,7 +19,7 @@ from repro.sim import Environment
 from repro.util import DataBlob
 from repro.util.bufferlist import BufferList
 
-from tests.helpers import make_stack
+from tests.helpers import make_stack, two_osd_map
 
 
 class RecordingDispatcher:
@@ -250,25 +250,28 @@ def test_workers_validation():
 def test_heartbeat_ping_pong_and_liveness():
     env = Environment()
     a, b = build_pair(env)
-    agent_a = HeartbeatAgent(a, ["b"], interval=0.5, grace=2.0)
-    agent_b = HeartbeatAgent(b, [], interval=0.5)
+    osdmap = two_osd_map()
+    agent_a = HeartbeatAgent(a, osdmap, 0, interval=0.5, grace=2.0)
+    agent_b = HeartbeatAgent(b, osdmap, 1, interval=0.5)
     a.register_dispatcher(EchoPingDispatcher(a, agent_a))
     b.register_dispatcher(EchoPingDispatcher(b, agent_b))
 
     env.run(until=3.0)
-    assert agent_a.healthy_peers(env.now) == ["b"]
+    assert agent_a.peer_addrs == ["b"]
     assert agent_a.stale_peers(env.now) == []
-    # b never pings anyone but hears a's pings
-    assert "a" in agent_b.last_seen
+    assert agent_a.failed_peer_ids(env.now) == []
+    # each side hears the other's pings
+    assert "a" in agent_b.last_seen and "b" in agent_a.last_seen
 
 
 def test_heartbeat_detects_silence():
     env = Environment()
     a, b = build_pair(env)
-    agent_a = HeartbeatAgent(a, ["b"], interval=0.5, grace=1.0)
+    agent_a = HeartbeatAgent(a, two_osd_map(), 0, interval=0.5, grace=1.0)
     # b has no dispatcher -> never replies
     env.run(until=3.0)
     assert agent_a.stale_peers(env.now) == ["b"]
+    assert agent_a.failed_peer_ids(env.now) == [1]
 
 
 # ------------------------------------------- the wire pump vs Network.deliver

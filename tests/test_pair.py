@@ -210,3 +210,59 @@ def test_a_worker_process_answers_one_turn_per_line(pair, tmp_path):
         assert turn["metrics"]["wall_s"] == 0.25
         assert turn["metrics"]["cpu_s"] >= 0.0
         assert all(turn["metrics"][k] == 2.0 for k in pair.SIMULATED)
+
+
+def test_a_steady_slowdown_resolves_through_round_drift(pair):
+    """9 of 10 rounds 9-14 % slower, while the host drifts +-15 % from
+    round to round: the parent's spread across rounds swallows the gap
+    in medians, but the per-round ratios sit clear of the A/A spread."""
+    parent = [1.00, 1.30, 0.95, 1.25, 1.05, 1.35, 0.98, 1.20, 1.10, 1.28]
+    slower = [1.09, 1.12, 1.14, 1.10, 1.11, 1.13, 1.09, 0.97, 1.12, 1.14]
+    aa = [0.97, 1.03, 1.00, 0.98, 1.02, 1.04, 0.99, 1.01, 0.96, 1.03]
+    change = [p * r for p, r in zip(parent, slower)]
+    control = [p * r for p, r in zip(parent, aa)]
+    v = pair.verdict(parent, change, control)
+    assert (v["losses"], v["verdict"]) == (9, "resolved higher")
+    assert v["pair_ratios"]["q1"] > v["aa_ratios"]["q3"]
+    # the gap in medians is inside the parent's q1..q3 spread
+    assert (v["change"]["median"] - v["parent"]["median"]
+            < v["parent"]["q3"] - v["parent"]["q1"])
+
+
+def test_head_against_head_is_not_resolved(pair):
+    """Two workers of one tree: the change worker reads slower in all
+    ten rounds (placement), exactly as the A/A worker does."""
+    parent = [1.00, 1.30, 0.95, 1.25, 1.05, 1.35, 0.98, 1.20, 1.10, 1.28]
+    same = [1.05, 1.08, 1.04, 1.09, 1.06, 1.03, 1.07, 1.05, 1.08, 1.04]
+    aa = [1.06, 1.04, 1.09, 1.03, 1.08, 1.05, 1.07, 1.10, 1.04, 1.06]
+    v = pair.verdict(parent, [p * r for p, r in zip(parent, same)],
+                     [p * r for p, r in zip(parent, aa)])
+    assert v["losses"] == 10 and v["verdict"] == "not resolved"
+
+
+def test_a_digest_mismatch_exits_three(pair, monkeypatch, capsys):
+    """The whole command, with stub workers: the change side replays a
+    different digest, so the pairing aborts with exit 3."""
+
+    class StubWorker:
+        def __init__(self, tree, workload):
+            self.side = tree.name
+
+        def turn(self):
+            metrics = {k: 1.0 for k in pair.SIMULATED}
+            metrics["cpu_s"] = metrics["wall_s"] = 1.0
+            digest = ("e" if self.side == "change" else "d") * 64
+            return {"digest": digest, "events": 10, "metrics": metrics}
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(pair, "resolve", lambda root, commit: commit * 40)
+    monkeypatch.setattr(pair, "check_same_harness", lambda root, a, b: None)
+    monkeypatch.setattr(pair, "export",
+                        lambda root, sha, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(pair, "Worker", StubWorker)
+    code = pair.main(["a", "b", "--workload", "w", "--metric", "cpu",
+                      "--rounds", "2"])
+    assert code == 3
+    assert "digest" in capsys.readouterr().err
