@@ -19,7 +19,7 @@ measures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Union
 
 from ...hw.cpu import CpuComplex, SimThread
 from ...hw.storage import SsdDevice
@@ -87,20 +87,29 @@ class BlueStoreConfig:
     """Number of bstore_aio worker threads."""
 
 
+#: A run packs a physical extent into one int, ``offset << _LEN_BITS |
+#: length`` (upstream's ``bluestore_pextent_t`` pair); a run's length
+#: is below 2**48 bytes (256 TiB).
+_LEN_BITS = 48
+_LEN_MASK = (1 << _LEN_BITS) - 1
+
+
 @dataclass(slots=True)
 class Onode:
     """In-memory object metadata (what BlueStore persists as the onode).
 
     ``attrs`` and ``omap`` stay ``None`` until the first key is set, and
-    ``extents`` is a tuple, ``()`` until the first write: most objects
-    never carry attrs or omap, and an empty container each would be a
-    large share of a written object's footprint."""
+    ``runs`` holds the allocation as packed runs (see ``_LEN_BITS``): a
+    bare int for a single run, a tuple for several, ``()`` until the
+    first write.  Most objects carry one run and no attrs or omap, and
+    an ``Extent`` or an empty container each would be a large share of
+    a written object's footprint."""
 
     size: int = 0
     version: int = 0
     attrs: Optional[dict[str, bytes]] = None
     omap: Optional[dict[str, bytes]] = None
-    extents: tuple[Extent, ...] = ()
+    runs: Union[int, tuple[int, ...]] = ()
     content_id: int = 0
     """Virtual-payload fingerprint: the simulation carries no real bytes,
     so this stands in for "what data is stored here".  A full overwrite
@@ -109,9 +118,27 @@ class Onode:
     hold equal (size, content_id) pairs."""
 
     @property
+    def extents(self) -> tuple[Extent, ...]:
+        """The allocation as the allocator's extents, in allocation order."""
+        runs = self.runs
+        if runs.__class__ is int:
+            runs = (runs,)
+        return tuple(Extent(r >> _LEN_BITS, r & _LEN_MASK) for r in runs)
+
+    @property
     def allocated(self) -> int:
-        """Bytes of device space held: the extents' total length."""
-        return sum(e.length for e in self.extents)
+        """Bytes of device space held: the runs' total length."""
+        runs = self.runs
+        if runs.__class__ is int:
+            return runs & _LEN_MASK
+        return sum(r & _LEN_MASK for r in runs)
+
+    def add_extents(self, extents: list[Extent]) -> None:
+        """Append newly allocated ``extents`` as packed runs."""
+        runs = self.runs
+        packed = tuple(e.offset << _LEN_BITS | e.length for e in extents)
+        packed = ((runs,) if runs.__class__ is int else runs) + packed
+        self.runs = packed[0] if len(packed) == 1 else packed
 
 
 @dataclass(frozen=True)
@@ -158,6 +185,8 @@ class BlueStore(ObjectStore):
         self.cpu = cpu
         self.ssd = ssd
         self.config = config or BlueStoreConfig()
+        if self.config.device_capacity > _LEN_MASK:
+            raise StoreError("device too large for a packed run's length")
 
         self.kv = KVStore()
         self.allocator = BitmapAllocator(
@@ -407,7 +436,7 @@ class BlueStore(ObjectStore):
                 onode = objects.pop(op.oid, None)
                 if onode is None:
                     raise NoSuchObject(f"{op.coll}/{op.oid}")
-                if onode.extents:
+                if onode.runs:
                     self.allocator.free(onode.extents)
                 continue
             onode = objects.get(op.oid)
@@ -421,7 +450,7 @@ class BlueStore(ObjectStore):
                 allocated = onode.allocated
                 if end > allocated:
                     extents = self.allocator.allocate(end - allocated)
-                    onode.extents += tuple(extents)
+                    onode.add_extents(extents)
                     new_extents.extend(extents)
                 onode.size = max(onode.size, end)
                 onode.version += 1

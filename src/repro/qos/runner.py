@@ -167,7 +167,8 @@ def run_qos(
     sampler_ceph.start()
 
     stats = [TenantStats(name=spec.name) for spec in specs]
-    pending: list[Any] = []
+    #: ops in flight, in issue order (each leaves when it finishes)
+    pending: dict[Any, None] = {}
     arrival_procs = [
         env.process(
             open_loop_tenant(
@@ -186,7 +187,9 @@ def run_qos(
     ceph_windows = sampler_ceph.stop()
     # Drain in-flight ops issued before the window closed (they count
     # as ``completed_late``, not goodput) so the run ends quiescent.
-    for proc in pending:
+    # A finished op has left ``pending``; waiting on it would return at
+    # once, so the drain stops where waiting on every op would.
+    for proc in list(pending):
         env.run(until=proc)
 
     queue_stats: dict[str, int] = {}

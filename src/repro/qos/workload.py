@@ -80,16 +80,20 @@ def open_loop_tenant(
     rng: random.Random,
     t_close: float,
     prepopulate: int,
-    pending: list[Any],
+    pending: dict[Any, None],
     tracer: Optional[Any] = None,
 ) -> Generator[Any, Any, None]:
     """Generate ``spec``'s arrivals until ``t_close``.
 
-    Spawned op processes are appended to ``pending`` so the runner can
-    drain in-flight work after the arrival window closes.
+    Each spawned op process is a key of ``pending`` while it is in
+    flight, in issue order, so the runner can drain in-flight work after
+    the arrival window closes.  The process leaves ``pending`` when its
+    completion is dispatched, through a callback that schedules nothing:
+    a finished op keeps no process and no name alive.
     """
     seq = 0
     n_sizes = len(spec.sizes)
+    finished = pending.pop
     while True:
         if spec.arrival == "poisson":
             batch = 1
@@ -115,7 +119,8 @@ def open_loop_tenant(
                         t_close, tracer),
                 name=f"qos-{spec.name}-{seq}",
             )
-            pending.append(proc)
+            pending[proc] = None
+            proc.callbacks.append(finished)
             seq += 1
 
 
