@@ -177,6 +177,17 @@ def test_grown_object_holds_every_extent():
     assert onode.allocated == 5 * unit == store.allocator.used_bytes
 
 
+def test_device_beyond_a_runs_length_field_is_refused():
+    """An onode packs each run's length into 48 bits, so a device of
+    2**48 bytes or more could hand out a run it cannot hold."""
+    env = Environment()
+    cpu = CpuComplex(env, "host", cores=1)
+    ssd = SsdDevice(env, "ssd", write_bandwidth=1e9, write_latency=50e-6)
+    with pytest.raises(StoreError, match="packed run"):
+        BlueStore(env, "bs", cpu, ssd,
+                  BlueStoreConfig(device_capacity=1 << 48))
+
+
 def test_cpu_charged_to_bstore_category():
     env, store, thread = make_store()
     blob = DataBlob(8 << 20)
