@@ -497,6 +497,24 @@ MUTANTS = (
         "an open-loop op leaves the pending set when it is issued, so the "
         "drain no longer waits on it",
         ("hash-tier1", "e2e-goldens")),
+    Mutant(
+        "osd.degraded_write_skips_unregistered_member",
+        "src/repro/osd/daemon.py",
+        (("            if (len(pg.acting) < self.osdmap.pools[pgid.pool].size\n"
+          "                    or any(o not in pg.acting for o in full_holders)):\n",
+          "            if any(o not in pg.acting for o in full_holders):\n"),),
+        "a write on a PG missing a member that is no registered holder "
+        "leaves the generation alone, so the member can return, pull "
+        "before the write is readable, and register as current",
+        ("hash-tier1",)),
+    Mutant(
+        "guard.uncalled_def", "src/repro/osd/pg.py",
+        (("    @property\n    def collection(self) -> str:\n",
+          "    def is_degraded(self) -> bool:\n"
+          "        return len(self.acting) < 2\n\n"
+          "    @property\n    def collection(self) -> str:\n"),),
+        "a def nothing in src/, benchmarks/ or examples/ calls",
+        ("e2e-goldens",)),
 )
 
 

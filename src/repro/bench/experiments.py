@@ -13,11 +13,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from ..cluster.builder import (
-    Cluster,
-    build_baseline_cluster,
-    build_doceph_cluster,
-)
+from ..cluster.builder import build_baseline_cluster, build_doceph_cluster
 from ..cluster.config import (
     DocephProfile,
     GIGABIT,
@@ -40,7 +36,6 @@ __all__ = [
     "experiment_table2",
     "experiment_table3",
     "experiment_fallback",
-    "experiment_chaos",
     "experiment_qos",
     "run_comparison_sweep",
     "PAPER",
@@ -338,36 +333,6 @@ def experiment_fallback(
         warmup=warmup,
     )
     return FallbackResult(plan=plan, clean=clean, faulty=faulty)
-
-
-def experiment_chaos(
-    mode: str = "baseline",
-    seeds: tuple[int, ...] = (0,),
-    duration: float = 10.0,
-    clients: int = 2,
-    object_size: int = 1 << 20,
-    crashes: int = 3,
-    partitions: int = 1,
-):
-    """Cluster-level chaos: seeded OSD crash/restart and partition
-    schedules under a write workload, with the acked-write durability
-    invariant verified after heal.  Returns one
-    :class:`~repro.chaos.ChaosReport` per seed.
-
-    This is the robustness counterpart of :func:`experiment_fallback`:
-    that one kills the DPU↔host data path, this one kills daemons and
-    links — the failure domain §1 of the paper assigns the messenger.
-    """
-    from ..chaos import run_chaos
-
-    return [
-        run_chaos(
-            mode=mode, seed=seed, duration=duration, clients=clients,
-            object_size=object_size, crashes=crashes,
-            partitions=partitions,
-        )
-        for seed in seeds
-    ]
 
 
 def experiment_qos(

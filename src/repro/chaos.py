@@ -206,6 +206,20 @@ class DurabilityChecker:
 # --------------------------------------------------------------- controller
 
 
+#: Sim seconds before the first incident.
+_START_AFTER = 2.0
+#: Uniform ranges an incident's length is drawn from: a crash's downtime
+#: and a partition's window.
+_DOWNTIME = (2.0, 5.0)
+_PARTITION_WINDOW = (3.0, 6.0)
+#: Uniform range of the settle pause after each incident.
+_GAP = (1.0, 3.0)
+#: A settle gives up after this long (counted in ``settle_timeouts``).
+_SETTLE_TIMEOUT = 120.0
+#: How often a settle re-checks that every PG is clean.
+_POLL = 0.25
+
+
 @dataclass(frozen=True)
 class ChaosIncident:
     """One pre-drawn entry of the chaos schedule."""
@@ -221,7 +235,7 @@ class ChaosController:
 
     Incidents run sequentially: each one is injected, held for its
     drawn duration, healed, and then the controller waits for every PG
-    to return to clean (bounded by ``settle_timeout``) before moving
+    to return to clean (bounded by ``_SETTLE_TIMEOUT``) before moving
     on.  The whole schedule is drawn up front from the seed, so the
     sequence of incidents is independent of simulation timing.
     """
@@ -232,18 +246,9 @@ class ChaosController:
         seed: int = 0,
         crashes: int = 3,
         partitions: int = 1,
-        start_after: float = 2.0,
-        downtime: tuple[float, float] = (2.0, 5.0),
-        partition_window: tuple[float, float] = (3.0, 6.0),
-        gap: tuple[float, float] = (1.0, 3.0),
-        settle_timeout: float = 120.0,
-        poll: float = 0.25,
     ) -> None:
         self.cluster = cluster
         self.env: Environment = cluster.env
-        self.start_after = start_after
-        self.settle_timeout = settle_timeout
-        self.poll = poll
         self.done = False
 
         # statistics / trace
@@ -257,12 +262,12 @@ class ChaosController:
         n_osds = len(cluster.osds)
         self.schedule: list[ChaosIncident] = []
         for kind in kinds:
-            lo, hi = downtime if kind == "crash" else partition_window
+            lo, hi = _DOWNTIME if kind == "crash" else _PARTITION_WINDOW
             self.schedule.append(ChaosIncident(
                 kind=kind,
                 target=rng.randrange(n_osds),
                 duration=rng.uniform(lo, hi),
-                gap=rng.uniform(*gap),
+                gap=rng.uniform(*_GAP),
             ))
         self._proc = None
 
@@ -273,7 +278,7 @@ class ChaosController:
 
     def run(self) -> Generator[Any, Any, None]:
         env = self.env
-        yield env.timeout(self.start_after)
+        yield env.timeout(_START_AFTER)
         for incident in self.schedule:
             if incident.kind == "crash":
                 yield from self._run_crash(incident)
@@ -297,7 +302,7 @@ class ChaosController:
         yield from osd.restart()
         clean = yield from self.wait_all_clean()
         # A timed-out settle is not a recovery sample: recording
-        # settle_timeout seconds as "recovery" would skew the
+        # _SETTLE_TIMEOUT seconds as "recovery" would skew the
         # fingerprinted stats (the timeout is already counted).
         if clean:
             self.recovery_to_clean.append(env.now - t0)
@@ -325,11 +330,11 @@ class ChaosController:
     # -- settle -----------------------------------------------------------------
     def wait_all_clean(self) -> Generator[Any, Any, bool]:
         """Poll until every OSD is up and every PG clean (bounded)."""
-        deadline = self.env.now + self.settle_timeout
+        deadline = self.env.now + _SETTLE_TIMEOUT
         while self.env.now < deadline:
             if self.all_clean():
                 return True
-            yield self.env.timeout(self.poll)
+            yield self.env.timeout(_POLL)
         self.settle_timeouts += 1
         return False
 

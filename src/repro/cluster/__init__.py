@@ -10,7 +10,6 @@ from .config import DocephProfile, GIGABIT, HUNDRED_GIG, HardwareProfile
 from .strategy import (
     STRATEGY_NAMES,
     OffloadStrategy,
-    all_strategies,
     get_strategy,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "HardwareProfile",
     "OffloadStrategy",
     "STRATEGY_NAMES",
-    "all_strategies",
     "build_baseline_cluster",
     "build_doceph_cluster",
     "get_strategy",

@@ -32,8 +32,7 @@ from ..sim import Environment
 from .builder import Cluster, build_baseline_cluster, build_doceph_cluster
 from .config import DocephProfile, HardwareProfile
 
-__all__ = ["OffloadStrategy", "STRATEGY_NAMES", "get_strategy",
-           "all_strategies"]
+__all__ = ["OffloadStrategy", "STRATEGY_NAMES", "get_strategy"]
 
 
 class OffloadStrategy:
@@ -134,8 +133,3 @@ def get_strategy(name: str) -> OffloadStrategy:
             f"unknown offload strategy {name!r}; "
             f"choose from {', '.join(STRATEGY_NAMES)}"
         ) from None
-
-
-def all_strategies() -> tuple[OffloadStrategy, ...]:
-    """Every registered strategy in sweep order."""
-    return tuple(_REGISTRY[name] for name in STRATEGY_NAMES)

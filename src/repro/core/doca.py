@@ -39,7 +39,7 @@ class MemoryRegion:
 
 
 class CommChannel:
-    """The DOCA CommChannel: export/negotiate memory regions."""
+    """The DOCA CommChannel: memory-region negotiation cost."""
 
     #: CPU cost of a negotiation on each participating complex.
     NEGOTIATE_CPU = 8.0e-6
@@ -49,14 +49,6 @@ class CommChannel:
         self.env = node.env
         self.negotiate_latency = negotiate_latency
         self.negotiations = 0
-
-    def negotiate(
-        self, region: MemoryRegion, thread: SimThread
-    ) -> Generator[Any, Any, None]:
-        """Export ``region`` and exchange access handles (one RTT)."""
-        yield from thread.charge(self.NEGOTIATE_CPU)
-        yield self.env.timeout(self.negotiate_latency)
-        self.negotiations += 1
 
 
 class DocaDma:

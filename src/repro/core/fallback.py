@@ -54,15 +54,9 @@ class FallbackController:
         """May a normal segment use DMA right now?"""
         return now >= self._cooldown_until and not self._needs_probe
 
-    def in_cooldown(self, now: float) -> bool:
-        return now < self._cooldown_until
-
     def probe_due(self, now: float) -> bool:
         """Cooldown expired but DMA not yet revalidated."""
         return self._needs_probe and now >= self._cooldown_until
-
-    def probe_inflight(self) -> bool:
-        return self._probe_inflight
 
     # -- transitions -----------------------------------------------------------
     def record_failure(self, now: float) -> None:

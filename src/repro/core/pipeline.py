@@ -188,7 +188,6 @@ class DmaPipeline:
             )
 
         # statistics
-        self.bytes_pushed = 0
         self.requests = 0
 
     # ---------------------------------------------------------------- public
@@ -232,7 +231,6 @@ class DmaPipeline:
         for proc in inflight:
             yield proc
         timing.total = self.env.now - t_start
-        self.bytes_pushed += nbytes
         self.requests += 1
         return timing
 

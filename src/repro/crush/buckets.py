@@ -58,19 +58,6 @@ class Straw2Bucket:
             raise ValueError(f"duplicate item {item_id} in bucket {self.name}")
         self.items.append(BucketItem(item_id, weight))
 
-    def remove_item(self, item_id: int) -> None:
-        before = len(self.items)
-        self.items = [i for i in self.items if i.id != item_id]
-        if len(self.items) == before:
-            raise ValueError(f"item {item_id} not in bucket {self.name}")
-
-    def adjust_weight(self, item_id: int, weight: float) -> None:
-        for idx, item in enumerate(self.items):
-            if item.id == item_id:
-                self.items[idx] = BucketItem(item_id, weight)
-                return
-        raise ValueError(f"item {item_id} not in bucket {self.name}")
-
     def choose(self, x: int, r: int) -> int:
         """Select one child for input ``x`` at trial ``r`` (straw2 draw).
 

@@ -97,17 +97,13 @@ class CrushMap:
         self._rules[rule.name] = rule
 
     @staticmethod
-    def replicated_rule(
-        name: str = "replicated_rule",
-        root: str = "default",
-        failure_domain: str = "host",
-    ) -> CrushRule:
-        """The standard RADOS replicated rule: chooseleaf firstn 0 type
-        <failure_domain>, emit."""
+    def replicated_rule() -> CrushRule:
+        """The standard RADOS replicated rule ``replicated_rule``: take
+        ``default``, chooseleaf firstn 0 type host, emit."""
         return CrushRule(
-            name=name,
-            root_name=root,
-            steps=[ChooseStep(num=0, bucket_type=failure_domain)],
+            name="replicated_rule",
+            root_name="default",
+            steps=[ChooseStep(num=0, bucket_type="host")],
         )
 
     # -- lookups ---------------------------------------------------------------
@@ -116,9 +112,6 @@ class CrushMap:
             return self._by_name[name]
         except KeyError:
             raise ValueError(f"unknown bucket: {name}") from None
-
-    def devices(self) -> list[int]:
-        return sorted(self._device_weights)
 
     def rule(self, name: str) -> CrushRule:
         try:

@@ -15,10 +15,15 @@ like real Ceph's EIO assert), so a run they abort is *not* a violation
 verdict is skipped (there is no healed cluster to verify against).  A
 DoCeph proxy whose RPC retries run out while the cluster boots raises
 ``StoreError``; that run is recorded the same way, as ``abort.store``.
+Any other exception is a harness crash: it becomes the violation
+``crash.<ExceptionType>``, so the shrinker minimises it like an oracle
+verdict instead of it ending the session.
 """
 
 from __future__ import annotations
 
+import pathlib
+import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
@@ -76,6 +81,9 @@ def violation_signature(violations: Iterable[str]) -> str:
     """Stable class of a violation set, e.g. ``"identity+missing"``."""
     kinds: set[str] = set()
     for violation in violations:
+        if violation.startswith("crash."):
+            kinds.add(violation.split(":", 1)[0])
+            continue
         for marker, token in _SIGNATURE_MARKERS:
             if marker in violation:
                 kinds.add(token)
@@ -139,6 +147,7 @@ def execute_scenario(
     tracer = Tracer(seed=tracer_seed)
     report: Optional[ChaosReport] = None
     aborted = ""
+    violations: list[str] = []
     try:
         report = run_chaos(
             mode=scenario.mode,
@@ -159,8 +168,13 @@ def execute_scenario(
         aborted = f"rados: {exc}"
     except StoreError as exc:
         aborted = f"store: {exc}"
+    except Exception as exc:
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        violations.append(
+            f"crash.{type(exc).__name__}: {exc} (raised in {where.name},"
+            f" {pathlib.Path(where.filename).name}:{where.lineno})"
+        )
 
-    violations: list[str] = []
     if report is not None:
         violations.extend(report.violations)
         if report.max_op_latency > report.latency_bound:

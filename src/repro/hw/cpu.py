@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
-from ..sim import Environment, Process, Resource
+from ..sim import Environment, Resource
 from ..sim.exceptions import SimulationError
 
 __all__ = ["CpuAccounting", "CpuComplex", "SimThread", "CpuSnapshot"]
@@ -71,9 +71,6 @@ class CpuAccounting:
 
     def total_busy(self) -> float:
         return sum(self.busy_by_category.values())
-
-    def total_ctx(self) -> int:
-        return sum(self.ctx_by_category.values())
 
     def snapshot(self, now: float) -> CpuSnapshot:
         return CpuSnapshot(
@@ -254,14 +251,6 @@ class SimThread:
     def ctx_switch(self, count: int = 1) -> Generator[Any, Any, None]:
         """Record context switches (with their direct CPU cost)."""
         return self.cpu.record_ctx_switches(self.category, self.name, count)
-
-    def spawn(
-        self,
-        generator: Generator[Any, Any, Any],
-        name: Optional[str] = None,
-    ) -> Process:
-        """Start ``generator`` as a process named after this thread."""
-        return self.env.process(generator, name=name or self.name)
 
     def __repr__(self) -> str:
         return f"<SimThread {self.name} ({self.category}) on {self.cpu.name}>"

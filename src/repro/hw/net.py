@@ -273,8 +273,7 @@ class Partition:
     """A sustained link-down window isolating ``nodes`` from the rest.
 
     While ``start <= now < end``, any delivery crossing the partition
-    boundary (exactly one endpoint inside ``nodes``) is dropped.  ``end``
-    may be shrunk later (:meth:`Network.heal_partitions`) to heal early.
+    boundary (exactly one endpoint inside ``nodes``) is dropped.
     """
 
     __slots__ = ("nodes", "start", "end", "on_drop", "drops", "dropped_bytes")
@@ -346,9 +345,6 @@ class Network:
         except KeyError:
             raise SimulationError(f"unknown address: {address}") from None
 
-    def addresses(self) -> list[str]:
-        return sorted(self._nics)
-
     def partition(
         self,
         nodes: frozenset[str] | set[str] | list[str] | tuple[str, ...],
@@ -360,13 +356,6 @@ class Network:
         part = Partition(frozenset(nodes), start, end, on_drop)
         self._partitions.append(part)
         return part
-
-    def heal_partitions(self, now: Optional[float] = None) -> None:
-        """Force every partition to end no later than ``now`` (default:
-        the current sim time)."""
-        cutoff = self.env.now if now is None else now
-        for part in self._partitions:
-            part.end = min(part.end, cutoff)
 
     def _severed(self, src: str, dst: str, nbytes: int) -> bool:
         now = self.env.now

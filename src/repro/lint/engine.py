@@ -201,12 +201,6 @@ class LintReport:
     files_checked: int = 0
     parse_errors: list[Finding] = field(default_factory=list)
 
-    def counts_by_code(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for f in self.findings:
-            out[f.code] = out.get(f.code, 0) + 1
-        return dict(sorted(out.items()))
-
     def render(self) -> str:
         lines = [f.render() for f in self.findings]
         lines.append(

@@ -132,11 +132,6 @@ class Message:
         data blob if the type carries one."""
         return self._PLAN.encode(self)
 
-    def wire_size(self) -> int:
-        """Total bytes this message occupies on the wire (computed from
-        the schema; nothing is encoded)."""
-        return self._PLAN.size(self) + WIRE_OVERHEAD
-
     @property
     def data_len(self) -> int:
         """Bulk payload bytes (0 for control messages)."""

@@ -50,7 +50,7 @@ from ..sim import Container, Environment, Store
 from ..sim.exceptions import Interrupt
 from ..sim.machine import Machine
 from ..util.bufferlist import BufferList, EncodeError
-from .message import Message, decode_message
+from .message import WIRE_OVERHEAD, Message, decode_message
 
 __all__ = [
     "AsyncMessenger",
@@ -653,7 +653,7 @@ class _Worker:
                 _, conn, msg = item
                 ctx = msg.span_ctx
                 bl = msg.encode()
-                wire = len(bl) + _WIRE_OVERHEAD
+                wire = len(bl) + WIRE_OVERHEAD
                 send_span = None
                 if ctx is not None:
                     send_span = ctx.start_span(
@@ -813,9 +813,6 @@ def _release_once(throttle: Container, amount: int) -> Callable[[], None]:
             throttle.put(amount)
 
     return release
-
-
-_WIRE_OVERHEAD = 33  # keep in sync with message.WIRE_OVERHEAD
 
 
 class AsyncMessenger:

@@ -128,12 +128,6 @@ class Transaction:
         )
         return self
 
-    def omap_set(self, coll: str, oid: str, key: str, value: bytes) -> "Transaction":
-        self.ops.append(
-            TxnOp(TxnOpKind.OMAP_SET, coll, oid, key=key, value=value)
-        )
-        return self
-
     def create_collection(self, coll: str) -> "Transaction":
         self.ops.append(TxnOp(TxnOpKind.CREATE_COLLECTION, coll))
         return self
@@ -147,10 +141,6 @@ class Transaction:
     @property
     def num_ops(self) -> int:
         return len(self.ops)
-
-    def data_blobs(self) -> list[DataBlob]:
-        return [op.data for op in self.ops
-                if op.kind == TxnOpKind.WRITE and op.data is not None]
 
     # -- serialization (for the proxy channels) ------------------------------
     def encode(self) -> BufferList:

@@ -252,31 +252,6 @@ class BitmapAllocator:
                 b = stop
             self._free_blocks += count
 
-    def fragmentation(self) -> float:
-        """Crude score: 1 - (largest free run / total free blocks).
-
-        Read off L1 plus the PARTIAL pages' bits, never a walk over
-        every block."""
-        if self._free_blocks == 0:
-            return 0.0
-        largest = 0
-        run = 0  # free blocks ending at the current page boundary
-        for page, state in enumerate(self._l1):
-            if state == _FULL:
-                run = 0
-                continue
-            n = self._page_len(page)
-            if state == _FREE:
-                run += n
-                largest = max(largest, run)
-                continue
-            word = int.from_bytes(self._l0[page], "little")
-            # the page's free runs, block 0 first
-            gaps = format(word, f"0{n}b")[::-1].split("1")
-            largest = max(largest, run + len(gaps[0]), *map(len, gaps))
-            run = len(gaps[-1])
-        return 1.0 - largest / self._free_blocks
-
     def __repr__(self) -> str:
         return (
             f"<BitmapAllocator {self.used_bytes}/{self.capacity} B used,"

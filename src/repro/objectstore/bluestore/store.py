@@ -218,10 +218,6 @@ class BlueStore(ObjectStore):
         """Initialize the store (creates the meta collection)."""
         self.collections.setdefault("meta", {})
 
-    def create_collection_sync(self, coll: str) -> None:
-        """Synchronously create a collection (cluster bring-up helper)."""
-        self.collections.setdefault(coll, {})
-
     # ---------------------------------------------------------------- data plane
     def queue_transaction(
         self, txn: Transaction, thread: SimThread

@@ -629,10 +629,14 @@ class OsdDaemon:
                 gen_credit.append((replica, None, interim_gen))
         else:
             full_holders = self.osdmap.full_holders_of(pgid)
-            if any(o not in pg.acting for o in full_holders):
-                # degraded write: a registered full holder is down and
-                # will miss it — the absent holder's copy must not later
-                # justify discarding the only copies of this write.
+            if (len(pg.acting) < self.osdmap.pools[pgid.pool].size
+                    or any(o not in pg.acting for o in full_holders)):
+                # degraded write: a member is down and will miss it —
+                # the absent holder's copy must not later justify
+                # discarding the only copies of this write.  A member
+                # that is no registered holder counts too: it may
+                # return and pull before this write is readable here,
+                # and only a higher generation sends it back for it.
                 gen = self.osdmap.bump_pg_gen(pgid)
                 gen_credit.append((self.osd_id, None, gen))
                 for replica in pg.replicas:

@@ -199,10 +199,6 @@ class WeightedPriorityQueue:
         else:
             tenant.spec = spec
 
-    def tenant_depths(self) -> dict[str, int]:
-        """Tagged backlog per tenant (empty tenants included)."""
-        return {name: len(t.queue) for name, t in self._tenants.items()}
-
     def enqueue(self, payload: Any, priority: int = CLIENT_OP,
                 tenant: Optional[str] = None) -> None:
         """Add a work item (non-blocking; queue is unbounded).
@@ -403,18 +399,6 @@ class WeightedPriorityQueue:
                 e[0] -= delta
             best.prev_r -= delta
         return entry[4]
-
-    def depth_by_class(self) -> dict[int, int]:
-        """Backlog per priority (strict classes included)."""
-        out: dict[int, int] = {}
-        for item in self._strict:
-            out[item.priority] = out.get(item.priority, 0) + 1
-        for prio, q in self._weighted.items():
-            if q:
-                out[prio] = out.get(prio, 0) + len(q)
-        if self._tagged_depth:
-            out[CLIENT_OP] = out.get(CLIENT_OP, 0) + self._tagged_depth
-        return out
 
     def __repr__(self) -> str:
         return (

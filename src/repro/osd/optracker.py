@@ -107,22 +107,11 @@ class OpTracker:
             self.historic.pop(0)
 
     # -- queries (the 'admin socket' surface) ------------------------------
-    def dump_in_flight(self) -> list[TrackedOp]:
-        return sorted(self.in_flight.values(), key=lambda o: o.op_id)
-
     def dump_historic(self, count: Optional[int] = None) -> list[TrackedOp]:
         """Most recent completed ops, newest last."""
         if count is None:
             return list(self.historic)
         return self.historic[-count:]
-
-    def slowest(self, count: int = 5) -> list[TrackedOp]:
-        """Completed ops with the longest total duration."""
-        return sorted(
-            self.historic,
-            key=lambda o: o.duration or 0.0,
-            reverse=True,
-        )[:count]
 
     def __repr__(self) -> str:
         return (

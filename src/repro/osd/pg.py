@@ -33,10 +33,6 @@ class PlacementGroup:
     repops_applied: int = 0
 
     @property
-    def is_primary(self) -> bool:
-        return bool(self.acting) and self.acting[0] == self.whoami
-
-    @property
     def collection(self) -> str:
         """The backing ObjectStore collection name."""
         return str(self.pgid)

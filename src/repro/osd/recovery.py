@@ -60,6 +60,9 @@ if TYPE_CHECKING:
 
 __all__ = ["RecoveryManager"]
 
+#: Pushes one recovery stream keeps in flight before it waits for acks.
+_MAX_PUSH_INFLIGHT = 2
+
 
 @dataclass(slots=True)
 class _PushWindow:
@@ -77,7 +80,6 @@ class RecoveryManager:
         "env",
         "pool_names",
         "tick",
-        "max_push_inflight",
         "pull_timeout",
         "_pulling",
         "_pull_progress",
@@ -104,19 +106,14 @@ class RecoveryManager:
         osd: "OsdDaemon",
         pool_names: list[str],
         tick: float = 1.0,
-        max_push_inflight: int = 2,
-        pull_timeout: float | None = None,
     ) -> None:
         self.osd = osd
         self.env = osd.env
         self.pool_names = pool_names
         self.tick = tick
-        self.max_push_inflight = max_push_inflight
         #: re-issue a pull whose stream stalls this long (pusher died or
         #: a partition ate the pull/push messages)
-        self.pull_timeout = (
-            max(5.0, 5.0 * tick) if pull_timeout is None else pull_timeout
-        )
+        self.pull_timeout = max(5.0, 5.0 * tick)
 
         self._pulling: dict[PgId, float] = {}  # pgid -> pull start time
         #: pgid -> time the episode last made progress (a push arrived);
@@ -352,7 +349,7 @@ class RecoveryManager:
                 # is incomplete, so it must not carry a 'last' marker
                 incomplete = True
                 continue
-            while window.inflight >= self.max_push_inflight:
+            while window.inflight >= _MAX_PUSH_INFLIGHT:
                 ev = self.env.event()
                 window.waiters.append(ev)
                 yield ev
@@ -609,7 +606,7 @@ class RecoveryManager:
                                                      thread)
                 except StoreError:
                     continue
-                while window.inflight >= self.max_push_inflight:
+                while window.inflight >= _MAX_PUSH_INFLIGHT:
                     ev = self.env.event()
                     window.waiters.append(ev)
                     yield ev

@@ -36,10 +36,6 @@ class AdmissionController:
             raise ValueError(f"window must be >= 1, got {window}")
         self._window[tenant] = window
 
-    def window_of(self, tenant: str) -> int | None:
-        """The configured window, or None if the tenant is unmetered."""
-        return self._window.get(tenant)
-
     def inflight(self, tenant: str) -> int:
         """Currently admitted-but-uncompleted ops for ``tenant``."""
         return self._inflight.get(tenant, 0)
@@ -65,7 +61,3 @@ class AdmissionController:
         if inflight <= 0:
             raise RuntimeError(f"release without acquire for {tenant!r}")
         self._inflight[tenant] = inflight - 1
-
-    def total_shed(self) -> int:
-        """Ops shed across all tenants."""
-        return sum(self.shed.values())

@@ -73,10 +73,6 @@ class AioCompletion:
         self.result: Optional[OpResult] = None
         self.error: Optional[RadosError] = None
 
-    @property
-    def is_complete(self) -> bool:
-        return self._event.triggered
-
     def complete(self, result: OpResult) -> None:
         self.result = result
         self._event.succeed(result)
@@ -213,12 +209,6 @@ class RadosClient:
     ) -> Generator[Any, Any, OpResult]:
         """Object metadata (size/version via the reply attachment)."""
         return (yield from self._do_op(pool, oid, OpType.STAT, 0, 0, None))
-
-    def delete_object(
-        self, pool: str, oid: str
-    ) -> Generator[Any, Any, OpResult]:
-        """Remove an object (replicated like a write)."""
-        return (yield from self._do_op(pool, oid, OpType.DELETE, 0, 0, None))
 
     def _do_op(
         self,
@@ -396,12 +386,6 @@ class RadosClient:
         driving arbitrary queue depth from one context."""
         return self._aio(pool, oid, OpType.WRITE, size, offset,
                          DataBlob(size))
-
-    def aio_read(
-        self, pool: str, oid: str, size: int, offset: int = 0
-    ) -> "AioCompletion":
-        """Asynchronous read: returns immediately with a completion."""
-        return self._aio(pool, oid, OpType.READ, size, offset, None)
 
     def _aio(
         self,

@@ -14,7 +14,7 @@ reporters accumulate per target; reaching the reporter quorum marks the
 target down immediately — faster than waiting out ``down_grace``, and
 the only detection path for asymmetric reachability.  While a live
 quorum stands against an OSD, its own beacons do *not* mark it up
-(anti-flap during partitions); reports expire after ``report_ttl`` once
+(anti-flap during partitions); reports expire after ``down_grace`` once
 reporters stop renewing them.
 
 Simulation note: map *contents* propagate by shared reference — every
@@ -26,7 +26,7 @@ over the wire so client bring-up exercises the messenger.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from ..msgr.message import (
     Message,
@@ -52,14 +52,12 @@ class Monitor:
         out_interval: float = 30.0,
         check_period: float = 1.0,
         failure_reporters: int = 2,
-        report_ttl: Optional[float] = None,
     ) -> None:
         self.messenger = messenger
         self.osdmap = osdmap
         self.down_grace = down_grace
         self.out_interval = out_interval
         self.failure_reporters = failure_reporters
-        self.report_ttl = down_grace if report_ttl is None else report_ttl
         self.env = messenger.env
         # seed at registration time: an OSD that never beacons must still
         # trip the grace timer (satellite bugfix)
@@ -70,8 +68,6 @@ class Monitor:
         self._failure_reports: dict[int, dict[int, float]] = {}
         #: osd → highest beacon tid accepted (stale-straggler guard)
         self._beacon_seq: dict[int, int] = {}
-        self.stale_beacons = 0
-        self.maps_served = 0
         self.osds_marked_down = 0
         self.osds_marked_out = 0
         self.osds_marked_up = 0
@@ -97,7 +93,6 @@ class Monitor:
             )
             reply.attachment = self.osdmap
             self.messenger.send_message(reply, msg.src)
-            self.maps_served += 1
         elif isinstance(msg, MOSDBeacon):
             self._handle_beacon(msg)
         elif isinstance(msg, MOSDPing) and not msg.is_reply:
@@ -119,7 +114,6 @@ class Monitor:
         # again, and its first beacon must not be mistaken for history.
         last = self._beacon_seq.get(msg.osd_id, 0)
         if 1 < msg.tid <= last:
-            self.stale_beacons += 1
             return
         self._beacon_seq[msg.osd_id] = msg.tid
         self.last_beacon[msg.osd_id] = now
@@ -149,7 +143,7 @@ class Monitor:
         return {
             reporter: stamp
             for reporter, stamp in reports.items()
-            if now - stamp <= self.report_ttl
+            if now - stamp <= self.down_grace
             and reporter in self.osdmap.osds
             and self.osdmap.is_up(reporter)
         }
@@ -171,7 +165,7 @@ class Monitor:
                 live = {
                     r: t
                     for r, t in self._failure_reports[target].items()
-                    if now - t <= self.report_ttl
+                    if now - t <= self.down_grace
                 }
                 if live:
                     self._failure_reports[target] = live

@@ -213,11 +213,6 @@ class OsdMap:
         holders = self.pg_holders.get(pgid, {})
         return sorted(o for o, (full, _gen) in holders.items() if full)
 
-    def partial_holders_of(self, pgid: PgId) -> list[int]:
-        """Interim holders with only the writes they accepted (sorted)."""
-        holders = self.pg_holders.get(pgid, {})
-        return sorted(o for o, (full, _gen) in holders.items() if not full)
-
     def pg_primary(self, pgid: PgId) -> int:
         """The primary OSD of a PG (first in the acting set)."""
         acting = self.pg_to_osds(pgid)

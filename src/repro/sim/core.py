@@ -612,10 +612,6 @@ class Environment:
         """Start a new process driven by ``generator``."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event triggering when all of ``events`` have triggered."""
-        return AllOf(self, events)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event triggering when any of ``events`` has triggered."""
         return AnyOf(self, events)

@@ -2,7 +2,7 @@
 bufferlist encoding, statistics accumulators, and deterministic RNG
 streams."""
 
-from .bufferlist import BufferDecoder, BufferList, DataBlob, EncodeError
+from .bufferlist import BufferList, DataBlob, EncodeError
 from .digest import sha256_hex
 from .rjenkins import (
     ceph_str_hash_rjenkins,
@@ -15,7 +15,6 @@ from .rng import SeededRng
 from .stats import Histogram, RunningStats, TimeSeries, percentile
 
 __all__ = [
-    "BufferDecoder",
     "BufferList",
     "DataBlob",
     "EncodeError",

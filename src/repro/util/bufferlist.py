@@ -24,14 +24,13 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 from ..sim.core import register_fresh_env_hook
 
 __all__ = [
     "DataBlob",
     "BufferList",
-    "BufferDecoder",
     "EncodeError",
     "reset_blob_ids",
 ]
@@ -159,10 +158,6 @@ class BufferList:
         """The extent list (bytes objects and DataBlobs, in order)."""
         return list(self._flush())
 
-    def blobs(self) -> list[DataBlob]:
-        """Just the virtual extents, in order."""
-        return [e for e in self._flush() if isinstance(e, DataBlob)]
-
     # -- raw appends -----------------------------------------------------------
     def _raw(self, data: bytes) -> None:
         if self._tail is None:
@@ -189,14 +184,6 @@ class BufferList:
         self._extents.append(blob)
         self._length += blob.length
         self._virtual += blob.length
-
-    def append_bufferlist(self, other: "BufferList") -> None:
-        """Splice another bufferlist's extents onto this one."""
-        for extent in other._flush():
-            if isinstance(extent, DataBlob):
-                self.append_blob(extent)
-            else:
-                self._raw(extent)
 
     # -- primitive encoders -------------------------------------------------
     # int.to_bytes beats struct.pack for fixed little-endian widths and
@@ -258,125 +245,8 @@ class BufferList:
                 crc = zlib.crc32(tag, crc)
         return crc & 0xFFFFFFFF
 
-    def decoder(self) -> "BufferDecoder":
-        """A decoding cursor over this bufferlist."""
-        return BufferDecoder(self._flush())
-
     def __repr__(self) -> str:
         return (
             f"<BufferList len={len(self)} real={self.real_length}"
             f" virtual={self.virtual_length}>"
         )
-
-
-class BufferDecoder:
-    """Sequential decoding cursor over a bufferlist's extents."""
-
-    __slots__ = ("_extents", "_idx", "_pos")
-
-    def __init__(self, extents: list[Extent]) -> None:
-        self._extents = extents
-        self._idx = 0
-        self._pos = 0  # within current real extent
-
-    def _current_bytes(self) -> bytes:
-        while self._idx < len(self._extents):
-            extent = self._extents[self._idx]
-            if isinstance(extent, DataBlob):
-                raise EncodeError(
-                    "attempted to decode primitives out of a virtual blob"
-                )
-            if self._pos < len(extent):
-                return extent
-            self._idx += 1
-            self._pos = 0
-        raise EncodeError("decode past end of bufferlist")
-
-    def _take(self, n: int) -> bytes:
-        if n <= 0:
-            return b""
-        # Fast path: the whole read comes out of the current extent
-        # (encoders coalesce adjacent primitives into one bytes object,
-        # so this covers nearly every decode).
-        cur = self._current_bytes()
-        pos = self._pos
-        end = pos + n
-        if end <= len(cur):
-            self._pos = end
-            if end == len(cur):
-                self._idx += 1
-                self._pos = 0
-            return cur[pos:end]
-        out = bytearray()
-        while n > 0:
-            cur = self._current_bytes()
-            avail = len(cur) - self._pos
-            chunk = min(avail, n)
-            out += cur[self._pos : self._pos + chunk]
-            self._pos += chunk
-            n -= chunk
-            if self._pos >= len(cur):
-                self._idx += 1
-                self._pos = 0
-        return bytes(out)
-
-    # -- primitive decoders ----------------------------------------------------
-    def decode_u8(self) -> int:
-        return self._take(1)[0]
-
-    def decode_u16(self) -> int:
-        return int.from_bytes(self._take(2), "little")
-
-    def decode_u32(self) -> int:
-        return int.from_bytes(self._take(4), "little")
-
-    def decode_u64(self) -> int:
-        return int.from_bytes(self._take(8), "little")
-
-    def decode_s64(self) -> int:
-        return int.from_bytes(self._take(8), "little", signed=True)
-
-    def decode_f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
-
-    def decode_bool(self) -> bool:
-        return self.decode_u8() != 0
-
-    def decode_bytes(self) -> bytes:
-        n = self.decode_u32()
-        return self._take(n)
-
-    def decode_str(self) -> str:
-        return self.decode_bytes().decode("utf-8")
-
-    def decode_blob(self) -> DataBlob:
-        """Consume the next extent, which must be a virtual blob."""
-        # Skip any exhausted real extent first.
-        while (
-            self._idx < len(self._extents)
-            and isinstance(self._extents[self._idx], bytes)
-            and self._pos >= len(self._extents[self._idx])  # type: ignore[arg-type]
-        ):
-            self._idx += 1
-            self._pos = 0
-        if self._idx >= len(self._extents):
-            raise EncodeError("decode_blob past end of bufferlist")
-        extent = self._extents[self._idx]
-        if not isinstance(extent, DataBlob):
-            raise EncodeError(
-                f"expected a virtual blob, found {len(extent)} real bytes"
-            )
-        self._idx += 1
-        self._pos = 0
-        return extent
-
-    def remaining_extents(self) -> Iterator[Extent]:
-        """Iterate over whatever has not been consumed yet."""
-        if self._idx < len(self._extents):
-            first = self._extents[self._idx]
-            if isinstance(first, bytes):
-                if self._pos < len(first):
-                    yield first[self._pos :]
-            else:
-                yield first
-            yield from self._extents[self._idx + 1 :]

@@ -203,11 +203,5 @@ class TimeSeries:
             for idx in sorted(self._buckets)
         ]
 
-    def sums(self) -> list[tuple[float, float]]:
-        return [(t, s.total) for t, s in self.buckets()]
-
-    def means(self) -> list[tuple[float, float]]:
-        return [(t, s.mean) for t, s in self.buckets()]
-
     def counts(self) -> list[tuple[float, int]]:
         return [(t, s.count) for t, s in self.buckets()]

@@ -21,7 +21,7 @@ string contributes its u32 length) and raw slices, fuses every maximal
 run of fixed-width items into one precompiled ``struct.Struct``, and
 emits straight-line functions: ``pack`` joins the packed runs and
 slices into the real bytes of one extent, ``unpack`` walks the same runs
-with ``unpack_from``, ``size`` adds up the lengths without packing.  The bytes are those the ``BufferList.encode_*``
+with ``unpack_from``.  The bytes are those the ``BufferList.encode_*``
 primitives produce field by field, and so are the extent boundaries
 (real bytes coalesce until a blob interrupts them): lengths feed the
 TCP and CRC cost models, the wire adversary mutates whole extents, and
@@ -188,13 +188,12 @@ class Plan:
 
     ``pack(obj) -> (real bytes, blob or None)`` and ``unpack(buf, pos,
     next_extent) -> (obj, pos, took_blob)`` are the generated halves
-    (``source`` keeps their text); ``size(obj)`` is the encoded length
-    computed without building it.  Compiled with ``cls=None`` the plan
+    (``source`` keeps their text).  Compiled with ``cls=None`` the plan
     is positional: ``pack`` takes the fields as arguments and ``unpack``
     yields them as a tuple.
     """
 
-    __slots__ = ("name", "source", "pack", "unpack", "size")
+    __slots__ = ("name", "source", "pack", "unpack")
 
     def __init__(self, name: str, source: str, namespace: dict[str, Any]) -> None:
         self.name = name
@@ -204,7 +203,6 @@ class Plan:
         exec(compile(source, f"{__file__}:<{name}>", "exec"), namespace)
         self.pack = namespace["pack"]
         self.unpack = namespace["unpack"]
-        self.size = namespace["size"]
 
     def encode(self, *obj: Any) -> BufferList:
         """One object (or, for a positional plan, its fields) as a
@@ -326,10 +324,8 @@ def compile_schema(
     parts: list[str] = []
     # unpack: statements advancing ``_p`` through ``_b``
     post: list[str] = []
-    sizes: list[str] = []
     blob = "None"
     took_blob = "False"
-    fixed_total = 0
 
     run_fmt = ""
     run_args: list[str] = []     # pack side: expressions
@@ -337,7 +333,7 @@ def compile_schema(
     run_conv: list[str] = []     # unpack side: conversions after the run
 
     def close_run() -> None:
-        nonlocal run_fmt, fixed_total
+        nonlocal run_fmt
         if not run_fmt:
             return
         s = struct.Struct("<" + run_fmt)
@@ -347,7 +343,6 @@ def compile_schema(
         post.append(f"{', '.join(run_names)}, = _unpack{k}(_b, _p)")
         post.append(f"_p += {s.size}")
         post.extend(run_conv)
-        fixed_total += s.size
         run_fmt = ""
         run_args.clear(), run_names.clear(), run_conv.clear()
 
@@ -362,7 +357,6 @@ def compile_schema(
         fixed("I", f"len({raw})", "_n")
         close_run()
         parts.append(raw)
-        sizes.append(f"len({raw})")
         post.append(f"_e = _p + _n; {field} = _b[_p:_e]{decode}; _p = _e")
 
     for i, (field, kind) in enumerate(schema):
@@ -387,9 +381,7 @@ def compile_schema(
             close_run()
             k = len(ns)
             ns[f"_cpack{k}"], ns[f"_cunpack{k}"] = kind.pack, kind.unpack
-            call = f"_cpack{k}({', '.join(map(ref, names))})"
-            parts.append(call)
-            sizes.append(f"len({call})")
+            parts.append(f"_cpack{k}({', '.join(map(ref, names))})")
             target = field if isinstance(field, str) else f"({', '.join(names)})"
             post.append(f"{target}, _p = _cunpack{k}(_b, _p)")
         elif kind in (OPT_BLOB, BLOB):
@@ -403,12 +395,10 @@ def compile_schema(
             ]
             if kind is BLOB:
                 took_blob = "True"
-                sizes.append("_blob.length")
                 close_run()
                 post.extend(take)
             else:
                 took_blob = "_has_blob"
-                sizes.append("(0 if _blob is None else _blob.length)")
                 fixed("?", "_blob is not None", "_has_blob")
                 close_run()
                 post.append("if _has_blob:")
@@ -432,7 +422,4 @@ def compile_schema(
     lines += ["def unpack(_b, _p, _x):"]
     lines += [f"    {sub}" for line in post for sub in line.split("\n")]
     lines += [f"    return {result}, _p, {took_blob}", ""]
-    lines += [f"def size({params}):"]
-    lines += [f"    {line}" for line in pre]
-    lines += [f"    return {' + '.join([str(fixed_total)] + sizes)}", ""]
     return Plan(name, "\n".join(lines), ns)

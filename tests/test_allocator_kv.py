@@ -94,24 +94,6 @@ def test_hint_advances_round_robin():
     assert e1[0].offset + e1[0].length == e2[0].offset
 
 
-def test_fragmentation_score():
-    a = make_alloc(blocks=8)
-    assert a.fragmentation() == 0.0
-    a.allocate(8 * UNIT)
-    a.free([Extent(0, UNIT), Extent(4 * UNIT, UNIT)])
-    assert a.fragmentation() > 0.0
-    # a default 1 TiB device (16.8 M blocks): the score comes from the
-    # page summary, exact, and with no walk over every block
-    a = BitmapAllocator(1 << 40)
-    blocks = a.num_blocks
-    a.allocate(1 << 30)  # 16 384 blocks: whole pages
-    assert a.fragmentation() == 0.0
-    a.free([Extent(0, a.alloc_unit)])
-    a.free([Extent(8192 * a.alloc_unit, a.alloc_unit)])
-    free = blocks - 16384 + 2
-    assert a.fragmentation() == 1.0 - (blocks - 16384) / free
-
-
 @given(
     requests=st.lists(st.integers(min_value=1, max_value=10 * UNIT),
                       min_size=1, max_size=30)
@@ -140,7 +122,6 @@ def test_allocator_conservation_property(requests):
     for extents in live:
         a.free(extents)
     assert a.free_bytes == a.capacity
-    assert a.fragmentation() == 0.0
 
 
 class _DenseBitWalk:
@@ -207,15 +188,6 @@ class _DenseBitWalk:
                 self.bitmap[b >> 3] &= ~(1 << (b & 7)) & 0xFF
             self.free_blocks += count
 
-    def fragmentation(self):
-        if self.free_blocks == 0:
-            return 0.0
-        largest = run = 0
-        for b in range(self.num_blocks):
-            run = 0 if self._test(b) else run + 1
-            largest = max(largest, run)
-        return 1.0 - largest / self.free_blocks
-
     def used_blocks(self):
         return {b for b in range(self.num_blocks) if self._test(b)}
 
@@ -268,9 +240,9 @@ _alloc_op = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_byte_steps_equal_the_bit_walk(blocks, page_shift, fill, ops):
     """Pages claimed, skipped and dropped whole change nothing
-    observable: extents, roving hint, used blocks, free space,
-    fragmentation and every error, its message and the state it leaves
-    behind, equal the dense one-bit-per-step walk after every operation."""
+    observable: extents, roving hint, used blocks, free space and every
+    error, its message and the state it leaves behind, equal the dense
+    one-bit-per-step walk after every operation."""
     with mock.patch.object(allocator, "_PAGE_SHIFT", page_shift):
         paged = BitmapAllocator(blocks * UNIT, alloc_unit=UNIT)
     assert len(paged._l1) > 1
@@ -288,7 +260,6 @@ def test_byte_steps_equal_the_bit_walk(blocks, page_shift, fill, ops):
         assert _used_blocks(paged) == ref.used_blocks()
         assert paged._hint == ref.hint
         assert paged.free_bytes == ref.free_blocks * UNIT
-        assert paged.fragmentation() == ref.fragmentation()
         return outcomes[0]
 
     for start in range(0, blocks if fill else 0, fill or 1):

@@ -175,7 +175,7 @@ def test_run_rados_bench_result_consistency():
     assert r.latency_percentile(0) == pytest.approx(min(r.latencies))
     assert r.latency_percentile(100) == pytest.approx(max(r.latencies))
     # per-second op counts sum to completed ops
-    total_per_second = sum(v for _, v in r.per_second_ops.sums())
+    total_per_second = sum(s.total for _, s in r.per_second_ops.buckets())
     assert total_per_second == r.completed_ops
     # cpu windows exist for both storage nodes
     assert len(r.host_cpu) == 2

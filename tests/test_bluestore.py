@@ -10,6 +10,8 @@ from repro.objectstore import (
     NoSuchObject,
     StoreError,
     Transaction,
+    TxnOp,
+    TxnOpKind,
 )
 from repro.sim import Environment
 from repro.util import DataBlob
@@ -22,7 +24,7 @@ def make_store(env=None, **cfg_kwargs):
     cfg = BlueStoreConfig(device_capacity=1 << 30, **cfg_kwargs)
     store = BlueStore(env, "bs", cpu, ssd, cfg)
     store.mkfs()
-    store.create_collection_sync("pg1")
+    store.collections["pg1"] = {}
     thread = SimThread(cpu, "tp_osd_tp-0", "tp_osd_tp")
     return env, store, thread
 
@@ -40,7 +42,7 @@ def test_transaction_builders_and_sizes():
     )
     assert txn.num_ops == 3
     assert txn.data_len == 1 << 20
-    assert txn.data_blobs() == [blob]
+    assert txn.ops[1].data is blob
 
 
 def test_transaction_write_length_mismatch():
@@ -54,10 +56,10 @@ def test_transaction_encode_decode_roundtrip():
         Transaction()
         .create_collection("pg2")
         .write("pg2", "obj", 0, 4096, blob)
-        .omap_set("pg2", "obj", "key", b"val")
-        .truncate("pg2", "obj", 100)
-        .remove("pg2", "gone")
     )
+    txn.ops.append(TxnOp(TxnOpKind.OMAP_SET, "pg2", "obj", key="key",
+                         value=b"val"))
+    txn.truncate("pg2", "obj", 100).remove("pg2", "gone")
     out = Transaction.decode(txn.encode())
     assert out == txn
 
@@ -252,8 +254,9 @@ def test_getattr_and_omap():
         Transaction()
         .touch("pg1", "obj")
         .setattr("pg1", "obj", "_", b"oi-bytes")
-        .omap_set("pg1", "obj", "snap", b"meta")
     )
+    txn.ops.append(TxnOp(TxnOpKind.OMAP_SET, "pg1", "obj", key="snap",
+                         value=b"meta"))
     run_txn(env, store, thread, txn)
 
     def proc():

@@ -40,7 +40,7 @@ def test_bluestore_matches_reference_model(ops):
     store = BlueStore(env, "bs", cpu, ssd,
                       BlueStoreConfig(device_capacity=1 << 28))
     store.mkfs()
-    store.create_collection_sync("pg")
+    store.collections["pg"] = {}
     thread = SimThread(cpu, "t", "tp_osd_tp")
 
     model: dict[str, int] = {}  # name -> size
@@ -104,7 +104,7 @@ def test_bluestore_commit_info_properties(sizes):
     store = BlueStore(env, "bs", cpu, ssd,
                       BlueStoreConfig(device_capacity=1 << 28))
     store.mkfs()
-    store.create_collection_sync("pg")
+    store.collections["pg"] = {}
     thread = SimThread(cpu, "t", "tp_osd_tp")
     infos = []
 

@@ -302,7 +302,7 @@ def test_failure_reports_mark_down_before_grace():
     assert not c.osdmap.is_up(0)
 
     # once the reports expire, the next beacon rejoins it
-    env.run(until=env.now + mon.report_ttl + 1.0)
+    env.run(until=env.now + mon.down_grace + 1.0)
     mon._handle_beacon(MOSDBeacon(src=c.osdmap.address_of(0), osd_id=0))
     assert c.osdmap.is_up(0)
 

@@ -20,7 +20,7 @@ from repro.core import (
 from repro.core.pipeline import union_length
 from repro.hw import ClusterNode, CpuComplex, DmaEngine, Network, SimThread, SsdDevice
 from repro.sim import Environment
-from repro.util import BufferList
+from repro.util import BufferList, wire
 
 
 MB = 1 << 20
@@ -110,7 +110,6 @@ def test_union_length_bounds(intervals):
 def test_fallback_initial_state_allows_dma():
     fb = FallbackController(cooldown_seconds=2.0)
     assert fb.dma_allowed(0.0)
-    assert not fb.in_cooldown(0.0)
     assert not fb.probe_due(0.0)
 
 
@@ -118,8 +117,7 @@ def test_fallback_failure_starts_cooldown():
     fb = FallbackController(cooldown_seconds=2.0)
     fb.record_failure(10.0)
     assert not fb.dma_allowed(10.5)
-    assert fb.in_cooldown(11.9)
-    assert not fb.in_cooldown(12.1)
+    assert not fb.probe_due(11.9)  # still cooling down
     # cooldown over but probe pending: still no normal DMA
     assert fb.probe_due(12.1)
     assert not fb.dma_allowed(12.1)
@@ -261,8 +259,9 @@ def test_rpc_call_roundtrip():
     node, channel, thread = make_rpc(env)
 
     def handler(req, t):
-        d = req.payload.decoder()
-        req.reply = {"echo": d.decode_str()}
+        (text,) = wire.compile_schema((("text", wire.STR),)).decode(
+            req.payload)
+        req.reply = {"echo": text}
         if False:
             yield
 

@@ -73,19 +73,6 @@ def test_straw2_weight_proportional_distribution():
     assert 2.5 < ratio < 3.6
 
 
-def test_straw2_adjust_and_remove():
-    b = Straw2Bucket(-1, "b", "host")
-    b.add_item(0, 1.0)
-    b.add_item(1, 1.0)
-    b.adjust_weight(0, 2.0)
-    assert b.weight == pytest.approx(3.0)
-    b.remove_item(1)
-    assert [i.id for i in b.items] == [0]
-    with pytest.raises(ValueError):
-        b.remove_item(99)
-    with pytest.raises(ValueError):
-        b.adjust_weight(99, 1.0)
-
 
 def test_straw2_stability_on_item_addition():
     """Straw2's defining property: adding an item only steals inputs for

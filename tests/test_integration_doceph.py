@@ -14,6 +14,7 @@ from repro.cluster import (
 )
 from repro.core import ProxyObjectStore
 from repro.faults import FaultPlan
+from repro.msgr import OpType
 from repro.sim import Environment
 
 
@@ -126,7 +127,9 @@ def test_delete_via_proxy(cluster):
 
     def work():
         yield from client.write_object(BENCH_POOL, "obj-D", 1 << 20)
-        yield from client.delete_object(BENCH_POOL, "obj-D")
+        # no client call issues a delete; the OSD still serves one
+        yield from client._do_op(BENCH_POOL, "obj-D", OpType.DELETE, 0, 0,
+                                 None)
         st = yield from client.stat_object(BENCH_POOL, "obj-D")
         return st
 

@@ -131,7 +131,6 @@ def test_statistics():
     q.enqueue(2, RECOVERY_OP)
     assert q.enqueued == 2
     assert q.max_depth == 2
-    assert q.depth_by_class() == {CLIENT_OP: 1, RECOVERY_OP: 1}
     drain(env, q, 2)
     assert q.dequeued == 2
     assert len(q) == 0

@@ -39,7 +39,7 @@ from repro.qos import default_tenants, run_qos
 from repro.sim import Environment, Process
 from repro.util import DataBlob, sha256_hex
 
-from .test_allocator_kv import UNIT, _DenseBitWalk
+from .test_allocator_kv import UNIT, _DenseBitWalk, _used_blocks
 
 MB = 1 << 20
 
@@ -117,7 +117,7 @@ def _store(capacity, alloc_unit):
     store = BlueStore(env, "bs", cpu, ssd, BlueStoreConfig(
         device_capacity=capacity, alloc_unit=alloc_unit))
     store.mkfs()
-    store.create_collection_sync("pg")
+    store.collections["pg"] = {}
     thread = SimThread(cpu, "tp_osd_tp-0", "tp_osd_tp")
 
     def commit(*txns):
@@ -171,7 +171,7 @@ def test_packed_runs_equal_the_allocators_extents(blocks, ops):
     """On a device fragmented into one-block holes, every onode's runs
     decode to the extents the dense reference walk hands out, in order;
     ``allocated`` is their sum, a single run is a bare int, and a remove
-    gives back the free count and ``fragmentation()`` of the walk."""
+    gives back the free count and the used blocks of the walk."""
     store, commit = _store(blocks * UNIT, UNIT)
     objects = store.collections["pg"]
     ref = _DenseBitWalk(blocks)
@@ -193,7 +193,7 @@ def test_packed_runs_equal_the_allocators_extents(blocks, ops):
         commit(Transaction().remove("pg", oid))
         ref.free(model.pop(oid))
         assert store.allocator.free_bytes == ref.free_blocks * UNIT
-        assert store.allocator.fragmentation() == ref.fragmentation()
+        assert _used_blocks(store.allocator) == ref.used_blocks()
 
     for b in range(blocks):
         write(f"fill-{b}", UNIT)

@@ -1,10 +1,21 @@
-"""Tests for the Ceph-style bufferlist encoding."""
+"""Tests for the Ceph-style bufferlist encoding.
+
+Decoding goes through :mod:`repro.util.wire` plans, the codec every
+message, transaction and RPC payload uses: the typed encoders must
+produce exactly the bytes a plan of the same kinds reads back.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util import BufferList, DataBlob, EncodeError
+from repro.util import BufferList, DataBlob, EncodeError, wire
+
+
+def _plan(*kinds):
+    """A positional plan over ``kinds`` (fields f0, f1, ...)."""
+    return wire.compile_schema(
+        tuple((f"f{i}", kind) for i, kind in enumerate(kinds)))
 
 
 def test_primitive_roundtrip():
@@ -19,16 +30,10 @@ def test_primitive_roundtrip():
     bl.encode_bytes(b"hello")
     bl.encode_str("wörld")
 
-    d = bl.decoder()
-    assert d.decode_u8() == 7
-    assert d.decode_u16() == 65535
-    assert d.decode_u32() == 4_000_000_000
-    assert d.decode_u64() == 2**63
-    assert d.decode_s64() == -12345
-    assert d.decode_f64() == 3.5
-    assert d.decode_bool() is True
-    assert d.decode_bytes() == b"hello"
-    assert d.decode_str() == "wörld"
+    plan = _plan(wire.U8, wire.U16, wire.U32, wire.U64, wire.S64, wire.F64,
+                 wire.BOOL, wire.BYTES, wire.STR)
+    assert plan.decode(bl) == (7, 65535, 4_000_000_000, 2**63, -12345, 3.5,
+                               True, b"hello", "wörld")
 
 
 def test_length_counts_real_and_virtual():
@@ -47,9 +52,8 @@ def test_blob_roundtrip_preserves_identity():
     bl.encode_str("header")
     bl.append_blob(blob)
 
-    d = bl.decoder()
-    assert d.decode_str() == "header"
-    out = d.decode_blob()
+    header, out = _plan(wire.STR, wire.BLOB).decode(bl)
+    assert header == "header"
     assert out == blob
     assert out.root_id == blob.blob_id
 
@@ -58,25 +62,24 @@ def test_decode_primitive_from_blob_is_error():
     bl = BufferList()
     bl.append_blob(DataBlob(100))
     with pytest.raises(EncodeError):
-        bl.decoder().decode_u32()
+        _plan(wire.U32).decode(bl)
 
 
 def test_decode_blob_where_bytes_is_error():
     bl = BufferList()
     bl.encode_u32(5)
     with pytest.raises(EncodeError):
-        bl.decoder().decode_blob()
+        _plan(wire.U32, wire.BLOB).decode(bl)
 
 
 def test_decode_past_end_is_error():
     bl = BufferList()
     bl.encode_u8(1)
-    d = bl.decoder()
-    d.decode_u8()
+    assert _plan(wire.U8).decode(bl) == (1,)
     with pytest.raises(EncodeError):
-        d.decode_u8()
+        _plan(wire.U8, wire.U8).decode(bl)
     with pytest.raises(EncodeError):
-        d.decode_blob()
+        _plan(wire.U8, wire.BLOB).decode(bl)
 
 
 def test_blob_slice_bounds():
@@ -105,19 +108,6 @@ def test_negative_blob_length_rejected():
         DataBlob(-1)
 
 
-def test_append_bufferlist_splices():
-    a = BufferList()
-    a.encode_u32(1)
-    b = BufferList()
-    b.encode_u32(2)
-    b.append_blob(DataBlob(64))
-    a.append_bufferlist(b)
-    d = a.decoder()
-    assert d.decode_u32() == 1
-    assert d.decode_u32() == 2
-    assert d.decode_blob().length == 64
-
-
 def test_crc32_differs_on_content_change():
     a = BufferList()
     a.encode_str("x")
@@ -132,19 +122,6 @@ def test_crc32_distinguishes_blob_identity():
     b = BufferList()
     b.append_blob(DataBlob(128))
     assert a.crc32() != b.crc32()  # different logical data
-
-
-def test_remaining_extents_after_partial_decode():
-    bl = BufferList()
-    bl.encode_u32(1)
-    bl.encode_u32(2)
-    blob = DataBlob(99)
-    bl.append_blob(blob)
-    d = bl.decoder()
-    d.decode_u32()
-    rest = list(d.remaining_extents())
-    assert rest[0] == (2).to_bytes(4, "little")
-    assert rest[1] == blob
 
 
 # --------------------------------------------------------------- properties
@@ -163,36 +140,27 @@ def test_remaining_extents_after_partial_decode():
 def test_roundtrip_property(values):
     """Any encode sequence decodes back to the same values."""
     bl = BufferList()
-    expected = []
+    kinds, expected = [], []
     for kind, v in values:
         if kind == "u8":
-            bl.encode_u8(v)
-            expected.append(("u8", v))
+            value = v
         elif kind == "u16":
-            bl.encode_u16(v * 257 % 65536)
-            expected.append(("u16", v * 257 % 65536))
+            value = v * 257 % 65536
         elif kind == "u32":
-            bl.encode_u32(v * 16_843_009)
-            expected.append(("u32", v * 16_843_009))
+            value = v * 16_843_009
         elif kind == "u64":
-            bl.encode_u64(v * 72_340_172_838_076_673)
-            expected.append(("u64", v * 72_340_172_838_076_673))
+            value = v * 72_340_172_838_076_673
         elif kind == "s64":
-            bl.encode_s64(v - 128)
-            expected.append(("s64", v - 128))
+            value = v - 128
         elif kind == "bytes":
-            data = bytes([v]) * (v % 17)
-            bl.encode_bytes(data)
-            expected.append(("bytes", data))
+            value = bytes([v]) * (v % 17)
         else:
-            s = chr(48 + v % 64) * (v % 9)
-            bl.encode_str(s)
-            expected.append(("str", s))
+            value = chr(48 + v % 64) * (v % 9)
+        getattr(bl, f"encode_{kind}")(value)
+        kinds.append(getattr(wire, kind.upper()))
+        expected.append(value)
 
-    d = bl.decoder()
-    for kind, v in expected:
-        got = getattr(d, f"decode_{kind}")()
-        assert got == v
+    assert _plan(*kinds).decode(bl) == tuple(expected)
 
 
 @given(
@@ -225,7 +193,6 @@ def test_blob_slicing_partitions_cover_exactly(total, cuts):
         st.integers(0, 1 << 30).map(lambda n: ("blob", n)),
         st.text(max_size=8).map(lambda t: ("str", t)),
         st.just(("seal", None)),
-        st.just(("splice", None)),
     ),
     max_size=30,
 ))
@@ -242,14 +209,8 @@ def test_running_length_counters_equal_the_recomputation(steps):
             bl.append_blob(DataBlob(arg))
         elif kind == "str":
             bl.encode_str(arg)
-        elif kind == "seal":
-            bl.extents()  # seals the tail into an extent
         else:
-            other = BufferList()
-            other.encode_u32(7)
-            other.append_blob(DataBlob(5))
-            other.encode_u8(1)
-            bl.append_bufferlist(other)
+            bl.extents()  # seals the tail into an extent
         extents = bl.extents()
         real = sum(len(e) for e in extents if isinstance(e, bytes))
         virtual = sum(e.length for e in extents if isinstance(e, DataBlob))

@@ -187,9 +187,10 @@ def test_timeseries_bucketing():
     ts.add(0.5, 10)
     ts.add(0.9, 20)
     ts.add(2.1, 5)
-    assert ts.sums() == [(0.0, 30.0), (2.0, 5.0)]
+    assert [(t, s.total) for t, s in ts.buckets()] == [(0.0, 30.0),
+                                                        (2.0, 5.0)]
     assert ts.counts() == [(0.0, 2), (2.0, 1)]
-    assert ts.means()[0] == (0.0, 15.0)
+    assert ts.buckets()[0][1].mean == 15.0
 
 
 # ---------------------------------------------------------------- rng

@@ -4,13 +4,12 @@
   hand-mirrored encoders this PR replaced) is reproduced byte for byte
   and extent for extent;
 * every registered message type, a transaction and the proxy RPC
-  payloads roundtrip, agree with a field-at-a-time reference walk over
-  the ``BufferList.encode_*`` primitives, and report their size without
-  encoding;
+  payloads roundtrip and agree with a field-at-a-time reference walk
+  over the ``BufferList.encode_*`` primitives;
 * malformed input — any flipped byte, any cut — fails as ``EncodeError``
   or decodes to a message of the same length, never anything else;
-* an exact gate for what the compiler buys: a roundtrip constructs no
-  ``BufferDecoder`` and enters ``repro/util`` a fixed number of times.
+* an exact gate for what the compiler buys: a roundtrip enters
+  ``repro/util`` a fixed number of times.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ from hypothesis import strategies as st
 
 from repro.core.rpc import RPC_ARGS
 from repro.msgr import message as M
-from repro.msgr import MOSDOp, OpType, WIRE_OVERHEAD, decode_message
+from repro.msgr import MOSDOp, OpType, decode_message
 from repro.objectstore.api import Transaction, TxnOp, TxnOpKind
 from repro.util import BufferList, DataBlob, EncodeError, wire
-from repro.util.bufferlist import BufferDecoder
 
 from . import wire_cases
 
@@ -61,7 +59,7 @@ def test_rpc_payload_matches_pinned_bytes(op):
     bl = RPC_ARGS[op].encode(*args)
     assert wire_cases.extents_of(bl) == FIXTURES[f"rpc.{op}"]
     assert RPC_ARGS[op].decode(bl) == tuple(args)
-    assert bl.real_length == len(bl) == RPC_ARGS[op].size(*args)
+    assert bl.real_length == len(bl)
 
 
 @pytest.mark.parametrize("name", sorted(MESSAGES))
@@ -90,7 +88,7 @@ def test_every_registered_class_declares_a_schema_and_no_mirrored_pair():
         for legacy in ("_encode_front", "_decode_front", "_encode_data"):
             assert not hasattr(cls, legacy), (cls, legacy)
         # nothing but the base class knows how to encode
-        assert "encode" not in vars(cls) and "wire_size" not in vars(cls)
+        assert "encode" not in vars(cls)
         init = {f.name for f in dataclasses.fields(cls)}
         named = {
             name
@@ -202,8 +200,6 @@ def test_every_type_roundtrips_and_equals_the_reference_walk(cls, data):
     msg = cls(src=data.draw(NAMES, label="src"),
               tid=data.draw(U64S, label="tid"), **kwargs)
     bl = msg.encode()
-    # size without materialising == size of the thing
-    assert msg.wire_size() == len(bl) + WIRE_OVERHEAD
     assert bl.real_length + bl.virtual_length == len(bl)
     # decode inverts encode, blob identity included
     out = decode_message(bl)
@@ -403,21 +399,17 @@ def test_schema_mistakes_fail_at_compile_time():
 
 class _UtilCalls:
     """Exact count of Python-level calls into ``repro/util`` (generated
-    codec functions carry a file name under it) and of ``BufferDecoder``
-    constructions, via ``sys.setprofile`` — the same on every machine."""
+    codec functions carry a file name under it), via ``sys.setprofile``
+    — the same on every machine."""
 
     def __init__(self) -> None:
         self.calls = 0
-        self.decoders = 0
 
     def _hook(self, frame, event, arg):
         if event != "call":
             return
-        code = frame.f_code
-        if "/repro/util/" in code.co_filename.replace("\\", "/"):
+        if "/repro/util/" in frame.f_code.co_filename.replace("\\", "/"):
             self.calls += 1
-            if code is BufferDecoder.__init__.__code__:
-                self.decoders += 1
 
     def __enter__(self) -> "_UtilCalls":
         sys.setprofile(self._hook)
@@ -430,21 +422,20 @@ class _UtilCalls:
 def test_the_call_counter_counts():
     bl = BufferList()
     with _UtilCalls() as seen:
-        bl.encode_u32(7)          # encode_u32 -> _raw
-        bl.decoder().decode_u32()  # decoder -> _flush, __init__; decode_u32 -> _take -> _current_bytes
-    assert (seen.calls, seen.decoders) == (8, 1)
+        bl.encode_u32(7)  # encode_u32 -> _raw
+        bl.extents()      # extents -> _flush
+    assert seen.calls == 4
 
 
 def test_mosdop_roundtrip_enters_util_a_fixed_number_of_times():
-    """On the parent a tagged 64 KB MOSDOp roundtrip made 79 calls into
-    ``repro/util`` (70 untagged: every field through ``_raw`` or
-    ``_take`` / ``_current_bytes``) and built one ``BufferDecoder``."""
+    """Before the schema compiler a tagged 64 KB MOSDOp roundtrip made 79
+    calls into ``repro/util`` (70 untagged: every field through ``_raw``
+    on encode and a per-field decoding cursor on decode)."""
     msg = MESSAGES["osd_op.write.tenant"]
     assert decode_message(msg.encode()) == msg  # warm
     with _UtilCalls() as seen:
         out = decode_message(msg.encode())
     assert out == msg
-    assert seen.decoders == 0
     # encode: Plan.encode, pack, pack_str (tenant hook), _adopt;
     # decode: tagged_front, _front, _flush, _real_run, decode_front,
     # unpack, unpack_str (tenant hook)
@@ -452,17 +443,16 @@ def test_mosdop_roundtrip_enters_util_a_fixed_number_of_times():
     untagged = MESSAGES["osd_op.write"]
     with _UtilCalls() as seen:
         decode_message(untagged.encode())
-    assert (seen.calls, seen.decoders) == (9, 0)
+    assert seen.calls == 9
 
 
 def test_write_transaction_roundtrip_enters_util_a_fixed_number_of_times():
-    """On the parent: 66 calls and one ``BufferDecoder``."""
+    """Before the schema compiler: 66 calls."""
     txn = TRANSACTIONS["txn.write"]
     assert Transaction.decode(txn.encode()) == txn  # warm
     with _UtilCalls() as seen:
         out = Transaction.decode(txn.encode())
     assert out == txn
-    assert seen.decoders == 0
     # encode: encode_list, pack, _adopt; decode: decode_list, _flush,
     # _real_run, unpack
     assert seen.calls <= 7

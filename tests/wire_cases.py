@@ -36,7 +36,7 @@ from repro.msgr import (
     MScrubReply,
     OpType,
 )
-from repro.objectstore.api import Transaction
+from repro.objectstore.api import Transaction, TxnOp, TxnOpKind
 from repro.util import BufferList, DataBlob
 
 FIXTURES = Path(__file__).parent / "fixtures" / "wire.json"
@@ -132,6 +132,20 @@ def message_cases() -> dict[str, Any]:
 
 
 def transaction_cases() -> dict[str, Transaction]:
+    mixed = (
+        Transaction()
+        .create_collection("2.7")
+        .touch("2.7", "a")
+        .write("2.7", "a", 4096, 8192, DataBlob(8192))
+        .write("2.7", "b", 0, 100, DataBlob(100))
+        .setattr("2.7", "a", "version", b"12")
+    )
+    # no Transaction builder makes an omap op; the pinned bytes carry one
+    mixed.ops.append(TxnOp(TxnOpKind.OMAP_SET, "2.7", "a", key="ключ",
+                           value=b""))
+    (mixed.truncate("2.7", "a", 2**40)
+     .write("2.7", "c", 1, 1, DataBlob(1))
+     .remove("2.7", "b"))
     return {
         "txn.empty": Transaction(),
         "txn.write": Transaction().write("1.2a", "bench_3_42", 0, 4 * MB,
@@ -140,18 +154,7 @@ def transaction_cases() -> dict[str, Transaction]:
             Transaction().create_collection("1.0").touch("1.0", "o")
             .setattr("1.0", "o", "k", b"\x00\xffv")
         ),
-        "txn.mixed": (
-            Transaction()
-            .create_collection("2.7")
-            .touch("2.7", "a")
-            .write("2.7", "a", 4096, 8192, DataBlob(8192))
-            .write("2.7", "b", 0, 100, DataBlob(100))
-            .setattr("2.7", "a", "version", b"12")
-            .omap_set("2.7", "a", "ключ", b"")
-            .truncate("2.7", "a", 2**40)
-            .write("2.7", "c", 1, 1, DataBlob(1))
-            .remove("2.7", "b")
-        ),
+        "txn.mixed": mixed,
     }
 
 
