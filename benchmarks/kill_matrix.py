@@ -359,12 +359,6 @@ MUTANTS = (
         "still queued, so the retry runs the handler again",
         ("tier1",)),
     Mutant(
-        "store.attrs_count_zero",
-        "src/repro/objectstore/bluestore/store.py",
-        (("attrs=len(onode.attrs or ())", "attrs=0"),),
-        "stat reports no attrs on an object that has some",
-        ("tier1",)),
-    Mutant(
         "lint.uuid_region_id", "src/repro/core/doca.py",
         (("from dataclasses import dataclass, field\n",
           "import uuid\nfrom dataclasses import dataclass, field\n"),
@@ -402,8 +396,8 @@ MUTANTS = (
         LINT_JUDGES, "DET105"),
     Mutant(
         "lint.fault_seed_from_env", "src/repro/faults.py",
-        (("from dataclasses import dataclass, field\n",
-          "import os\nfrom dataclasses import dataclass, field\n"),
+        (("from dataclasses import dataclass\n",
+          "import os\nfrom dataclasses import dataclass\n"),
          ("        return cls(seed=seed, specs=parse_fault_specs(text))\n",
           "        seed = int(os.environ.get(\"REPRO_FAULT_SEED\", seed))\n"
           "        return cls(seed=seed, specs=parse_fault_specs(text))\n")),
@@ -514,6 +508,21 @@ MUTANTS = (
           "        return len(self.acting) < 2\n\n"
           "    @property\n    def collection(self) -> str:\n"),),
         "a def nothing in src/, benchmarks/ or examples/ calls",
+        ("e2e-goldens",)),
+    Mutant(
+        "guard.builtin_named_method", "src/repro/objectstore/api.py",
+        (("    def remove(self, coll: str, oid: str) -> \"Transaction\":\n",
+          "    def setattr(self, coll: str, oid: str) -> \"Transaction\":\n"
+          "        return self\n\n"
+          "    def remove(self, coll: str, oid: str) -> \"Transaction\":\n"),),
+        "an uncalled method that shares its name with a builtin other "
+        "modules call",
+        ("e2e-goldens",)),
+    Mutant(
+        "guard.unused_import", "src/repro/osd/pg.py",
+        (("from dataclasses import dataclass\n",
+          "from dataclasses import dataclass, field\n"),),
+        "a module imports a name it never loads",
         ("e2e-goldens",)),
 )
 

@@ -1,24 +1,27 @@
 #!/usr/bin/env python3
 """Trace a single write through the DoCeph pipeline.
 
-Enables the OpTracker (Ceph's ``dump_historic_ops`` facility) and the
-proxy's latency breakdown, writes one 8 MiB object, and prints the
-request's life story: dispatch → PG processing → replication sub-op →
-DMA staging/segments → host BlueStore commit → client reply.
+Attaches a :class:`~repro.trace.Tracer` at build time, writes one 8 MiB
+object, and prints the request's life story from its ``osd.op`` span
+(begin, then the OSD's stage marks as span events): dispatch → PG
+processing → replication sub-op → DMA staging/segments → host BlueStore
+commit → client reply.  The proxy's latency breakdown follows.  The
+tracer only observes: the write's latency is the untraced run's.
 
 Run:  python examples/trace_request.py
 """
 
 from repro.cluster import BENCH_POOL, build_doceph_cluster
 from repro.sim import Environment
+from repro.trace import Tracer
 
 
 def main() -> None:
     env = Environment()
-    cluster = build_doceph_cluster(env)
+    tracer = Tracer()
+    cluster = build_doceph_cluster(env, tracer=tracer)
     boot = env.process(cluster.boot(), name="boot")
     env.run(until=boot)
-    trackers = {osd.name: osd.enable_op_tracking() for osd in cluster.osds}
 
     def work():
         result = yield from cluster.client.write_object(
@@ -31,15 +34,15 @@ def main() -> None:
     result = p.value
     print(f"wrote 8 MiB in {result.latency * 1e3:.2f} ms end-to-end\n")
 
-    for osd_name, tracker in trackers.items():
-        for op in tracker.dump_historic():
-            print(f"{osd_name}: {op.description} "
-                  f"({op.duration * 1e3:.2f} ms total)")
-            t0 = op.initiated_at
-            for t, stage in op.events:
-                print(f"  +{(t - t0) * 1e3:7.3f} ms  {stage}")
-            print(f"  +{(op.completed_at - t0) * 1e3:7.3f} ms  reply_sent")
-            print()
+    for span in tracer.report().find("osd.op"):
+        t0 = span.begin
+        print(f"osd.{span.tags['osd']}: osd_op({span.tags['op']}) "
+              f"({span.duration * 1e3:.2f} ms total)")
+        print(f"  +{0.0:7.3f} ms  initiated")
+        for t, stage in span.events:
+            print(f"  +{(t - t0) * 1e3:7.3f} ms  {stage}")
+        print(f"  +{(span.end - t0) * 1e3:7.3f} ms  reply_sent")
+        print()
 
     print("proxy-side DMA anatomy (Table 3's view of the same request):")
     for osd in cluster.osds:

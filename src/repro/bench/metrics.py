@@ -300,10 +300,6 @@ class HealthReport:
     recovery_to_clean: list[float] = field(default_factory=list)
 
     @property
-    def healthy(self) -> bool:
-        return self.osds_down == 0 and self.degraded_pgs == 0
-
-    @property
     def mean_recovery_to_clean(self) -> float:
         if not self.recovery_to_clean:
             return 0.0

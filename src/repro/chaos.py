@@ -493,7 +493,7 @@ def collect_wire_incidents(cluster: Cluster) -> dict[str, int]:
 def chaos_profile(mode: str = "baseline", **overrides: Any) -> HardwareProfile:
     """The chaos testbed: three storage nodes (so a single failure
     leaves a full acting set), client timeouts armed, fast monitor
-    detection, scrubbing off.  ``overrides`` replace any field."""
+    detection.  ``overrides`` replace any field."""
     base: HardwareProfile
     if mode == "doceph":
         base = DocephProfile()
@@ -510,7 +510,6 @@ def chaos_profile(mode: str = "baseline", **overrides: Any) -> HardwareProfile:
         mon_out_interval=12.0,
         mon_check_period=0.5,
         recovery_tick=0.5,
-        scrub_interval=None,
     )
     params.update(overrides)
     return replace(base, **params)

@@ -404,16 +404,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> tuple[str, int]:
         lines.append(f"soak state: {soak.state_path}")
         _publish(args, "fuzz_soak", soak.as_dict())
         if not soak.passed:
-            for record in report.corpus_failures + report.violations:
-                lines.append(
-                    f"violation [{record.signature}] — minimal replayable"
-                    f" plan"
-                    + (f" (also at {record.corpus_path})"
-                       if record.corpus_path else "")
-                    + ":"
-                )
-                lines += ["  " + ln
-                          for ln in record.scenario_text.splitlines()]
+            lines += _violation_lines(report)
             lines.append("fuzz soak: FAILED")
             return "\n".join(lines), 3
         lines.append("fuzz soak: no violations")
@@ -437,20 +428,26 @@ def _cmd_fuzz(args: argparse.Namespace) -> tuple[str, int]:
     lines.append(f"fuzz fingerprint: {report.fingerprint()}")
     _publish(args, f"fuzz_seed{report.seed}", report.as_dict())
     if not report.passed:
-        for record in report.corpus_failures + report.violations:
-            lines.append(
-                f"violation [{record.signature}] — minimal replayable"
-                f" plan"
-                + (f" (also at {record.corpus_path})"
-                   if record.corpus_path else "")
-                + ":"
-            )
-            lines += ["  " + ln
-                      for ln in record.scenario_text.splitlines()]
+        lines += _violation_lines(report)
         lines.append("fuzz: FAILED")
         return "\n".join(lines), 3
     lines.append("fuzz: no violations")
     return "\n".join(lines), 0
+
+
+def _violation_lines(report) -> list[str]:
+    """Each failing record of a fuzz report with its minimal replayable
+    plan, indented under a one-line header."""
+    lines = []
+    for record in report.corpus_failures + report.violations:
+        lines.append(
+            f"violation [{record.signature}] — minimal replayable plan"
+            + (f" (also at {record.corpus_path})"
+               if record.corpus_path else "")
+            + ":"
+        )
+        lines += ["  " + ln for ln in record.scenario_text.splitlines()]
+    return lines
 
 
 def _render_qos(result) -> str:

@@ -73,30 +73,8 @@ class Cluster:
             if self.mon is not None:
                 osd.start_mon_beacon(self.mon.address)
             osd.enable_recovery([BENCH_POOL], tick=self.profile.recovery_tick)
-            if self.profile.scrub_interval is not None:
-                osd.enable_scrub([BENCH_POOL],
-                                 interval=self.profile.scrub_interval)
         if self.client is not None:
             yield from self.client.boot()
-
-    def add_pool(
-        self, name: str, pg_num: int = 32, size: Optional[int] = None
-    ) -> Generator[Any, Any, Pool]:
-        """Create an additional pool at runtime and activate its PGs on
-        every OSD (run as a process: ``env.process(cluster.add_pool(...))``).
-
-        Returns the new :class:`~repro.rados.types.Pool`."""
-        pool_id = max(self.osdmap.pools) + 1
-        pool = Pool(id=pool_id, name=name, pg_num=pg_num,
-                    size=size or self.profile.replication)
-        self.osdmap.create_pool(pool)
-        for osd in self.osds:
-            yield from osd.activate_pgs(name)
-            if osd.recovery is not None:
-                osd.recovery.pool_names.append(name)
-            if osd.scrub is not None:
-                osd.scrub.pool_names.append(name)
-        return pool
 
     # -- observability -----------------------------------------------------------
     def host_cpus(self) -> list[CpuComplex]:

@@ -163,10 +163,6 @@ class HardwareProfile:
     """DOCA CommChannel memory-region negotiation round trip (paid once
     per buffer when the MR cache is enabled, per transfer otherwise)."""
 
-    scrub_interval: float | None = None
-    """Light-scrub period per OSD in seconds (None disables scrubbing,
-    keeping benchmark runs free of background probe noise)."""
-
     # -- RPC reliability (see repro.core.rpc) -----------------------------------
     rpc_timeout_seconds: float = 5.0
     """Per-attempt reply timeout of the DPU↔host RPC; attempt *k* waits

@@ -64,7 +64,6 @@ class HostProxyServer:
         self.rpc.register_handler("queue_txn", self._handle_queue_txn)
         self.rpc.register_handler("stat", self._handle_stat)
         self.rpc.register_handler("exists", self._handle_exists)
-        self.rpc.register_handler("getattr", self._handle_getattr)
         self.rpc.register_handler("list", self._handle_list)
         self.rpc.register_handler("read", self._handle_read)
         self.rpc.register_handler("bulk", self._handle_bulk)
@@ -127,6 +126,7 @@ class HostProxyServer:
         coll, oid = RPC_ARGS["stat"].decode(req.payload)
         self.control_ops += 1
         st = yield from self.store.stat(coll, oid, thread)
+        # attrs is always 0; the reply keeps it so its shape is unchanged
         req.reply = {"size": st.size, "attrs": st.attrs,
                      "version": st.version, "content": st.content_id}
 
@@ -137,14 +137,6 @@ class HostProxyServer:
         self.control_ops += 1
         ok = yield from self.store.exists(coll, oid, thread)
         req.reply = {"exists": ok}
-
-    def _handle_getattr(
-        self, req: RpcRequest, thread: SimThread
-    ) -> Generator[Any, Any, None]:
-        coll, oid, key = RPC_ARGS["getattr"].decode(req.payload)
-        self.control_ops += 1
-        value = yield from self.store.getattr(coll, oid, key, thread)
-        req.reply = {"value": value}
 
     def _handle_list(
         self, req: RpcRequest, thread: SimThread

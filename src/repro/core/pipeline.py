@@ -110,15 +110,6 @@ class RequestTiming:
         both = union_length(self.wait_intervals + self.service_intervals)
         return both - self.dma_time
 
-    def merge(self, other: "RequestTiming") -> None:
-        self.size += other.size
-        self.segments += other.segments
-        self.total += other.total
-        self.stage_time += other.stage_time
-        self.fallback_bytes += other.fallback_bytes
-        self.wait_intervals.extend(other.wait_intervals)
-        self.service_intervals.extend(other.service_intervals)
-
 
 class DmaPipeline:
     """Segmented, optionally-pipelined transfers through one DMA engine.

@@ -6,9 +6,8 @@ BlueStore — and forwards every call to the host:
 
 * **binary op classification** (§3.2): data-plane operations
   (``queue_transaction`` with payload, ``read``) go through DOCA DMA;
-  control-plane operations (``stat``, ``exists``, ``getattr``,
-  ``list_objects``, data-less transactions) go over the lightweight RPC
-  socket;
+  control-plane operations (``stat``, ``exists``, ``list_objects``,
+  data-less transactions) go over the lightweight RPC socket;
 * write data is staged in DPU memory and pushed through the
   **pipelined, segmented DMA** path; the commit RPC is sent once the
   full request has landed in the host's write buffers, and the client
@@ -40,7 +39,7 @@ from .doca import DocaDma
 from .fallback import FallbackController
 from .host_server import HostProxyServer
 from .pipeline import DmaPipeline, RequestTiming
-from .rpc import PROXY_CATEGORY, RPC_ARGS, RpcError
+from .rpc import RPC_ARGS, RpcError
 
 if TYPE_CHECKING:
     from ..cluster.config import DocephProfile
@@ -341,12 +340,6 @@ class ProxyObjectStore(ObjectStore):
     ) -> Generator[Any, Any, bool]:
         reply = yield from self._control("exists", [coll, oid], thread)
         return reply["exists"]
-
-    def getattr(
-        self, coll: str, oid: str, key: str, thread: SimThread
-    ) -> Generator[Any, Any, bytes]:
-        reply = yield from self._control("getattr", [coll, oid, key], thread)
-        return reply["value"]
 
     def list_objects(
         self, coll: str, thread: SimThread

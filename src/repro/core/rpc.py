@@ -67,7 +67,6 @@ RPC_ARGS: Mapping[str, wire.Plan] = MappingProxyType({
         "list": _OBJECT[:1],
         "stat": _OBJECT,
         "exists": _OBJECT,
-        "getattr": _OBJECT + (("key", wire.STR),),
         "read": _OBJECT + (("offset", wire.U64), ("length", wire.U64)),
         "bulk": (("tag", wire.STR), ("nbytes", wire.U64)),
     }.items()

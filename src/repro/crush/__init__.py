@@ -6,7 +6,7 @@ rules, device reweights) — see Weil et al., "CRUSH: Controlled,
 scalable, decentralized placement of replicated data", SC'06.
 """
 
-from .buckets import BucketItem, Straw2Bucket, UniformBucket
+from .buckets import BucketItem, Straw2Bucket
 from .map import ChooseStep, CrushMap, CrushRule
 
 __all__ = [
@@ -15,5 +15,4 @@ __all__ = [
     "CrushMap",
     "CrushRule",
     "Straw2Bucket",
-    "UniformBucket",
 ]

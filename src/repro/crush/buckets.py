@@ -7,10 +7,6 @@ rjenkins hash of ``(input x, item id, trial r)``, scaled by
 property — changing one item's weight only moves inputs to or from that
 item — is what makes CRUSH rebalancing minimal, and is covered by a
 dedicated test.
-
-A ``UniformBucket`` (hash-modulo over equally weighted items) is also
-provided for completeness and for tests that need trivially predictable
-placement.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from dataclasses import dataclass, field
 
 from ..util.rjenkins import crush_hash32_3
 
-__all__ = ["BucketItem", "Straw2Bucket", "UniformBucket"]
+__all__ = ["BucketItem", "Straw2Bucket"]
 
 
 @dataclass(frozen=True)
@@ -79,32 +75,3 @@ class Straw2Bucket:
         if best_id is None:
             raise ValueError(f"bucket {self.name} has no selectable items")
         return best_id
-
-
-@dataclass
-class UniformBucket:
-    """Equal-weight hash-modulo bucket (CRUSH 'uniform' type)."""
-
-    id: int
-    name: str
-    type_name: str
-    items: list[BucketItem] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.id >= 0:
-            raise ValueError("bucket ids must be negative")
-
-    @property
-    def weight(self) -> float:
-        return sum(item.weight for item in self.items)
-
-    def add_item(self, item_id: int, weight: float) -> None:
-        if any(i.id == item_id for i in self.items):
-            raise ValueError(f"duplicate item {item_id} in bucket {self.name}")
-        self.items.append(BucketItem(item_id, weight))
-
-    def choose(self, x: int, r: int) -> int:
-        if not self.items:
-            raise ValueError(f"bucket {self.name} is empty")
-        idx = crush_hash32_3(x, self.id & 0xFFFFFFFF, r) % len(self.items)
-        return self.items[idx].id

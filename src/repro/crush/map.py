@@ -15,13 +15,11 @@ failure domain, which is exactly what the OSDMap needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
-from .buckets import Straw2Bucket, UniformBucket
+from .buckets import Straw2Bucket
 
 __all__ = ["CrushMap", "CrushRule", "ChooseStep"]
-
-Bucket = Union[Straw2Bucket, UniformBucket]
 
 
 @dataclass(frozen=True)
@@ -49,27 +47,21 @@ class CrushMap:
     CHOOSE_TOTAL_TRIES = 50
 
     def __init__(self) -> None:
-        self._buckets: dict[int, Bucket] = {}
-        self._by_name: dict[str, Bucket] = {}
+        self._buckets: dict[int, Straw2Bucket] = {}
+        self._by_name: dict[str, Straw2Bucket] = {}
         self._device_weights: dict[int, float] = {}
         self._reweights: dict[int, float] = {}
         self._rules: dict[str, CrushRule] = {}
         self._next_bucket_id = -1
 
     # -- construction -----------------------------------------------------------
-    def add_bucket(
-        self, name: str, type_name: str, uniform: bool = False
-    ) -> Bucket:
-        """Create an empty bucket and return it."""
+    def add_bucket(self, name: str, type_name: str) -> Straw2Bucket:
+        """Create an empty straw2 bucket and return it."""
         if name in self._by_name:
             raise ValueError(f"duplicate bucket name: {name}")
         bucket_id = self._next_bucket_id
         self._next_bucket_id -= 1
-        bucket: Bucket
-        if uniform:
-            bucket = UniformBucket(bucket_id, name, type_name)
-        else:
-            bucket = Straw2Bucket(bucket_id, name, type_name)
+        bucket = Straw2Bucket(bucket_id, name, type_name)
         self._buckets[bucket_id] = bucket
         self._by_name[name] = bucket
         return bucket
@@ -107,7 +99,7 @@ class CrushMap:
         )
 
     # -- lookups ---------------------------------------------------------------
-    def bucket(self, name: str) -> Bucket:
+    def bucket(self, name: str) -> Straw2Bucket:
         try:
             return self._by_name[name]
         except KeyError:
@@ -153,7 +145,7 @@ class CrushMap:
 
     def _chooseleaf_firstn(
         self,
-        root: Bucket,
+        root: Straw2Bucket,
         x: int,
         num: int,
         domain_type: str,
@@ -178,8 +170,8 @@ class CrushMap:
         return chosen
 
     def _descend_to_type(
-        self, bucket: Bucket, x: int, r: int, type_name: str
-    ) -> Optional[Bucket]:
+        self, bucket: Straw2Bucket, x: int, r: int, type_name: str
+    ) -> Optional[Straw2Bucket]:
         """Walk down from ``bucket`` until reaching a bucket of
         ``type_name`` (straw2 choice at every level)."""
         current = bucket
@@ -195,7 +187,9 @@ class CrushMap:
             current = self._buckets[child_id]
         return None
 
-    def _descend_to_leaf(self, bucket: Bucket, x: int, r: int) -> Optional[int]:
+    def _descend_to_leaf(
+        self, bucket: Straw2Bucket, x: int, r: int
+    ) -> Optional[int]:
         """Walk from ``bucket`` down to a selectable device."""
         current = bucket
         for _ in range(16):

@@ -59,7 +59,7 @@ byte-identical schedules and counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .util.rng import SeededRng

@@ -48,9 +48,6 @@ class CoverageMap:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def keys(self) -> list[str]:
-        return sorted(self.counts)
-
     def rarity(self, keys: Iterable[str]) -> float:
         """Sum of ``1/count`` over ``keys`` — higher means the scenario
         touched behaviors few executions have reached."""

@@ -96,10 +96,6 @@ class Scenario:
         """A modified copy (``dataclasses.replace`` veneer)."""
         return replace(self, **changes)
 
-    def key(self) -> str:
-        """Canonical one-line identity (used for dedup, not display)."""
-        return scenario_to_text(self, header=False).replace("\n", ";")
-
     def __repr__(self) -> str:
         return (
             f"<Scenario {self.mode} c{self.clients}"

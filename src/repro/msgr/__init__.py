@@ -14,8 +14,6 @@ from .message import (
     MOSDPGPull,
     MOSDPGPush,
     MOSDPGPushReply,
-    MScrubDigest,
-    MScrubReply,
     MessageType,
     MMonGetMap,
     MMonMapReply,
@@ -57,8 +55,6 @@ __all__ = [
     "MOSDPGPull",
     "MOSDPGPush",
     "MOSDPGPushReply",
-    "MScrubDigest",
-    "MScrubReply",
     "MOSDPing",
     "MOSDRepOp",
     "MOSDRepOpReply",

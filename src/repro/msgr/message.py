@@ -32,8 +32,7 @@ from typing import Any, ClassVar, Optional, Type
 from ..util import wire
 from ..util.bufferlist import BufferList, DataBlob, EncodeError
 from ..util.wire import (
-    BLOB, BOOL, F64, OPT_BLOB, S64, STR, STR_LIST, STR_U64_MAP, U16, U32,
-    U32_LIST, U64,
+    BLOB, BOOL, F64, OPT_BLOB, S64, STR, STR_LIST, U16, U32, U32_LIST, U64,
 )
 
 __all__ = [
@@ -48,8 +47,6 @@ __all__ = [
     "MOSDPGPull",
     "MOSDPGPush",
     "MOSDPGPushReply",
-    "MScrubDigest",
-    "MScrubReply",
     "MMonGetMap",
     "MMonMapReply",
     "OpType",
@@ -76,8 +73,6 @@ class MessageType(IntEnum):
     PG_PULL = 105
     PG_PUSH = 106
     PG_PUSH_REPLY = 107
-    SCRUB_DIGEST = 108
-    SCRUB_REPLY = 109
 
 
 class OpType(IntEnum):
@@ -86,7 +81,6 @@ class OpType(IntEnum):
     WRITE = 1
     READ = 2
     STAT = 3
-    DELETE = 4
 
 
 _REGISTRY: dict[int, Type["Message"]] = {}
@@ -380,29 +374,3 @@ class MOSDPGPushReply(Message):
 
     pg_seed: int = 0
     result: int = 0
-
-
-@_register
-@dataclass
-class MScrubDigest(Message):
-    """Scrub: primary sends its per-object digest list for a PG;
-    replicas compare against their own metadata."""
-
-    TYPE: ClassVar[MessageType] = MessageType.SCRUB_DIGEST
-    SCHEMA = (("pool", STR), ("pg_seed", U32), ("digests", STR_U64_MAP))
-
-    pool: str = ""
-    pg_seed: int = 0
-    digests: dict[str, int] = field(default_factory=dict, compare=True)
-
-
-@_register
-@dataclass
-class MScrubReply(Message):
-    """Scrub: replica's verdict for a PG digest comparison."""
-
-    TYPE: ClassVar[MessageType] = MessageType.SCRUB_REPLY
-    SCHEMA = (("pg_seed", U32), ("mismatches", U32))
-
-    pg_seed: int = 0
-    mismatches: int = 0

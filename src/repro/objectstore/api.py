@@ -49,12 +49,8 @@ class NoSuchObject(StoreError):
 class TxnOpKind(IntEnum):
     """Mutation types a transaction may carry."""
 
-    TOUCH = 1
     WRITE = 2
-    TRUNCATE = 3
     REMOVE = 4
-    SETATTR = 5
-    OMAP_SET = 6
     CREATE_COLLECTION = 7
 
 
@@ -73,7 +69,9 @@ class TxnOp:
 
 
 #: One op on the wire (:mod:`repro.util.wire`); a transaction is a u32
-#: count and this many of them.
+#: count and this many of them.  No op kind sets ``key`` or ``value``
+#: any more, but they stay on the wire: dropping them would change the
+#: byte count of every proxied transaction, and every golden with it.
 _OP_PLAN = wire.compile_schema(
     (
         ("kind", wire.enum(wire.U8, TxnOpKind)), ("coll", wire.STR),
@@ -97,10 +95,6 @@ class Transaction:
     span_ctx: Any = field(default=None, compare=False, repr=False)
 
     # -- builders ----------------------------------------------------------
-    def touch(self, coll: str, oid: str) -> "Transaction":
-        self.ops.append(TxnOp(TxnOpKind.TOUCH, coll, oid))
-        return self
-
     def write(
         self, coll: str, oid: str, offset: int, length: int, data: DataBlob
     ) -> "Transaction":
@@ -114,18 +108,8 @@ class Transaction:
         )
         return self
 
-    def truncate(self, coll: str, oid: str, size: int) -> "Transaction":
-        self.ops.append(TxnOp(TxnOpKind.TRUNCATE, coll, oid, length=size))
-        return self
-
     def remove(self, coll: str, oid: str) -> "Transaction":
         self.ops.append(TxnOp(TxnOpKind.REMOVE, coll, oid))
-        return self
-
-    def setattr(self, coll: str, oid: str, key: str, value: bytes) -> "Transaction":
-        self.ops.append(
-            TxnOp(TxnOpKind.SETATTR, coll, oid, key=key, value=value)
-        )
         return self
 
     def create_collection(self, coll: str) -> "Transaction":
@@ -156,7 +140,7 @@ class StatResult:
     """Result of a stat call."""
 
     size: int
-    attrs: int  # number of xattrs
+    attrs: int  # number of xattrs: always 0, objects carry none
     version: int
     content_id: int = 0  # virtual-payload fingerprint (see bluestore.Onode)
 
@@ -202,12 +186,6 @@ class ObjectStore:
         self, coll: str, oid: str, thread: SimThread
     ) -> Generator[Any, Any, bool]:
         """Does the object exist?"""
-        raise NotImplementedError
-
-    def getattr(
-        self, coll: str, oid: str, key: str, thread: SimThread
-    ) -> Generator[Any, Any, bytes]:
-        """Read one xattr; raises :class:`NoSuchObject` if missing."""
         raise NotImplementedError
 
     def list_objects(

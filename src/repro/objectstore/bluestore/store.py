@@ -78,7 +78,7 @@ class BlueStoreConfig:
     """Cost on the *submitting* thread to enqueue a transaction."""
 
     control_cpu: float = 2.0e-6
-    """Cost of a metadata lookup (stat/exists/getattr)."""
+    """Cost of a metadata lookup (stat/exists)."""
 
     read_cpu_per_byte: float = 1.0 / 12.0e9
     """Per-byte CPU on reads (checksum verify + copy-out)."""
@@ -98,23 +98,20 @@ _LEN_MASK = (1 << _LEN_BITS) - 1
 class Onode:
     """In-memory object metadata (what BlueStore persists as the onode).
 
-    ``attrs`` and ``omap`` stay ``None`` until the first key is set, and
     ``runs`` holds the allocation as packed runs (see ``_LEN_BITS``): a
     bare int for a single run, a tuple for several, ``()`` until the
-    first write.  Most objects carry one run and no attrs or omap, and
-    an ``Extent`` or an empty container each would be a large share of
-    a written object's footprint."""
+    first write.  Most objects carry one run, and an ``Extent`` or a
+    tuple each would be a large share of a written object's
+    footprint."""
 
     size: int = 0
     version: int = 0
-    attrs: Optional[dict[str, bytes]] = None
-    omap: Optional[dict[str, bytes]] = None
     runs: Union[int, tuple[int, ...]] = ()
     content_id: int = 0
     """Virtual-payload fingerprint: the simulation carries no real bytes,
     so this stands in for "what data is stored here".  A full overwrite
-    adopts the written blob's root id; partial writes and truncates fold
-    into the running fingerprint.  Replicas holding byte-identical data
+    adopts the written blob's root id; partial writes fold into the
+    running fingerprint.  Replicas holding byte-identical data
     hold equal (size, content_id) pairs."""
 
     @property
@@ -299,8 +296,7 @@ class BlueStore(ObjectStore):
     ) -> Generator[Any, Any, StatResult]:
         yield from thread.charge(self.config.control_cpu)
         onode = self._get_onode(coll, oid)
-        return StatResult(size=onode.size, attrs=len(onode.attrs or ()),
-                          version=onode.version,
+        return StatResult(size=onode.size, attrs=0, version=onode.version,
                           content_id=onode.content_id)
 
     def exists(
@@ -309,15 +305,6 @@ class BlueStore(ObjectStore):
         yield from thread.charge(self.config.control_cpu)
         objects = self.collections.get(coll)
         return objects is not None and oid in objects
-
-    def getattr(
-        self, coll: str, oid: str, key: str, thread: SimThread
-    ) -> Generator[Any, Any, bytes]:
-        yield from thread.charge(self.config.control_cpu)
-        onode = self._get_onode(coll, oid)
-        if onode.attrs is None or key not in onode.attrs:
-            raise NoSuchObject(f"{coll}/{oid}: no attr {key!r}")
-        return onode.attrs[key]
 
     def list_objects(
         self, coll: str, thread: SimThread
@@ -385,9 +372,7 @@ class BlueStore(ObjectStore):
             for txc in batch:
                 wal_data += txc.deferred_bytes
                 for op in txc.txn.ops:
-                    if op.kind in (TxnOpKind.WRITE, TxnOpKind.TOUCH,
-                                   TxnOpKind.SETATTR, TxnOpKind.OMAP_SET,
-                                   TxnOpKind.TRUNCATE):
+                    if op.kind == TxnOpKind.WRITE:
                         wal.put(self._onode_key(op.coll, op.oid),
                                 self._onode_record)
                     elif op.kind == TxnOpKind.REMOVE:
@@ -435,48 +420,28 @@ class BlueStore(ObjectStore):
                 if onode.runs:
                     self.allocator.free(onode.extents)
                 continue
+            # the one op kind left is WRITE
             onode = objects.get(op.oid)
             if onode is None:
                 onode = objects[op.oid] = Onode()
-            if op.kind == TxnOpKind.TOUCH:
-                onode.version += 1
-            elif op.kind == TxnOpKind.WRITE:
-                prev_size = onode.size
-                end = op.offset + op.length
-                allocated = onode.allocated
-                if end > allocated:
-                    extents = self.allocator.allocate(end - allocated)
-                    onode.add_extents(extents)
-                    new_extents.extend(extents)
-                onode.size = max(onode.size, end)
-                onode.version += 1
-                root = op.data.root_id if op.data is not None else 0
-                if op.offset == 0 and end >= prev_size:
-                    # full overwrite: the object *is* this blob now
-                    onode.content_id = root
-                else:
-                    onode.content_id = hash_combine(
-                        onode.content_id,
-                        f"w:{op.offset}:{op.length}:{root}",
-                    )
-            elif op.kind == TxnOpKind.TRUNCATE:
-                onode.size = op.length
-                onode.version += 1
+            prev_size = onode.size
+            end = op.offset + op.length
+            allocated = onode.allocated
+            if end > allocated:
+                extents = self.allocator.allocate(end - allocated)
+                onode.add_extents(extents)
+                new_extents.extend(extents)
+            onode.size = max(onode.size, end)
+            onode.version += 1
+            root = op.data.root_id if op.data is not None else 0
+            if op.offset == 0 and end >= prev_size:
+                # full overwrite: the object *is* this blob now
+                onode.content_id = root
+            else:
                 onode.content_id = hash_combine(
-                    onode.content_id, f"t:{op.length}"
+                    onode.content_id,
+                    f"w:{op.offset}:{op.length}:{root}",
                 )
-            elif op.kind == TxnOpKind.SETATTR:
-                if onode.attrs is None:
-                    onode.attrs = {}
-                onode.attrs[op.key] = op.value
-                onode.version += 1
-            elif op.kind == TxnOpKind.OMAP_SET:
-                if onode.omap is None:
-                    onode.omap = {}
-                onode.omap[op.key] = op.value
-                onode.version += 1
-            else:  # pragma: no cover - exhaustive
-                raise StoreError(f"unknown op kind: {op.kind}")
         return new_extents
 
     # ---------------------------------------------------------------- helpers

@@ -1,35 +1,28 @@
 """The OSD daemon: dispatch, prioritized op queue, primary-copy
-replication, heartbeats, monitor beacons, recovery, and scrubbing."""
+replication, heartbeats, monitor beacons and recovery."""
 
 from .daemon import OSD_CATEGORY, OsdConfig, OsdDaemon
 from .opqueue import (
     CLIENT_OP,
     RECOVERY_OP,
-    SCRUB_OP,
     STRICT_THRESHOLD,
     SUB_OP,
     QosSpec,
     WeightedPriorityQueue,
 )
-from .optracker import OpTracker, TrackedOp
 from .pg import PlacementGroup
 from .recovery import RecoveryManager
-from .scrub import ScrubManager
 
 __all__ = [
     "CLIENT_OP",
     "OSD_CATEGORY",
     "OsdConfig",
     "OsdDaemon",
-    "OpTracker",
     "PlacementGroup",
     "QosSpec",
     "RECOVERY_OP",
     "RecoveryManager",
-    "SCRUB_OP",
     "STRICT_THRESHOLD",
     "SUB_OP",
-    "ScrubManager",
-    "TrackedOp",
     "WeightedPriorityQueue",
 ]

@@ -37,8 +37,6 @@ from ..msgr.message import (
     MOSDPing,
     MOSDRepOp,
     MOSDRepOpReply,
-    MScrubDigest,
-    MScrubReply,
     OpType,
 )
 from ..msgr.messenger import AsyncMessenger, Connection
@@ -47,18 +45,15 @@ from ..rados.osdmap import OsdMap
 from ..rados.types import PgId
 from ..sim import AllOf, Event
 from ..sim.exceptions import Interrupt
-from .optracker import OpTracker
 from .opqueue import (
     CLIENT_OP,
     RECOVERY_OP,
-    SCRUB_OP,
     SUB_OP,
     QosSpec,
     WeightedPriorityQueue,
 )
 from .pg import PlacementGroup
 from .recovery import RecoveryManager
-from .scrub import ScrubManager
 
 __all__ = ["OsdDaemon", "OsdConfig", "OSD_CATEGORY"]
 
@@ -136,15 +131,12 @@ class OsdDaemon:
         "_inflight",
         "heartbeat",
         "recovery",
-        "scrub",
-        "tracker",
         "alive",
         "incarnation",
         "_beacon_proc",
         "_beacon_cfg",
         "_hb_started",
         "_recovery_cfg",
-        "_scrub_cfg",
         "_down_handled",
         "client_ops",
         "repops",
@@ -194,8 +186,6 @@ class OsdDaemon:
         self._inflight: dict[int, _InFlightWrite] = {}
         self.heartbeat: Optional[HeartbeatAgent] = None
         self.recovery: Optional[RecoveryManager] = None
-        self.scrub: Optional[ScrubManager] = None
-        self.tracker: Optional[OpTracker] = None
 
         # lifecycle: crash() flips alive and bumps incarnation so that
         # completions spawned before the crash cannot speak for the
@@ -206,7 +196,6 @@ class OsdDaemon:
         self._beacon_cfg: Optional[tuple[str, float]] = None
         self._hb_started = False
         self._recovery_cfg: Optional[tuple[list[str], float]] = None
-        self._scrub_cfg: Optional[tuple[list[str], float]] = None
         #: set once the daemon has resynced after being marked down, so
         #: a partition-rejoin (no crash) also discards its stale copies
         self._down_handled = True
@@ -299,12 +288,6 @@ class OsdDaemon:
         self._recovery_cfg = (list(pool_names), tick)
         self.recovery = RecoveryManager(self, pool_names, tick=tick)
 
-    def enable_scrub(self, pool_names: list[str],
-                     interval: float = 20.0) -> None:
-        """Start periodic light scrubbing of the PGs this OSD leads."""
-        self._scrub_cfg = (list(pool_names), interval)
-        self.scrub = ScrubManager(self, pool_names, interval=interval)
-
     def set_qos(self, tenant: str, spec: QosSpec) -> None:
         """Install the mClock share for ``tenant`` on this OSD's queue
         (persisted across crash/restart — it is configuration)."""
@@ -345,9 +328,6 @@ class OsdDaemon:
         if self.recovery is not None:
             self.recovery.stop()
             self.recovery = None
-        if self.scrub is not None:
-            self.scrub.stop()
-            self.scrub = None
         # anything queued dies with the daemon; the old queue may hold
         # stale waiters from the interrupted loops, so replace it
         self._inflight.clear()
@@ -383,8 +363,6 @@ class OsdDaemon:
             self.start_heartbeats()
         if self._recovery_cfg is not None:
             self.enable_recovery(*self._recovery_cfg)
-        if self._scrub_cfg is not None:
-            self.enable_scrub(*self._scrub_cfg)
         if self._beacon_cfg is not None:
             self.start_mon_beacon(*self._beacon_cfg)
 
@@ -440,11 +418,6 @@ class OsdDaemon:
             if self.recovery is not None:
                 self.recovery.forget_pg(pgid)
 
-    def enable_op_tracking(self, history_size: int = 256) -> OpTracker:
-        """Turn on per-op stage tracing (Ceph's dump_historic_ops)."""
-        self.tracker = OpTracker(history_size)
-        return self.tracker
-
     def refresh_pg(self, pgid: PgId) -> PlacementGroup:
         """Re-read the acting set from the (possibly newer) OSDMap."""
         acting = self.osdmap.pg_to_osds(pgid)
@@ -461,12 +434,6 @@ class OsdDaemon:
     ) -> Generator[Any, Any, None]:
         """Fast dispatch, runs in the messenger worker (keep it light)."""
         if isinstance(msg, MOSDOp):
-            if self.tracker is not None:
-                tracked = self.tracker.create(
-                    f"osd_op({msg.op.name} {msg.pool}/{msg.object_name})",
-                    self.env.now,
-                )
-                msg.tracked_op = tracked  # type: ignore[attr-defined]
             ctx = getattr(msg, "span_ctx", None)
             if ctx is not None:
                 span = ctx.start_span(
@@ -481,8 +448,6 @@ class OsdDaemon:
                 if msg.tenant:
                     span.tag("tenant", msg.tenant)
                 msg.op_span = span  # type: ignore[attr-defined]
-            # stage marks land on the tracked op AND as span events, so
-            # the two facilities cannot drift
             _mark(msg, self.env.now, "queued_for_pg")
             self._op_queue.enqueue(msg, CLIENT_OP,
                                    tenant=msg.tenant or None)
@@ -490,15 +455,9 @@ class OsdDaemon:
             self._op_queue.enqueue(msg, SUB_OP)
         elif isinstance(msg, (MOSDPGPull, MOSDPGPush)):
             self._op_queue.enqueue(msg, RECOVERY_OP)
-        elif isinstance(msg, MScrubDigest):
-            self._op_queue.enqueue(msg, SCRUB_OP)
         elif isinstance(msg, MOSDPGPushReply):
             if self.recovery is not None:
                 self.recovery.handle_push_reply(msg)
-            _release(msg)
-        elif isinstance(msg, MScrubReply):
-            if self.scrub is not None:
-                self.scrub.handle_reply(msg)
             _release(msg)
         elif isinstance(msg, MOSDRepOpReply):
             inflight = self._inflight.get(msg.tid)
@@ -544,8 +503,6 @@ class OsdDaemon:
                         yield from self._handle_client_read(msg, thread)
                     elif msg.op == OpType.STAT:
                         yield from self._handle_client_stat(msg, thread)
-                    elif msg.op == OpType.DELETE:
-                        yield from self._handle_client_delete(msg, thread)
                 elif isinstance(msg, MOSDRepOp):
                     yield from self._handle_repop(msg, thread)
                 elif isinstance(msg, MOSDPGPull):
@@ -557,14 +514,6 @@ class OsdDaemon:
                         self.env.process(
                             self.recovery.handle_push(msg),
                             name=f"{self.name}.recv-push",
-                        )
-                    else:
-                        _release(msg)
-                elif isinstance(msg, MScrubDigest):
-                    if self.scrub is not None:
-                        self.env.process(
-                            self.scrub.handle_digest(msg),
-                            name=f"{self.name}.scrub-check",
                         )
                     else:
                         _release(msg)
@@ -689,8 +638,8 @@ class OsdDaemon:
         txn: Transaction,
         inflight: _InFlightWrite,
         repop_tid: int,
-        pgid: Optional[PgId] = None,
-        gen_credit: Optional[list] = None,
+        pgid: PgId,
+        gen_credit: list[tuple[int, bool | None, int]],
     ) -> Generator[Any, Any, None]:
         thread = self._completion_thread
         inc = self.incarnation
@@ -732,7 +681,6 @@ class OsdDaemon:
             reply.span_ctx = getattr(msg, "span_ctx", None)  # type: ignore[attr-defined]
             reply.origin_span = op_span  # type: ignore[attr-defined]
         self.messenger.send_message(reply, msg.src)
-        _complete(self, msg)
         _release(msg)
         if op_span is not None:
             op_span.finish(
@@ -828,42 +776,6 @@ class OsdDaemon:
 
         self.env.process(work(), name=f"{self.name}.stat.{msg.tid}")
 
-    # -- client delete -----------------------------------------------------------------
-    def _handle_client_delete(
-        self, msg: MOSDOp, thread: SimThread
-    ) -> Generator[Any, Any, None]:
-        yield from thread.charge(self.config.op_cpu)
-        pgid = self.osdmap.object_to_pg(msg.pool, msg.object_name)
-        if self._misdirected(msg, pgid):
-            return
-        pg = self.refresh_pg(pgid)
-        txn = Transaction().remove(pg.collection, msg.object_name)
-        op_span = getattr(msg, "op_span", None)
-        if op_span is not None:
-            txn.span_ctx = op_span.context
-        inflight = _InFlightWrite(
-            [self.osdmap.address_of(r) for r in pg.replicas], self.env
-        )
-        self._repop_tid += 1
-        repop_tid = self._repop_tid
-        if pg.replicas:
-            self._inflight[repop_tid] = inflight
-        for replica in pg.replicas:
-            rep = MOSDRepOp(
-                tid=repop_tid, pool=msg.pool, pg_seed=pgid.seed,
-                object_name=msg.object_name, length=0,
-                map_epoch=self.osdmap.epoch,
-            )
-            if op_span is not None:
-                rep.span_ctx = op_span.context  # type: ignore[attr-defined]
-            self.messenger.send_message(
-                rep, self.osdmap.address_of(replica)
-            )
-        self.env.process(
-            self._commit_and_reply(msg, txn, inflight, repop_tid),
-            name=f"{self.name}.del.{msg.tid}",
-        )
-
     # -- replica side -----------------------------------------------------------------
     def _handle_repop(
         self, msg: MOSDRepOp, thread: SimThread
@@ -886,16 +798,11 @@ class OsdDaemon:
                 pgid, self.osd_id, full=False,
                 gen=self.osdmap.bump_pg_gen(pgid),
             )
-        if msg.data is not None:
-            txn.write(
-                pg.collection, msg.object_name, msg.offset, msg.length, msg.data
-            )
-            if ctx is not None:
-                txn.span_ctx = msg.repop_span.context  # type: ignore[attr-defined]
-        else:
-            txn.remove(pg.collection, msg.object_name)
-            if ctx is not None:
-                txn.span_ctx = msg.repop_span.context  # type: ignore[attr-defined]
+        txn.write(
+            pg.collection, msg.object_name, msg.offset, msg.length, msg.data
+        )
+        if ctx is not None:
+            txn.span_ctx = msg.repop_span.context  # type: ignore[attr-defined]
         pg.repops_applied += 1
         self.repops += 1
         self.env.process(
@@ -943,20 +850,8 @@ def _release(msg: Message) -> None:
 
 
 def _mark(msg: Message, now: float, stage: str) -> None:
-    """Record a stage transition on a tracked op (no-op untracked).
-
-    The same mark is folded into the op's span as a span event, so the
-    OpTracker stage view and the trace view cannot drift."""
-    tracked = getattr(msg, "tracked_op", None)
-    if tracked is not None:
-        tracked.mark(now, stage)
-    span = getattr(msg, "op_span", None)
+    """Record a stage transition as an event of the op's span (no-op
+    untraced): the ``osd.op`` span is the one per-op stage record."""
+    span = msg.op_span
     if span is not None:
         span.event(now, stage)
-
-
-def _complete(osd: "OsdDaemon", msg: Message) -> None:
-    """Finish a tracked op (no-op untracked)."""
-    tracked = getattr(msg, "tracked_op", None)
-    if tracked is not None and osd.tracker is not None:
-        osd.tracker.complete(tracked, osd.env.now)

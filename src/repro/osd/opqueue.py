@@ -1,6 +1,6 @@
 """Prioritized OSD operation queue (Ceph's WPQ discipline + mClock tenants).
 
-Ceph schedules work items (client ops, sub-ops, recovery pushes, scrubs)
+Ceph schedules work items (client ops, sub-ops, recovery pushes)
 through a weighted priority queue: *strict*-priority items always go
 first; everything else is dequeued with probability proportional to its
 priority, so background recovery can never starve client I/O and vice
@@ -15,7 +15,6 @@ Priority classes follow Ceph's conventions:
 * ``CLIENT_OP``   (63)  — client I/O
 * ``SUB_OP``      (127) — replication sub-operations (strict band)
 * ``RECOVERY_OP`` (5)   — background recovery/backfill
-* ``SCRUB_OP``    (5)   — background scrubbing
 
 Multi-tenant QoS (``repro.qos``) adds an mClock/dmClock band: ops
 enqueued with a ``tenant`` tag carry per-tenant reservation/limit/
@@ -54,13 +53,11 @@ from ..sim import Environment, Event
 from ..util.rng import SeededRng
 
 __all__ = ["WeightedPriorityQueue", "QueueItem", "QosSpec",
-           "CLIENT_OP", "SUB_OP", "RECOVERY_OP", "SCRUB_OP",
-           "STRICT_THRESHOLD"]
+           "CLIENT_OP", "SUB_OP", "RECOVERY_OP", "STRICT_THRESHOLD"]
 
 CLIENT_OP = 63
 SUB_OP = 127
 RECOVERY_OP = 5
-SCRUB_OP = 5
 
 #: Priorities at or above this are strict (always dequeued first);
 #: mirrors Ceph's osd_client_op_priority cutoff behaviour.

@@ -103,7 +103,7 @@ class RecoveryManager:
 
     def __init__(
         self,
-        osd: "OsdDaemon",
+        osd: OsdDaemon,
         pool_names: list[str],
         tick: float = 1.0,
     ) -> None:

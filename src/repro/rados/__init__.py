@@ -1,7 +1,7 @@
 """RADOS: pools, placement groups, the OSDMap, the monitor, and the
 librados-style client."""
 
-from .client import AioCompletion, OpResult, RadosClient, RadosError
+from .client import OpResult, RadosClient, RadosError
 from .monitor import Monitor
 from .osdmap import OsdInfo, OsdMap, OsdState
 from .types import (
@@ -13,7 +13,6 @@ from .types import (
 )
 
 __all__ = [
-    "AioCompletion",
     "Monitor",
     "OpResult",
     "OsdInfo",

@@ -36,7 +36,7 @@ from ..sim import AnyOf, Event
 from ..util.bufferlist import DataBlob
 from .osdmap import OsdMap
 
-__all__ = ["AioCompletion", "RadosClient", "RadosError", "OpResult"]
+__all__ = ["RadosClient", "RadosError", "OpResult"]
 
 
 class RadosError(Exception):
@@ -57,33 +57,6 @@ class OpResult:
     data: Optional[DataBlob] = None
     version: int = 0
     attachment: Any = None
-
-
-class AioCompletion:
-    """Handle for one asynchronous operation (librados-style).
-
-    ``yield completion.wait()`` resumes the caller when the operation
-    finishes; :attr:`result` then holds the :class:`OpResult` (or the
-    :class:`RadosError` is re-raised at the wait point).
-    """
-
-    def __init__(self, env: Any) -> None:
-        self.env = env
-        self._event: Event = env.event()
-        self.result: Optional[OpResult] = None
-        self.error: Optional[RadosError] = None
-
-    def complete(self, result: OpResult) -> None:
-        self.result = result
-        self._event.succeed(result)
-
-    def fail(self, error: RadosError) -> None:
-        self.error = error
-        self._event.fail(error)
-
-    def wait(self) -> Event:
-        """The event to ``yield`` on; value is the :class:`OpResult`."""
-        return self._event
 
 
 class RadosClient:
@@ -374,41 +347,6 @@ class RadosClient:
         if reply.attachment is not None:
             self.osdmap = reply.attachment
         return True
-
-    # ---------------------------------------------------------------- aio
-    def aio_write(
-        self, pool: str, oid: str, size: int, offset: int = 0
-    ) -> "AioCompletion":
-        """Asynchronous write: returns immediately with a completion.
-
-        Mirrors librados's ``aio_write``: the caller may issue many
-        operations back-to-back and wait on the completions later,
-        driving arbitrary queue depth from one context."""
-        return self._aio(pool, oid, OpType.WRITE, size, offset,
-                         DataBlob(size))
-
-    def _aio(
-        self,
-        pool: str,
-        oid: str,
-        op: OpType,
-        size: int,
-        offset: int,
-        data: Optional[DataBlob],
-    ) -> "AioCompletion":
-        completion = AioCompletion(self.env)
-
-        def driver() -> Any:
-            try:
-                result = yield from self._do_op(pool, oid, op, size,
-                                                offset, data)
-            except RadosError as exc:
-                completion.fail(exc)
-                return
-            completion.complete(result)
-
-        self.env.process(driver(), name=f"aio-{oid}")
-        return completion
 
     def _next_tid(self) -> int:
         self._tid += 1

@@ -2,8 +2,8 @@
 
 The paper's headline claim is *where* cycles go — ``msgr-worker`` vs
 ``bstore`` vs ``tp_osd_tp``, host vs DPU — but ``CpuSampler`` windows
-and ``OpTracker`` stage marks only answer that in aggregate.  This
-module follows a *single* operation end to end:
+only answer that in aggregate.  This module follows a *single*
+operation end to end:
 
 ``RadosClient`` op → messenger send/recv (context carried on the
 ``Message``) → OSD opqueue/PG → ``ProxyObjectStore`` dispatch → RPC call
@@ -123,8 +123,8 @@ class Span:
 
     # -- mutators ----------------------------------------------------------
     def event(self, t: float, name: str) -> None:
-        """Record a point-in-time annotation (OpTracker stage marks are
-        folded in through here, so the two facilities cannot drift)."""
+        """Record a point-in-time annotation (the OSD's per-op stage
+        marks land here)."""
         self.events.append((t, name))
 
     def tag(self, key: str, value: Any) -> None:
@@ -189,8 +189,7 @@ class SpanContext:
     """What actually travels between layers: tracer + active span.
 
     Messages, transactions and RPC requests carry one as a dynamic
-    ``span_ctx`` attribute (the same idiom as ``tracked_op`` /
-    ``throttle_release``); layers that find ``None`` skip all tracing.
+    ``span_ctx`` attribute (the same idiom as ``throttle_release``); layers that find ``None`` skip all tracing.
     """
 
     tracer: "Tracer"

@@ -6,27 +6,22 @@ from .bufferlist import BufferList, DataBlob, EncodeError
 from .digest import sha256_hex
 from .rjenkins import (
     ceph_str_hash_rjenkins,
-    crush_hash32,
     crush_hash32_2,
     crush_hash32_3,
-    crush_hash32_4,
 )
 from .rng import SeededRng
-from .stats import Histogram, RunningStats, TimeSeries, percentile
+from .stats import RunningStats, TimeSeries, percentile
 
 __all__ = [
     "BufferList",
     "DataBlob",
     "EncodeError",
-    "Histogram",
     "RunningStats",
     "SeededRng",
     "TimeSeries",
     "ceph_str_hash_rjenkins",
-    "crush_hash32",
     "crush_hash32_2",
     "crush_hash32_3",
-    "crush_hash32_4",
     "percentile",
     "sha256_hex",
 ]

@@ -14,10 +14,8 @@ placement-group seeds.
 from __future__ import annotations
 
 __all__ = [
-    "crush_hash32",
     "crush_hash32_2",
     "crush_hash32_3",
-    "crush_hash32_4",
     "ceph_str_hash_rjenkins",
 ]
 
@@ -59,17 +57,6 @@ def _mix(a: int, b: int, c: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-def crush_hash32(a: int) -> int:
-    """Hash one 32-bit value."""
-    a &= _M32
-    h = (CRUSH_HASH_SEED ^ a) & _M32
-    b = a
-    x, y = 231232, 1232
-    b, x, h = _mix(b, x, h)
-    y, a, h = _mix(y, a, h)
-    return h
-
-
 def crush_hash32_2(a: int, b: int) -> int:
     """Hash two 32-bit values."""
     a &= _M32
@@ -94,23 +81,6 @@ def crush_hash32_3(a: int, b: int, c: int) -> int:
     y, a, h = _mix(y, a, h)
     b, x, h = _mix(b, x, h)
     y, c, h = _mix(y, c, h)
-    return h
-
-
-def crush_hash32_4(a: int, b: int, c: int, d: int) -> int:
-    """Hash four 32-bit values."""
-    a &= _M32
-    b &= _M32
-    c &= _M32
-    d &= _M32
-    h = (CRUSH_HASH_SEED ^ a ^ b ^ c ^ d) & _M32
-    x, y = 231232, 1232
-    a, b, h = _mix(a, b, h)
-    c, d, h = _mix(c, d, h)
-    a, x, h = _mix(a, x, h)
-    y, b, h = _mix(y, b, h)
-    c, x, h = _mix(c, x, h)
-    y, d, h = _mix(y, d, h)
     return h
 
 

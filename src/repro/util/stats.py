@@ -1,5 +1,5 @@
-"""Lightweight statistics helpers: online accumulators, histograms,
-per-second time series.
+"""Lightweight statistics helpers: online accumulators and per-second
+time series.
 
 These are used by the benchmark harness (RADOS bench instrumentation,
 CPU utilization sampling) and by the DoCeph latency-breakdown
@@ -9,11 +9,9 @@ instrumentation that regenerates Table 3 / Figure 9.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
-__all__ = ["RunningStats", "Histogram", "TimeSeries", "percentile",
-           "jain_fairness_index"]
+__all__ = ["RunningStats", "TimeSeries", "percentile", "jain_fairness_index"]
 
 
 def jain_fairness_index(values: list[float]) -> float:
@@ -117,65 +115,6 @@ class RunningStats:
             f"<RunningStats n={self.count} mean={self.mean:.6g}"
             f" sd={self.stddev:.6g} min={self.min:.6g} max={self.max:.6g}>"
         )
-
-
-class Histogram:
-    """Fixed-boundary histogram with exact-value retention up to a cap.
-
-    Retains raw values (for exact percentiles) until ``max_raw`` samples,
-    after which only bucket counts are maintained.  Bucket boundaries are
-    the upper edges; a value lands in the first bucket whose edge is >= it.
-    """
-
-    def __init__(self, boundaries: list[float], max_raw: int = 100_000) -> None:
-        if boundaries != sorted(boundaries):
-            raise ValueError("histogram boundaries must be sorted")
-        if not boundaries:
-            raise ValueError("histogram needs at least one boundary")
-        self.boundaries = list(boundaries)
-        self.counts = [0] * (len(boundaries) + 1)  # +1 overflow bucket
-        self.stats = RunningStats()
-        self._raw: list[float] | None = []
-        self._max_raw = max_raw
-
-    def add(self, value: float) -> None:
-        # A value equal to a boundary belongs to that boundary's bucket,
-        # hence bisect_left rather than bisect_right.
-        idx = bisect_left(self.boundaries, value)
-        self.counts[idx] += 1
-        self.stats.add(value)
-        if self._raw is not None:
-            self._raw.append(value)
-            if len(self._raw) > self._max_raw:
-                self._raw = None
-
-    @property
-    def count(self) -> int:
-        return self.stats.count
-
-    def percentile(self, p: float) -> float:
-        """Exact if raw values retained, else bucket-edge approximation."""
-        if self.stats.count == 0:
-            raise ValueError("percentile of empty histogram")
-        if self._raw is not None:
-            return percentile(sorted(self._raw), p)
-        target = (p / 100.0) * self.stats.count
-        cum = 0
-        for i, c in enumerate(self.counts):
-            cum += c
-            if cum >= target:
-                if i < len(self.boundaries):
-                    return self.boundaries[i]
-                return self.stats.max
-        return self.stats.max
-
-    @staticmethod
-    def exponential(start: float, factor: float, count: int) -> "Histogram":
-        """Histogram with geometrically growing bucket edges."""
-        if start <= 0 or factor <= 1 or count < 1:
-            raise ValueError("need start>0, factor>1, count>=1")
-        edges = [start * factor**i for i in range(count)]
-        return Histogram(edges)
 
 
 @dataclass

@@ -10,8 +10,8 @@ apart.  Kinds:
 * :data:`STR` / :data:`BYTES` — u32 length prefix + raw bytes,
 * :class:`Custom` — a ``pack`` / ``unpack`` pair over the same
   primitives: the homogeneous lists (:data:`U32_LIST`,
-  :data:`STR_LIST`), the sorted :data:`STR_U64_MAP`, and per-class hooks
-  for layouts no generic kind expresses,
+  :data:`STR_LIST`) and per-class hooks for layouts no generic kind
+  expresses,
 * :data:`OPT_BLOB` — a trailing optional bulk payload: one flag byte at
   the end of the real bytes, the :class:`DataBlob` as the next extent
   (:data:`BLOB` is the unconditional, flag-less form).
@@ -42,7 +42,7 @@ from .bufferlist import BufferList, DataBlob, EncodeError, Extent
 
 __all__ = [
     "Scalar", "U8", "U16", "U32", "U64", "S64", "F64", "BOOL", "enum",
-    "STR", "BYTES", "Custom", "U32_LIST", "STR_LIST", "STR_U64_MAP",
+    "STR", "BYTES", "Custom", "U32_LIST", "STR_LIST",
     "OPT_BLOB", "BLOB", "Schema", "Plan", "compile_schema", "tagged_front",
     "pack_str", "unpack_str",
 ]
@@ -97,7 +97,6 @@ Schema = tuple[tuple[Union[str, tuple[str, ...]], Kind], ...]
 
 _u32 = struct.Struct("<I")
 _u32_pack, _u32_unpack = _u32.pack, _u32.unpack_from
-_u64 = struct.Struct("<Q")
 
 
 def pack_str(s: str) -> bytes:
@@ -140,33 +139,10 @@ def _unpack_strs(buf: bytes, pos: int) -> tuple[tuple[str, ...], int]:
     return tuple(out), pos
 
 
-def _pack_str_u64_map(mapping: dict[str, int]) -> bytes:
-    return _u32_pack(len(mapping)) + b"".join(
-        pack_str(key) + _u64.pack(mapping[key]) for key in sorted(mapping)
-    )
-
-
-def _unpack_str_u64_map(buf: bytes, pos: int) -> tuple[dict[str, int], int]:
-    (n,) = _u32_unpack(buf, pos)
-    pos += 4
-    out: dict[str, int] = {}
-    last = None
-    for _ in range(n):
-        key, pos = unpack_str(buf, pos)
-        if last is not None and key <= last:
-            raise EncodeError(f"map keys out of order: {key!r} after {last!r}")
-        (out[key],) = _u64.unpack_from(buf, pos)
-        pos += 8
-        last = key
-    return out, pos
-
-
 #: u32 count + that many u32 (decodes to a tuple).
 U32_LIST = Custom(_pack_u32s, _unpack_u32s)
 #: u32 count + that many strings (decodes to a tuple).
 STR_LIST = Custom(_pack_strs, _unpack_strs)
-#: u32 count + (str key, u64 value) pairs in sorted key order.
-STR_U64_MAP = Custom(_pack_str_u64_map, _unpack_str_u64_map)
 
 
 def _real_run(extents: list[Extent], i: int) -> tuple[bytes, int]:

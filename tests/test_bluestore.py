@@ -10,8 +10,6 @@ from repro.objectstore import (
     NoSuchObject,
     StoreError,
     Transaction,
-    TxnOp,
-    TxnOpKind,
 )
 from repro.sim import Environment
 from repro.util import DataBlob
@@ -36,9 +34,9 @@ def test_transaction_builders_and_sizes():
     blob = DataBlob(1 << 20)
     txn = (
         Transaction()
-        .touch("pg1", "a")
+        .create_collection("pg1")
         .write("pg1", "a", 0, blob.length, blob)
-        .setattr("pg1", "a", "k", b"v")
+        .remove("pg1", "b")
     )
     assert txn.num_ops == 3
     assert txn.data_len == 1 << 20
@@ -56,10 +54,8 @@ def test_transaction_encode_decode_roundtrip():
         Transaction()
         .create_collection("pg2")
         .write("pg2", "obj", 0, 4096, blob)
+        .remove("pg2", "gone")
     )
-    txn.ops.append(TxnOp(TxnOpKind.OMAP_SET, "pg2", "obj", key="key",
-                         value=b"val"))
-    txn.truncate("pg2", "obj", 100).remove("pg2", "gone")
     out = Transaction.decode(txn.encode())
     assert out == txn
 
@@ -248,67 +244,6 @@ def test_stat_missing_object_raises():
     assert p.value == "missing"
 
 
-def test_getattr_and_omap():
-    env, store, thread = make_store()
-    txn = (
-        Transaction()
-        .touch("pg1", "obj")
-        .setattr("pg1", "obj", "_", b"oi-bytes")
-    )
-    txn.ops.append(TxnOp(TxnOpKind.OMAP_SET, "pg1", "obj", key="snap",
-                         value=b"meta"))
-    run_txn(env, store, thread, txn)
-
-    def proc():
-        v = yield from store.getattr("pg1", "obj", "_", thread)
-        return v
-
-    p = env.process(proc())
-    env.run(until=20.0)
-    assert p.value == b"oi-bytes"
-    assert store.collections["pg1"]["obj"].omap["snap"] == b"meta"
-
-
-def test_getattr_missing_attr_raises():
-    env, store, thread = make_store()
-    run_txn(env, store, thread, Transaction().touch("pg1", "obj"))
-
-    def proc():
-        try:
-            yield from store.getattr("pg1", "obj", "nope", thread)
-        except NoSuchObject:
-            return "noattr"
-
-    p = env.process(proc())
-    env.run(until=20.0)
-    assert p.value == "noattr"
-
-
-def test_attrs_and_omap_are_created_on_first_set():
-    """A written object carries no attr or omap dict until a key is set;
-    ``stat`` counts the attrs either way."""
-    env, store, thread = make_store()
-    blob = DataBlob(1 << 16)
-    run_txn(env, store, thread,
-            Transaction().write("pg1", "obj", 0, blob.length, blob))
-    onode = store.collections["pg1"]["obj"]
-    assert onode.attrs is None and onode.omap is None
-    counts = []
-
-    def stat():
-        st = yield from store.stat("pg1", "obj", thread)
-        counts.append(st.attrs)
-
-    env.run(until=env.process(stat()))
-    run_txn(env, store, thread, Transaction()
-            .setattr("pg1", "obj", "_", b"oi")
-            .setattr("pg1", "obj", "s", b"ss"))
-    env.run(until=env.process(stat()))
-    assert counts == [0, 2]
-    assert onode.omap is None
-    assert not hasattr(onode, "__dict__")
-
-
 def test_read_returns_blob_and_charges_device():
     env, store, thread = make_store()
     blob = DataBlob(1 << 20)
@@ -343,7 +278,8 @@ def test_read_clamps_to_object_size():
 def test_list_objects_sorted():
     env, store, thread = make_store()
     for name in ["c", "a", "b"]:
-        run_txn(env, store, thread, Transaction().touch("pg1", name))
+        run_txn(env, store, thread,
+                Transaction().write("pg1", name, 0, 1, DataBlob(1)))
 
     def proc():
         names = yield from store.list_objects("pg1", thread)

@@ -1,6 +1,6 @@
 """Property tests: BlueStore against a reference model.
 
-For arbitrary sequences of write/touch/remove/truncate operations,
+For arbitrary sequences of write/append/remove operations,
 BlueStore must agree with a plain-dictionary model on object existence
 and size, and the allocator must conserve space exactly (remove frees
 everything a write allocated)."""
@@ -22,7 +22,7 @@ KB = 1024
 
 op_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["write", "touch", "remove", "truncate"]),
+        st.sampled_from(["write", "append", "remove"]),
         st.integers(min_value=0, max_value=5),        # object index
         st.integers(min_value=1, max_value=512 * KB),  # size
     ),
@@ -52,17 +52,15 @@ def test_bluestore_matches_reference_model(ops):
             if kind == "write":
                 txn.write("pg", name, 0, size, DataBlob(size))
                 model[name] = max(model.get(name, 0), size)
-            elif kind == "touch":
-                txn.touch("pg", name)
-                model.setdefault(name, 0)
-            elif kind == "remove":
+            elif kind == "append":
+                end = model.get(name, 0)
+                txn.write("pg", name, end, size, DataBlob(size))
+                model[name] = end + size
+            else:  # remove
                 if name not in model:
                     continue  # store would raise; model skips too
                 txn.remove("pg", name)
                 del model[name]
-            else:  # truncate
-                txn.truncate("pg", name, size)
-                model[name] = size
             yield from store.queue_transaction(txn, thread)
 
     p = env.process(driver())

@@ -1,13 +1,18 @@
-"""Every def in ``src/repro`` has a caller.
+"""Every def in ``src/repro`` has a caller, and every import a use.
 
 A function, method or class that nothing in ``src/``, ``benchmarks/``
 or ``examples/`` names is surface the model carries for no run: it
 costs lines, docs and review, and no golden can see it break.  A def is
 *named* when its name appears as an AST ``Name`` or ``Attribute`` load
-anywhere in those trees outside its own body; an import or an
+anywhere in those trees outside its own body; a def in a class body (a
+method) is named only by an ``Attribute`` load, so a call of the builtin
+``getattr`` does not vouch for a ``getattr`` method.  An import or an
 ``__all__`` entry (a re-export) does not count.  Dunders and lint rules
 (registered by their ``@rule`` decorator) are exempt by construction;
 every other exemption is listed below with the reason it stays.
+
+A name a module in ``src/repro`` imports must be loaded in that module,
+unless the module re-exports it in ``__all__``.
 """
 
 from __future__ import annotations
@@ -21,9 +26,6 @@ CALLER_TREES = (ROOT / "src", ROOT / "benchmarks", ROOT / "examples")
 
 #: ``module:name`` -> why it stays without a caller in the trees above.
 EXEMPT = {
-    "cluster/builder.py:add_pool":
-        "runtime `osd pool create`; test_cluster_config adds a pool to a "
-        "booted cluster",
     "hw/cpu.py:utilization":
         "busy share of a core budget; test_hw_cpu pins it against "
         "busy_cores",
@@ -34,26 +36,19 @@ EXEMPT = {
         "through it",
     "msgr/message.py:map_blob":
         "schema field of MMonMapReply, read by name by its compiled plan",
-    "objectstore/api.py:touch":
-        "transaction op the BlueStore applies; the pinned wire corpus and "
-        "the BlueStore reference model build it",
-    "objectstore/api.py:truncate":
-        "transaction op the BlueStore applies; the pinned wire corpus and "
-        "the BlueStore reference model build it",
-    "rados/client.py:aio_write":
-        "librados-style async write; test_integration_baseline pins "
-        "completion-driven queue depth",
     "rados/client.py:ms_handle_connect_fault":
         "dispatcher hook the messenger looks up with getattr",
+    "sim/core.py:defused":
+        "an event's swallow-my-error flag; StopSimulation sets it (a store, "
+        "which the guard does not count) and test_sim_edge_cases pins it",
     "sim/core.py:trigger":
         "event chaining helper; test_sim_core's late-waiter model and "
         "test_sim_edge_cases pin it",
+    "sim/exceptions.py:cause":
+        "the value an Interrupt carries; test_sim_core reads it back",
     "sim/resources.py:cancel":
         "withdraws an ungranted request; test_sim_resources pins the queue "
         "it leaves",
-    "trace.py:find":
-        "span lookup by name prefix that test_trace's checks read spans "
-        "through",
     "trace.py:critical_path":
         "per-root critical path; test_trace proves the report's summary "
         "equals it",
@@ -69,18 +64,10 @@ EXEMPT = {
     "util/bufferlist.py:encode_bytes":
         "typed encoder of a wire kind; test_wire's reference walk encodes "
         "with it",
-    "util/rjenkins.py:crush_hash32":
-        "one-input member of the rjenkins family; test_util_hash_stats "
-        "pins its 32-bit masking",
-    "util/rjenkins.py:crush_hash32_4":
-        "four-input member of the rjenkins family; test_util_hash_stats "
-        "pins its range",
-    "util/stats.py:Histogram":
-        "bucketed latency histogram; test_util_hash_stats pins its buckets "
-        "and percentiles",
-    "util/stats.py:exponential":
-        "Histogram factory; test_util_hash_stats pins its edges",
 }
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _is_lint_rule(node: ast.AST) -> bool:
@@ -91,9 +78,14 @@ def _is_lint_rule(node: ast.AST) -> bool:
 def uncalled_defs(src: pathlib.Path = SRC,
                   trees: tuple[pathlib.Path, ...] = CALLER_TREES) -> list[str]:
     """``module:name`` of every def under ``src`` that no file under
-    ``trees`` loads by name outside the def itself."""
-    loads: dict[str, list[tuple[pathlib.Path, int]]] = {}
-    defs: list[tuple[pathlib.Path, ast.AST]] = []
+    ``trees`` loads by name outside the def itself (a method: by an
+    attribute load)."""
+    #: name -> [(path, line, is an attribute load)]
+    loads: dict[str, list[tuple[pathlib.Path, int, bool]]] = {}
+    defs: list[tuple[pathlib.Path, ast.AST, bool]] = []
+    #: defs found directly in a class body (ast.walk visits a class
+    #: before its body)
+    methods: set[ast.AST] = set()
     for tree in trees:
         for path in sorted(tree.rglob("*.py")):
             module = ast.parse(path.read_text(encoding="utf-8"))
@@ -101,24 +93,61 @@ def uncalled_defs(src: pathlib.Path = SRC,
             for node in ast.walk(module):
                 if isinstance(node, ast.Name) and isinstance(node.ctx,
                                                              ast.Load):
-                    loads.setdefault(node.id, []).append((path, node.lineno))
+                    loads.setdefault(node.id, []).append(
+                        (path, node.lineno, False))
                 elif isinstance(node, ast.Attribute) and isinstance(
                         node.ctx, ast.Load):
                     loads.setdefault(node.attr, []).append(
-                        (path, node.lineno))
-                elif in_src and isinstance(node, (
-                        ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    defs.append((path, node))
+                        (path, node.lineno, True))
+                elif in_src and isinstance(node, _DEFS):
+                    defs.append((path, node, node in methods))
+                    if isinstance(node, ast.ClassDef):
+                        methods.update(child for child in node.body
+                                       if isinstance(child, _DEFS))
     uncalled = []
-    for path, node in defs:
+    for path, node, in_class in defs:
         name = node.name
         if (name.startswith("__") and name.endswith("__")) \
                 or _is_lint_rule(node):
             continue
-        if not any(where != path or not node.lineno <= line <= node.end_lineno
-                   for where, line in loads.get(name, ())):
+        if not any((where != path
+                    or not node.lineno <= line <= node.end_lineno)
+                   and (attr or not in_class)
+                   for where, line, attr in loads.get(name, ())):
             uncalled.append(f"{path.relative_to(src).as_posix()}:{name}")
     return sorted(uncalled)
+
+
+def unused_imports(src: pathlib.Path = SRC) -> list[str]:
+    """``module:name`` of every name a module under ``src`` imports and
+    never loads, unless the module lists it in ``__all__``."""
+    unused = []
+    for path in sorted(src.rglob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        imported: dict[str, int] = {}
+        exported: set[str] = set()
+        loaded: set[str] = set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported.setdefault(name, node.lineno)
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                for alias in node.names:
+                    imported.setdefault(alias.asname or alias.name,
+                                        node.lineno)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        unused += [f"{path.relative_to(src).as_posix()}:{name}"
+                   for name in imported
+                   if name not in loaded and name not in exported]
+    return sorted(unused)
 
 
 def test_every_def_in_src_has_a_caller_or_a_listed_reason():
@@ -139,3 +168,39 @@ def test_the_guard_sees_a_seeded_uncalled_def(tmp_path):
     (src / "__init__.py").write_text(
         "from .m import unused\n__all__ = ['unused']\n", encoding="utf-8")
     assert uncalled_defs(src, (tmp_path / "src",)) == ["m.py:C", "m.py:unused"]
+
+
+def test_a_builtin_call_does_not_vouch_for_a_method_of_its_name(tmp_path):
+    src = tmp_path / "src" / "repro"
+    src.mkdir(parents=True)
+    (src / "m.py").write_text(
+        "class T:\n"
+        "    def setattr(self):\n        return self\n\n"
+        "    def used(self):\n        return self\n\n\n"
+        "def run(t):\n"
+        "    setattr(t, 'x', getattr(t, 'y', None))\n"
+        "    return T().used()\n\n\n"
+        "run(T())\n",
+        encoding="utf-8")
+    assert uncalled_defs(src, (tmp_path / "src",)) == ["m.py:setattr"]
+
+
+def test_every_import_in_src_is_loaded_or_re_exported():
+    assert unused_imports() == []
+
+
+def test_the_guard_sees_a_seeded_unused_import(tmp_path):
+    src = tmp_path / "repro"
+    src.mkdir()
+    (src / "m.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import Any as A, Optional\n\n\n"
+        "@dataclass\nclass C:\n    x: Optional[int] = None\n",
+        encoding="utf-8")
+    (src / "__init__.py").write_text(
+        "from .m import C\nfrom .m import A\n__all__ = ['C']\n",
+        encoding="utf-8")
+    assert unused_imports(src) == ["__init__.py:A", "m.py:A", "m.py:field",
+                                   "m.py:os"]

@@ -26,7 +26,6 @@ def test_profile_defaults_match_paper_testbed():
     assert p.net_bandwidth == HUNDRED_GIG
     assert p.dpu_cores == 16  # BF3
     assert p.dma_max_transfer == 2 * 1024 * 1024  # the 2 MB cap
-    assert p.scrub_interval is None  # off by default
 
 
 def test_doceph_profile_extends_hardware_profile():
@@ -167,45 +166,3 @@ def test_two_clusters_coexist_in_one_environment():
     env.run(until=pa)
     env.run(until=pb)
     assert pa.value == 0 and pb.value == 0
-
-
-@pytest.mark.parametrize("builder", [build_baseline_cluster,
-                                     build_doceph_cluster])
-def test_add_pool_at_runtime(builder):
-    """A second pool created post-boot is writable on both deployments
-    and isolated from the bench pool."""
-    env = Environment()
-    c = builder(env)
-    boot = env.process(c.boot())
-    env.run(until=boot)
-
-    p = env.process(c.add_pool("images", pg_num=16, size=2))
-    env.run(until=p)
-    pool = p.value
-    assert pool.name == "images"
-    assert c.osdmap.pool_by_name("images").pg_num == 16
-
-    def work():
-        r1 = yield from c.client.write_object("images", "img-1", 1 << 20)
-        r2 = yield from c.client.write_object(BENCH_POOL, "img-1", 2 << 20)
-        s1 = yield from c.client.stat_object("images", "img-1")
-        s2 = yield from c.client.stat_object(BENCH_POOL, "img-1")
-        return r1, r2, s1, s2
-
-    w = env.process(work())
-    env.run(until=w)
-    r1, r2, s1, s2 = w.value
-    assert r1.result == 0 and r2.result == 0
-    # same object name, different pools, independent sizes
-    assert s1.attachment.size == 1 << 20
-    assert s2.attachment.size == 2 << 20
-
-
-def test_add_pool_duplicate_name_rejected():
-    env = Environment()
-    c = build_baseline_cluster(env)
-    boot = env.process(c.boot())
-    env.run(until=boot)
-    p = env.process(c.add_pool(BENCH_POOL))
-    with pytest.raises(ValueError):
-        env.run(until=p)

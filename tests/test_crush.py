@@ -211,19 +211,6 @@ def test_duplicate_rule_rejected():
         cmap.add_rule(CrushMap.replicated_rule())
 
 
-def test_uniform_bucket():
-    cmap = CrushMap()
-    bucket = cmap.add_bucket("default", "root", uniform=True)
-    for i in range(4):
-        bucket.add_item(i, 1.0)
-        cmap._device_weights[i] = 1.0
-        cmap._reweights[i] = 1.0
-    counts = collections.Counter(bucket.choose(x, 0) for x in range(4000))
-    mean = 1000
-    for c in counts.values():
-        assert abs(c - mean) / mean < 0.25
-
-
 # ---------------------------------------------------------------- properties
 
 

@@ -64,7 +64,7 @@ def test_data_txn_uses_dma_metadata_txn_uses_rpc():
             Transaction().write("pg", "big", 0, blob.length, blob), thread
         )
         yield from proxy.queue_transaction(
-            Transaction().touch("pg", "meta-only"), thread
+            Transaction().remove("pg", "big"), thread
         )
 
     run(env, work())
@@ -114,24 +114,21 @@ def test_control_ops_roundtrip_through_rpc():
 
     def work():
         blob = DataBlob(1 * MB)
-        txn = (Transaction()
-               .write("pg", "obj", 0, blob.length, blob)
-               .setattr("pg", "obj", "_", b"oi"))
+        txn = Transaction().write("pg", "obj", 0, blob.length, blob)
         yield from proxy.queue_transaction(txn, thread)
         st = yield from proxy.stat("pg", "obj", thread)
         exists = yield from proxy.exists("pg", "obj", thread)
         ghost = yield from proxy.exists("pg", "ghost", thread)
-        attr = yield from proxy.getattr("pg", "obj", "_", thread)
         names = yield from proxy.list_objects("pg", thread)
-        return st, exists, ghost, attr, names
+        return st, exists, ghost, names
 
-    st, exists, ghost, attr, names = run(env, work())
+    st, exists, ghost, names = run(env, work())
     assert st.size == 1 * MB
+    assert st.attrs == 0
     assert exists is True
     assert ghost is False
-    assert attr == b"oi"
     assert names == ["obj"]
-    assert server.control_ops >= 5
+    assert server.control_ops >= 4
 
 
 def test_stat_missing_raises_nosuchobject():
@@ -145,22 +142,6 @@ def test_stat_missing_raises_nosuchobject():
             return "missing"
 
     assert run(env, work()) == "missing"
-
-
-def test_getattr_missing_attr_raises():
-    env = Environment()
-    node, store, server, proxy, thread = make_proxy_rig(env)
-
-    def work():
-        yield from proxy.queue_transaction(
-            Transaction().touch("pg", "obj"), thread
-        )
-        try:
-            yield from proxy.getattr("pg", "obj", "nope", thread)
-        except NoSuchObject:
-            return "noattr"
-
-    assert run(env, work()) == "noattr"
 
 
 def test_read_streams_back_over_dma():

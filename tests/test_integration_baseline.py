@@ -8,7 +8,6 @@ reads, stats and deletes.
 import pytest
 
 from repro.cluster import BENCH_POOL, build_baseline_cluster, HardwareProfile
-from repro.msgr import OpType
 from repro.rados import RadosError
 from repro.sim import Environment
 
@@ -87,24 +86,6 @@ def test_stat_reports_size_and_missing(cluster):
     assert st.result == 0
     assert st.attachment.size == 2 << 20
     assert missing.result == -2
-
-
-def test_delete_removes_from_all_replicas(cluster):
-    client = cluster.client
-
-    def work():
-        yield from client.write_object(BENCH_POOL, "obj-D", 1 << 20)
-        # no client call issues a delete; the OSD still serves one
-        yield from client._do_op(BENCH_POOL, "obj-D", OpType.DELETE, 0, 0,
-                                 None)
-        st = yield from client.stat_object(BENCH_POOL, "obj-D")
-        return st
-
-    st = run_client(cluster, work)
-    assert st.result == -2
-    for store in cluster.stores:
-        for objects in store.collections.values():
-            assert "obj-D" not in objects
 
 
 def test_client_requires_boot():
@@ -213,65 +194,3 @@ def test_deterministic_across_runs():
         return lat
 
     assert run_once() == run_once()
-
-
-def test_aio_pipelined_writes(cluster):
-    """The aio API drives queue depth from one caller context."""
-    env = cluster.env
-    client = cluster.client
-
-    def work():
-        completions = [
-            client.aio_write(BENCH_POOL, f"aio-{i}", 1 << 20)
-            for i in range(8)
-        ]
-        results = []
-        for c in completions:
-            result = yield c.wait()
-            results.append(result)
-        return completions, results
-
-    p = env.process(work())
-    env.run(until=p)
-    completions, results = p.value
-    assert all(c.wait().triggered for c in completions)
-    assert all(r.result == 0 for r in results)
-    # queue depth 8 from a single caller: total wall time well below
-    # 8x a single op's latency
-    total = max(r.latency for r in results)
-    serial = sum(r.latency for r in results)
-    assert total < 0.5 * serial
-
-
-def test_aio_read_roundtrip(cluster):
-    env = cluster.env
-    client = cluster.client
-
-    def work():
-        w = client.aio_write(BENCH_POOL, "aio-obj", 1 << 20)
-        yield w.wait()
-        # the completion path is op-agnostic: a read carries its data
-        r = client._aio(BENCH_POOL, "aio-obj", OpType.READ, 1 << 20, 0, None)
-        result = yield r.wait()
-        return result
-
-    p = env.process(work())
-    env.run(until=p)
-    assert p.value.data.length == 1 << 20
-
-
-def test_aio_completion_failure_propagates():
-    """An unbooted client's aio op fails through the completion's wait."""
-    env = Environment()
-    c = build_baseline_cluster(env)  # no boot: osdmap missing
-
-    def work():
-        completion = c.client.aio_write(BENCH_POOL, "x", 1024)
-        try:
-            yield completion.wait()
-        except RadosError as exc:
-            return (completion.error is exc, completion.wait().triggered)
-
-    p = env.process(work())
-    env.run(until=p)
-    assert p.value == (True, True)

@@ -14,7 +14,7 @@ from repro.cluster import (
 )
 from repro.core import ProxyObjectStore
 from repro.faults import FaultPlan
-from repro.msgr import OpType
+from repro.objectstore import Transaction
 from repro.sim import Environment
 
 
@@ -123,13 +123,21 @@ def test_stat_missing_yields_enoent(cluster):
 
 
 def test_delete_via_proxy(cluster):
+    """A data-less remove transaction (what a restarted OSD's resync
+    sends) crosses the proxy over RPC and deletes on the host."""
     client = cluster.client
 
     def work():
         yield from client.write_object(BENCH_POOL, "obj-D", 1 << 20)
-        # no client call issues a delete; the OSD still serves one
-        yield from client._do_op(BENCH_POOL, "obj-D", OpType.DELETE, 0, 0,
-                                 None)
+        pgid = cluster.osdmap.object_to_pg(BENCH_POOL, "obj-D")
+        for osd in cluster.osds:
+            proxy = osd.store
+            dma_before = proxy.node.dma.bytes_transferred
+            yield from proxy.queue_transaction(
+                Transaction().remove(str(pgid), "obj-D"),
+                osd._completion_thread,
+            )
+            assert proxy.node.dma.bytes_transferred == dma_before
         st = yield from client.stat_object(BENCH_POOL, "obj-D")
         return st
 

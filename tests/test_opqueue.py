@@ -5,7 +5,6 @@ import pytest
 from repro.osd import (
     CLIENT_OP,
     RECOVERY_OP,
-    SCRUB_OP,
     STRICT_THRESHOLD,
     SUB_OP,
     WeightedPriorityQueue,
@@ -150,7 +149,7 @@ def test_deterministic_with_same_seed():
         for i in range(50):
             q.enqueue(("c", i), CLIENT_OP)
             q.enqueue(("r", i), RECOVERY_OP)
-            q.enqueue(("s", i), SCRUB_OP)
+            q.enqueue(("s", i), RECOVERY_OP)
         return drain(env, q, 150)
 
     assert run(1) == run(1)

@@ -1,4 +1,4 @@
-"""Integration tests for PG recovery and light scrubbing."""
+"""Integration tests for PG recovery."""
 
 import pytest
 
@@ -154,55 +154,3 @@ def test_client_writes_progress_during_recovery():
     p = env.process(writer())
     env.run(until=p)
     assert results == [0] * 10
-
-
-# ---------------------------------------------------------------- scrub
-
-
-def test_scrub_clean_cluster_reports_no_inconsistencies():
-    profile = HardwareProfile(storage_nodes=2, pg_num=8, scrub_interval=2.0)
-    env, c = boot_cluster(build_baseline_cluster, profile)
-    write_objects(env, c, [f"s-{i}" for i in range(10)])
-    env.run(until=env.now + 30.0)
-    scrubs = sum(o.scrub.scrubs_completed for o in c.osds if o.scrub)
-    assert scrubs > 0
-    assert all(o.scrub.inconsistencies == 0 for o in c.osds if o.scrub)
-    assert sum(o.scrub.objects_scrubbed for o in c.osds if o.scrub) > 0
-
-
-def test_scrub_detects_divergent_replica():
-    profile = HardwareProfile(storage_nodes=2, pg_num=8, scrub_interval=2.0)
-    env, c = boot_cluster(build_baseline_cluster, profile)
-    write_objects(env, c, [f"s-{i}" for i in range(10)])
-
-    # corrupt one replica: silently bump an object's version on store 1
-    store = c.stores[1]
-    victim = None
-    for objects in store.collections.values():
-        for name, onode in objects.items():
-            victim = onode
-            break
-        if victim:
-            break
-    assert victim is not None
-    victim.version += 17
-
-    env.run(until=env.now + 60.0)
-    total_inconsistencies = sum(
-        o.scrub.inconsistencies for o in c.osds if o.scrub
-    )
-    assert total_inconsistencies >= 1
-
-
-def test_scrub_over_doceph_control_plane():
-    """Scrub stats/lists flow through the proxy RPC channel on DoCeph."""
-    profile = DocephProfile(storage_nodes=2, pg_num=8, scrub_interval=2.0)
-    env, c = boot_cluster(build_doceph_cluster, profile)
-    write_objects(env, c, [f"s-{i}" for i in range(6)])
-    control_before = sum(s.control_ops for s in c.proxy_servers)
-    env.run(until=env.now + 20.0)
-    control_after = sum(s.control_ops for s in c.proxy_servers)
-    scrubs = sum(o.scrub.scrubs_completed for o in c.osds if o.scrub)
-    assert scrubs > 0
-    # scrub's stat/list traffic shows up as proxy control-plane ops
-    assert control_after > control_before

@@ -297,43 +297,39 @@ def test_critical_path_summary_equals_per_root_walks(scenario):
     assert report.critical_path_summary() == reference
 
 
-# ---------------------------------------------------------------- OpTracker
+# ---------------------------------------------------------------- op stages
 
 
-def test_optracker_stage_marks_folded_into_spans():
-    """The OpTracker stage marks and the osd.op span events are the same
-    facility — they cannot drift."""
+@pytest.mark.parametrize("builder", [build_baseline_cluster,
+                                     build_doceph_cluster])
+def test_tracked_write_records_pipeline_stages(builder):
+    """Each client write's ``osd.op`` span carries the OSD's stage marks
+    as events, in time order inside the span: its begin is the op's
+    arrival, its end the reply."""
     env = Environment()
     tracer = Tracer(seed=SEED)
-    cluster = build_baseline_cluster(env, tracer=tracer)
-    boot = env.process(cluster.boot())
+    c = builder(env, tracer=tracer)
+    boot = env.process(c.boot())
     env.run(until=boot)
-    trackers = [osd.enable_op_tracking() for osd in cluster.osds]
 
     def work():
-        for i in range(3):
-            yield from cluster.client.write_object(
-                BENCH_POOL, f"fold-{i}", 1 << 20
-            )
+        for i in range(4):
+            yield from c.client.write_object(BENCH_POOL, f"t-{i}", 2 << 20)
 
     p = env.process(work())
     env.run(until=p)
 
-    op_spans = [s for s in tracer.spans if s.name == "osd.op"]
-    tracked = [op for t in trackers for op in t.dump_historic()]
-    assert len(op_spans) == len(tracked) == 3
-    span_marks = sorted(
-        tuple(ev) for s in op_spans for ev in s.events
-    )
-    tracker_marks = sorted(
-        (t, stage) for op in tracked for t, stage in op.events
-        if stage != "initiated"
-    )
-    assert span_marks == tracker_marks
-    for s in op_spans:
-        stages = [name for _, name in s.events]
-        assert "queued_for_pg" in stages
+    op_spans = tracer.report().find("osd.op")
+    assert len(op_spans) == 4
+    for span in op_spans:
+        stages = [s for _, s in span.events]
+        assert stages[0] == "queued_for_pg"
+        assert "reached_pg" in stages
+        assert "sub_op_sent" in stages  # replication 2
         assert "commit_received" in stages
+        times = [span.begin] + [t for t, _ in span.events] + [span.end]
+        assert times == sorted(times)
+        assert span.duration is not None and span.duration > 0
 
 
 # ---------------------------------------------------------------- faults

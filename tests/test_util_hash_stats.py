@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util import (
-    Histogram,
     RunningStats,
     SeededRng,
     TimeSeries,
     ceph_str_hash_rjenkins,
-    crush_hash32,
     crush_hash32_2,
     crush_hash32_3,
-    crush_hash32_4,
     percentile,
 )
 
@@ -26,10 +23,8 @@ from repro.util import (
 
 def test_hash_outputs_are_32bit():
     for h in (
-        crush_hash32(12345),
         crush_hash32_2(1, 2),
         crush_hash32_3(1, 2, 3),
-        crush_hash32_4(1, 2, 3, 4),
         ceph_str_hash_rjenkins("object-name"),
     ):
         assert 0 <= h <= 0xFFFFFFFF
@@ -60,8 +55,8 @@ def test_str_hash_handles_all_tail_lengths():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=200)
 def test_crush_hash_masks_to_32bit(x):
-    assert 0 <= crush_hash32(x) <= 0xFFFFFFFF
-    assert crush_hash32(x) == crush_hash32(x + 2**32)  # masking
+    assert 0 <= crush_hash32_2(x, 7) <= 0xFFFFFFFF
+    assert crush_hash32_2(x, 7) == crush_hash32_2(x + 2**32, 7)  # masking
 
 
 def test_hash_distribution_is_roughly_uniform():
@@ -138,48 +133,6 @@ def test_percentile_errors():
         percentile([], 50)
     with pytest.raises(ValueError):
         percentile([1.0], 101)
-
-
-def test_histogram_buckets_and_percentiles():
-    h = Histogram([1.0, 10.0, 100.0])
-    for v in [0.5, 5.0, 50.0, 500.0]:
-        h.add(v)
-    assert h.counts == [1, 1, 1, 1]
-    assert h.count == 4
-    assert h.percentile(50) == pytest.approx(27.5)
-
-
-def test_histogram_boundary_value_stays_in_bucket():
-    h = Histogram([1.0, 10.0])
-    h.add(1.0)
-    assert h.counts == [1, 0, 0]
-
-
-def test_histogram_falls_back_to_buckets_when_capped():
-    h = Histogram([1.0, 10.0, 100.0], max_raw=10)
-    for i in range(50):
-        h.add(float(i))
-    # raw values were discarded; percentile still returns a sane estimate
-    p = h.percentile(50)
-    assert 1.0 <= p <= 100.0
-
-
-def test_histogram_exponential_factory():
-    h = Histogram.exponential(0.001, 2.0, 10)
-    assert len(h.boundaries) == 10
-    assert h.boundaries[0] == pytest.approx(0.001)
-    assert h.boundaries[-1] == pytest.approx(0.001 * 2**9)
-    with pytest.raises(ValueError):
-        Histogram.exponential(0, 2, 3)
-
-
-def test_histogram_validation():
-    with pytest.raises(ValueError):
-        Histogram([])
-    with pytest.raises(ValueError):
-        Histogram([3.0, 1.0])
-    with pytest.raises(ValueError):
-        Histogram([1.0]).percentile(50)
 
 
 def test_timeseries_bucketing():
