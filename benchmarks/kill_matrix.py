@@ -524,6 +524,30 @@ MUTANTS = (
           "from dataclasses import dataclass, field\n"),),
         "a module imports a name it never loads",
         ("e2e-goldens",)),
+    Mutant(
+        "sim.compaction_drops_unwaited_timeout", "src/repro/sim/core.py",
+        (("            if entry[3].callbacks is not _CANCELLED:\n"
+          "                live.append(entry)\n",
+          "            if entry[3].callbacks:\n"
+          "                live.append(entry)\n"),),
+        "far-heap compaction drops a timeout nobody waits on yet, "
+        "cancelled or not",
+        ("hash-tier1", "e2e-goldens")),
+    Mutant(
+        "sim.drain_forgets_dropped_deadline", "src/repro/sim/core.py",
+        (("        elif self._dropped_at > self._now:\n",
+          "        elif False:\n"),),
+        "a run that drains ends at its last dispatch, before the latest "
+        "cancelled deadline it dropped",
+        ("hash-tier1", "e2e-goldens")),
+    Mutant(
+        "sim.cancel_accepts_waiters", "src/repro/sim/core.py",
+        (("        if callbacks:\n"
+          "            raise SimulationError(f\"{self!r} has waiters\")\n",
+          ""),),
+        "cancel() withdraws a timeout something waits on, which then "
+        "never wakes",
+        ("hash-tier1", "e2e-goldens")),
 )
 
 

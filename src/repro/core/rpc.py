@@ -265,11 +265,12 @@ class RpcChannel:
                 deadline = self.timeout_seconds * (
                     self.backoff_factor ** attempt
                 )
-                yield self.env.any_of(
-                    [req.response, self.env.timeout(deadline)]
-                )
+                watchdog = self.env.timeout(deadline)
+                yield self.env.any_of([req.response, watchdog])
 
                 if req.response.triggered:
+                    if not watchdog.processed:
+                        watchdog.cancel()
                     # Every attempt was dequeued before this reply was
                     # sent (FIFO queue, sequential attempts), so no
                     # duplicate can ask for the outcome again.

@@ -126,11 +126,6 @@ class Message:
         data blob if the type carries one."""
         return self._PLAN.encode(self)
 
-    @property
-    def data_len(self) -> int:
-        """Bulk payload bytes (0 for control messages)."""
-        return 0
-
 
 def decode_message(bl: BufferList, attachment: Any = None) -> Message:
     """Decode a wire bufferlist back into a typed message."""
@@ -187,10 +182,6 @@ class MOSDOp(Message):
     #: QoS tenant tag ("" = untagged).
     tenant: str = ""
 
-    @property
-    def data_len(self) -> int:
-        return self.data.length if self.data is not None else 0
-
 
 @_register
 @dataclass
@@ -203,10 +194,6 @@ class MOSDOpReply(Message):
     result: int = 0
     version: int = 0
     data: Optional[DataBlob] = None
-
-    @property
-    def data_len(self) -> int:
-        return self.data.length if self.data is not None else 0
 
 
 @_register
@@ -228,10 +215,6 @@ class MOSDRepOp(Message):
     offset: int = 0
     data: Optional[DataBlob] = None
     map_epoch: int = 0
-
-    @property
-    def data_len(self) -> int:
-        return self.data.length if self.data is not None else 0
 
 
 @_register
@@ -305,10 +288,6 @@ class MMonMapReply(Message):
         constructor field, so decode checks it arrived and drops it)."""
         return DataBlob(self.map_bytes)
 
-    @property
-    def data_len(self) -> int:
-        return self.map_bytes
-
 
 @_register
 @dataclass
@@ -358,10 +337,6 @@ class MOSDPGPush(Message):
     last: bool = False
     skipped: tuple = ()
     pushed: tuple = ()
-
-    @property
-    def data_len(self) -> int:
-        return self.data.length if self.data is not None else 0
 
 
 @_register

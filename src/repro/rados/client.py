@@ -139,6 +139,8 @@ class RadosClient:
         timeout_ev = self.env.timeout(self.op_timeout)
         yield AnyOf(self.env, [ev, timeout_ev])
         if ev.triggered:
+            if not timeout_ev.processed:
+                timeout_ev.cancel()
             return ev.value
         self._pending.pop(tid, None)
         self._sent_at.pop(tid, None)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import gc
 from collections import deque
 from collections.abc import Generator
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 from .exceptions import Interrupt, SimulationError, StopSimulation
@@ -86,6 +86,21 @@ _INF = float("inf")
 
 # Sentinel distinguishing "not yet triggered" from "triggered with None".
 _PENDING = object()
+
+
+class _Cancelled(tuple):
+    """The callback list of a cancelled :class:`Timeout`: it iterates
+    empty, and parking on it raises."""
+
+    __slots__ = ()
+
+    def append(self, callback: Callable[["Event"], None]) -> None:
+        raise SimulationError("cannot wait on a cancelled timeout")
+
+
+#: Shared by every cancelled timeout; wherever the kernel pops an entry
+#: whose event carries it, it drops the entry instead of dispatching it.
+_CANCELLED = _Cancelled()
 
 #: Callables invoked (in registration order) whenever a new
 #: :class:`Environment` is constructed.  Modules with process-global
@@ -250,6 +265,33 @@ class Timeout(Event):
         else:
             # Zero delay, or one the clock's precision absorbs: due now.
             env._normal.append(self)
+
+    def cancel(self) -> None:
+        """Withdraw the timeout: it is never dispatched.
+
+        For a watchdog that lost its race, which would otherwise stay
+        pending to its deadline.  It leaves the pending count at once
+        and its sequence number stays minted (``events_scheduled`` does
+        not change).  A timeout with a waiter, or one already
+        dispatched, is refused with :class:`SimulationError`, and so is
+        anything that parks on it later.  Cancelling twice is a no-op.
+        """
+        callbacks = self.callbacks
+        if callbacks is _CANCELLED:
+            return
+        if callbacks is None:
+            raise SimulationError(f"{self!r} was already dispatched")
+        if callbacks:
+            raise SimulationError(f"{self!r} has waiters")
+        self.callbacks = _CANCELLED
+        env = self.env
+        env._cancelled += 1
+        if self.delay >= FAR_S:
+            # Counts one that already moved to the hot heap too: that
+            # only brings the next compaction forward.
+            env._far_cancelled = n = env._far_cancelled + 1
+            if n + n >= len(env._far):
+                env._compact_far()
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"
@@ -552,6 +594,9 @@ class Environment:
         "_far_at",
         "_seq",
         "_popped",
+        "_cancelled",
+        "_far_cancelled",
+        "_dropped_at",
         "_active_process",
         "_peak_pending",
     )
@@ -566,8 +611,16 @@ class Environment:
         self._urgent: deque[Event] = deque()
         self._normal: deque[Event] = deque()
         self._seq = 0
-        #: Events dispatched so far; ``_seq - _popped`` are pending.
+        #: Events dispatched so far, and timeouts cancelled so far:
+        #: ``_seq - _popped - _cancelled`` are pending.
         self._popped = 0
+        self._cancelled = 0
+        #: Cancelled timeouts filed far since the last compaction, an
+        #: upper bound on the cancelled entries ``_far`` holds.
+        self._far_cancelled = 0
+        #: Latest time of a cancelled entry dropped so far: a run that
+        #: drains ends no earlier, as if it had dispatched them.
+        self._dropped_at = self._now
         self._active_process: Optional[Process] = None
         #: High-water mark of the pending-event count (a perf observable:
         #: memory pressure and heap-op cost both scale with it).
@@ -660,18 +713,60 @@ class Environment:
             self._far_at = entry[0]
 
     def _migrate(self, at: float) -> None:
-        """Move every far entry due at or before ``at`` to the hot heap."""
+        """Move every far entry due at or before ``at`` to the hot heap,
+        dropping the cancelled ones."""
         far = self._far
         queue = self._queue
         while far and far[0][0] <= at:
-            heappush(queue, heappop(far))
+            entry = heappop(far)
+            if entry[3].callbacks is _CANCELLED:
+                self._far_cancelled -= 1
+                if entry[0] > self._dropped_at:
+                    self._dropped_at = entry[0]
+            else:
+                heappush(queue, entry)
         self._far_at = far[0][0] if far else _INF
 
+    def _compact_far(self) -> None:
+        """Rebuild the far heap without its cancelled entries.
+
+        :meth:`Timeout.cancel` calls it once they may make up half the
+        heap, so its cost per cancel stays O(1) on average.
+        """
+        live = []
+        dropped_at = self._dropped_at
+        for entry in self._far:
+            if entry[3].callbacks is not _CANCELLED:
+                live.append(entry)
+            elif entry[0] > dropped_at:
+                dropped_at = entry[0]
+        heapify(live)
+        self._far = live
+        self._far_at = live[0][0] if live else _INF
+        self._far_cancelled = 0
+        self._dropped_at = dropped_at
+
     def peek(self) -> float:
-        """Time of the next pending event, or ``inf`` if there is none."""
-        if self._urgent or self._normal:
+        """Time of the next pending event, or ``inf`` if there is none.
+
+        Cancelled entries at the head of a container are dropped first.
+        """
+        normal = self._normal
+        while normal and normal[0].callbacks is _CANCELLED:
+            normal.popleft()
+        if self._urgent or normal:
             return self._now
-        at = self._queue[0][0] if self._queue else _INF
+        queue = self._queue
+        while queue and queue[0][3].callbacks is _CANCELLED:
+            at = heappop(queue)[0]
+            if at > self._dropped_at:
+                self._dropped_at = at
+        far = self._far
+        while far and far[0][3].callbacks is _CANCELLED:
+            # Drops it; a live entry tied with it moves hot, which is
+            # early but never late.
+            self._migrate(far[0][0])
+        at = queue[0][0] if queue else _INF
         return min(at, self._far_at)
 
     def step(self) -> None:
@@ -701,31 +796,49 @@ class Environment:
         entry is ever due now: the order does not depend on which heap
         an entry waited in, nor on the value of :data:`FAR_S`.
 
+        **Cancelled entries** (:meth:`Timeout.cancel`) are dropped
+        wherever they are popped, and the rule goes on to the next
+        entry; ``_migrate`` drops the ones still waiting far.  Dropping
+        one runs nothing, and the clock moves only as far as the next
+        dispatch would move it anyway, so every callback sees the clock
+        it would have seen had the entry been dispatched with no
+        callbacks.  The one difference would be where a drained run
+        leaves the clock, and ``_dropped_at`` restores it: ``run()``
+        and a ``step()`` that finds nothing pending end at the latest
+        dropped time when it is later than ``now``.
+
         Interleaving ``step()`` with ``run()`` is behavior-identical to
         one uninterrupted ``run()``; neither may be called from inside
         an event callback.
         """
         urgent = self._urgent
         queue = self._queue
-        if urgent:
-            event = urgent.popleft()
-        elif queue and queue[0][0] == self._now:
-            event = heappop(queue)[3]
-        elif self._normal:
-            event = self._normal.popleft()
-        else:
-            at = queue[0][0] if queue else self._far_at
-            if self._far_at <= at:
-                if at == _INF:
-                    raise IndexError("no more events")
-                self._migrate(at)
-            self._now, _, _, event = heappop(queue)
-        pending = self._seq - self._popped
+        while True:
+            if urgent:
+                event = urgent.popleft()
+            elif queue and queue[0][0] == self._now:
+                event = heappop(queue)[3]
+            elif self._normal:
+                event = self._normal.popleft()
+            else:
+                at = queue[0][0] if queue else self._far_at
+                if self._far_at <= at:
+                    if at == _INF:
+                        if self._dropped_at > self._now:
+                            self._now = self._dropped_at
+                        raise IndexError("no more events")
+                    self._migrate(at)
+                    if not queue:
+                        continue  # every entry it reached was cancelled
+                self._now, _, _, event = heappop(queue)
+            callbacks = event.callbacks
+            if callbacks is not _CANCELLED:
+                break
+        pending = self._seq - self._popped - self._cancelled
         if pending > self._peak_pending:
             self._peak_pending = pending
         self._popped += 1
 
-        callbacks = event.callbacks
         event.callbacks = None
         try:
             for callback in callbacks:
@@ -799,6 +912,7 @@ class Environment:
         # Bind loop invariants to locals: ~300k iterations make even a
         # LOAD_GLOBAL per event measurable.
         pop = heappop
+        cancelled = _CANCELLED
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -819,18 +933,22 @@ class Environment:
                         if at == _INF:
                             break  # nothing is pending
                         self._migrate(at)
+                        if not queue:
+                            continue  # every entry it reached was cancelled
                         at = queue[0][0]
                     if at >= horizon:
                         self._now = stop_at  # type: ignore[assignment]
                         return None
                     self._now = now = at
                     event = pop(queue)[3]
-                count = self._seq - popped
+                callbacks = event.callbacks
+                if callbacks is cancelled:
+                    continue
+                count = self._seq - popped - self._cancelled
                 if count > peak:
                     peak = count
                 popped += 1
 
-                callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)
@@ -847,7 +965,7 @@ class Environment:
             # Run-boundary sample: events scheduled since the last pop
             # (setup before run(), pushes during the final callback) are
             # still part of the high-water mark.
-            count = self._seq - popped
+            count = self._seq - popped - self._cancelled
             if count > peak:
                 peak = count
             self._peak_pending = peak
@@ -858,7 +976,11 @@ class Environment:
         if stop_at is not None:
             # Drained before the deadline; clock still advances.
             self._now = stop_at
+        elif self._dropped_at > self._now:
+            # Drained: end where dispatching the cancelled entries would.
+            self._now = self._dropped_at
         return None
 
     def __repr__(self) -> str:
-        return f"<Environment now={self._now} pending={self._seq - self._popped}>"
+        pending = self._seq - self._popped - self._cancelled
+        return f"<Environment now={self._now} pending={pending}>"

@@ -60,6 +60,10 @@ def _stepping_run(observe):
             return stop.args[0]
         if stop_at is not None:
             self._now = stop_at
+        elif self._dropped_at > self._now:
+            # peek() dropped the cancelled entries left: end where
+            # dispatching them would have, as the kernel's run() does.
+            self._now = self._dropped_at
         return None
 
     return run

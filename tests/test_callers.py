@@ -46,9 +46,6 @@ EXEMPT = {
         "test_sim_edge_cases pin it",
     "sim/exceptions.py:cause":
         "the value an Interrupt carries; test_sim_core reads it back",
-    "sim/resources.py:cancel":
-        "withdraws an ungranted request; test_sim_resources pins the queue "
-        "it leaves",
     "trace.py:critical_path":
         "per-root critical path; test_trace proves the report's summary "
         "equals it",

@@ -43,7 +43,7 @@ ENGINES = ["tiered", "reference"]
 
 #: ``env.peak_pending`` per scenario (seed-independent on ``smoke``):
 #: pinned at the one-heap kernel's values, equal on every engine.
-PEAK_PENDING = {"smoke": 737, "fallback": 296, "qos": 1832}
+PEAK_PENDING = {"smoke": 24, "fallback": 30, "qos": 31}
 
 
 @pytest.mark.parametrize("engine", ENGINES, indirect=True)

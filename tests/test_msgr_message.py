@@ -32,7 +32,7 @@ def test_osd_op_roundtrip_with_data():
     assert isinstance(out, MOSDOp)
     assert out == msg
     assert out.data == blob
-    assert out.data_len == 4 * 1024 * 1024
+    assert out.data.length == 4 * 1024 * 1024
 
 
 def test_osd_op_roundtrip_without_data():
@@ -41,7 +41,6 @@ def test_osd_op_roundtrip_without_data():
     out = roundtrip(msg)
     assert out == msg
     assert out.data is None
-    assert out.data_len == 0
 
 
 def test_op_reply_roundtrip():
@@ -81,7 +80,6 @@ def test_mon_messages_roundtrip():
     assert out.epoch == 9
     assert out.map_bytes == 8192
     assert out.attachment == {"the": "map"}
-    assert out.data_len == 8192
 
 
 def test_wire_size_includes_payload_and_overhead():

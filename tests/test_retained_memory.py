@@ -4,6 +4,8 @@
   as the slope between two points of a live run;
 * the open-loop QoS runner, which keeps an op's process only while the
   op is in flight;
+* the far heap, which sheds the watchdogs that lost to their replies
+  instead of keeping them to their deadlines;
 * a written object's onode, whose allocation is packed runs, checked
   against the allocator's extents on fragmented devices;
 * the RPC dedup records, which must all be gone once every call ended;
@@ -36,7 +38,8 @@ from repro.faults import FaultPlan
 from repro.hw import CpuComplex, SimThread, SsdDevice
 from repro.objectstore import BlueStore, BlueStoreConfig, Transaction
 from repro.qos import default_tenants, run_qos
-from repro.sim import Environment, Process
+from repro.sim import Environment, Process, Timeout
+from repro.sim import core
 from repro.util import DataBlob, sha256_hex
 
 from .test_allocator_kv import UNIT, _DenseBitWalk, _used_blocks
@@ -70,13 +73,13 @@ def _retained_per_op(build):
     return (bytes1 - bytes0) / (ops1 - ops0)
 
 
-def test_doceph_bench_retains_at_most_1400_bytes_per_client_op():
+def test_doceph_bench_retains_at_most_950_bytes_per_client_op():
     """Each op legitimately leaves onodes, extents and two packed write
-    breakdowns behind; a dedup record kept after its reply, a KV key
-    per object, or a breakdown object per write pushes it past the
-    bound."""
+    breakdowns behind (~710 B); a dedup record kept after its reply, a
+    KV key per object, a breakdown object per write, or a watchdog left
+    pending to its deadline pushes it past the bound."""
     per_op = _retained_per_op(build_doceph_cluster)
-    assert per_op <= 1400, f"{per_op:.0f} bytes retained per client op"
+    assert per_op <= 950, f"{per_op:.0f} bytes retained per client op"
 
 
 def test_baseline_bench_retains_at_most_950_bytes_per_client_op():
@@ -108,6 +111,27 @@ def test_qos_window_closes_holding_no_finished_op(monkeypatch):
     finished, held = seen[0]
     assert sum(t.completed for t in result.tenants) > 200
     assert finished == 0, f"{finished} finished op processes of {held} held"
+
+
+def test_far_heap_is_never_half_cancelled_watchdogs(monkeypatch):
+    """Each op's watchdog is cancelled once the reply wins, and the far
+    heap is compacted as soon as cancelled entries could make up half
+    of it: left to their 1-10 s deadlines they were ~2 400 entries and
+    0.6 MB at the end of a full-length ``mix64k_qos`` replay."""
+    seen = []
+    cancel = Timeout.cancel
+
+    def watched_cancel(self):
+        cancel(self)
+        far = self.env._far
+        seen.append((sum(e[3].callbacks is core._CANCELLED for e in far),
+                     len(far)))
+
+    monkeypatch.setattr(Timeout, "cancel", watched_cancel)
+    run_qos("full-osd", default_tenants(2, rate=80.0),
+            seed=0, duration=2.0, prepopulate=8)
+    assert len(seen) > 500
+    assert all(held == 0 or 2 * held < size for held, size in seen)
 
 
 def _store(capacity, alloc_unit):

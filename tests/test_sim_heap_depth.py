@@ -25,7 +25,7 @@ from .test_perf import GOLDEN
 HOT_MAX = 32
 
 #: ``peak_pending`` (all containers together) per scenario, seed 0.
-PEAK_PENDING = {"smoke": 737, "doceph": 1057, "qos": 1832, "fallback": 296}
+PEAK_PENDING = {"smoke": 24, "doceph": 29, "qos": 31, "fallback": 30}
 
 
 @pytest.mark.parametrize("scenario", sorted(PEAK_PENDING))

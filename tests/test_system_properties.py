@@ -50,7 +50,8 @@ def test_messenger_delivers_every_message_once_in_order(sizes):
 
     class Sink:
         def ms_dispatch(self, msg, conn):
-            got.append((msg.tid, msg.data_len))
+            got.append((msg.tid, msg.data.length
+                        if msg.data is not None else 0))
             release = getattr(msg, "throttle_release", None)
             if release:
                 release()
