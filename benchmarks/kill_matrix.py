@@ -132,9 +132,14 @@ _SELF_CHECK = ("--deselect=tests/test_lint.py::"
                "test_every_kill_matrix_mutant_still_applies")
 
 
+#: A gate's verdict is whether it fails, so property tests stop at the
+#: first failing example instead of shrinking it (``tests/conftest.py``).
+_NO_SHRINK = "--hypothesis-profile=no-shrink"
+
+
 def _pytest(*args: str) -> list[str]:
     return [PY, "-m", "pytest", "-q", "-p", "no:cacheprovider", _SELF_CHECK,
-            *args]
+            _NO_SHRINK, *args]
 
 
 def _repro(*args: str) -> list[str]:
@@ -530,8 +535,16 @@ MUTANTS = (
           "                live.append(entry)\n",
           "            if entry[3].callbacks:\n"
           "                live.append(entry)\n"),),
-        "far-heap compaction drops a timeout nobody waits on yet, "
+        "heap compaction drops a timeout nobody waits on yet, "
         "cancelled or not",
+        ("hash-tier1", "e2e-goldens")),
+    Mutant(
+        "sim.compaction_rebinds_queue", "src/repro/sim/core.py",
+        (("        queue[:] = live\n        heapify(queue)\n",
+          "        self._queue = live\n        heapify(live)\n"),),
+        "compaction swaps in a new heap list, so a run() that triggers "
+        "it from a callback keeps popping the old one and never sees "
+        "what is filed afterwards",
         ("hash-tier1", "e2e-goldens")),
     Mutant(
         "sim.drain_forgets_dropped_deadline", "src/repro/sim/core.py",

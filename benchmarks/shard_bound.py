@@ -187,7 +187,11 @@ class OwnerLedger:
 
 def _pop(env: Any) -> Any:
     """Remove the event ``Environment.step`` would dispatch next (the
-    pop rule of the tree under test), advancing the clock as it would."""
+    pop rule of the tree under test), advancing the clock as it would.
+    The tree this script replays (b099925, the last that carries
+    ``repro.lint.sanitizer``) keeps its watchdogs on a far heap, so the
+    far heap's migration step stays here, though the kernel now has
+    one heap."""
     urgent, queue = env._urgent, env._queue
     if urgent:
         return urgent.popleft()

@@ -129,14 +129,14 @@ def _describe(event: Event) -> str:
 def _take_tie_class(env: Environment) -> tuple[deque[Event], deque[Event]]:
     """Remove the events :meth:`Environment.step` would pop next that
     share one ``(time, priority)`` key, in pop order: the urgent FIFO,
-    or else the hot heap entries due at the next instant followed (when
+    or else the heap entries due at the next instant followed (when
     that instant is now) by the normal FIFO.  Cancelled timeouts are
     dropped, as the pop rule drops them.  Also returns the FIFO whose
     head they are put back at if the run stops mid-batch."""
     if not env._urgent and not env._normal:
-        # The clock advances next: far entries due by then join the
-        # hot heap first, as the pop rule's migration step does.
-        env._migrate(env.peek())
+        # The clock advances next: drop the cancelled entries at the
+        # heap's head first, as the pop rule does.
+        env.peek()
     home = env._urgent or env._normal
     batch: deque[Event] = deque()
     queue = env._queue

@@ -12,15 +12,12 @@ Design notes
   same seed produce identical traces.
 * **Pending events live where their key puts them** (DESIGN.md §13).
   Most events are scheduled for the current instant, so the pending set
-  is split four ways: ``_urgent`` and ``_normal`` are FIFOs of events
-  due *now* at each priority, ``_queue`` is the hot heap of ``(time,
-  priority, sequence, event)`` for the near future, and ``_far`` is a
-  second heap, keyed the same way, for timeouts filed at least
-  :data:`FAR_S` ahead — watchdogs and 1-s tickers, which almost never
-  fire as anything but no-ops and would otherwise make up nearly all
-  of the hot heap.  A far entry moves into the hot heap before the
-  clock can reach it.  The pop rule (:meth:`Environment.step`) walks
-  the containers in an order that equals the one-heap order exactly.
+  is split three ways: ``_urgent`` and ``_normal`` are FIFOs of events
+  due *now* at each priority, and ``_queue`` is the heap of ``(time,
+  priority, sequence, event)`` for the future.  The pop rule
+  (:meth:`Environment.step`) walks the containers in an order that
+  equals the one-heap order exactly.  Cancelled timeouts are compacted
+  out of the heap once they may make up half of it.
   Heap entries keep their small ints unpacked,
   because CPython compares them in one machine word whereas a
   ``priority << k | seq`` packed key goes multi-digit and slows every
@@ -60,7 +57,6 @@ __all__ = [
     "AnyOf",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
-    "FAR_S",
     "register_fresh_env_hook",
 ]
 
@@ -71,16 +67,6 @@ PRIORITY_URGENT = 0
 
 #: Default scheduling priority.
 PRIORITY_NORMAL = 1
-
-#: Delay (simulated seconds) from which :class:`Timeout` and
-#: :meth:`Environment.schedule` file an event on the far heap instead of
-#: the hot one.  Read off the delay histogram of the benchmark workloads
-#: (DESIGN.md §13): every service hold, machine timer and short timeout
-#: is < 0.15 s ahead, and the RPC watchdogs (0.5 s under the
-#: fast-recovery profile, 1-10 s otherwise) and the heartbeat, beacon,
-#: recovery and metrics tickers (1 s) are >= 0.5 s.  Dispatch order
-#: does not depend on the value.
-FAR_S = 0.5
 
 _INF = float("inf")
 
@@ -258,10 +244,7 @@ class Timeout(Event):
         now = env._now
         at = now + delay
         if at > now:
-            if delay < FAR_S:
-                heappush(env._queue, (at, PRIORITY_NORMAL, seq, self))
-            else:
-                env._file_far((at, PRIORITY_NORMAL, seq, self))
+            heappush(env._queue, (at, PRIORITY_NORMAL, seq, self))
         else:
             # Zero delay, or one the clock's precision absorbs: due now.
             env._normal.append(self)
@@ -286,12 +269,11 @@ class Timeout(Event):
         self.callbacks = _CANCELLED
         env = self.env
         env._cancelled += 1
-        if self.delay >= FAR_S:
-            # Counts one that already moved to the hot heap too: that
-            # only brings the next compaction forward.
-            env._far_cancelled = n = env._far_cancelled + 1
-            if n + n >= len(env._far):
-                env._compact_far()
+        # Counts one filed in a FIFO, or already popped, too: that only
+        # brings the next compaction forward.
+        env._uncompacted = n = env._uncompacted + 1
+        if n + n >= len(env._queue):
+            env._compact()
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"
@@ -590,12 +572,10 @@ class Environment:
         "_urgent",
         "_normal",
         "_queue",
-        "_far",
-        "_far_at",
         "_seq",
         "_popped",
         "_cancelled",
-        "_far_cancelled",
+        "_uncompacted",
         "_dropped_at",
         "_active_process",
         "_peak_pending",
@@ -603,11 +583,8 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        # Heap entries are (time, priority, seq, event), on both heaps.
+        # Heap entries are (time, priority, seq, event).
         self._queue: list[tuple[float, int, int, Event]] = []
-        self._far: list[tuple[float, int, int, Event]] = []
-        #: Time of the far heap's top entry, ``inf`` when it is empty.
-        self._far_at = _INF
         self._urgent: deque[Event] = deque()
         self._normal: deque[Event] = deque()
         self._seq = 0
@@ -615,9 +592,9 @@ class Environment:
         #: ``_seq - _popped - _cancelled`` are pending.
         self._popped = 0
         self._cancelled = 0
-        #: Cancelled timeouts filed far since the last compaction, an
-        #: upper bound on the cancelled entries ``_far`` holds.
-        self._far_cancelled = 0
+        #: Timeouts cancelled since the last compaction, an upper
+        #: bound on the cancelled entries ``_queue`` holds.
+        self._uncompacted = 0
         #: Latest time of a cancelled entry dropped so far: a run that
         #: drains ends no earlier, as if it had dispatched them.
         self._dropped_at = self._now
@@ -693,10 +670,7 @@ class Environment:
                     f"got priority={priority!r} with delay={delay!r}"
                 )
             self._seq = seq = self._seq + 1
-            if delay < FAR_S:
-                heappush(self._queue, (at, priority, seq, event))
-            else:
-                self._file_far((at, priority, seq, event))
+            heappush(self._queue, (at, priority, seq, event))
         elif priority == PRIORITY_NORMAL:
             self._seq += 1
             self._normal.append(event)
@@ -706,44 +680,24 @@ class Environment:
         else:
             raise SimulationError(f"unknown scheduling priority: {priority!r}")
 
-    def _file_far(self, entry: tuple[float, int, int, Event]) -> None:
-        """File a heap entry at least :data:`FAR_S` ahead on the far heap."""
-        heappush(self._far, entry)
-        if entry[0] < self._far_at:
-            self._far_at = entry[0]
-
-    def _migrate(self, at: float) -> None:
-        """Move every far entry due at or before ``at`` to the hot heap,
-        dropping the cancelled ones."""
-        far = self._far
-        queue = self._queue
-        while far and far[0][0] <= at:
-            entry = heappop(far)
-            if entry[3].callbacks is _CANCELLED:
-                self._far_cancelled -= 1
-                if entry[0] > self._dropped_at:
-                    self._dropped_at = entry[0]
-            else:
-                heappush(queue, entry)
-        self._far_at = far[0][0] if far else _INF
-
-    def _compact_far(self) -> None:
-        """Rebuild the far heap without its cancelled entries.
+    def _compact(self) -> None:
+        """Rebuild the heap without its cancelled entries.
 
         :meth:`Timeout.cancel` calls it once they may make up half the
-        heap, so its cost per cancel stays O(1) on average.
+        heap, so its cost per cancel stays O(1) on average.  The list is
+        rebuilt in place: :meth:`run` holds it in a local.
         """
+        queue = self._queue
         live = []
         dropped_at = self._dropped_at
-        for entry in self._far:
+        for entry in queue:
             if entry[3].callbacks is not _CANCELLED:
                 live.append(entry)
             elif entry[0] > dropped_at:
                 dropped_at = entry[0]
-        heapify(live)
-        self._far = live
-        self._far_at = live[0][0] if live else _INF
-        self._far_cancelled = 0
+        queue[:] = live
+        heapify(queue)
+        self._uncompacted = 0
         self._dropped_at = dropped_at
 
     def peek(self) -> float:
@@ -761,13 +715,7 @@ class Environment:
             at = heappop(queue)[0]
             if at > self._dropped_at:
                 self._dropped_at = at
-        far = self._far
-        while far and far[0][3].callbacks is _CANCELLED:
-            # Drops it; a live entry tied with it moves hot, which is
-            # early but never late.
-            self._migrate(far[0][0])
-        at = queue[0][0] if queue else _INF
-        return min(at, self._far_at)
+        return queue[0][0] if queue else _INF
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it).
@@ -776,12 +724,9 @@ class Environment:
         event is the first of:
 
         1. the head of the urgent FIFO;
-        2. the hot heap's top entry, if its time equals ``now``;
+        2. the heap's top entry, if its time equals ``now``;
         3. the head of the normal FIFO;
-        4. the hot heap's top entry; the clock advances to its time.
-           First, every far-heap entry due at or before that time (or,
-           with the hot heap empty, at the far heap's top time) moves
-           into the hot heap.
+        4. the heap's top entry; the clock advances to its time.
 
         This is the ``(time, priority, sequence)`` order of one heap
         holding everything.  Nothing pending is earlier than ``now``, so
@@ -790,15 +735,11 @@ class Environment:
         normal events due now, a heap entry was scheduled before the
         clock reached ``now`` and a FIFO entry after, so the heap entry
         holds the smaller sequence number; each FIFO is in sequence
-        order by construction.  A far entry is keyed like a hot one and
-        is born at least :data:`FAR_S` ahead, and step 4 moves it to
-        the hot heap before the clock can reach its time, so no far
-        entry is ever due now: the order does not depend on which heap
-        an entry waited in, nor on the value of :data:`FAR_S`.
+        order by construction.
 
         **Cancelled entries** (:meth:`Timeout.cancel`) are dropped
         wherever they are popped, and the rule goes on to the next
-        entry; ``_migrate`` drops the ones still waiting far.  Dropping
+        entry; ``_compact`` drops the ones still waiting.  Dropping
         one runs nothing, and the clock moves only as far as the next
         dispatch would move it anyway, so every callback sees the clock
         it would have seen had the entry been dispatched with no
@@ -820,17 +761,12 @@ class Environment:
                 event = heappop(queue)[3]
             elif self._normal:
                 event = self._normal.popleft()
-            else:
-                at = queue[0][0] if queue else self._far_at
-                if self._far_at <= at:
-                    if at == _INF:
-                        if self._dropped_at > self._now:
-                            self._now = self._dropped_at
-                        raise IndexError("no more events")
-                    self._migrate(at)
-                    if not queue:
-                        continue  # every entry it reached was cancelled
+            elif queue:
                 self._now, _, _, event = heappop(queue)
+            else:
+                if self._dropped_at > self._now:
+                    self._now = self._dropped_at
+                raise IndexError("no more events")
             callbacks = event.callbacks
             if callbacks is not _CANCELLED:
                 break
@@ -870,9 +806,7 @@ class Environment:
           with the containers, the clock and the counters held in
           locals: at hundreds of thousands of events per run a method
           call or an attribute load per event is measurable.  The
-          horizon is tested only where the clock would advance, after
-          the far-heap migration, which costs one float comparison
-          there unless a far entry is due.
+          horizon is tested only where the clock would advance.
         * Cyclic garbage collection is suspended for the duration of the
           loop.  Event/process/generator webs are cyclic by nature, so
           the collector otherwise scans a few hundred thousand live
@@ -927,20 +861,15 @@ class Environment:
                     event = pop(queue)[3]
                 elif normal:
                     event = normal.popleft()
-                else:
-                    at = queue[0][0] if queue else self._far_at
-                    if self._far_at <= at:
-                        if at == _INF:
-                            break  # nothing is pending
-                        self._migrate(at)
-                        if not queue:
-                            continue  # every entry it reached was cancelled
-                        at = queue[0][0]
+                elif queue:
+                    at = queue[0][0]
                     if at >= horizon:
                         self._now = stop_at  # type: ignore[assignment]
                         return None
                     self._now = now = at
                     event = pop(queue)[3]
+                else:
+                    break  # nothing is pending
                 callbacks = event.callbacks
                 if callbacks is cancelled:
                     continue

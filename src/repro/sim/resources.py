@@ -52,11 +52,6 @@ class Request(Event):
         self.resource = resource
         resource._do_request(self)
 
-    def cancel(self) -> None:
-        """Withdraw an ungranted request (no-op if already granted)."""
-        if not self.triggered:
-            self.resource._withdraw(self)
-
     def release(self) -> "Release":
         """Release the resource claimed by this request."""
         return Release(self.resource, self)
@@ -66,10 +61,8 @@ class Request(Event):
 
         Between its grant and its release a request is an idle object;
         ``yield req.hold(d)`` files it — one sequence number, on the
-        hot heap or the normal FIFO exactly as ``Timeout(env, d)`` files
-        itself for ``d`` below :data:`~repro.sim.core.FAR_S` (a hold is
-        a service time: it is never parked on the far heap) — instead
-        of constructing a timeout to wait beside it.
+        heap or the normal FIFO exactly as ``Timeout(env, d)`` files
+        itself — instead of constructing a timeout to wait beside it.
         The contract: yield (or park on) the result in the same
         statement, once per grant dispatch, and release as usual
         afterwards (``tests/test_chaos.py``'s

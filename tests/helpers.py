@@ -77,34 +77,24 @@ def reference_loop(observe=None, single_heap=True):
 
     ``run`` is the textbook loop above.  With ``single_heap`` every
     environment *constructed inside the block* keeps all its pending
-    events on one heap in ``(time, priority, sequence)`` order — far
-    entries are filed into it too, so the far heap stays empty — and
+    events on one heap in ``(time, priority, sequence)`` order, and
     ``step()`` reduces to a plain heap pop whatever its pop rule says
-    about the FIFOs and the far heap: the order the tiered store must
-    equal.
+    about the FIFOs: the order the tiered store must equal.
     """
-    init, run, file_far = (
-        Environment.__init__, Environment.run, Environment._file_far
-    )
+    init, run = Environment.__init__, Environment.run
 
     def single_heap_init(self, initial_time=0.0):
         init(self, initial_time)
         self._urgent = _HeapTier(self, PRIORITY_URGENT)
         self._normal = _HeapTier(self, PRIORITY_NORMAL)
 
-    def single_heap_file_far(self, entry):
-        heappush(self._queue, entry)
-
     Environment.run = _stepping_run(observe)
     if single_heap:
         Environment.__init__ = single_heap_init
-        Environment._file_far = single_heap_file_far
     try:
         yield
     finally:
-        Environment.__init__, Environment.run, Environment._file_far = (
-            init, run, file_far
-        )
+        Environment.__init__, Environment.run = init, run
 
 
 def two_osd_map():

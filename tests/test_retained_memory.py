@@ -4,7 +4,7 @@
   as the slope between two points of a live run;
 * the open-loop QoS runner, which keeps an op's process only while the
   op is in flight;
-* the far heap, which sheds the watchdogs that lost to their replies
+* the event heap, which sheds the watchdogs that lost to their replies
   instead of keeping them to their deadlines;
 * a written object's onode, whose allocation is packed runs, checked
   against the allocator's extents on fragmented devices;
@@ -113,8 +113,8 @@ def test_qos_window_closes_holding_no_finished_op(monkeypatch):
     assert finished == 0, f"{finished} finished op processes of {held} held"
 
 
-def test_far_heap_is_never_half_cancelled_watchdogs(monkeypatch):
-    """Each op's watchdog is cancelled once the reply wins, and the far
+def test_heap_is_never_half_cancelled_watchdogs(monkeypatch):
+    """Each op's watchdog is cancelled once the reply wins, and the
     heap is compacted as soon as cancelled entries could make up half
     of it: left to their 1-10 s deadlines they were ~2 400 entries and
     0.6 MB at the end of a full-length ``mix64k_qos`` replay."""
@@ -123,9 +123,9 @@ def test_far_heap_is_never_half_cancelled_watchdogs(monkeypatch):
 
     def watched_cancel(self):
         cancel(self)
-        far = self.env._far
-        seen.append((sum(e[3].callbacks is core._CANCELLED for e in far),
-                     len(far)))
+        queue = self.env._queue
+        seen.append((sum(e[3].callbacks is core._CANCELLED for e in queue),
+                     len(queue)))
 
     monkeypatch.setattr(Timeout, "cancel", watched_cancel)
     run_qos("full-osd", default_tenants(2, rate=80.0),

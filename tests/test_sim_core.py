@@ -15,7 +15,6 @@ from repro.sim import (
     StopSimulation,
     Timeout,
 )
-from repro.sim import core
 
 
 def test_clock_starts_at_zero():
@@ -516,7 +515,7 @@ def test_waiting_on_a_cancelled_timeout_raises():
         env.run()
 
 
-def test_cancelled_far_entries_are_compacted_and_never_dispatched():
+def test_cancelled_entries_are_compacted_and_never_dispatched():
     env = Environment()
     fired = []
     for i in range(4):
@@ -525,10 +524,10 @@ def test_cancelled_far_entries_are_compacted_and_never_dispatched():
     lost = [env.timeout(2.0 + i) for i in range(6)]
     for count, timeout in enumerate(lost, 1):
         timeout.cancel()
-        held = sum(e[3] in lost[:count] for e in env._far)
+        held = sum(e[3] in lost[:count] for e in env._queue)
         # compacted the moment cancelled entries could make up half
-        assert held == 0 if count == 5 else 2 * held < len(env._far)
-    assert len(env._far) == 5 and repr(env).endswith("pending=4>")
+        assert held == 0 if count == 5 else 2 * held < len(env._queue)
+    assert len(env._queue) == 5 and repr(env).endswith("pending=4>")
     env.run()
     # the last cancelled deadline, 7.0, still sets where the run ends
     assert fired == [1.0, 2.0, 3.0, 4.0] and env.now == 7.0
@@ -538,19 +537,47 @@ def test_cancelled_far_entries_are_compacted_and_never_dispatched():
 def test_compaction_keeps_a_timeout_nobody_waits_on_yet():
     env = Environment()
     later = env.timeout(3.0)
-    env.timeout(2.0).cancel()  # half the far heap: compacts at once
-    assert len(env._far) == 1
+    env.timeout(2.0).cancel()  # half the heap: compacts at once
+    assert len(env._queue) == 1
     fired = []
     later.callbacks.append(lambda event: fired.append(env.now))
     env.run()
     assert fired == [3.0]
 
 
+def test_compaction_inside_run_keeps_the_heap_run_is_popping():
+    """``run()`` pops the heap through a local name, so a compaction
+    triggered from a callback must rebuild that same list: an entry
+    filed after it, and every live one before it, still dispatches, in
+    order."""
+    env = Environment()
+    fired = []
+
+    def note(event):
+        fired.append(env.now)
+
+    lost = [env.timeout(5.0 + i) for i in range(4)]
+
+    def cancel_all(event):
+        note(event)
+        for timeout in lost:
+            timeout.cancel()
+        assert len(env._queue) == 3  # compacted during the dispatch
+        env.timeout(0.5).callbacks.append(note)
+
+    env.timeout(1.0).callbacks.append(cancel_all)
+    for at in (2.0, 3.0):
+        env.timeout(at).callbacks.append(note)
+    env.run()
+    assert fired == [1.0, 1.5, 2.0, 3.0] and env.now == 8.0
+    assert env.events_scheduled == 8 and not env._queue
+
+
 def test_a_step_driven_drain_ends_at_the_last_cancelled_deadline():
     env = Environment()
     env.timeout(1.0)
-    env.timeout(3.0).cancel()
-    env.timeout(0.25).cancel()  # hot heap
+    env.timeout(3.0).cancel()  # compacted out at once
+    env.timeout(0.25).cancel()
     env.timeout(0.0).cancel()  # normal FIFO
     assert env.peek() == 1.0
     env.step()
@@ -560,9 +587,9 @@ def test_a_step_driven_drain_ends_at_the_last_cancelled_deadline():
     assert env.now == 3.0 and env.peak_pending == 1
 
 
-#: Zero (the normal FIFO), hot, the far boundary and far delays; dyadic,
-#: so timestamps reached along different paths collide.
-_DELAYS = (0.0, 2.0**-20, 0.25, core.FAR_S, 1.0, 2.0)
+#: Zero (the normal FIFO), tiny, sub-second and watchdog-like delays;
+#: dyadic, so timestamps reached along different paths collide.
+_DELAYS = (0.0, 2.0**-20, 0.25, 0.5, 1.0, 2.0)
 
 _cancel_node = st.tuples(
     st.sampled_from(("timeout", "race", "orphan")),
@@ -648,14 +675,11 @@ def test_cancelling_equals_dispatching_the_lost_timeouts(nodes, roots,
     pending entry: ``run()``, ``run(until=...)`` and ``step()`` each give
     the callback log, event count and final clock of the same program
     whose ``cancel`` does nothing, and a pending high-water mark no
-    higher, whichever heap the timeouts wait in."""
+    higher, whether the cancelled entries are compacted out or popped."""
     for mode in ("run", "until", "step"):
         with mock.patch.object(Timeout, "cancel", lambda self: None):
             *kept, kept_peak = _drive_cancelling(nodes, roots, mode,
                                                  horizons)
-        for far_s in (core.FAR_S, 0.0):
-            with mock.patch.object(core, "FAR_S", far_s):
-                *cut, cut_peak = _drive_cancelling(nodes, roots, mode,
-                                                   horizons)
-            assert cut == kept, (mode, far_s)
-            assert cut_peak <= kept_peak, (mode, far_s)
+        *cut, cut_peak = _drive_cancelling(nodes, roots, mode, horizons)
+        assert cut == kept, mode
+        assert cut_peak <= kept_peak, mode

@@ -136,7 +136,7 @@ def test_interrupt_while_waiting_on_resource():
         try:
             yield req
         except Interrupt:
-            req.cancel()
+            res.finish(req)
             log.append(("gave up", env.now))
 
     def interrupter(env, victim):
@@ -241,7 +241,7 @@ def test_drained_run_leaves_a_float_clock():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(INF)
-    env.timeout(2.0)  # far heap
+    env.timeout(2.0)  # on the heap
     env.run()
     assert type(env.now) is float and env.now == 2.0
     env.timeout(1.0)

@@ -1,42 +1,39 @@
 """The tiered pending-event store pops in exactly the one-heap order.
 
-``Environment`` files pending events in two current-tick FIFOs, a hot
-heap and a far heap (DESIGN.md §13) and claims its pop rule equals the
-textbook ``(time, priority, sequence)`` order of one heap holding
-everything.  A digest of (event count, final clock) only sees the last
-state; these tests compare the *sequence*:
+``Environment`` files pending events in two current-tick FIFOs and one
+heap (DESIGN.md §13) and claims its pop rule equals the textbook
+``(time, priority, sequence)`` order of one heap holding everything.
+A digest of (event count, final clock) only sees the last state; these
+tests compare the *sequence*:
 
 * a hypothesis property over random schedule programs — every container
   fed from callbacks (``request → hold → finish`` on a contended,
-  recycling resource beside ``timeout``, RPC-style watchdogs), delays
-  at :data:`~repro.sim.core.FAR_S` and either side of it, timestamps
-  that collide across containers (a far entry with hot ones and with
-  another far one), ``step()`` / ``run(until=...)`` interleavings with
-  horizons on, before and after a far entry's time, ``StopSimulation``
-  in the middle of a tick — run natively and under the tests'
-  single-heap reference (``helpers.reference_loop``), callback for
-  callback and on ``peak_pending``; natively once more with ``FAR_S``
-  patched to 0 (every future timeout waits far) and to ``inf``
-  (nothing does), because the order must not depend on the constant;
+  recycling resource beside ``timeout``, RPC-style watchdogs), zero,
+  tiny and dyadic delays, timestamps that collide across containers
+  (a heap entry with FIFO entries due at the same instant),
+  ``step()`` / ``run(until=...)`` interleavings with horizons on,
+  before and after a pending entry's time, ``StopSimulation`` in the
+  middle of a tick — run natively and under the tests' single-heap
+  reference (``helpers.reference_loop``), callback for callback and on
+  ``peak_pending``;
 * the ``repro.perf`` scenarios driven one ``step()`` at a time on both
   stores, hashing ``(now, events_scheduled)`` after every step.
 
-Each of these breakages of the far heap's migration step was applied
-to a copy of ``sim/core.py`` and fails the property test: (a) ``run()``
-testing its horizon before migrating, (b) ``<`` for ``<=`` in the
-migration (in ``_migrate`` or in the ``_far_at`` test), (c) ``step()``
-advancing the clock without migrating, (d) ``peek()`` ignoring the far
-heap.  Swapping any two branches of the FIFO/heap rule fails it too.
+Each of these breakages of the pop rule was applied to a copy of
+``sim/core.py`` and fails the property test: (a) ``run()`` dispatching
+an entry due exactly at its horizon (``>`` for ``>=``), (b) ``run()``
+leaving the clock where its last dispatch put it instead of at the
+horizon, (c) ``step()`` popping the heap without advancing the clock,
+(d) ``peek()`` blind to the heap while a FIFO is empty.  Swapping any
+two branches of the FIFO/heap rule fails it too.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import math
 import struct
 from collections import deque
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -51,21 +48,15 @@ from repro.sim import (
     SimulationError,
     StopSimulation,
 )
-from repro.sim import core
-from repro.sim.core import FAR_S
 
 from .helpers import reference_loop
 
 INF = float("inf")
 
-#: ``FAR_S`` and its two float neighbours: the far heap's boundary.
-NEAR_FAR = (math.nextafter(FAR_S, 0.0), FAR_S, math.nextafter(FAR_S, INF))
-
-#: Mostly dyadic delays, so sums are exact and timestamps scheduled
-#: along different paths collide: zero, tiny, equal-to-something-pending
-#: (0.25 + 0.25 meets a far 0.5; 0.5 + 0.5 meets a far 1.0), and the
-#: far boundary.
-DELAYS = (0.0, 2.0**-20, 0.03125, 0.25, *NEAR_FAR, 1.0)
+#: Dyadic delays, so sums are exact and timestamps scheduled along
+#: different paths collide: zero, tiny, and equal-to-something-pending
+#: (0.25 + 0.25 meets a 0.5; 0.5 + 0.5 meets a 1.0).
+DELAYS = (0.0, 2.0**-20, 0.03125, 0.25, 0.5, 1.0)
 
 #: How a node schedules itself; see ``_Program.schedule``.
 KINDS = ("timeout", "hold", "event", "urgent", "succeed", "process", "watchdog")
@@ -78,8 +69,8 @@ _node = st.tuples(
 )
 _action = st.one_of(
     st.integers(min_value=1, max_value=6),  # that many step()s
-    # run(until=now + dt): horizons on, before and after a far time
-    st.sampled_from((0.0, 2.0**-20, 0.25, 0.4, *NEAR_FAR, 1.0)),
+    # run(until=now + dt): horizons on, before and after a pending time
+    st.sampled_from((0.0, 2.0**-20, 0.25, 0.4, 0.5, 1.0)),
 )
 
 
@@ -174,7 +165,7 @@ def _drive(single_heap: bool, nodes: list, roots: int, actions: list):
             returned.append((env.now, env.peek(), env.events_scheduled))
             if single_heap:
                 # one heap by construction: the rest never hold anything
-                assert not env._urgent and not env._normal and not env._far
+                assert not env._urgent and not env._normal
         # drain: every run() returns at a StopSimulation, so loop
         while env.peek() < INF:
             returned.append(env.run())
@@ -188,11 +179,9 @@ def _drive(single_heap: bool, nodes: list, roots: int, actions: list):
 )
 @settings(max_examples=300, deadline=None)
 def test_tiered_pops_in_single_heap_order(nodes, roots, actions):
-    reference = _drive(True, nodes, roots, actions)
-    assert _drive(False, nodes, roots, actions) == reference
-    for far_s in (0.0, INF):
-        with mock.patch.object(core, "FAR_S", far_s):
-            assert _drive(False, nodes, roots, actions) == reference
+    assert _drive(False, nodes, roots, actions) == _drive(
+        True, nodes, roots, actions
+    )
 
 
 def test_heap_entries_meet_both_now_fifos_at_one_timestamp():
@@ -239,16 +228,16 @@ def test_schedule_rejects_what_the_pop_rule_excludes():
 def test_peek_and_repr_read_every_tier():
     env = Environment()
     assert env.peek() == INF and "pending=0" in repr(env)
-    env.timeout(7.0)  # far heap
+    env.timeout(7.0)  # heap
     assert env.peek() == 7.0
-    env.timeout(0.25)  # hot heap
+    env.timeout(0.25)  # heap, ahead of it
     assert env.peek() == 0.25
     env.event().succeed()  # normal FIFO
     assert env.peek() == 0.0 and "pending=3" in repr(env)
     env.step()
     assert env.peek() == 0.25 and "pending=2" in repr(env)
     env.step()
-    assert env.peek() == 7.0 and not env._queue  # still waiting far
+    assert env.peek() == 7.0 and len(env._queue) == 1
     env.run()
     assert env.peek() == INF and env.now == 7.0 and env.peak_pending == 3
 

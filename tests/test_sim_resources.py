@@ -66,7 +66,7 @@ def test_resource_count_and_queue():
         assert res.count == 1
         r2 = res.request()
         assert len(res.queue) == 1
-        r2.cancel()
+        res.finish(r2)  # withdraws the ungranted request
         assert len(res.queue) == 0
 
     env.process(holder(env))
@@ -108,7 +108,7 @@ def test_cancelled_request_not_granted():
     def canceller(env):
         yield env.timeout(1)
         req = res.request()
-        req.cancel()
+        res.finish(req)
         yield env.timeout(10)
         granted.append(req.triggered)
 
@@ -242,7 +242,7 @@ def test_interrupt_during_a_hold_releases_at_once_and_never_recycles():
         # ... so a new request is never an armed object.
         fresh = res.request()
         assert fresh is not stale
-        fresh.cancel()
+        res.finish(fresh)
 
     env.process(interrupter(env))
     env.run()
