@@ -31,6 +31,32 @@ from repro.fuzz import (
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
 
+#: ``ScenarioOutcome.fingerprint`` of every committed plan, equal under
+#: every ``PYTHONHASHSEED``: a change that moves one has changed
+#: behaviour, and a plan added to ``corpus/`` is pinned here with it.
+CORPUS_FINGERPRINTS = {
+    "crash-duplicate-repop-reply-22ff9cb931ae.plan":
+        "42143c6e2ab7ef2f1e4a3f40261c8785e59874c778d30533b3d5ee2b35907003",
+    "crash-missing-2f3b9359b942.plan":
+        "573ad64c4481a58385881a4d5b787e5cafc409185fce7bb50a4802bb29b39b1c",
+    "crash-missing_replica-missing-6164ab2117b8.plan":
+        "d094e92f30377b6ae1429ac19956f2db9399ec7275ad342e5f254da54b4edfd4",
+    "crash-missing_replica-missing-71ad11712176.plan":
+        "2ce39e798884a757c2f0086637e785d743e1d777930a99b27cd732ba16f87c78",
+    "crash-missing_replica-missing-7efae4771d60.plan":
+        "9172dd3bb4b61ccab678901ac19e9720954d2016baabc94ce771e397d41683e9",
+    "crash-missing_replica-missing-8df3d0f5c765.plan":
+        "839b07665ec0d5d74ad9129f2b79e9e33217375badc35308165637352112286f",
+    "crash-missing_replica-missing-e95eb108fa63.plan":
+        "78a75469555a44ce605a30a1f0c898c47d5c0c330f3fe2b7c4b165b37eebc9b4",
+    "crash-read-error_replica-missing-1554f9b900b4.plan":
+        "b363e028bb0128ad023ec35c062f030d669c7c9c2770ef66bc21e32a25e37a19",
+    "wire-corruption-recovered-3066e2fd85e3.plan":
+        "1c6b0cea646ca4b5506e3df03a8804db7b7700257c78c78ec59ba1c09508e86a",
+    "wire-dup-suppression-e2858a8f1784.plan":
+        "110be76e28fa15e8f4e013da97d0f0dd695c32f18e6e7f620feab1610c1b4259",
+}
+
 
 # ------------------------------------------------------------- generator
 
@@ -334,6 +360,9 @@ def test_committed_corpus_replays_clean():
         assert outcome.aborted == "", f"{path.name}: {outcome.aborted}"
         assert outcome.violations == (), (
             f"{path.name} regressed: {outcome.violations}"
+        )
+        assert outcome.fingerprint == CORPUS_FINGERPRINTS[path.name], (
+            f"{path.name} replays differently"
         )
 
 
