@@ -47,7 +47,7 @@ demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, TYPE_CHECKING
+from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from ..msgr.message import MOSDPGPull, MOSDPGPush, MOSDPGPushReply
 from ..objectstore.api import StoreError, Transaction
@@ -72,6 +72,48 @@ class _PushWindow:
     waiters: list[Event] = field(default_factory=list)
 
 
+@dataclass(slots=True)
+class _Pull:
+    """The pull in flight for one PG."""
+
+    #: when the tick loop issued it; None while no issue is in flight
+    #: but the streams of an abandoned one still answer (see
+    #: ``_start_pull``)
+    started: Optional[float] = None
+    #: when a push of its streams last arrived: a long healthy stream is
+    #: not "stalled" — only silence is
+    alive: float = float("-inf")
+    #: source address -> (source osd, holds full copy, source's content
+    #: gen at pull start) still owing a 'last' push; empty until the
+    #: local collection exists and the pulls are sent
+    pending: dict[str, tuple[int, bool, int]] = field(default_factory=dict)
+    #: 'last' markers waiting for in-flight persists to drain before
+    #: completing their source
+    deferred: list[tuple[str, tuple, tuple]] = field(default_factory=list)
+
+
+@dataclass(slots=True)
+class _PgRecovery:
+    """One PG's recovery state on this OSD."""
+
+    pull: Optional[_Pull] = None
+    #: source -> gen drained at, this recovery episode (so a wait for a
+    #: missing full holder does not re-pull unchanged sources every
+    #: tick; a source that takes new writes bumps its gen and is pulled
+    #: again)
+    drained: dict[int, int] = field(default_factory=dict)
+    #: a drained source held a full copy
+    full: bool = False
+    #: source address -> object names its stream delivered: at episode
+    #: end, local objects a source never sent are pushed back to it (the
+    #: symmetric half of the merge)
+    recv: dict[str, set] = field(default_factory=dict)
+    #: data pushes whose local persist is still in flight; a stream's
+    #: 'last' must not credit the episode while one of its objects has
+    #: not durably landed in the (possibly proxied) store
+    persists: int = 0
+
+
 class RecoveryManager:
     """Per-OSD recovery logic (both puller and pusher roles)."""
 
@@ -81,15 +123,7 @@ class RecoveryManager:
         "pool_names",
         "tick",
         "pull_timeout",
-        "_pulling",
-        "_pull_progress",
-        "_pull_attempts",
-        "_pull_pending",
-        "_persists",
-        "_deferred_last",
-        "_pulled_from",
-        "_pulled_full",
-        "_recv_names",
+        "_pgs",
         "_tid",
         "_windows",
         "pulls_sent",
@@ -115,34 +149,7 @@ class RecoveryManager:
         #: a partition ate the pull/push messages)
         self.pull_timeout = max(5.0, 5.0 * tick)
 
-        self._pulling: dict[PgId, float] = {}  # pgid -> pull start time
-        #: pgid -> time the episode last made progress (a push arrived);
-        #: a long healthy stream is not "stalled" — only silence is
-        self._pull_progress: dict[PgId, float] = {}
-        self._pull_attempts: dict[PgId, int] = {}
-        #: pgid -> {source address: (source osd, holds full copy,
-        #: source's content gen at pull start)} still owing a 'last'
-        #: push this episode
-        self._pull_pending: dict[PgId, dict[str, tuple[int, bool, int]]] = {}
-        #: pgid -> {source: gen drained at} this recovery episode (so a
-        #: wait for a missing full holder does not re-pull unchanged
-        #: sources every tick; a source that takes new writes bumps its
-        #: gen and is pulled again)
-        self._pulled_from: dict[PgId, dict[int, int]] = {}
-        #: pgid -> a drained source held a full copy
-        self._pulled_full: dict[PgId, bool] = {}
-        #: pgid -> {source address: object names its stream delivered}
-        #: — at episode end, local objects a source never sent are
-        #: pushed back to it (the symmetric half of the merge)
-        self._recv_names: dict[PgId, dict[str, set]] = {}
-        #: pgid -> data pushes whose local persist is still in flight;
-        #: a stream's 'last' must not credit the episode while one of
-        #: its objects has not durably landed in the (possibly proxied)
-        #: store
-        self._persists: dict[PgId, int] = {}
-        #: pgid -> 'last' markers waiting for in-flight persists to
-        #: drain before completing their source
-        self._deferred_last: dict[PgId, list[tuple[str, tuple, tuple]]] = {}
+        self._pgs: dict[PgId, _PgRecovery] = {}
         self._tid = 0
         self._windows: dict[int, _PushWindow] = {}  # push tid -> window
 
@@ -176,16 +183,32 @@ class RecoveryManager:
             return
 
     def forget_pg(self, pgid: PgId) -> None:
-        """Reset recovery bookkeeping for a PG (its local copy was
-        discarded by a resync, so any episode in flight is void)."""
-        self._pulling.pop(pgid, None)
-        self._pull_progress.pop(pgid, None)
-        self._pull_attempts.pop(pgid, None)
-        self._pull_pending.pop(pgid, None)
-        self._pulled_from.pop(pgid, None)
-        self._pulled_full.pop(pgid, None)
-        self._recv_names.pop(pgid, None)
-        self._deferred_last.pop(pgid, None)
+        """Drop a PG's recovery record (its local copy was discarded by
+        a resync, so any episode in flight is void)."""
+        rec = self._pgs.pop(pgid, None)
+        if rec is not None:
+            rec.pull = None  # persists still draining complete nothing
+
+    def _abort(self, pgid: PgId, streams: bool = True) -> None:
+        """Abandon the pull in flight for ``pgid``; the next tick re-pulls.
+
+        The episode's drained sources and the names their streams
+        delivered stay.  With ``streams`` false only the tick loop's
+        issue is dropped, and streams already answering keep the pull."""
+        rec = self._pgs.get(pgid)
+        pull = rec.pull if rec is not None else None
+        if pull is not None:
+            pull.started = None
+            if streams or not pull.pending:
+                rec.pull = None
+        self.pulls_retried += 1
+
+    def _pull_of(self, pgid: PgId) -> Optional[_Pull]:
+        """The pull in flight for ``pgid`` once its pulls are sent."""
+        rec = self._pgs.get(pgid)
+        if rec is None or rec.pull is None or not rec.pull.pending:
+            return None
+        return rec.pull
 
     def _check_pg(self, pool: str, pgid: PgId) -> None:
         osd = self.osd
@@ -193,10 +216,11 @@ class RecoveryManager:
         acting = osdmap.pg_to_osds(pgid)
         if osd.osd_id not in acting:
             return
-        member = pgid in osd.member_pgs
-        drained = self._pulled_from.get(pgid, {})
+        rec = self._pgs.get(pgid)
+        pull = rec.pull if rec is not None else None
+        issued = pull is not None and pull.started is not None
         my_gen = osdmap.holder_gen(pgid, osd.osd_id)
-        if member:
+        if pgid in osd.member_pgs:
             # Merge-back: a holder with a higher content generation has
             # acked writes this copy misses (interim writes taken while
             # the full holders were down, or a merge that folded such
@@ -206,7 +230,7 @@ class RecoveryManager:
                 if o != osd.osd_id and osdmap.is_up(o)
                 and osdmap.holder_gen(pgid, o) > my_gen
             ]
-            if not sources and pgid not in self._pulling:
+            if not sources and not issued:
                 return
         else:
             holders = osdmap.holders_of(pgid)
@@ -224,15 +248,15 @@ class RecoveryManager:
             # acting member declaring itself authoritative is how acked
             # writes die.  A source drained earlier this episode is
             # skipped unless it has since taken writes (its gen moved).
+            drained = rec.drained if rec is not None else {}
             sources = [
                 o for o in holders
                 if o != osd.osd_id and osdmap.is_up(o)
                 and (o not in drained
                      or osdmap.holder_gen(pgid, o) > drained[o])
             ]
-        started = self._pulling.get(pgid)
-        if started is not None:
-            last_alive = max(started, self._pull_progress.get(pgid, started))
+        if issued:
+            last_alive = max(pull.started, pull.alive)
             if self.env.now - last_alive < self.pull_timeout:
                 return
             # stalled: no push arrived for a full timeout — the pusher
@@ -240,19 +264,17 @@ class RecoveryManager:
             # stream keeps refreshing its progress stamp and is never
             # restarted: re-issuing a live stream piles concurrent
             # full streams onto the same peers and collapses recovery.)
-            self._pulling.pop(pgid, None)
-            self._pull_progress.pop(pgid, None)
-            self._pull_pending.pop(pgid, None)
-            self._deferred_last.pop(pgid, None)
-            self.pulls_retried += 1
+            self._abort(pgid)
         if not sources:
             return  # wait for a data-bearing peer to come up
         full_set = set(osdmap.full_holders_of(pgid))
         sources_info = [
             (o, o in full_set, osdmap.holder_gen(pgid, o)) for o in sources
         ]
-        self._pull_attempts[pgid] = self._pull_attempts.get(pgid, 0) + 1
-        self._pulling[pgid] = self.env.now
+        rec = self._pgs.setdefault(pgid, _PgRecovery())
+        if rec.pull is None:
+            rec.pull = _Pull()
+        rec.pull.started = self.env.now
         self.env.process(
             self._start_pull(pool, pgid, sources_info),
             name=f"{self.osd.name}.pull.{pgid.seed:x}",
@@ -291,16 +313,22 @@ class RecoveryManager:
             )
         except StoreError:
             # backend unreachable (a proxied store's RPC timed out):
-            # abort this episode, the next tick retries
-            self._pulling.pop(pgid, None)
-            self.pulls_retried += 1
+            # the next tick retries.  This issue sent nothing, so the
+            # streams an earlier issue started keep answering.
+            self._abort(pgid, streams=False)
             return
+        # The pulls go out even if this issue was abandoned meanwhile:
+        # their streams keep the pull alive, and the next issue adopts
+        # it.  With two issues in flight, the later answer's sources
+        # replace the earlier's.
+        rec = self._pgs.setdefault(pgid, _PgRecovery())
+        if rec.pull is None:
+            rec.pull = _Pull()
         have = tuple(sorted(local))
-        pending = {
+        pending = rec.pull.pending = {
             osd.osdmap.address_of(source): (source, full, gen)
             for source, full, gen in sources_info
         }
-        self._pull_pending[pgid] = pending
         for addr in sorted(pending):
             self._tid += 1
             self.pulls_sent += 1
@@ -320,12 +348,11 @@ class RecoveryManager:
     def _push_pg(self, msg: MOSDPGPull) -> Generator[Any, Any, None]:
         osd = self.osd
         pool = osd.osdmap.pool_by_name(msg.pool)
-        pgid = PgId(pool.id, msg.pg_seed)
-        pg = osd.pgs.get(pgid)
-        coll = str(pgid)
-        thread = osd._completion_thread
+        coll = str(PgId(pool.id, msg.pg_seed))
         try:
-            names = yield from osd.store.list_objects(coll, thread)
+            names = yield from osd.store.list_objects(
+                coll, osd._completion_thread
+            )
         except StoreError:
             # cannot enumerate the local copy (a proxied store's RPC
             # failed): stay silent rather than send an empty stream with
@@ -337,36 +364,13 @@ class RecoveryManager:
         puller_has = set(msg.have)
         to_send = [n for n in names if n not in puller_has]
         skipped = tuple(sorted(n for n in names if n in puller_has))
-        window = _PushWindow()
-        incomplete = False
-        sent_names: list[str] = []
-        for name in to_send:
-            try:
-                blob = yield from osd.store.read(coll, name, 0, 1 << 62,
-                                                 thread)
-            except StoreError:
-                # this object never made it onto the wire: the stream
-                # is incomplete, so it must not carry a 'last' marker
-                incomplete = True
-                continue
-            while window.inflight >= _MAX_PUSH_INFLIGHT:
-                ev = self.env.event()
-                window.waiters.append(ev)
-                yield ev
-            window.inflight += 1
-            self._tid += 1
-            self._windows[self._tid] = window
-            self.pushes_sent += 1
-            sent_names.append(name)
-            osd.messenger.send_message(
-                MOSDPGPush(
-                    tid=self._tid, pool=msg.pool, pg_seed=msg.pg_seed,
-                    object_name=name, length=blob.length, data=blob,
-                ),
-                msg.src,
-            )
-        if incomplete:
-            return  # puller's stall timer re-pulls the missing delta
+        sent = yield from self._stream(coll, to_send, msg.pool, msg.pg_seed,
+                                       msg.src)
+        if len(sent) < len(to_send):
+            # an object never made it onto the wire: the stream is
+            # incomplete, so it must not carry a 'last' marker — the
+            # puller's stall timer re-pulls the missing delta
+            return
         # dedicated 'last' marker (no payload) after the data pushes: it
         # carries the skipped names so the puller knows the source's
         # full inventory when computing what to push back, and the
@@ -377,9 +381,45 @@ class RecoveryManager:
         osd.messenger.send_message(
             MOSDPGPush(tid=self._tid, pool=msg.pool,
                        pg_seed=msg.pg_seed, last=True, skipped=skipped,
-                       pushed=tuple(sent_names)),
+                       pushed=tuple(sent)),
             msg.src,
         )
+
+    def _stream(
+        self, coll: str, names: list[str], pool: str, pg_seed: int,
+        addr: str,
+    ) -> Generator[Any, Any, list[str]]:
+        """Push the objects ``names`` of ``coll`` to ``addr`` as one
+        stream, at most ``_MAX_PUSH_INFLIGHT`` un-acked at a time.
+
+        Returns the names sent: an object the local store cannot read
+        is left out."""
+        osd = self.osd
+        window = _PushWindow()
+        sent: list[str] = []
+        for name in names:
+            try:
+                blob = yield from osd.store.read(coll, name, 0, 1 << 62,
+                                                 osd._completion_thread)
+            except StoreError:
+                continue
+            while window.inflight >= _MAX_PUSH_INFLIGHT:
+                ev = self.env.event()
+                window.waiters.append(ev)
+                yield ev
+            window.inflight += 1
+            self._tid += 1
+            self._windows[self._tid] = window
+            self.pushes_sent += 1
+            sent.append(name)
+            osd.messenger.send_message(
+                MOSDPGPush(
+                    tid=self._tid, pool=pool, pg_seed=pg_seed,
+                    object_name=name, length=blob.length, data=blob,
+                ),
+                addr,
+            )
+        return sent
 
     def handle_push_reply(self, msg: MOSDPGPushReply) -> None:
         window = self._windows.pop(msg.tid, None)
@@ -397,46 +437,31 @@ class RecoveryManager:
         pgid = PgId(pool.id, msg.pg_seed)
         coll = str(pgid)
         thread = osd._completion_thread
-        if msg.src in self._pull_pending.get(pgid, {}):
+        rec = self._pgs.setdefault(pgid, _PgRecovery())
+        pull = rec.pull
+        if pull is not None and msg.src in pull.pending:
             # the stream is alive: refresh the stall stamp so a long
             # (but progressing) episode is not restarted from scratch
-            self._pull_progress[pgid] = self.env.now
-        if msg.data is not None:
-            if msg.src in self._pull_pending.get(pgid, {}):
+            pull.alive = self.env.now
+            if msg.data is not None:
                 # remember what this source's stream delivered: local
                 # objects it never sent get pushed back at episode end
-                self._recv_names.setdefault(pgid, {}).setdefault(
-                    msg.src, set()
-                ).add(msg.object_name)
-            # a client write that landed here after the pull started is
-            # newer than the pushed copy — never clobber it
-            applied = False
-            self._persists[pgid] = self._persists.get(pgid, 0) + 1
+                rec.recv.setdefault(msg.src, set()).add(msg.object_name)
+        if msg.data is not None:
+            rec.persists += 1
             try:
-                try:
-                    have = yield from osd.store.exists(
-                        coll, msg.object_name, thread
+                # a client write that landed here after the pull started
+                # is newer than the pushed copy — never clobber it
+                if not (yield from osd.store.exists(coll, msg.object_name,
+                                                    thread)):
+                    txn = Transaction().write(
+                        coll, msg.object_name, 0, msg.length, msg.data
                     )
-                except StoreError:
-                    have = False
-                else:
-                    if not have:
-                        txn = Transaction().write(
-                            coll, msg.object_name, 0, msg.length, msg.data
-                        )
-                        try:
-                            yield from osd.store.queue_transaction(
-                                txn, thread
-                            )
-                        except StoreError:
-                            pass
-                        else:
-                            applied = True
-                            self.objects_recovered += 1
-                            self.bytes_recovered += msg.length
-                    else:
-                        applied = True
-                if not applied and pgid in self._pull_pending:
+                    yield from osd.store.queue_transaction(txn, thread)
+                    self.objects_recovered += 1
+                    self.bytes_recovered += msg.length
+            except StoreError:
+                if self._pull_of(pgid) is not None:
                     # the object reached us but the local (possibly
                     # proxied) store could not persist it: the episode
                     # can no longer complete honestly — abort it so the
@@ -444,47 +469,33 @@ class RecoveryManager:
                     # register a "full" copy that silently lacks this
                     # object (its stream 'last' is now ignored as
                     # stray).
-                    self._pull_pending.pop(pgid, None)
-                    self._pulling.pop(pgid, None)
-                    self._pull_progress.pop(pgid, None)
-                    self._recv_names.pop(pgid, None)
-                    self._deferred_last.pop(pgid, None)
-                    self.pulls_retried += 1
+                    self._abort(pgid)
             finally:
                 # persist done (or aborted): when the last in-flight
                 # persist for this PG drains, fire any 'last' markers
                 # that were held back waiting for it
-                left = self._persists.get(pgid, 1) - 1
-                if left > 0:
-                    self._persists[pgid] = left
-                else:
-                    self._persists.pop(pgid, None)
-                    for src, skipped, pushed in self._deferred_last.pop(
-                        pgid, []
-                    ):
+                rec.persists -= 1
+                if not rec.persists and rec.pull is not None:
+                    deferred, rec.pull.deferred = rec.pull.deferred, []
+                    for src, skipped, pushed in deferred:
                         self._complete_source(pgid, src, skipped, pushed)
         osd.messenger.send_message(
             MOSDPGPushReply(tid=msg.tid, pg_seed=msg.pg_seed), msg.src
         )
         if msg.last:
-            if (
-                self._persists.get(pgid)
-                and msg.src in self._pull_pending.get(pgid, {})
-            ):
+            pull = rec.pull
+            if rec.persists and pull is not None and msg.src in pull.pending:
                 # pushes run as concurrent processes: a data push from
                 # this stream may still be persisting (slow/faulted
                 # proxied store).  Crediting the episode now would
                 # register a copy whose store never saw that object —
                 # hold the marker until the persists drain.
-                self._deferred_last.setdefault(pgid, []).append(
-                    (msg.src, msg.skipped, msg.pushed)
-                )
+                pull.deferred.append((msg.src, msg.skipped, msg.pushed))
             else:
                 self._complete_source(pgid, msg.src, msg.skipped,
                                       msg.pushed)
-        release = getattr(msg, "throttle_release", None)
-        if release is not None:
-            release()
+        if msg.throttle_release is not None:
+            msg.throttle_release()
 
     def _complete_source(
         self, pgid: PgId, addr: str, skipped: tuple = (),
@@ -492,9 +503,11 @@ class RecoveryManager:
     ) -> None:
         """A source finished its stream; finish the episode when all
         requested sources have delivered."""
-        pending = self._pull_pending.get(pgid)
-        if pending is None:
+        pull = self._pull_of(pgid)
+        if pull is None:
             return  # stray 'last' from a superseded episode
+        rec = self._pgs[pgid]
+        pending = pull.pending
         if addr in pending and pushed:
             # The 'last' marker's manifest names every object its
             # stream sent.  A name we never saw means a data push was
@@ -503,45 +516,35 @@ class RecoveryManager:
             # marker itself survived — crediting this episode would
             # register a "full" copy with a hole where an acked write
             # should be.  Abort; the stall timer / next tick re-pulls.
-            got = self._recv_names.get(pgid, {}).get(addr, set())
+            got = rec.recv.get(addr, set())
             if any(name not in got for name in pushed):
-                self._pull_pending.pop(pgid, None)
-                self._pulling.pop(pgid, None)
-                self._pull_progress.pop(pgid, None)
-                self._recv_names.pop(pgid, None)
-                self._deferred_last.pop(pgid, None)
-                self.pulls_retried += 1
+                self._abort(pgid)
                 return
         entry = pending.pop(addr, None)
         if entry is not None:
             source, full, gen = entry
-            self._pulled_from.setdefault(pgid, {})[source] = gen
+            rec.drained[source] = gen
             if full:
-                self._pulled_full[pgid] = True
+                rec.full = True
             if skipped:
                 # names the source holds but did not stream (we declared
                 # them in ``have``): the source knows these, so they are
                 # excluded from the push-back backlog below
-                self._recv_names.setdefault(pgid, {}).setdefault(
-                    addr, set()
-                ).update(skipped)
+                rec.recv.setdefault(addr, set()).update(skipped)
         if pending:
             return
-        del self._pull_pending[pgid]
-        self._pulling.pop(pgid, None)
-        self._pull_progress.pop(pgid, None)
-        self._deferred_last.pop(pgid, None)
+        rec.pull = None
         osd = self.osd
         osdmap = osd.osdmap
         was_member = pgid in osd.member_pgs
-        drained = self._pulled_from.get(pgid, {})
+        drained = rec.drained
         # The local copy is the union of what it was and every drained
         # stream: it reflects at least the highest gen it asked for.
         new_gen = max(
             [osdmap.holder_gen(pgid, osd.osd_id), *drained.values()]
         )
-        recv = self._recv_names.pop(pgid, {})
-        if was_member or self._pulled_full.get(pgid, False):
+        recv, rec.recv = rec.recv, {}
+        if was_member or rec.full:
             # The local copy now unions a full copy with every drained
             # interim holder: it is authoritative.
             osd.member_pgs.add(pgid)
@@ -551,16 +554,14 @@ class RecoveryManager:
             pg = osd.pgs.get(pgid)
             if pg is not None:
                 pg.clean = True
-            self._pull_attempts.pop(pgid, None)
             if not was_member:
                 self.pgs_recovered += 1
-            self._pulled_from.pop(pgid, None)
-            self._pulled_full.pop(pgid, None)
+            rec.drained, rec.full = {}, False
         else:
             # Only partial holders were reachable: we hold their union
             # but not a full copy.  Stay unclean and wait for a full
-            # holder; ``_pulled_from`` remembers the drained sources so
-            # they are not re-pulled every tick.
+            # holder; ``drained`` remembers the drained sources so they
+            # are not re-pulled every tick.
             osdmap.record_pg_holder(
                 pgid, osd.osd_id, full=False, gen=new_gen
             )
@@ -590,38 +591,17 @@ class RecoveryManager:
         osd = self.osd
         coll = str(pgid)
         pool_name = osd.osdmap.pools[pgid.pool].name
-        thread = osd._completion_thread
         try:
-            local = yield from osd.store.list_objects(coll, thread)
+            local = yield from osd.store.list_objects(
+                coll, osd._completion_thread
+            )
         except StoreError:
             return
         for addr in sorted(targets):
             backlog = sorted(set(local) - targets[addr])
-            if not backlog:
-                continue
-            window = _PushWindow()
-            for name in backlog:
-                try:
-                    blob = yield from osd.store.read(coll, name, 0, 1 << 62,
-                                                     thread)
-                except StoreError:
-                    continue
-                while window.inflight >= _MAX_PUSH_INFLIGHT:
-                    ev = self.env.event()
-                    window.waiters.append(ev)
-                    yield ev
-                window.inflight += 1
-                self._tid += 1
-                self._windows[self._tid] = window
-                self.pushes_sent += 1
-                osd.messenger.send_message(
-                    MOSDPGPush(
-                        tid=self._tid, pool=pool_name, pg_seed=pgid.seed,
-                        object_name=name, length=blob.length, data=blob,
-                        last=False,
-                    ),
-                    addr,
-                )
+            if backlog:
+                yield from self._stream(coll, backlog, pool_name, pgid.seed,
+                                        addr)
 
     def __repr__(self) -> str:
         return (

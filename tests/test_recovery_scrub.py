@@ -9,7 +9,11 @@ from repro.cluster import (
     build_baseline_cluster,
     build_doceph_cluster,
 )
+from repro.msgr.message import MOSDPGPush
+from repro.objectstore.api import StoreError
+from repro.osd.recovery import _PgRecovery, _Pull
 from repro.sim import Environment
+from repro.util.bufferlist import DataBlob
 
 
 def boot_cluster(builder, profile):
@@ -96,19 +100,122 @@ def test_recovery_refuses_credit_on_incomplete_push_manifest():
     before = rec.pulls_retried
 
     # stream delivered obj-a but the manifest says obj-b was sent too
-    rec._pull_pending[pgid] = {addr: (1, True, 5)}
-    rec._recv_names[pgid] = {addr: {"obj-a"}}
+    rec._pgs[pgid] = state = _PgRecovery(
+        pull=_Pull(started=env.now, pending={addr: (1, True, 5)}),
+        recv={addr: {"obj-a"}},
+    )
     rec._complete_source(pgid, addr, skipped=(), pushed=("obj-a", "obj-b"))
-    assert pgid not in rec._pull_pending
+    assert state.pull is None
     assert rec.pulls_retried == before + 1
-    assert not rec._pulled_full.get(pgid, False)
+    assert not state.full
 
     # the same episode with a fully-received manifest completes normally
-    rec._pull_pending[pgid] = {addr: (1, True, 5)}
-    rec._recv_names[pgid] = {addr: {"obj-a", "obj-b"}}
+    state.pull = _Pull(started=env.now, pending={addr: (1, True, 5)})
+    state.recv = {addr: {"obj-a", "obj-b"}}
     rec._complete_source(pgid, addr, skipped=(), pushed=("obj-a", "obj-b"))
-    assert pgid not in rec._pull_pending
+    assert state.pull is None
     assert rec.pulls_retried == before + 1
+
+
+# ------------------------------------------------------------ abort contract
+
+
+def _failing_store_call(*args, **kwargs):
+    raise StoreError("backend unreachable")
+    yield  # pragma: no cover
+
+
+def _pull_in_flight():
+    """A booted cluster and a PG primary's recovery manager with a sent
+    pull in flight, from a peer whose stream already delivered one
+    object; returns ``(env, cluster, manager, pgid, source address)``."""
+    profile = HardwareProfile(storage_nodes=3, pg_num=4)
+    env, c = boot_cluster(build_baseline_cluster, profile)
+    pgid = next(iter(c.osdmap.all_pgs(BENCH_POOL)))
+    primary, source = c.osdmap.pg_to_osds(pgid)[:2]
+    osds = {osd.osd_id: osd for osd in c.osds}
+    rec = osds[primary].recovery
+    addr = osds[source].messenger.address
+    rec._pgs[pgid] = _PgRecovery(
+        pull=_Pull(started=env.now, pending={addr: (source, True, 0)}),
+        drained={2: 0}, recv={addr: {"obj-a"}},
+    )
+    return env, c, rec, pgid, addr
+
+
+def _aborted_once(rec, pgid, before):
+    state = rec._pgs[pgid]
+    assert state.pull is None
+    assert rec.pulls_retried == before + 1
+    # an abort ends the pull, not the episode
+    assert state.drained == {2: 0}
+    assert "obj-a" in next(iter(state.recv.values()))
+
+
+def test_stalled_pull_is_aborted():
+    env, c, rec, pgid, _ = _pull_in_flight()
+    before = rec.pulls_retried
+    rec._pgs[pgid].pull.started = env.now - rec.pull_timeout
+    # the primary is a current member and no holder is newer: the stall
+    # starts no new pull
+    rec._check_pg(BENCH_POOL, pgid)
+    _aborted_once(rec, pgid, before)
+
+
+def test_pull_whose_collection_cannot_be_made_is_aborted(monkeypatch):
+    env, c, rec, pgid, _ = _pull_in_flight()
+    state = rec._pgs[pgid]
+    streams = state.pull
+    before, sent = rec.pulls_retried, rec.pulls_sent
+    monkeypatch.setattr(type(rec.osd.store), "queue_transaction",
+                        _failing_store_call)
+
+    def start_and_fail():
+        p = env.process(rec._start_pull(BENCH_POOL, pgid, [(2, True, 0)]))
+        env.run(until=p)
+
+    # the failed issue sent nothing: streams an earlier issue started
+    # keep answering, and only the issue is dropped
+    start_and_fail()
+    assert state.pull is streams and streams.started is None
+    assert rec.pulls_retried == before + 1
+    # with no stream answering, the pull ends
+    state.pull = _Pull(started=env.now)
+    start_and_fail()
+    _aborted_once(rec, pgid, before + 1)
+    assert rec.pulls_sent == sent
+
+
+def test_push_that_cannot_persist_aborts_the_pull(monkeypatch):
+    env, c, rec, pgid, addr = _pull_in_flight()
+    before = rec.pulls_retried
+    monkeypatch.setattr(type(rec.osd.store), "queue_transaction",
+                        _failing_store_call)
+    push = MOSDPGPush(tid=1, pool=BENCH_POOL, pg_seed=pgid.seed,
+                      object_name="obj-b", length=4096,
+                      data=DataBlob(4096))
+    push.src = addr
+    p = env.process(rec.handle_push(push))
+    env.run(until=p)
+    _aborted_once(rec, pgid, before)
+    assert rec._pgs[pgid].persists == 0
+
+
+def test_stream_with_a_manifest_hole_is_aborted():
+    env, c, rec, pgid, addr = _pull_in_flight()
+    before = rec.pulls_retried
+    rec._complete_source(pgid, addr, pushed=("obj-a", "obj-b"))
+    _aborted_once(rec, pgid, before)
+
+
+def test_forget_pg_drops_the_record():
+    env, c, rec, pgid, _ = _pull_in_flight()
+    before = rec.pulls_retried
+    state = rec._pgs[pgid]
+    rec.forget_pg(pgid)
+    assert pgid not in rec._pgs
+    assert state.pull is None  # persists still draining complete nothing
+    assert rec.pulls_retried == before
 
 
 def test_recovery_on_doceph_cluster_uses_dpu():
