@@ -22,7 +22,7 @@ behind ``self.store`` change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..hw.cpu import SimThread
 from ..msgr.heartbeat import HeartbeatAgent
@@ -641,11 +641,10 @@ class OsdDaemon:
         pgid: PgId,
         gen_credit: list[tuple[int, bool | None, int]],
     ) -> Generator[Any, Any, None]:
-        thread = self._completion_thread
         inc = self.incarnation
         _mark(msg, self.env.now, "queued_transaction")
         local = self.env.process(
-            self.store.queue_transaction(txn, thread),
+            self.store.queue_transaction(txn, self._completion_thread),
             name=f"{self.name}.txn.{msg.tid}",
         )
         result = 0
@@ -655,39 +654,58 @@ class OsdDaemon:
             result = -22  # -EINVAL
         if inflight.failed:
             result = -22  # a replica could not persist: fail, never ack
-        op_span = getattr(msg, "op_span", None)
+
+        def commit() -> None:
+            _mark(msg, self.env.now, "commit_received")
+            self._inflight.pop(repop_tid, None)
+            if result == 0:
+                # the write is durable everywhere it was sent: only now
+                # may the acting set's content generations reflect it (a
+                # pull capturing the gen earlier would miss the
+                # not-yet-readable data and still count as complete)
+                for holder, full, gen in gen_credit:
+                    self.osdmap.record_pg_holder(pgid, holder, full=full,
+                                                 gen=gen)
+
+        yield from self._reply(msg, inc, MOSDOpReply(tid=msg.tid,
+                                                     result=result), commit)
+
+    def _reply(
+        self,
+        msg: MOSDOp,
+        inc: int,
+        reply: MOSDOpReply,
+        commit: Optional[Callable[[], None]] = None,
+    ) -> Generator[Any, Any, None]:
+        """Send a client op's reply from its completion process.
+
+        A daemon that crashed since incarnation ``inc`` sends nothing:
+        it never answers on behalf of a later incarnation (the client
+        resends).  ``commit`` is a write's: it runs once that fence has
+        passed, the reply then carries the map epoch it is sent in, and
+        the op's span finishes ``ok`` or ``error``."""
+        op_span = msg.op_span
         if self.incarnation != inc or not self.alive:
-            # the daemon died while this write was in flight: never ack
-            # on behalf of a later incarnation (the client will resend)
             if op_span is not None:
                 op_span.error(self.env.now, "osd-crashed")
             _release(msg)
             return
-        _mark(msg, self.env.now, "commit_received")
-        self._inflight.pop(repop_tid, None)
-        if result == 0 and gen_credit:
-            # the write is durable everywhere it was sent: only now may
-            # the acting set's content generations reflect it (a pull
-            # capturing the gen earlier would miss the not-yet-readable
-            # data and still count as complete)
-            for holder, full, gen in gen_credit:
-                self.osdmap.record_pg_holder(pgid, holder, full=full,
-                                             gen=gen)
-        yield from thread.charge(self.config.reply_cpu)
-        reply = MOSDOpReply(
-            tid=msg.tid, result=result, version=self.osdmap.epoch
-        )
+        if commit is not None:
+            commit()
+        yield from self._completion_thread.charge(self.config.reply_cpu)
+        status = None
+        if commit is not None:
+            reply.version = self.osdmap.epoch
+            status = "error" if reply.result != 0 else "ok"
         if op_span is not None:
-            reply.span_ctx = getattr(msg, "span_ctx", None)  # type: ignore[attr-defined]
+            reply.span_ctx = msg.span_ctx  # type: ignore[attr-defined]
             reply.origin_span = op_span  # type: ignore[attr-defined]
         self.messenger.send_message(reply, msg.src)
         _release(msg)
         if op_span is not None:
-            op_span.finish(
-                self.env.now, status="error" if result != 0 else "ok"
-            )
+            op_span.finish(self.env.now, status=status)
 
-    # -- client read -----------------------------------------------------------------
+    # -- client read and stat ----------------------------------------------------
     def _handle_client_read(
         self, msg: MOSDOp, thread: SimThread
     ) -> Generator[Any, Any, None]:
@@ -706,13 +724,12 @@ class OsdDaemon:
     def _read_and_reply(
         self, msg: MOSDOp, pg: PlacementGroup
     ) -> Generator[Any, Any, None]:
-        thread = self._completion_thread
         inc = self.incarnation
-        op_span = getattr(msg, "op_span", None)
+        op_span = msg.op_span
         try:
             blob = yield from self.store.read(
                 pg.collection, msg.object_name, msg.offset, msg.length,
-                thread,
+                self._completion_thread,
                 span_ctx=op_span.context if op_span is not None else None,
             )
             reply = MOSDOpReply(tid=msg.tid, result=0, data=blob)
@@ -722,21 +739,8 @@ class OsdDaemon:
             # Backend failure that isn't fail-stop (e.g. a proxied
             # store's RPC timing out): error the op, don't kill the OSD.
             reply = MOSDOpReply(tid=msg.tid, result=-5)  # -EIO
-        if self.incarnation != inc or not self.alive:
-            if op_span is not None:
-                op_span.error(self.env.now, "osd-crashed")
-            _release(msg)
-            return
-        yield from thread.charge(self.config.reply_cpu)
-        if op_span is not None:
-            reply.span_ctx = getattr(msg, "span_ctx", None)  # type: ignore[attr-defined]
-            reply.origin_span = op_span  # type: ignore[attr-defined]
-        self.messenger.send_message(reply, msg.src)
-        _release(msg)
-        if op_span is not None:
-            op_span.finish(self.env.now)
+        yield from self._reply(msg, inc, reply)
 
-    # -- client stat -----------------------------------------------------------------
     def _handle_client_stat(
         self, msg: MOSDOp, thread: SimThread
     ) -> Generator[Any, Any, None]:
@@ -745,36 +749,23 @@ class OsdDaemon:
         if self._misdirected(msg, pgid):
             return
         pg = self.refresh_pg(pgid)
-        inc = self.incarnation
+        self.env.process(self._stat_and_reply(msg, pg, self.incarnation),
+                         name=f"{self.name}.stat.{msg.tid}")
 
-        def work() -> Generator[Any, Any, None]:
-            t = self._completion_thread
-            op_span = getattr(msg, "op_span", None)
-            try:
-                st = yield from self.store.stat(
-                    pg.collection, msg.object_name, t
-                )
-                reply = MOSDOpReply(tid=msg.tid, result=0, version=st.version)
-                reply.attachment = st
-            except NoSuchObject:
-                reply = MOSDOpReply(tid=msg.tid, result=-2)
-            except StoreError:
-                reply = MOSDOpReply(tid=msg.tid, result=-5)  # -EIO
-            if self.incarnation != inc or not self.alive:
-                if op_span is not None:
-                    op_span.error(self.env.now, "osd-crashed")
-                _release(msg)
-                return
-            yield from t.charge(self.config.reply_cpu)
-            if op_span is not None:
-                reply.span_ctx = getattr(msg, "span_ctx", None)  # type: ignore[attr-defined]
-                reply.origin_span = op_span  # type: ignore[attr-defined]
-            self.messenger.send_message(reply, msg.src)
-            _release(msg)
-            if op_span is not None:
-                op_span.finish(self.env.now)
-
-        self.env.process(work(), name=f"{self.name}.stat.{msg.tid}")
+    def _stat_and_reply(
+        self, msg: MOSDOp, pg: PlacementGroup, inc: int
+    ) -> Generator[Any, Any, None]:
+        try:
+            st = yield from self.store.stat(
+                pg.collection, msg.object_name, self._completion_thread
+            )
+            reply = MOSDOpReply(tid=msg.tid, result=0, version=st.version,
+                                attachment=st)
+        except NoSuchObject:
+            reply = MOSDOpReply(tid=msg.tid, result=-2)
+        except StoreError:
+            reply = MOSDOpReply(tid=msg.tid, result=-5)  # -EIO
+        yield from self._reply(msg, inc, reply)
 
     # -- replica side -----------------------------------------------------------------
     def _handle_repop(
