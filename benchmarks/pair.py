@@ -40,7 +40,9 @@ spread).  The rule reads the per-round ratios only: a pairing's rounds
 drift together, so the parent's spread across rounds is not the noise
 of one pair.  One JSON document,
 ``benchmarks/results/BENCH_pair_<workload>_<metric>_<change>.json``,
-keeps the commits, the machine, the method and every sample.
+keeps the commits, the machine, the method and every sample; a repeat
+pairing of the same change writes ``…_2.json``, ``…_3.json`` and so
+on, never over an earlier one.
 """
 
 from __future__ import annotations
@@ -416,6 +418,16 @@ def pair(root: pathlib.Path, parent: str, change: str, workload: str,
     return document(label, workload, metric, commits, samples)
 
 
+def free_path(path: pathlib.Path) -> pathlib.Path:
+    """``path``, or else the first of ``<stem>_2``, ``<stem>_3``, … that
+    no earlier document took."""
+    free, n = path, 1
+    while free.exists():
+        n += 1
+        free = path.with_name(f"{path.stem}_{n}{path.suffix}")
+    return free
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent")
@@ -434,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"aborted: behaviour changed: {exc}", file=sys.stderr)
         return 3
     label = doc["label"]
-    out = RESULTS / f"BENCH_pair_{label}.json"
+    out = free_path(RESULTS / f"BENCH_pair_{label}.json")
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                    encoding="utf-8")
     v = doc["verdict"]

@@ -266,3 +266,38 @@ def test_a_digest_mismatch_exits_three(pair, monkeypatch, capsys):
                       "--rounds", "2"])
     assert code == 3
     assert "digest" in capsys.readouterr().err
+
+
+def test_a_repeat_pairing_keeps_the_earlier_document(pair, monkeypatch,
+                                                     tmp_path, capsys):
+    """Pairing the same change twice writes a second document beside the
+    first instead of over it, and prints where it went."""
+
+    class StubWorker:
+        def __init__(self, tree, workload):
+            pass
+
+        def turn(self):
+            metrics = {k: 1.0 for k in pair.SIMULATED}
+            metrics["cpu_s"] = metrics["wall_s"] = 1.0
+            return {"digest": "d" * 64, "events": 10, "metrics": metrics}
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(pair, "ROOT", tmp_path)
+    monkeypatch.setattr(pair, "RESULTS", tmp_path)
+    monkeypatch.setattr(pair, "resolve", lambda root, commit: commit * 40)
+    monkeypatch.setattr(pair, "check_same_harness", lambda root, a, b: None)
+    monkeypatch.setattr(pair, "export",
+                        lambda root, sha, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(pair, "Worker", StubWorker)
+    argv = ["a", "b", "--workload", "w", "--metric", "cpu", "--rounds", "2"]
+    names = [f"BENCH_pair_w_cpu_bbbbbbb{tail}.json"
+             for tail in ("", "_2", "_3")]
+    for n in range(3):
+        assert pair.main(argv) == 0
+        assert f"wrote {names[n]}" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted(names)
+    first = json.loads((tmp_path / names[0]).read_text())
+    assert first["commits"]["change"] == "b" * 40
