@@ -561,6 +561,13 @@ MUTANTS = (
         "cancel() withdraws a timeout something waits on, which then "
         "never wakes",
         ("hash-tier1", "e2e-goldens")),
+    Mutant(
+        "recovery.abort_keeps_pending", "src/repro/osd/recovery.py",
+        (("            if streams or not pull.pending:\n",
+          "            if not pull.pending:\n"),),
+        "an aborted pull keeps the sources it still awaits, so a stream "
+        "whose push was lost or never persisted can still complete it",
+        ("hash-tier1",)),
 )
 
 
