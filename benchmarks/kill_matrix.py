@@ -4,26 +4,25 @@ Each mutant is one named textual edit of a checked-out tree (a wrong
 comparison, a dropped check, a wall-clock read where none may be).  The
 script copies the tree once per mutant, applies the edit, runs the gates
 in the copy and records, per gate, whether the mutant was *killed*
-(non-zero exit) or *survived*.  The gates are the commands the CI
-workflow ran at the tree being judged; ``tier1`` is the merge gate
-itself (``pytest -x -q`` over ``tests/``).  Every pytest gate leaves out
-the test that this file's anchors occur in the tree (``_SELF_CHECK``),
-which a mutated copy fails by construction.
+(non-zero exit) or *survived*.  ``tier1`` is the merge gate itself
+(``pytest -x -q`` over ``tests/``).  Every gate over ``tests/`` leaves
+out the test that this file's anchors occur in the tree
+(``_SELF_CHECK``), which a mutated copy fails by construction.
 
 A gate can only be a mutant's unique kill where tier-1 lets the mutant
 through, so ``tier1`` runs first.  When it kills, only the gates the
-mutant was written against (``targets``) and the static lint gates run;
-when it survives, every gate runs.  Seed-0 legs of ``REPRO_FAULT_SEED``
-pytest steps are not gates here: tier-1 runs them with the same input.
+mutant was written against (``targets``) run; when it survives, every
+gate runs.
 
-``GATES`` holds every CI step of commit 5d2be62, the first tree this
-matrix judged, kept as they ran there.  On a later tree only the pytest
-and e2e gates mean what they say: ``lint-src`` and ``lint-relaxed`` pass
-flags that were deleted with the lint baseline, and nothing reads
-``REPRO_FAULT_SEED`` any more, so the ``faults@k``/``chaos@k``/
-``trace@k`` gates re-run tier-1's seed.  Later trees name their gates
-with ``--gates``: ``hash-tier1`` for a mutant of the model, and
-``LINT_JUDGES`` for the mutant of a lint rule (``LINT_RULE``).
+``GATES`` is the CI workflow of today's tree (``.github/workflows/
+ci.yml``): the three tier-1 legs (``tier1`` under a fresh string-hash
+seed, ``hash-tier1`` and ``hash-tier1@2`` under seeds 1 and 2), the
+four e2e goldens, the e2e harness tests and the fallback ablation.  The
+nightly fuzz soak draws a fresh seed per session, so it is no gate.
+``JUDGES`` are gates that are no CI step, run only when named with
+``--gates``: ``LINT_JUDGES`` decide whether a lint rule (``LINT_RULE``)
+stays.  Verdicts of earlier trees, under the gates those trees ran,
+stay in the results document with each entry's gate commands.
 
 Judge the committed files of a tree and store the run as that tree's
 entry of the one results document, replacing an entry for the same
@@ -69,46 +68,6 @@ LINT_RULE = (
     "the rule stays and its mutant becomes its tier-1 test."
 )
 
-_TRACE_INLINE = """
-import json, os
-from repro.bench import run_rados_bench
-from repro.cluster import build_doceph_cluster
-from repro.sim import Environment
-from repro.trace import Tracer, simulation_digest
-seed = int(os.environ["TRACE_SEED"])
-doc = json.load(open(f"trace_{seed}.json"))
-events = doc["traceEvents"]
-assert events and {"X", "M", "s", "f"} <= {e["ph"] for e in events}
-def digest(tracer):
-    env = Environment()
-    cluster = build_doceph_cluster(env, tracer=tracer)
-    result = run_rados_bench(cluster, 1 << 20, clients=2,
-                             duration=2.0, warmup=0.5)
-    return simulation_digest(env), result.completed_ops
-assert digest(None) == digest(Tracer(seed=seed))
-"""
-
-_FUZZ_SESSION = """
-set -o pipefail
-python -m repro fuzz --seed {k} --iterations 10 --corpus corpus \\
-  --time-budget 600 --no-json > fuzz1.txt
-python -m repro fuzz --seed {k} --iterations 10 --corpus corpus \\
-  --time-budget 600 --no-json > fuzz2.txt
-f1=$(grep '^fuzz fingerprint:' fuzz1.txt | awk '{{print $3}}')
-f2=$(grep '^fuzz fingerprint:' fuzz2.txt | awk '{{print $3}}')
-test -n "$f1" && test "$f1" = "$f2"
-grep -q 'corpus entr(ies) replayed' fuzz1.txt
-"""
-
-_HASH_SMOKE = """
-PYTHONHASHSEED=1 python -m repro perf --scenario smoke --seed 0 > run1.txt
-PYTHONHASHSEED=2 python -m repro perf --scenario smoke --seed 0 > run2.txt
-d1=$(grep -oE '[0-9a-f]{64}' run1.txt | head -1)
-d2=$(grep -oE '[0-9a-f]{64}' run2.txt | head -1)
-test -n "$d1" && test "$d1" = "$d2"
-"""
-
-
 #: Tier-1 without the lint: the tests of the lint package and the five
 #: CLI tests that drive ``repro lint``.
 _NOLINT = ("--ignore", "tests/test_lint.py", *(
@@ -142,10 +101,6 @@ def _pytest(*args: str) -> list[str]:
             _NO_SHRINK, *args]
 
 
-def _repro(*args: str) -> list[str]:
-    return [PY, "-m", "repro", *args]
-
-
 def _sh(script: str) -> list[str]:
     return ["bash", "-c", "set -e\n" + script]
 
@@ -154,65 +109,28 @@ def _sh(script: str) -> list[str]:
 class Gate:
     command: list[str]
     env: dict[str, str] = field(default_factory=dict)
-    #: Runs even when tier-1 already killed the mutant.
-    static: bool = False
 
 
-def _gates() -> dict[str, Gate]:
-    gates = {"tier1": Gate(_pytest("-x"))}
-    for job, path in (("faults", "tests/test_faults.py"),
-                      ("chaos", "tests/test_chaos.py"),
-                      ("trace", "tests/test_trace.py")):
-        for k in ("1", "2"):
-            gates[f"{job}@{k}"] = Gate(_pytest(path),
-                                       {"REPRO_FAULT_SEED": k})
-    for k in ("0", "1", "2"):
-        gates[f"chaos-cli@{k}"] = Gate(_repro(
-            "chaos", "--seeds", k, "--crashes", "3", "--partitions", "1",
-            "--duration", "6", "--replay"))
-        gates[f"trace-cli@{k}"] = Gate(_sh(
-            f"python -m repro trace --mode doceph --size 1M --clients 2"
-            f" --duration 2 --seed {k} --replay --out trace_{k}.json\n"
-            f"TRACE_SEED={k} python -c '{_TRACE_INLINE}'"))
-        gates[f"fuzz-session@{k}"] = Gate(_sh(_FUZZ_SESSION.format(k=k)))
-        gates[f"qos-cli@{k}"] = Gate(_repro(
-            "qos", "--strategy", "full-osd", "--tenants", "4", "--rate", "60",
-            "--reservation", "10", "--duration", "4", "--window", "16",
-            "--seed", k, "--replay", "--no-json"))
-    gates["fuzz-corpus-each"] = Gate(_sh(
-        "for plan in corpus/*.plan; do\n"
-        "  python -m repro fuzz --replay \"$plan\" --no-json > /dev/null\n"
-        "done"))
-    gates["fuzz-exit"] = Gate(_sh(
-        "printf 'mode=warp9\\n' > bad.plan\n"
-        "rc=0; python -m repro fuzz --replay bad.plan --no-json || rc=$?\n"
-        "test $rc -eq 2"))
-    gates["qos-exit"] = Gate(_sh(
-        "rc=0; python -m repro qos --tenants 0 --duration 1 --no-json"
-        " || rc=$?\ntest $rc -eq 2"))
-    gates["lint-src"] = Gate(_repro(
-        "lint", "src", "--baseline", "lint-baseline.txt", "--format",
-        "github"), static=True)
-    gates["lint-relaxed"] = Gate(_repro(
-        "lint", "tests", "benchmarks", "--select", "DET101,DET102,DET103",
-        "--baseline", "lint-baseline-tests.txt", "--format", "github"),
-        static=True)
-    gates["lint-dynamic"] = Gate(_repro("lint", "--dynamic", "smoke",
-                                        "--seed", "0"))
-    gates["hash-tier1"] = Gate(_pytest("-x"), {"PYTHONHASHSEED": "1"})
-    gates["hash-perf"] = Gate(_pytest("tests/test_perf.py"),
-                              {"PYTHONHASHSEED": "2"})
-    gates["hash-smoke"] = Gate(_sh(_HASH_SMOKE))
-    for k in ("1", "2"):
-        gates[f"tier1-nolint@{k}"] = Gate(_pytest("-x", *_NOLINT),
-                                          {"PYTHONHASHSEED": k})
-    gates["e2e-goldens"] = Gate(_sh("".join(
+#: Today's CI, one gate per step that can fail on a tree.
+GATES = {
+    "tier1": Gate(_pytest("-x")),
+    "hash-tier1": Gate(_pytest("-x"), {"PYTHONHASHSEED": "1"}),
+    "hash-tier1@2": Gate(_pytest("-x"), {"PYTHONHASHSEED": "2"}),
+    "e2e-goldens": Gate(_sh("".join(
         f"python3 benchmarks/e2e/run.py --workload {w} --seconds 0\n"
-        for w in _E2E_WORKLOADS)))
-    return gates
+        for w in _E2E_WORKLOADS))),
+    "e2e-harness": Gate([PY, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                         "benchmarks/e2e/test_harness.py"]),
+    "fallback-ablation": Gate([PY, "-m", "pytest", "-q", "-p",
+                               "no:cacheprovider",
+                               "benchmarks/test_ablation_fallback.py"]),
+}
 
-
-GATES = _gates()
+#: Gates that are no CI step: tier-1 without the lint, per hash seed.
+JUDGES = {
+    f"tier1-nolint@{k}": Gate(_pytest("-x", *_NOLINT), {"PYTHONHASHSEED": k})
+    for k in ("1", "2")
+}
 
 
 @dataclass(frozen=True)
@@ -237,35 +155,34 @@ MUTANTS = (
           "from __future__ import annotations\nimport time\n"
           "_BOOTED_AT = time.time()\n"),),
         "a wall-clock read in a simulated layer (DET101)",
-        ("lint-src", *LINT_JUDGES), "DET101"),
+        LINT_JUDGES, "DET101"),
     Mutant(
         "tests.wallclock_in_helper", "tests/helpers.py",
         (("import contextlib\n",
           "import contextlib\nimport time\n_LOADED_AT = time.time()\n"),),
         "a wall-clock read in a test helper (DET101 over tests/)",
-        ("lint-relaxed", *LINT_JUDGES), "DET101"),
+        LINT_JUDGES, "DET101"),
     Mutant(
         "probe.fifo_drains_backwards", "src/repro/lint/dynamic.py",
         (("event = batch.popleft()", "event = batch.pop()"),),
         "the tie-order probe's FIFO control drains each batch LIFO",
-        ("lint-dynamic",)),
+        ("tier1",)),
     Mutant(
         "cli.probe_exit_on_sensitivity", "src/repro/cli.py",
         (("if not tie.instrumentation_ok:", "if tie.order_sensitive:"),),
         "`lint --dynamic` fails on the informational LIFO verdict",
-        ("lint-dynamic",)),
+        ("tier1",)),
     Mutant(
         "hash.heartbeat_set_order", "src/repro/msgr/heartbeat.py",
         (("for addr in sorted(peers):", "for addr in set(peers):"),),
         "heartbeat pings go out in string-hash order",
-        ("hash-tier1", "hash-perf", "hash-smoke")),
+        ("hash-tier1", "hash-tier1@2")),
     Mutant(
         "hash.recovery_backlog_order", "src/repro/osd/recovery.py",
         (("backlog = sorted(set(local) - targets[addr])",
           "backlog = [*(set(local) - targets[addr])]"),),
         "recovery pushes objects in string-hash order",
-        ("hash-tier1", "hash-perf", "hash-smoke", "chaos@1", "chaos@2",
-         *LINT_JUDGES), "DET104"),
+        ("hash-tier1", "hash-tier1@2", *LINT_JUDGES), "DET104"),
     Mutant(
         "faults.burst_after_random_hit", "src/repro/faults.py",
         (("                hit = True\n"
@@ -273,31 +190,29 @@ MUTANTS = (
           "                hit = True\n"
           "                self._burst_left[i] = 0\n"),),
         "a probabilistic fault spec ignores its burst length",
-        ("faults@1", "faults@2", "trace@1", "trace@2")),
+        ("tier1",)),
     Mutant(
         "fallback.outage_clock_restarts", "src/repro/core/fallback.py",
         (("if self._outage_start is None:", "if True:"),),
         "DMA outage latency is measured from the last failure",
-        ("faults@1", "faults@2")),
+        ("tier1",)),
     Mutant(
         "osd.replica_failure_acked", "src/repro/osd/daemon.py",
         (("        if not ok:\n            self.failed = True\n",
           "        if not ok:\n            pass\n"),),
         "a write a replica could not persist is acked to the client",
-        ("chaos@1", "chaos@2", "chaos-cli@0", "chaos-cli@1",
-         "chaos-cli@2")),
+        ("tier1",)),
     Mutant(
         "recovery.manifest_check_dropped", "src/repro/osd/recovery.py",
         (("if any(name not in got for name in pushed):", "if False:"),),
         "a pull whose stream lost a push is credited as complete",
-        ("chaos@1", "chaos@2", "chaos-cli@0", "chaos-cli@1",
-         "chaos-cli@2", "fuzz-corpus-each")),
+        ("tier1",)),
     Mutant(
         "cli.chaos_replay_reseeds", "src/repro/cli.py",
         (("mode=args.mode, seed=seed, duration=args.duration,",
           "mode=args.mode, seed=seed + _, duration=args.duration,"),),
         "`chaos --replay` reruns with the next seed",
-        ("chaos-cli@0", "chaos-cli@1", "chaos-cli@2")),
+        ("tier1",)),
     Mutant(
         "cli.qos_replay_reseeds", "src/repro/cli.py",
         (("        rerun = run_qos(\n"
@@ -305,12 +220,12 @@ MUTANTS = (
           "        rerun = run_qos(\n"
           "            args.strategy, specs, seed=args.seed + 1,"),),
         "`qos --replay` reruns with the next seed",
-        ("qos-cli@0", "qos-cli@1", "qos-cli@2")),
+        ("tier1",)),
     Mutant(
         "qos.zero_tenants_accepted", "src/repro/qos/runner.py",
         (('raise ValueError("need at least one tenant")', "pass"),),
         "an empty tenant set is accepted",
-        ("qos-exit",)),
+        ("tier1",)),
     Mutant(
         "cli.usage_error_exits_one", "src/repro/cli.py",
         (("        print(f\"error: {exc}\", file=sys.stderr)\n"
@@ -318,19 +233,18 @@ MUTANTS = (
           "        print(f\"error: {exc}\", file=sys.stderr)\n"
           "        return 1\n"),),
         "a malformed plan or argument exits 1 instead of 2",
-        ("fuzz-exit", "qos-exit")),
+        ("tier1",)),
     Mutant(
         "trace.seed_ignored", "src/repro/trace.py",
         (('self._ids = SeededRng(seed).child("trace")',
           'self._ids = SeededRng(0).child("trace")'),),
         "span ids no longer depend on the tracer seed",
-        ("trace@1", "trace@2", "trace-cli@1", "trace-cli@2")),
+        ("tier1",)),
     Mutant(
         "msgr.crc_never_checked", "src/repro/msgr/messenger.py",
         (("and frame.crc != bl.crc32()", "and False"),),
         "a corrupted frame is delivered although its crc is wrong",
-        ("fuzz-corpus-each", "fuzz-session@0", "fuzz-session@1",
-         "fuzz-session@2")),
+        ("tier1",)),
     Mutant(
         "alloc.double_free_unchecked",
         "src/repro/objectstore/bluestore/allocator.py",
@@ -490,6 +404,20 @@ MUTANTS = (
         "an onode keeps the first run of a fragmented allocation only",
         ("hash-tier1",)),
     Mutant(
+        "store.record_drops_top_run",
+        "src/repro/objectstore/bluestore/store.py",
+        (("            while rest:\n", "            while rest > _RUN_MASK:\n"),),
+        "an onode record decodes every run of a multi-run object but "
+        "the last one allocated",
+        ("hash-tier1",)),
+    Mutant(
+        "store.record_version_16_bits",
+        "src/repro/objectstore/bluestore/store.py",
+        (("record >> _VERSION_SHIFT & _VERSION_MASK",
+          "record >> _VERSION_SHIFT & 0xFFFF"),),
+        "an onode record's version decodes from its low 16 bits only",
+        ("hash-tier1",)),
+    Mutant(
         "qos.pending_prunes_in_flight_op", "src/repro/qos/workload.py",
         (("            proc.callbacks.append(finished)\n",
           "            finished(proc)\n"),),
@@ -616,7 +544,7 @@ def judge(tree: pathlib.Path, mutant: Mutant, timeout: float,
         for name, gate in gates.items():
             if name == "tier1":
                 continue
-            if tier1_killed and not gate.static and name not in mutant.targets:
+            if tier1_killed and name not in mutant.targets:
                 continue
             results[name] = _run_gate(root, gate, timeout)
     row = {"name": mutant.name, "path": mutant.path, "why": mutant.why,
@@ -633,7 +561,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--only", nargs="*", default=None,
                         help="mutant names to run (default: all)")
     parser.add_argument("--gates", nargs="*", default=None,
-                        help="gates to run besides tier1 (default: all)")
+                        help="gates to run besides tier1, from GATES and "
+                             "JUDGES (default: every gate of GATES)")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--timeout", type=float, default=1800.0,
                         help="seconds before a gate counts as a kill")
@@ -645,8 +574,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     mutants = [m for m in MUTANTS if args.only is None or m.name in args.only]
-    gates = {n: g for n, g in GATES.items()
-             if args.gates is None or n == "tier1" or n in args.gates}
+    if args.gates is None:
+        gates = GATES
+    else:
+        unknown = set(args.gates) - set(GATES) - set(JUDGES)
+        if unknown:
+            parser.error(f"unknown gates: {', '.join(sorted(unknown))}")
+        gates = {n: g for n, g in {**GATES, **JUDGES}.items()
+                 if n == "tier1" or n in args.gates}
     with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
         rows = list(pool.map(
             lambda m: judge(args.tree.resolve(), m, args.timeout, gates),

@@ -11,7 +11,6 @@ reproduction target (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from ..cluster.builder import build_baseline_cluster, build_doceph_cluster
 from ..cluster.config import (
@@ -240,6 +239,11 @@ def experiment_table3(duration: float = 10.0, clients: int = 16) -> list[Table3R
     come from the proxy instrumentation; Others is the residual (DPU
     OSD work, messenger activity, replication coordination, ACK waits).
     Fig. 9 is the same rows normalized."""
+    # imported here, not at module level: ``statistics`` loads
+    # ``decimal`` and ``fractions`` (~0.55 MB), and every replay that
+    # imports this module would carry them for three means it never takes
+    import statistics
+
     points = run_comparison_sweep(duration=duration, clients=clients)
     rows = []
     for point in points:

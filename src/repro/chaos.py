@@ -37,6 +37,7 @@ from .cluster.builder import (
     build_doceph_cluster,
 )
 from .cluster.config import DocephProfile, HardwareProfile
+from .objectstore import NoSuchObject
 from .rados.client import RadosClient, RadosError
 from .sim import Environment
 from .util.bufferlist import DataBlob
@@ -180,8 +181,9 @@ class DurabilityChecker:
             copies: list[tuple[int, int, int]] = []  # (osd, size, content)
             for osd_id in acting:
                 store = cluster.stores[osd_id]
-                onode = store.collections.get(coll, {}).get(oid)
-                if onode is None:
+                try:
+                    onode = store.onode(coll, oid)
+                except NoSuchObject:
                     self.violations.append(
                         f"{oid}: replica osd.{osd_id} has no copy"
                     )

@@ -10,8 +10,9 @@ measures:
 * a ``bstore_kv_sync`` thread batches transaction commits into RocksDB
   with one WAL flush per batch, then completes the waiting submitters —
   this is the durability point;
-* object metadata lives in onodes (``collections``); each onode update
-  logs a fixed-size record through the WAL, which keeps only its bytes;
+* object metadata lives in onodes, each kept as one packed int in
+  ``collections`` and read through ``onode``; each onode update logs a
+  fixed-size record through the WAL, which keeps only its bytes;
 * all CPU burned here lands in the ``bstore`` accounting category —
   the slice of Figure 5 that *stays on the host* under DoCeph.
 """
@@ -87,22 +88,30 @@ class BlueStoreConfig:
     """Number of bstore_aio worker threads."""
 
 
-#: A run packs a physical extent into one int, ``offset << _LEN_BITS |
-#: length`` (upstream's ``bluestore_pextent_t`` pair); a run's length
-#: is below 2**48 bytes (256 TiB).
+#: An onode record is one int holding an object's whole metadata, low
+#: bits first: ``size`` (48 bits), ``version`` (32), ``content_id``
+#: (64), then every run, 96 bits each in allocation order.  A run packs
+#: a physical extent, ``offset << _LEN_BITS | length`` (upstream's
+#: ``bluestore_pextent_t`` pair); its length is never 0, so the first
+#: all-zero run field ends the list.
 _LEN_BITS = 48
 _LEN_MASK = (1 << _LEN_BITS) - 1
+_VERSION_SHIFT = _LEN_BITS
+_VERSION_MASK = (1 << 32) - 1
+_CONTENT_SHIFT = _VERSION_SHIFT + 32
+_CONTENT_MASK = (1 << 64) - 1
+_RUNS_SHIFT = _CONTENT_SHIFT + 64
+_RUN_BITS = 2 * _LEN_BITS
+_RUN_MASK = (1 << _RUN_BITS) - 1
 
 
 @dataclass(slots=True)
 class Onode:
-    """In-memory object metadata (what BlueStore persists as the onode).
+    """Object metadata (what BlueStore persists as the onode), decoded
+    from its record (see ``_LEN_BITS``) by ``BlueStore.onode``.
 
-    ``runs`` holds the allocation as packed runs (see ``_LEN_BITS``): a
-    bare int for a single run, a tuple for several, ``()`` until the
-    first write.  Most objects carry one run, and an ``Extent`` or a
-    tuple each would be a large share of a written object's
-    footprint."""
+    ``runs`` holds the allocation as packed runs: a bare int for a
+    single run, a tuple for several, ``()`` until the first write."""
 
     size: int = 0
     version: int = 0
@@ -136,6 +145,43 @@ class Onode:
         packed = tuple(e.offset << _LEN_BITS | e.length for e in extents)
         packed = ((runs,) if runs.__class__ is int else runs) + packed
         self.runs = packed[0] if len(packed) == 1 else packed
+
+    def pack(self) -> int:
+        """This onode as its record; ``StoreError`` if a field does not
+        fit its width."""
+        if not 0 <= self.size <= _LEN_MASK:
+            raise StoreError(f"onode size {self.size} exceeds 48 bits")
+        if not 0 <= self.version <= _VERSION_MASK:
+            raise StoreError(f"onode version {self.version} exceeds 32 bits")
+        if not 0 <= self.content_id <= _CONTENT_MASK:
+            raise StoreError(
+                f"onode content id {self.content_id} exceeds 64 bits")
+        runs = self.runs
+        if runs.__class__ is int:
+            runs = (runs,)
+        record = 0
+        for run in reversed(runs):
+            if not (0 <= run <= _RUN_MASK and run & _LEN_MASK):
+                raise StoreError(f"onode run {run:#x} is not a 48-bit offset "
+                                 "and a nonzero 48-bit length")
+            record = record << _RUN_BITS | run
+        return (record << _RUNS_SHIFT | self.content_id << _CONTENT_SHIFT
+                | self.version << _VERSION_SHIFT | self.size)
+
+    @staticmethod
+    def unpack(record: int) -> "Onode":
+        """The onode a record holds (the inverse of ``pack``)."""
+        rest = record >> _RUNS_SHIFT
+        if rest > _RUN_MASK:
+            runs = []
+            while rest:
+                runs.append(rest & _RUN_MASK)
+                rest >>= _RUN_BITS
+            rest = tuple(runs)
+        return Onode(record & _LEN_MASK,
+                     record >> _VERSION_SHIFT & _VERSION_MASK,
+                     rest or (),
+                     record >> _CONTENT_SHIFT & _CONTENT_MASK)
 
 
 @dataclass(frozen=True)
@@ -189,7 +235,8 @@ class BlueStore(ObjectStore):
         self.allocator = BitmapAllocator(
             self.config.device_capacity, self.config.alloc_unit
         )
-        self.collections: dict[str, dict[str, Onode]] = {}
+        #: collection -> oid -> the object's onode record (``Onode.pack``)
+        self.collections: dict[str, dict[str, int]] = {}
         #: The KV value every onode update logs; the WAL counts its bytes.
         self._onode_record = b"\0" * self.config.onode_record_bytes
 
@@ -265,7 +312,7 @@ class BlueStore(ObjectStore):
                 nbytes=length,
             )
         try:
-            onode = self._get_onode(coll, oid)
+            onode = self.onode(coll, oid)
         except NoSuchObject:
             if span is not None:
                 span.error(self.env.now, "enoent")
@@ -295,7 +342,7 @@ class BlueStore(ObjectStore):
         self, coll: str, oid: str, thread: SimThread
     ) -> Generator[Any, Any, StatResult]:
         yield from thread.charge(self.config.control_cpu)
-        onode = self._get_onode(coll, oid)
+        onode = self.onode(coll, oid)
         return StatResult(size=onode.size, attrs=0, version=onode.version,
                           content_id=onode.content_id)
 
@@ -414,23 +461,23 @@ class BlueStore(ObjectStore):
             if objects is None:
                 raise StoreError(f"no such collection: {op.coll}")
             if op.kind == TxnOpKind.REMOVE:
-                onode = objects.pop(op.oid, None)
-                if onode is None:
+                record = objects.pop(op.oid, None)
+                if record is None:
                     raise NoSuchObject(f"{op.coll}/{op.oid}")
+                onode = Onode.unpack(record)
                 if onode.runs:
                     self.allocator.free(onode.extents)
                 continue
             # the one op kind left is WRITE
-            onode = objects.get(op.oid)
-            if onode is None:
-                onode = objects[op.oid] = Onode()
+            record = objects.get(op.oid)
+            onode = Onode() if record is None else Onode.unpack(record)
             prev_size = onode.size
             end = op.offset + op.length
             allocated = onode.allocated
+            extents = []
             if end > allocated:
                 extents = self.allocator.allocate(end - allocated)
                 onode.add_extents(extents)
-                new_extents.extend(extents)
             onode.size = max(onode.size, end)
             onode.version += 1
             root = op.data.root_id if op.data is not None else 0
@@ -442,6 +489,14 @@ class BlueStore(ObjectStore):
                     onode.content_id,
                     f"w:{op.offset}:{op.length}:{root}",
                 )
+            try:
+                objects[op.oid] = onode.pack()
+            except StoreError:
+                # a refused record keeps the space this write took
+                if extents:
+                    self.allocator.free(extents)
+                raise
+            new_extents.extend(extents)
         return new_extents
 
     # ---------------------------------------------------------------- helpers
@@ -449,11 +504,13 @@ class BlueStore(ObjectStore):
     def _onode_key(coll: str, oid: str) -> str:
         return f"O/{coll}/{oid}"
 
-    def _get_onode(self, coll: str, oid: str) -> Onode:
+    def onode(self, coll: str, oid: str) -> Onode:
+        """The onode of ``coll/oid``, decoded from its record: the one
+        way to read an object's metadata.  ``NoSuchObject`` if absent."""
         objects = self.collections.get(coll)
         if objects is None or oid not in objects:
             raise NoSuchObject(f"{coll}/{oid}")
-        return objects[oid]
+        return Onode.unpack(objects[oid])
 
     def __repr__(self) -> str:
         return f"<BlueStore {self.name} txns={self.txns_committed}>"

@@ -1,6 +1,10 @@
 """Tests for transactions and the BlueStore backend."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.hw import CpuComplex, SimThread, SsdDevice
 from repro.objectstore import (
@@ -11,6 +15,7 @@ from repro.objectstore import (
     StoreError,
     Transaction,
 )
+from repro.objectstore.bluestore.store import Onode
 from repro.sim import Environment
 from repro.util import DataBlob
 
@@ -156,7 +161,7 @@ def test_overwrite_does_not_leak_space():
         run_txn(env, store, thread,
                 Transaction().write("pg1", "obj", 0, blob.length, blob))
     # same extent reused: allocation happened once
-    onode = store.collections["pg1"]["obj"]
+    onode = store.onode("pg1", "obj")
     assert onode.allocated == store.allocator.used_bytes
     assert onode.version == 3
 
@@ -169,7 +174,7 @@ def test_grown_object_holds_every_extent():
         blob = DataBlob(size)
         run_txn(env, store, thread,
                 Transaction().write("pg1", "obj", 0, size, blob))
-    onode = store.collections["pg1"]["obj"]
+    onode = store.onode("pg1", "obj")
     unit = store.config.alloc_unit
     assert len(onode.extents) == 2
     assert onode.allocated == 5 * unit == store.allocator.used_bytes
@@ -184,6 +189,50 @@ def test_device_beyond_a_runs_length_field_is_refused():
     with pytest.raises(StoreError, match="packed run"):
         BlueStore(env, "bs", cpu, ssd,
                   BlueStoreConfig(device_capacity=1 << 48))
+
+
+_FIELD = 1 << 48
+_run = st.builds(lambda offset, length: offset << 48 | length,
+                 st.integers(0, _FIELD - 1), st.integers(1, _FIELD - 1))
+
+
+@given(size=st.integers(0, _FIELD - 1), version=st.integers(0, (1 << 32) - 1),
+       content_id=st.integers(0, (1 << 64) - 1),
+       runs=st.lists(_run, max_size=6))
+@example(size=_FIELD - 1, version=(1 << 32) - 1, content_id=(1 << 64) - 1,
+         runs=[(1 << 96) - 1] * 3)
+def test_onode_record_round_trips(size, version, content_id, runs):
+    """Every field over its whole width, and zero to six runs, come
+    back from the one-int record as they went in."""
+    onode = Onode(size, version, runs[0] if len(runs) == 1 else tuple(runs),
+                  content_id)
+    record = onode.pack()
+    assert record.__class__ is int
+    assert Onode.unpack(record) == onode
+
+
+@pytest.mark.parametrize("field, value", [
+    ("size", 1 << 48), ("size", -1), ("version", 1 << 32),
+    ("content_id", 1 << 64), ("runs", 1 << 96), ("runs", (1 << 48, 7 << 48)),
+])
+def test_out_of_range_onode_field_is_refused(field, value):
+    """A field wider than its slot, a negative one, or a run of length
+    0 (which would end the run list early) is refused, not truncated."""
+    with pytest.raises(StoreError, match="onode"):
+        replace(Onode(), **{field: value}).pack()
+
+
+def test_write_whose_record_is_refused_keeps_no_space():
+    """A write whose content id cannot be recorded fails its submitter,
+    and the extents it took go back to the allocator."""
+    env, store, thread = make_store()
+    blob = DataBlob(1 << 20, parent_id=1 << 64)
+    env.process(store.queue_transaction(
+        Transaction().write("pg1", "obj", 0, blob.length, blob), thread))
+    with pytest.raises(StoreError, match="content id"):
+        env.run(until=10.0)
+    assert store.allocator.used_bytes == 0
+    assert store.collections["pg1"] == {}
 
 
 def test_cpu_charged_to_bstore_category():

@@ -66,13 +66,13 @@ def test_bluestore_matches_reference_model(ops):
     p = env.process(driver())
     env.run(until=p)
 
-    objects = store.collections["pg"]
-    assert set(objects) == set(model)
+    assert set(store.collections["pg"]) == set(model)
+    onodes = {name: store.onode("pg", name) for name in model}
     for name, size in model.items():
-        assert objects[name].size == size
+        assert onodes[name].size == size
 
     # allocator conservation: space held == space the live onodes hold
-    held = sum(onode.allocated for onode in objects.values())
+    held = sum(onode.allocated for onode in onodes.values())
     assert store.allocator.used_bytes == held
 
     # removing everything returns the allocator to pristine

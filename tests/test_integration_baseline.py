@@ -55,7 +55,7 @@ def test_write_replicates_to_both_nodes(cluster):
         for coll, objects in store.collections.items():
             if "obj-A" in objects:
                 found += 1
-                assert objects["obj-A"].size == 1 << 20
+                assert store.onode(coll, "obj-A").size == 1 << 20
     assert found == 2
 
 

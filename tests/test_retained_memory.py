@@ -6,10 +6,11 @@
   op is in flight;
 * the event heap, which sheds the watchdogs that lost to their replies
   instead of keeping them to their deadlines;
-* a written object's onode, whose allocation is packed runs, checked
+* a written object's onode, one int record whose runs are checked
   against the allocator's extents on fragmented devices;
 * the RPC dedup records, which must all be gone once every call ended;
-* the SHA-256 helper, which must not map OpenSSL to hash a few bytes.
+* the SHA-256 helper, which must not map OpenSSL to hash a few bytes;
+* the modules a replay imports, which must not load ``decimal``.
 """
 
 import gc
@@ -157,27 +158,40 @@ def _write(oid, nbytes):
     return Transaction().write("pg", oid, 0, nbytes, DataBlob(nbytes))
 
 
-def test_single_run_object_retains_at_most_300_bytes():
-    """A 64 KB object written to a fresh store is one run.  Its onode,
-    oid, size, content id and packed run stay under 300 B (the
-    collection's table aside); a 1-tuple of an ``Extent`` and its two
-    ints would add ~120 B to that."""
+def _retained(objects):
+    """Traced bytes after a collection, the collection's table aside."""
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0] - sys.getsizeof(objects)
+
+
+def test_single_run_object_retains_at_most_150_bytes():
+    """A 64 KB object written to a fresh store is one run.  Its record
+    (size, version, content id and run in one int) and oid stay under
+    150 B, the collection's table aside; an ``Onode`` with three ints
+    and a packed run beside them was ~230 B.  Grown to three runs, the
+    object keeps one int, and each further run adds at most 16 B."""
     store, commit = _store(1 << 30, 65536)
     objects = store.collections["pg"]
     commit(*(_write(f"obj-{i}", 65536) for i in range(200)))
     samples = []
     tracemalloc.start()
     try:
-        for lo, hi in ((200, 200), (200, 1200)):
-            commit(*(_write(f"obj-{i}", 65536) for i in range(lo, hi)))
-            gc.collect()
-            samples.append(tracemalloc.get_traced_memory()[0]
-                           - sys.getsizeof(objects))
+        samples.append(_retained(objects))
+        commit(*(_write(f"obj-{i}", 65536) for i in range(200, 1200)))
+        samples.append(_retained(objects))
+        for runs in (2, 3):
+            commit(*(_write(f"obj-{i}", runs * 65536)
+                     for i in range(200, 1200)))
+        samples.append(_retained(objects))
     finally:
         tracemalloc.stop()
     per_object = (samples[1] - samples[0]) / 1000
-    assert per_object <= 300, f"{per_object:.0f} bytes retained per object"
-    assert isinstance(objects["obj-700"].runs, int)
+    assert per_object <= 150, f"{per_object:.0f} bytes retained per object"
+    per_run = (samples[2] - samples[1]) / 2000
+    assert per_run <= 16, f"{per_run:.0f} bytes retained per further run"
+    assert isinstance(objects["obj-7"], int)
+    assert isinstance(objects["obj-700"], int)
+    assert len(store.onode("pg", "obj-700").extents) == 3
 
 
 _store_op = st.one_of(
@@ -208,7 +222,7 @@ def test_packed_runs_equal_the_allocators_extents(blocks, ops):
         commit(_write(oid, nbytes))
         if nbytes > held:
             model.setdefault(oid, []).extend(ref.allocate(nbytes - held))
-        onode = objects[oid]
+        onode = store.onode("pg", oid)
         assert onode.extents == tuple(model[oid])
         assert onode.allocated == sum(e.length for e in model[oid])
         assert isinstance(onode.runs, int) == (len(model[oid]) == 1)
@@ -299,6 +313,24 @@ def test_simulation_digest_leaves_openssl_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr or "_hashlib was imported"
+
+
+def test_replay_modules_leave_decimal_unloaded():
+    """``statistics`` pulls in ``decimal`` and ``fractions`` (~0.55 MB
+    of every replay's peak RSS); the modules a replay imports load
+    neither."""
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import repro.bench.experiments, repro.qos.runner\n"
+        "import repro.trace, repro.cluster.builder\n"
+        "loaded = [m for m in ('decimal', 'fractions') if m in sys.modules]\n"
+        "sys.exit(' '.join(loaded) or None)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @settings(max_examples=200, deadline=None)
