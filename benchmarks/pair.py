@@ -27,6 +27,9 @@ have read up to 11 % apart over a whole pairing on a shared 2-core host.
 ``rss`` runs one fresh, unmodified ``benchmarks/e2e/run.py --workload
 W`` per sample, because ``ru_maxrss`` only grows within a process.
 Each round runs both sides, and the side that goes first alternates.
+A launched program's ``ru_maxrss`` starts from its launcher's peak, so
+the script keeps its own peak small and refuses (exit 2) a sample that
+reads no more than it.
 
 A round whose sides disagree on the replay digest (cpu, wall), on
 ``golden_match`` (rss) or on any of the six simulated metrics aborts
@@ -49,12 +52,12 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import json
 import math
 import os
 import pathlib
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -369,11 +372,28 @@ def check_same_harness(root: pathlib.Path, parent: str, change: str) -> None:
 
 
 def export(root: pathlib.Path, sha: str, dest: pathlib.Path) -> None:
-    """Write the files of commit ``sha`` into ``dest``."""
-    data = subprocess.run(["git", "-C", str(root), "archive", sha],
-                          check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+    """Write the files of commit ``sha`` into ``dest``.  The archive is
+    streamed, not read whole: an ``rss`` sample's peak starts from this
+    process's own (:func:`above_launcher`)."""
+    proc = subprocess.Popen(["git", "-C", str(root), "archive", sha],
+                            stdout=subprocess.PIPE)
+    with proc, tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
         tar.extractall(dest)
+
+
+def above_launcher(sample: Sample, floor_mb: float) -> Sample:
+    """``sample``, unless its ``peak_rss_mb`` is no more than
+    ``floor_mb``, this process's own peak.  Linux carries the peak RSS
+    of the process that launches a program into the program's
+    ``ru_maxrss``, so such a sample measured the launcher, not run.py:
+    while exports were read whole, both sides of a ``mix64k_qos``
+    pairing read the launcher's 23.86 MB in every round."""
+    got = sample["metrics"]["peak_rss_mb"]
+    if got <= floor_mb:
+        raise Refused(f"a sample read {got:.2f} MB, no more than the "
+                      f"{floor_mb:.2f} MB this process peaked at: it "
+                      f"measured the launcher, not run.py")
+    return sample
 
 
 def run_sample(tree: pathlib.Path, workload: str) -> Sample:
@@ -403,8 +423,10 @@ def pair(root: pathlib.Path, parent: str, change: str, workload: str,
             return got
 
         if metric == "rss":
+            floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             samples = run_pairs(
-                lambda side: show(side, run_sample(trees[side], workload)),
+                lambda side: show(side, above_launcher(
+                    run_sample(trees[side], workload), floor)),
                 rounds)
         else:
             for side, tree in trees.items():

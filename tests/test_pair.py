@@ -129,6 +129,31 @@ def test_refuses_unless_the_harness_is_identical(pair, tmp_path):
         pair.resolve(tmp_path, "no-such-ref")
 
 
+def test_export_writes_the_commits_files(pair, tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    for args in (("init", "-q"), ("config", "user.email", "t@example.com"),
+                 ("config", "user.name", "t")):
+        subprocess.run(["git", "-C", str(repo), *args], check=True)
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "a.py").write_text("x = 1\n")
+    subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
+    subprocess.run(["git", "-C", str(repo), "commit", "-q", "-m", "a"],
+                   check=True)
+    (repo / "pkg" / "a.py").write_text("x = 2\n")
+    pair.export(repo, "HEAD", tmp_path / "out")
+    assert (tmp_path / "out" / "pkg" / "a.py").read_text() == "x = 1\n"
+
+
+def test_a_sample_no_larger_than_the_launcher_is_refused(pair):
+    """A launched program's ``ru_maxrss`` starts from the launcher's
+    peak, so a sample that reads no more than it measured nothing."""
+    sample = {"metrics": {"peak_rss_mb": 20.0}}
+    assert pair.above_launcher(sample, 19.5) is sample
+    with pytest.raises(pair.Refused, match="launcher"):
+        pair.above_launcher(sample, 20.0)
+
+
 def _turns(pair, cpu: dict[str, list[float]], digest=None):
     """A cpu/wall turn per worker, answered in turn from ``cpu``;
     ``digest`` overrides one worker's replay digest."""
