@@ -496,6 +496,36 @@ MUTANTS = (
         "an aborted pull keeps the sources it still awaits, so a stream "
         "whose push was lost or never persisted can still complete it",
         ("hash-tier1",)),
+    Mutant(
+        "bench.engine_wall_clock_restored", "src/repro/bench/reporting.py",
+        (("from .schema import validate_payload\n",
+          "from .schema import validate_payload\n"
+          "from ..util.wallclock import perf_counter\n"),
+         ("        \"cpu\": {\n"
+          "            \"host_utilization_pct\": "
+          "round(result.host_utilization_pct, 9),\n"
+          "        },\n",
+          "        \"cpu\": {\n"
+          "            \"host_utilization_pct\": "
+          "round(result.host_utilization_pct, 9),\n"
+          "        },\n"
+          "        \"engine\": {\"wall_clock_s\": round(perf_counter(), 6)},\n"),),
+        "a result payload carries a host-clock field, so two runs of one "
+        "seed no longer write the same bytes",
+        ("hash-tier1",)),
+    Mutant(
+        "recovery.stall_clock_from_issue", "src/repro/osd/recovery.py",
+        (("        rec.issuing = True\n",
+          "        if rec.pull is None:\n"
+          "            rec.pull = _Pull()\n"
+          "        rec.pull.started = self.env.now\n"),
+         ("        rec.pull.started = self.env.now\n"
+          "        have = tuple(sorted(local))\n",
+          "        have = tuple(sorted(local))\n"),),
+        "the stall clock starts when the tick issues the pull, so making "
+        "the collection counts as stream silence and a second issue "
+        "streams the same sources",
+        ("hash-tier1",)),
 )
 
 

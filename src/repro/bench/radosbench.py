@@ -17,7 +17,6 @@ from typing import Any, Callable, Generator, Optional
 from ..cluster.builder import BENCH_POOL, Cluster
 from ..core.proxy_objectstore import BreakdownView, ProxyObjectStore
 from ..util.stats import RunningStats, TimeSeries, percentile
-from ..util.wallclock import perf_counter
 from .metrics import (
     CpuSampler,
     CpuWindow,
@@ -60,18 +59,6 @@ class BenchResult:
     #: Trace report when a :class:`~repro.trace.Tracer` was attached at
     #: build time (None otherwise); window = the measurement window.
     trace: Optional[Any] = None
-    #: Wall-clock seconds the simulator spent producing this run
-    #: (engine speed, not a modelled observable — varies run to run).
-    wall_clock_s: float = 0.0
-    #: Kernel events the run scheduled (deterministic per seed).
-    engine_events: int = 0
-
-    @property
-    def engine_events_per_sec(self) -> float:
-        """Simulator throughput while producing this result."""
-        if self.wall_clock_s <= 0:
-            return 0.0
-        return self.engine_events / self.wall_clock_s
 
     @property
     def avg_latency(self) -> float:
@@ -114,8 +101,6 @@ def _closed_loop(
     env = cluster.env
     client = cluster.client
     assert client is not None
-    t_wall = perf_counter()
-    seq_start = env.events_scheduled
 
     if client.osdmap is None:
         boot = env.process(cluster.boot(), name="cluster-boot")
@@ -199,8 +184,6 @@ def _closed_loop(
         faults=collect_fault_report(cluster),
         health=collect_health_report(cluster),
         trace=trace,
-        wall_clock_s=perf_counter() - t_wall,
-        engine_events=env.events_scheduled - seq_start,
     )
 
 

@@ -3,7 +3,7 @@
 Every ``BENCH_*.json`` producer (bench, perf, fuzz, qos) funnels
 through :func:`repro.bench.reporting.write_bench_json`, which calls
 :func:`validate_payload` here — so a renamed key ("p95" vs "p90",
-"wallclock_s" vs "wall_clock_s") fails loudly at write time instead of
+"throughput_mbps" vs "throughput_MBps") fails loudly at write time instead of
 silently forking the format between subsystems.
 
 Standalone module on purpose: ``repro.qos`` and ``repro.fuzz`` can
@@ -34,12 +34,6 @@ _REQUIRED: dict[str, type | tuple[type, ...]] = {
 #: The latency block is closed: exactly these percentile names.
 _LATENCY_KEYS = ("mean", "p50", "p90", "p99", "max")
 
-#: The engine block is closed too (determinism comparisons strip it by
-#: name, so a stray key would silently leak non-determinism into diffs).
-#: Optional — pre-PR4 committed artifacts predate it — but when present
-#: it must carry exactly these keys.
-_ENGINE_KEYS = ("wall_clock_s", "events", "events_per_sec")
-
 #: Known cpu sub-keys and their types (extra keys rejected).
 _CPU_KEYS: dict[str, type | tuple[type, ...]] = {
     "host_utilization_pct": _NUMBER,
@@ -55,8 +49,8 @@ class SchemaError(ValueError):
 def validate_bench_result(block: dict[str, Any], path: str = "$") -> None:
     """Assert ``block`` matches the ``bench_result_dict`` shape.
 
-    Required keys must exist with the right types; the ``latency_s``,
-    ``cpu`` and ``engine`` sub-blocks are *closed* (unknown keys there
+    Required keys must exist with the right types; the ``latency_s``
+    and ``cpu`` sub-blocks are *closed* (unknown keys there
     are the classic drift bug).  Extra top-level keys (``faults``,
     ``trace``, ``qos``, …) are allowed — producers extend the payload,
     they must not mutate the core shape.
@@ -78,14 +72,6 @@ def validate_bench_result(block: dict[str, Any], path: str = "$") -> None:
         for key in latency:
             if key not in _LATENCY_KEYS:
                 problems.append(f"{path}.latency_s.{key}: unknown key")
-    engine = block.get("engine")
-    if isinstance(engine, dict):
-        for key in _ENGINE_KEYS:
-            if not isinstance(engine.get(key), _NUMBER):
-                problems.append(f"{path}.engine.{key}: missing or non-numeric")
-        for key in engine:
-            if key not in _ENGINE_KEYS:
-                problems.append(f"{path}.engine.{key}: unknown key")
     cpu = block.get("cpu")
     if isinstance(cpu, dict):
         if "host_utilization_pct" not in cpu:

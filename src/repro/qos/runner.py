@@ -12,9 +12,9 @@ simulated seconds, and reports:
 * per-tenant goodput vs offered, shed counts, reservation attainment,
   and latency percentiles,
 * Jain fairness over raw and weight-normalized goodput,
-* a sha256 fingerprint over everything deterministic (the ``engine``
-  wall-clock block is excluded), so two runs of the same seed are
-  byte-comparable — the replay gate the CLI and CI enforce.
+* a sha256 fingerprint over the whole payload, which reads no host
+  clock, so two runs of the same seed are byte-comparable — the replay
+  gate the CLI and CI enforce.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from ..util.stats import (
     jain_fairness_index,
     percentile,
 )
-from ..util.wallclock import perf_counter
 from .admission import AdmissionController
 from .tenants import TenantSpec, default_tenants
 from .workload import TenantStats, open_loop_tenant, tenant_rng
@@ -133,8 +132,6 @@ def run_qos(
     cluster = strat.build(env, tracer=tracer)
     client = cluster.client
     assert client is not None
-    t_wall = perf_counter()
-    seq_start = env.events_scheduled
 
     _install_qos(cluster, specs)
     admission = AdmissionController()
@@ -225,8 +222,6 @@ def run_qos(
         faults=collect_fault_report(cluster),
         health=collect_health_report(cluster),
         trace=trace_report,
-        wall_clock_s=perf_counter() - t_wall,
-        engine_events=env.events_scheduled - seq_start,
     )
 
     goodputs = [st.completed / duration for st in stats]
@@ -296,8 +291,7 @@ def qos_payload(result: QosResult) -> dict[str, Any]:
     ``qos`` extension, stamped with a deterministic fingerprint.
 
     The fingerprint is sha256 over the sorted-key JSON of the payload
-    *minus* the ``engine`` block (simulator wall-clock, varies run to
-    run) — byte-equal fingerprints ⇔ identical simulated outcomes.
+    — byte-equal fingerprints ⇔ identical simulated outcomes.
     """
     from ..bench.reporting import bench_result_dict
 
@@ -316,7 +310,6 @@ def qos_payload(result: QosResult) -> dict[str, Any]:
             for spec, st in zip(result.specs, result.tenants)
         ],
     }
-    scrubbed = {k: v for k, v in payload.items() if k != "engine"}
-    blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     payload["fingerprint"] = sha256_hex(blob.encode())
     return payload

@@ -25,8 +25,8 @@ __all__ = ["perf_counter"]
 def perf_counter() -> float:
     """Monotonic wall-clock seconds (engine-speed measurement only).
 
-    Never feed this into simulated behavior: wall time must only ever
-    appear in ``wall_s``/``wall_clock_s``-style observability fields
-    that determinism comparisons ignore.
+    Never feed this into simulated behavior or a result payload: wall
+    time belongs only to the harnesses that measure host time
+    (``benchmarks/e2e``, ``benchmarks/pair.py``, the fuzz budget).
     """
     return time.perf_counter()

@@ -43,7 +43,7 @@ FINGERPRINTS = {
     "adversary@1":
         "d28c9b554dc1ce5833f907b8ee2e449b475580588503a87a92c546b8c8041e28",
     "adversary@2":
-        "2ce39e798884a757c2f0086637e785d743e1d777930a99b27cd732ba16f87c78",
+        "30beac7fff19a279bb6122b7d1544ba4cffdd26f556f026194aac70e40eff195",
 }
 
 

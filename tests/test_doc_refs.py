@@ -1,12 +1,15 @@
 """Dead references in the design documents fail tier-1.
 
-Every backticked repository path in README.md, DESIGN.md and
-docs/API.md must name a file that exists (and a ``:N`` suffix a line
-that exists), every backticked dotted ``repro.…`` name must import or
+Every backticked repository path in README.md, DESIGN.md,
+EXPERIMENTS.md and docs/API.md must name a file that exists (and a
+``:N`` suffix a line that exists), every relative markdown link target
+must exist, every backticked dotted ``repro.…`` name must import or
 resolve by ``getattr``, and every backticked name called a "job" must be
 a job of a workflow under ``.github/workflows/``.  A change that deletes
 or moves code or a CI job then cannot leave the documents pointing at
-it.
+it.  Every pair document in ``benchmarks/results/`` must be linked from
+EXPERIMENTS.md or DESIGN.md: one that no row reads is history, which git
+keeps.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import pytest
 from .helpers import WORKFLOWS, workflow_jobs
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DOCS = ("README.md", "DESIGN.md", "docs/API.md")
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/API.md")
+RESULTS = ROOT / "benchmarks" / "results"
 
 #: Inline code spans, once fenced blocks are cut out.
 _SPAN = re.compile(r"`([^`\n]+)`")
@@ -31,6 +35,8 @@ _PATH = re.compile(
     r"(?P<path>(?:[\w.-]+/)*[\w-][\w.-]*\.(?:py|md|json|txt|yml|toml|c|plan))"
     r"(?::(?P<line>\d+))?"
 )
+#: A markdown link's target, up to an optional ``#fragment``.
+_LINK = re.compile(r"\]\((?P<target>[^)#\s]*)(?:#[^)\s]*)?\)")
 _DOTTED = re.compile(r"repro(?:\.[A-Za-z_]\w*)+")
 #: A backticked name followed by "job" or "CI job".
 _JOB = re.compile(r"`([\w-]+)`\s+(?:CI\s+)?jobs?\b")
@@ -38,9 +44,19 @@ _SEARCH_ROOTS = (ROOT, ROOT / "src", ROOT / "src" / "repro")
 _SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", ".hypothesis"}
 
 
+def _text(doc: str) -> str:
+    return _FENCE.sub("", (ROOT / doc).read_text(encoding="utf-8"))
+
+
 def _spans(doc: str) -> list[str]:
-    text = _FENCE.sub("", (ROOT / doc).read_text(encoding="utf-8"))
-    return [m.group(1).strip() for m in _SPAN.finditer(text)]
+    return [m.group(1).strip() for m in _SPAN.finditer(_text(doc))]
+
+
+def _links(doc: str) -> list[str]:
+    return [
+        m.group("target") for m in _LINK.finditer(_text(doc))
+        if m.group("target") and "://" not in m.group("target")
+    ]
 
 
 def _tree_names() -> set[str]:
@@ -115,3 +131,22 @@ def test_named_ci_jobs_exist(doc):
     text = _FENCE.sub("", (ROOT / doc).read_text(encoding="utf-8"))
     dead = sorted(set(_JOB.findall(text)) - jobs)
     assert dead == [], f"{doc}: names CI jobs that do not exist {dead}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_markdown_links_resolve(doc):
+    base = (ROOT / doc).parent
+    dead = [t for t in _links(doc) if not (base / t).exists()]
+    assert dead == [], f"{doc}: dead markdown links {dead}"
+
+
+def test_every_pair_document_is_linked():
+    linked = {
+        ((ROOT / doc).parent / t).resolve()
+        for doc in ("EXPERIMENTS.md", "DESIGN.md") for t in _links(doc)
+    }
+    unlinked = sorted(
+        p.name for p in RESULTS.glob("BENCH_pair_*.json")
+        if p.resolve() not in linked
+    )
+    assert unlinked == [], f"pair documents no row links: {unlinked}"

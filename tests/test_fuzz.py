@@ -36,13 +36,13 @@ CORPUS = REPO / "corpus"
 #: behaviour, and a plan added to ``corpus/`` is pinned here with it.
 CORPUS_FINGERPRINTS = {
     "crash-duplicate-repop-reply-22ff9cb931ae.plan":
-        "42143c6e2ab7ef2f1e4a3f40261c8785e59874c778d30533b3d5ee2b35907003",
+        "fa6995dbdcb3bd342596bff7e185c454b3bf47725bf8f2eae5bd8aab30a2b56d",
     "crash-missing-2f3b9359b942.plan":
         "573ad64c4481a58385881a4d5b787e5cafc409185fce7bb50a4802bb29b39b1c",
     "crash-missing_replica-missing-6164ab2117b8.plan":
-        "d094e92f30377b6ae1429ac19956f2db9399ec7275ad342e5f254da54b4edfd4",
+        "779d8985588798f13c8d8de0bdab8ce59738c44ab1f848f06e402ac117b4a76e",
     "crash-missing_replica-missing-71ad11712176.plan":
-        "2ce39e798884a757c2f0086637e785d743e1d777930a99b27cd732ba16f87c78",
+        "30beac7fff19a279bb6122b7d1544ba4cffdd26f556f026194aac70e40eff195",
     "crash-missing_replica-missing-7efae4771d60.plan":
         "9172dd3bb4b61ccab678901ac19e9720954d2016baabc94ce771e397d41683e9",
     "crash-missing_replica-missing-8df3d0f5c765.plan":
@@ -50,7 +50,7 @@ CORPUS_FINGERPRINTS = {
     "crash-missing_replica-missing-e95eb108fa63.plan":
         "78a75469555a44ce605a30a1f0c898c47d5c0c330f3fe2b7c4b165b37eebc9b4",
     "crash-read-error_replica-missing-1554f9b900b4.plan":
-        "b363e028bb0128ad023ec35c062f030d669c7c9c2770ef66bc21e32a25e37a19",
+        "1eeee44d97a48b0f02bc79f525e2588a60dfd6f752afc64708b909c728354b93",
     "wire-corruption-recovered-3066e2fd85e3.plan":
         "1c6b0cea646ca4b5506e3df03a8804db7b7700257c78c78ec59ba1c09508e86a",
     "wire-dup-suppression-e2858a8f1784.plan":

@@ -186,6 +186,54 @@ def test_pull_whose_collection_cannot_be_made_is_aborted(monkeypatch):
     assert rec.pulls_sent == sent
 
 
+def _slow_collection(monkeypatch, rec, delay):
+    """Make ``rec``'s store take ``delay`` sim-s per transaction;
+    returns the list of times a transaction was queued on it."""
+    store = rec.osd.store
+    original = type(store).queue_transaction
+    queued = []
+
+    def slow(self, txn, thread):
+        if self is store:
+            queued.append(rec.env.now)
+            yield rec.env.timeout(delay)
+        return (yield from original(self, txn, thread))
+
+    monkeypatch.setattr(type(store), "queue_transaction", slow)
+    return queued
+
+
+def test_stall_clock_starts_when_the_pulls_go_out(monkeypatch):
+    env, c, rec, pgid, _ = _pull_in_flight()
+    state = rec._pgs[pgid]
+    state.pull = None
+    _slow_collection(monkeypatch, rec, rec.pull_timeout + 1.0)
+    p = env.process(rec._start_pull(BENCH_POOL, pgid, [(2, True, 0)]))
+    env.run(until=p)
+    # making the collection took longer than the stall timeout, and
+    # none of it counts as the stream's silence
+    assert state.pull.started == env.now
+    assert not state.issuing
+    rec._check_pg(BENCH_POOL, pgid)
+    assert state.pull is not None and rec.pulls_retried == 0
+
+
+def test_one_issue_in_flight_per_pg(monkeypatch):
+    env, c, rec, pgid, _ = _pull_in_flight()
+    osd = rec.osd
+    source = next(o for o in osd.osdmap.pg_to_osds(pgid)
+                  if o != osd.osd_id)
+    rec._pgs.pop(pgid)
+    osd.osdmap.record_pg_holder(
+        pgid, source, gen=osd.osdmap.holder_gen(pgid, osd.osd_id) + 1)
+    queued = _slow_collection(monkeypatch, rec, 3 * rec.pull_timeout)
+    env.run(until=env.now + 2 * rec.pull_timeout)
+    # the tick issued once; while that issue makes the collection, no
+    # tick stalls it or issues again
+    assert len(queued) == 1
+    assert rec._pgs[pgid].issuing and rec.pulls_retried == 0
+
+
 def test_push_that_cannot_persist_aborts_the_pull(monkeypatch):
     env, c, rec, pgid, addr = _pull_in_flight()
     before = rec.pulls_retried
