@@ -5,18 +5,18 @@ request outstanding for ``duration`` seconds after a warm-up.
 :func:`run_rados_bench` is the paper's workload (uniquely-named writes
 of ``object_size`` bytes); :func:`run_read_bench` reads back a
 prepopulated object set.  Latency is the end-to-end client-observed
-response time; IOPS is completed ops per second; both are also recorded
-as per-second series, matching RADOS bench's built-in instrumentation.
+response time, kept as one sample per measured op; IOPS is completed
+ops per second.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
 from ..cluster.builder import BENCH_POOL, Cluster
 from ..core.proxy_objectstore import BreakdownView, ProxyObjectStore
-from ..util.stats import RunningStats, TimeSeries, percentile
 from .metrics import (
     CpuSampler,
     CpuWindow,
@@ -36,13 +36,11 @@ class BenchResult:
     object_size: int
     clients: int
     duration: float
-    completed_ops: int
     iops: float
     throughput_bytes: float
-    latency: RunningStats
+    #: End-to-end latency of each op completed in the window: the run's
+    #: one latency record (``repro.util.stats.latency_summary``).
     latencies: list[float]
-    per_second_ops: TimeSeries
-    per_second_latency: TimeSeries
     #: One window per storage node, for the complex the Ceph daemons run
     #: on (host in Baseline, DPU in DoCeph).
     ceph_cpu: list[CpuWindow] = field(default_factory=list)
@@ -61,11 +59,14 @@ class BenchResult:
     trace: Optional[Any] = None
 
     @property
-    def avg_latency(self) -> float:
-        return self.latency.mean
+    def completed_ops(self) -> int:
+        return len(self.latencies)
 
-    def latency_percentile(self, p: float) -> float:
-        return percentile(sorted(self.latencies), p)
+    @property
+    def avg_latency(self) -> float:
+        if not self.latencies:
+            return 0.0
+        return math.fsum(self.latencies) / len(self.latencies)
 
     @property
     def host_utilization_pct(self) -> float:
@@ -121,10 +122,6 @@ def _closed_loop(
     t_open = env.now + warmup
     t_close = t_open + duration
     latencies: list[float] = []
-    lat_stats = RunningStats()
-    per_second_ops = TimeSeries(interval=1.0)
-    per_second_lat = TimeSeries(interval=1.0)
-    completed = [0]
 
     def io_context(idx: int) -> Generator[Any, Any, None]:
         n = 0
@@ -134,10 +131,6 @@ def _closed_loop(
             n += 1
             if issued >= t_open:
                 latencies.append(result.latency)
-                lat_stats.add(result.latency)
-                per_second_ops.add(env.now - t_open, 1.0)
-                per_second_lat.add(env.now - t_open, result.latency)
-                completed[0] += 1
 
     sampler_hosts = CpuSampler(env, cluster.host_cpus())
     sampler_ceph = CpuSampler(env, cluster.ceph_cpus())
@@ -171,13 +164,9 @@ def _closed_loop(
         object_size=object_size,
         clients=clients,
         duration=duration,
-        completed_ops=completed[0],
-        iops=completed[0] / measured,
-        throughput_bytes=completed[0] * object_size / measured,
-        latency=lat_stats,
+        iops=len(latencies) / measured,
+        throughput_bytes=len(latencies) * object_size / measured,
         latencies=latencies,
-        per_second_ops=per_second_ops,
-        per_second_latency=per_second_lat,
         ceph_cpu=ceph_windows,
         host_cpu=host_windows,
         breakdowns=breakdowns,

@@ -22,6 +22,7 @@ from .experiments import (
     Table2Result,
     Table3Row,
 )
+from ..util.stats import latency_summary
 from .radosbench import BenchResult
 from .schema import validate_payload
 
@@ -83,14 +84,8 @@ def bench_result_dict(result: BenchResult) -> dict[str, Any]:
         "completed_ops": result.completed_ops,
         "iops": round(result.iops, 9),
         "throughput_MBps": round(result.throughput_bytes / 1e6, 9),
-        "latency_s": {
-            "mean": round(result.avg_latency, 9),
-            "p50": round(result.latency_percentile(50), 9),
-            "p90": round(result.latency_percentile(90), 9),
-            "p99": round(result.latency_percentile(99), 9),
-            "max": round(max(result.latencies), 9) if result.latencies
-            else 0.0,
-        },
+        "latency_s": {k: round(v, 9)
+                      for k, v in latency_summary(result.latencies).items()},
         "cpu": {
             "host_utilization_pct": round(result.host_utilization_pct, 9),
         },
@@ -238,14 +233,16 @@ def render_fig7(points: list[ComparisonPoint]) -> str:
 def render_fig8(points: list[ComparisonPoint]) -> str:
     out = []
     for p in points:
+        base = latency_summary(p.baseline.latencies)
+        doceph = latency_summary(p.doceph.latencies)
         out.append([
             _size_label(p.object_size),
-            f"{p.baseline.avg_latency:.3f}s",
+            f"{base['mean']:.3f}s",
             f"{PAPER['fig8_baseline_latency_s'][p.object_size]:.3f}s",
-            f"{p.doceph.avg_latency:.3f}s",
+            f"{doceph['mean']:.3f}s",
             f"{PAPER['fig8_doceph_latency_s'][p.object_size]:.3f}s",
-            f"{p.doceph.latency_percentile(99):.3f}s",
-            f"{100 * (p.doceph.avg_latency / p.baseline.avg_latency - 1):+.0f}%",
+            f"{doceph['p99']:.3f}s",
+            f"{100 * (doceph['mean'] / base['mean'] - 1):+.0f}%",
         ])
     return format_table(
         ["size", "baseline", "baseline(paper)", "doceph", "doceph(paper)",

@@ -63,6 +63,7 @@ from .cluster import (
 from .faults import FaultPlan
 from .hw import StorageError
 from .sim import Environment
+from .util.stats import latency_summary
 
 __all__ = ["main"]
 
@@ -150,13 +151,14 @@ def _cmd_bench(args: argparse.Namespace) -> str:
         cluster, object_size=args.size, clients=args.clients,
         duration=args.duration,
     )
+    latency = latency_summary(result.latencies)
     lines = [
         f"mode={args.mode} size={args.size >> 20}MB clients={args.clients}"
         f" duration={args.duration:.0f}s",
         f"  iops:        {result.iops:.1f}",
         f"  throughput:  {result.throughput_bytes / 1e6:.1f} MB/s",
-        f"  avg latency: {result.avg_latency * 1e3:.1f} ms"
-        f" (p99 {result.latency_percentile(99) * 1e3:.1f} ms)",
+        f"  avg latency: {latency['mean'] * 1e3:.1f} ms"
+        f" (p99 {latency['p99'] * 1e3:.1f} ms)",
         f"  host CPU:    {result.host_utilization_pct:.1f} %",
     ]
     if plan is not None and result.faults is not None:
@@ -467,7 +469,8 @@ def _render_qos(result) -> str:
             f"{spec.qos.weight:g}",
             f"{spec.qos.limit:g}" if spec.qos.limit else "-",
             str(st.shed),
-            f"{st.lat_stats.mean * 1e3:.1f}" if st.latencies else "-",
+            f"{latency_summary(st.latencies)['mean'] * 1e3:.1f}"
+            if st.latencies else "-",
         ])
     table = format_table(
         ["tenant", "arrival", "offered/s", "goodput/s", "resv/s",

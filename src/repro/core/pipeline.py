@@ -178,9 +178,6 @@ class DmaPipeline:
                 MemoryRegion(segment_bytes, side=region_side)
             )
 
-        # statistics
-        self.requests = 0
-
     # ---------------------------------------------------------------- public
     def push(
         self, nbytes: int, thread: SimThread, span_ctx: Any = None
@@ -222,7 +219,6 @@ class DmaPipeline:
         for proc in inflight:
             yield proc
         timing.total = self.env.now - t_start
-        self.requests += 1
         return timing
 
     def _segment_span(self, span_ctx: Any, index: int, seg: int) -> Any:

@@ -276,7 +276,7 @@ class Partition:
     boundary (exactly one endpoint inside ``nodes``) is dropped.
     """
 
-    __slots__ = ("nodes", "start", "end", "on_drop", "drops", "dropped_bytes")
+    __slots__ = ("nodes", "start", "end", "on_drop", "drops")
 
     def __init__(
         self,
@@ -292,7 +292,6 @@ class Partition:
         self.end = end
         self.on_drop = on_drop
         self.drops = 0
-        self.dropped_bytes = 0
 
     def active(self, now: float) -> bool:
         return self.start <= now < self.end
@@ -362,7 +361,6 @@ class Network:
         for part in self._partitions:
             if part.severs(src, dst, now):
                 part.drops += 1
-                part.dropped_bytes += nbytes
                 self.partition_drops += 1
                 self.partition_dropped_bytes += nbytes
                 if part.on_drop is not None:

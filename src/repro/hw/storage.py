@@ -36,7 +36,6 @@ class SsdDevice:
         "bytes_written",
         "bytes_read",
         "writes",
-        "reads",
         "io_errors",
         "failed_bytes",
         "busy_time",
@@ -72,7 +71,6 @@ class SsdDevice:
         self.bytes_written = 0
         self.bytes_read = 0
         self.writes = 0
-        self.reads = 0
         self.io_errors = 0
         self.failed_bytes = 0
         self.busy_time = 0.0
@@ -106,7 +104,6 @@ class SsdDevice:
         """Fetch ``nbytes`` from media."""
         yield from self._io(nbytes, self.read_latency, self.read_bandwidth)
         self.bytes_read += nbytes
-        self.reads += 1
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` the device spent servicing I/O."""

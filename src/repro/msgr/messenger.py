@@ -209,7 +209,6 @@ class Connection:
         "peer_acked",
         "_resend",
         "_dropped",
-        "_consec_drops",
         "_held",
     )
 
@@ -236,7 +235,6 @@ class Connection:
         #: seqs the wire consumed (partition drops): nacks for these are
         #: answered with a hole-skip, not a replay of stale history
         self._dropped: set[int] = set()
-        self._consec_drops = 0
         #: frame held back by the reorder adversary, if any
         self._held: Optional[WireFrame] = None
 
@@ -545,7 +543,6 @@ class _WirePump(Machine):
             conn._resend.pop(frame.seq, None)
             conn._dropped.add(frame.seq)
             msgr.messages_dropped += 1
-            conn._consec_drops += 1
             if frame.span is not None and frame.span_open:
                 frame.span.tag("dropped", "partition")
                 frame.span.error(msgr.env.now, "partition")
@@ -559,7 +556,6 @@ class _WirePump(Machine):
                 hook(conn.peer_addr)
             self._next_frame()
             return
-        conn._consec_drops = 0
         adversary = msgr.adversary
         spec = None
         if adversary is not None:

@@ -139,7 +139,6 @@ class OsdDaemon:
         "_recovery_cfg",
         "_down_handled",
         "client_ops",
-        "repops",
         "bytes_written",
         "bytes_read",
         "crashes",
@@ -204,7 +203,6 @@ class OsdDaemon:
 
         # statistics
         self.client_ops = 0
-        self.repops = 0
         self.bytes_written = 0
         self.bytes_read = 0
         self.crashes = 0
@@ -619,7 +617,6 @@ class OsdDaemon:
             self.messenger.send_message(
                 rep, self.osdmap.address_of(replica)
             )
-            pg.repops_sent += 1
         if pg.replicas:
             _mark(msg, self.env.now, "sub_op_sent")
 
@@ -794,8 +791,6 @@ class OsdDaemon:
         )
         if ctx is not None:
             txn.span_ctx = msg.repop_span.context  # type: ignore[attr-defined]
-        pg.repops_applied += 1
-        self.repops += 1
         self.env.process(
             self._apply_repop(msg, txn), name=f"{self.name}.repop.{msg.tid}"
         )

@@ -101,8 +101,7 @@ class _MClockTenant:
     remaining R tags down in place.
     """
 
-    __slots__ = ("spec", "queue", "prev_r", "prev_l", "prev_p",
-                 "enqueued", "served")
+    __slots__ = ("spec", "queue", "prev_r", "prev_l", "prev_p", "enqueued")
 
     def __init__(self, spec: QosSpec) -> None:
         self.spec = spec
@@ -111,7 +110,6 @@ class _MClockTenant:
         self.prev_l = -_INF
         self.prev_p = -_INF
         self.enqueued = 0
-        self.served = 0
 
 
 @dataclass(order=True, slots=True)
@@ -371,7 +369,6 @@ class WeightedPriorityQueue:
                     best, best_key = t, key
         if best is not None:
             entry = best.queue.popleft()
-            best.served += 1
             self.reservation_served += 1
             return entry[4]
         # weight phase: smallest (P, seq) among limit-eligible heads
@@ -385,7 +382,6 @@ class WeightedPriorityQueue:
                     best, best_key = t, key
         assert best is not None, "tagged pop with no eligible head"
         entry = best.queue.popleft()
-        best.served += 1
         self.weight_served += 1
         spec = best.spec
         if spec.reservation:

@@ -29,8 +29,6 @@ class PlacementGroup:
     ops: int = 0
     bytes_written: int = 0
     bytes_read: int = 0
-    repops_sent: int = 0
-    repops_applied: int = 0
 
     @property
     def collection(self) -> str:

@@ -35,12 +35,7 @@ from ..osd.opqueue import QosSpec
 from ..sim import Environment
 from ..trace import Tracer
 from ..util.digest import sha256_hex
-from ..util.stats import (
-    RunningStats,
-    TimeSeries,
-    jain_fairness_index,
-    percentile,
-)
+from ..util.stats import jain_fairness_index, latency_summary
 from .admission import AdmissionController
 from .tenants import TenantSpec, default_tenants
 from .workload import TenantStats, open_loop_tenant, tenant_rng
@@ -195,13 +190,9 @@ def run_qos(
             queue_stats[key] = queue_stats.get(key, 0) + value
 
     all_latencies: list[float] = []
-    lat_stats = RunningStats()
-    total_completed = 0
     total_bytes = 0
     for st in stats:
         all_latencies.extend(st.latencies)
-        lat_stats.merge(st.lat_stats)
-        total_completed += st.completed
         total_bytes += st.bytes_done
 
     trace_report = (tracer.report(window=(t_open, env.now))
@@ -210,13 +201,9 @@ def run_qos(
         object_size=specs[0].sizes[0],
         clients=len(specs),
         duration=duration,
-        completed_ops=total_completed,
-        iops=total_completed / duration,
+        iops=len(all_latencies) / duration,
         throughput_bytes=total_bytes / duration,
-        latency=lat_stats,
         latencies=all_latencies,
-        per_second_ops=TimeSeries(interval=1.0),
-        per_second_latency=TimeSeries(interval=1.0),
         ceph_cpu=ceph_windows,
         host_cpu=host_windows,
         faults=collect_fault_report(cluster),
@@ -245,20 +232,6 @@ def run_qos(
     return result
 
 
-def _latency_block(latencies: list[float],
-                   stats: RunningStats) -> dict[str, float]:
-    if not latencies:
-        return {"mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
-    ordered = sorted(latencies)
-    return {
-        "mean": round(stats.mean, 9),
-        "p50": round(percentile(ordered, 50), 9),
-        "p90": round(percentile(ordered, 90), 9),
-        "p99": round(percentile(ordered, 99), 9),
-        "max": round(ordered[-1], 9),
-    }
-
-
 def _tenant_dict(spec: TenantSpec, st: TenantStats,
                  duration: float) -> dict[str, Any]:
     goodput = st.completed / duration
@@ -277,7 +250,8 @@ def _tenant_dict(spec: TenantSpec, st: TenantStats,
         "reservation_iops": round(spec.qos.reservation, 9),
         "weight": round(spec.qos.weight, 9),
         "limit_iops": round(spec.qos.limit, 9),
-        "latency_s": _latency_block(st.latencies, st.lat_stats),
+        "latency_s": {k: round(v, 9)
+                      for k, v in latency_summary(st.latencies).items()},
     }
     if spec.qos.reservation > 0:
         out["reservation_attainment"] = round(

@@ -28,7 +28,6 @@ from typing import Any, Generator, Optional
 from ..cluster.builder import BENCH_POOL
 from ..rados.client import RadosClient, RadosError
 from ..trace import QOS_CATEGORY
-from ..util.stats import RunningStats
 
 __all__ = ["TenantStats", "open_loop_tenant", "tenant_rng"]
 
@@ -64,7 +63,6 @@ class TenantStats:
     #: Payload bytes of completed ops.
     bytes_done: int = 0
     latencies: list[float] = field(default_factory=list)
-    lat_stats: RunningStats = field(default_factory=RunningStats)
 
     @property
     def admitted(self) -> int:
@@ -165,4 +163,3 @@ def _one_op(
     stats.completed += 1
     stats.bytes_done += size
     stats.latencies.append(result.latency)
-    stats.lat_stats.add(result.latency)

@@ -1,6 +1,5 @@
 """Shared utilities: Ceph-compatible hashing, SHA-256 fingerprints,
-bufferlist encoding, statistics accumulators, and deterministic RNG
-streams."""
+bufferlist encoding, percentiles, and deterministic RNG streams."""
 
 from .bufferlist import BufferList, DataBlob, EncodeError
 from .digest import sha256_hex
@@ -10,15 +9,13 @@ from .rjenkins import (
     crush_hash32_3,
 )
 from .rng import SeededRng
-from .stats import RunningStats, TimeSeries, percentile
+from .stats import percentile
 
 __all__ = [
     "BufferList",
     "DataBlob",
     "EncodeError",
-    "RunningStats",
     "SeededRng",
-    "TimeSeries",
     "ceph_str_hash_rjenkins",
     "crush_hash32_2",
     "crush_hash32_3",

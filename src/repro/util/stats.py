@@ -1,17 +1,12 @@
-"""Lightweight statistics helpers: online accumulators and per-second
-time series.
-
-These are used by the benchmark harness (RADOS bench instrumentation,
-CPU utilization sampling) and by the DoCeph latency-breakdown
-instrumentation that regenerates Table 3 / Figure 9.
-"""
+"""Statistics over a run's samples: percentiles, the one latency
+summary every report of a run is cut from, and Jain's fairness index."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import Sequence
 
-__all__ = ["RunningStats", "TimeSeries", "percentile", "jain_fairness_index"]
+__all__ = ["jain_fairness_index", "latency_summary", "percentile"]
 
 
 def jain_fairness_index(values: list[float]) -> float:
@@ -52,95 +47,18 @@ def percentile(sorted_values: list[float], p: float) -> float:
     return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
-class RunningStats:
-    """Welford online mean/variance plus min/max and sum."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        """Accumulate one observation."""
-        self.count += 1
-        self.total += value
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator)."""
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningStats") -> None:
-        """Fold another accumulator into this one (parallel Welford)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.total = other.total
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        n1, n2 = self.count, other.count
-        delta = other._mean - self._mean
-        total_n = n1 + n2
-        self._m2 = self._m2 + other._m2 + delta * delta * n1 * n2 / total_n
-        self._mean = (n1 * self._mean + n2 * other._mean) / total_n
-        self.count = total_n
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    def __repr__(self) -> str:
-        return (
-            f"<RunningStats n={self.count} mean={self.mean:.6g}"
-            f" sd={self.stddev:.6g} min={self.min:.6g} max={self.max:.6g}>"
-        )
-
-
-@dataclass
-class TimeSeries:
-    """Per-interval accumulation of a metric (e.g. per-second IOPS).
-
-    ``interval`` is the bucket width in simulated seconds.  Values added
-    at time ``t`` accumulate into bucket ``floor(t / interval)``.
-    """
-
-    interval: float = 1.0
-    _buckets: dict[int, RunningStats] = field(default_factory=dict)
-
-    def add(self, t: float, value: float) -> None:
-        idx = int(t // self.interval)
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            bucket = self._buckets[idx] = RunningStats()
-        bucket.add(value)
-
-    def buckets(self) -> list[tuple[float, RunningStats]]:
-        """(bucket start time, accumulator) pairs in time order."""
-        return [
-            (idx * self.interval, self._buckets[idx])
-            for idx in sorted(self._buckets)
-        ]
-
-    def counts(self) -> list[tuple[float, int]]:
-        return [(t, s.count) for t, s in self.buckets()]
+def latency_summary(samples: Sequence[float]) -> dict[str, float]:
+    """Mean, p50, p90, p99 and max of per-op latencies, all 0.0 when
+    there are none.  The samples are the only per-op latency record a
+    run keeps; this sorts a copy once.  The mean is ``math.fsum`` over
+    them, so it does not depend on their order."""
+    if not samples:
+        return dict.fromkeys(("mean", "p50", "p90", "p99", "max"), 0.0)
+    ordered = sorted(samples)
+    return {
+        "mean": math.fsum(ordered) / len(ordered),
+        "p50": percentile(ordered, 50),
+        "p90": percentile(ordered, 90),
+        "p99": percentile(ordered, 99),
+        "max": ordered[-1],
+    }

@@ -168,15 +168,6 @@ def test_run_rados_bench_result_consistency():
     assert r.completed_ops > 0
     # throughput/iops relationship
     assert r.throughput_bytes == pytest.approx(r.iops * r.object_size)
-    # latency stats agree with the raw list
-    assert r.avg_latency == pytest.approx(
-        sum(r.latencies) / len(r.latencies)
-    )
-    assert r.latency_percentile(0) == pytest.approx(min(r.latencies))
-    assert r.latency_percentile(100) == pytest.approx(max(r.latencies))
-    # per-second op counts sum to completed ops
-    total_per_second = sum(s.total for _, s in r.per_second_ops.buckets())
-    assert total_per_second == r.completed_ops
     # cpu windows exist for both storage nodes
     assert len(r.host_cpu) == 2
     assert r.host_utilization_pct > 0

@@ -1,21 +1,19 @@
-"""Tests for rjenkins hashes, stats accumulators, and RNG streams."""
+"""Tests for rjenkins hashes, sample statistics, and RNG streams."""
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util import (
-    RunningStats,
     SeededRng,
-    TimeSeries,
     ceph_str_hash_rjenkins,
     crush_hash32_2,
     crush_hash32_3,
     percentile,
 )
+from repro.util.stats import latency_summary
 
 
 # ---------------------------------------------------------------- rjenkins
@@ -72,55 +70,6 @@ def test_hash_distribution_is_roughly_uniform():
 # ---------------------------------------------------------------- stats
 
 
-def test_running_stats_basic():
-    s = RunningStats()
-    for v in [2.0, 4.0, 6.0]:
-        s.add(v)
-    assert s.count == 3
-    assert s.mean == pytest.approx(4.0)
-    assert s.total == pytest.approx(12.0)
-    assert s.min == 2.0
-    assert s.max == 6.0
-    assert s.variance == pytest.approx(4.0)
-
-
-def test_running_stats_empty():
-    s = RunningStats()
-    assert s.mean == 0.0
-    assert s.variance == 0.0
-
-
-def test_running_stats_merge_matches_bulk():
-    rng = random.Random(7)
-    values = [rng.gauss(10, 3) for _ in range(500)]
-    bulk = RunningStats()
-    for v in values:
-        bulk.add(v)
-    a, b = RunningStats(), RunningStats()
-    for v in values[:137]:
-        a.add(v)
-    for v in values[137:]:
-        b.add(v)
-    a.merge(b)
-    assert a.count == bulk.count
-    assert a.mean == pytest.approx(bulk.mean)
-    assert a.variance == pytest.approx(bulk.variance)
-    assert a.min == bulk.min and a.max == bulk.max
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False), min_size=2, max_size=200))
-@settings(max_examples=100)
-def test_running_stats_matches_naive(values):
-    s = RunningStats()
-    for v in values:
-        s.add(v)
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    assert s.mean == pytest.approx(mean, rel=1e-9, abs=1e-6)
-    assert s.variance == pytest.approx(var, rel=1e-6, abs=1e-6)
-
-
 def test_percentile_interpolation():
     data = [1.0, 2.0, 3.0, 4.0]
     assert percentile(data, 0) == 1.0
@@ -135,15 +84,39 @@ def test_percentile_errors():
         percentile([1.0], 101)
 
 
-def test_timeseries_bucketing():
-    ts = TimeSeries(interval=1.0)
-    ts.add(0.5, 10)
-    ts.add(0.9, 20)
-    ts.add(2.1, 5)
-    assert [(t, s.total) for t, s in ts.buckets()] == [(0.0, 30.0),
-                                                        (2.0, 5.0)]
-    assert ts.counts() == [(0.0, 2), (2.0, 1)]
-    assert ts.buckets()[0][1].mean == 15.0
+def test_latency_summary_of_no_samples_is_zero():
+    assert latency_summary([]) == dict.fromkeys(
+        ("mean", "p50", "p90", "p99", "max"), 0.0)
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+                min_size=1, max_size=300))
+@settings(max_examples=150)
+def test_latency_summary_matches_brute_force(samples):
+    """The one latency summary equals a brute-force reference, and the
+    bench block and a qos tenant block cut from the same samples are the
+    same block."""
+    from repro.bench.radosbench import BenchResult
+    from repro.bench.reporting import bench_result_dict
+    from repro.qos.runner import _tenant_dict
+    from repro.qos.tenants import TenantSpec
+    from repro.qos.workload import TenantStats
+
+    ordered = sorted(samples)
+    assert latency_summary(samples) == {
+        "mean": math.fsum(samples) / len(samples),
+        "p50": percentile(ordered, 50),
+        "p90": percentile(ordered, 90),
+        "p99": percentile(ordered, 99),
+        "max": max(samples),
+    }
+    bench = BenchResult(object_size=1, clients=1, duration=1.0, iops=0.0,
+                        throughput_bytes=0.0, latencies=list(samples))
+    assert bench.completed_ops == len(samples)
+    assert bench.avg_latency == latency_summary(samples)["mean"]
+    tenant = _tenant_dict(TenantSpec(name="t", rate=1.0),
+                          TenantStats(name="t", latencies=list(samples)), 1.0)
+    assert bench_result_dict(bench)["latency_s"] == tenant["latency_s"]
 
 
 # ---------------------------------------------------------------- rng
