@@ -14,6 +14,7 @@ import json
 import pathlib
 from typing import Any, Iterable, Sequence
 
+from ..util.stats import latency_summary
 from .experiments import (
     ComparisonPoint,
     Fig5Row,
@@ -22,7 +23,6 @@ from .experiments import (
     Table2Result,
     Table3Row,
 )
-from ..util.stats import latency_summary
 from .radosbench import BenchResult
 from .schema import validate_payload
 
