@@ -244,6 +244,13 @@ MUTANTS = (
         "span ids no longer depend on the tracer seed",
         ("tier1",)),
     Mutant(
+        "trace.child_loses_parent", "src/repro/trace.py",
+        (("return self.tracer.start_span(name, now, parent=self, **kw)",
+          "return self.tracer.start_span(name, now, parent=None, **kw)"),),
+        "a child span starts a trace of its own instead of joining its "
+        "parent's",
+        ("tier1",)),
+    Mutant(
         "msgr.crc_never_checked", "src/repro/msgr/messenger.py",
         (("and frame.crc != bl.crc32()", "and False"),),
         "a corrupted frame is delivered although its crc is wrong",

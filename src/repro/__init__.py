@@ -29,7 +29,7 @@ Package map
 - ``repro.faults`` — deterministic fault injection plans
 - ``repro.chaos`` — cluster-level chaos harness + durability checker
 - ``repro.trace`` — cross-layer tracing: spans, critical path,
-  CPU cross-checks, Perfetto export
+  Perfetto export
 """
 
 __version__ = "1.0.0"

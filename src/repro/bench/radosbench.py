@@ -157,8 +157,7 @@ def _closed_loop(
     )
 
     tracer = getattr(cluster, "tracer", None)
-    trace = (tracer.report(window=(t_open, env.now))
-             if tracer is not None else None)
+    trace = tracer.report() if tracer is not None else None
     measured = max(env.now - t_open, 1e-9)
     return BenchResult(
         object_size=object_size,

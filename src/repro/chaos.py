@@ -26,7 +26,6 @@ schedule depends only on the seed, never on simulation interleaving.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Generator, Optional
 
@@ -41,7 +40,7 @@ from .objectstore import NoSuchObject
 from .rados.client import RadosClient, RadosError
 from .sim import Environment
 from .util.bufferlist import DataBlob
-from .util.digest import sha256_hex
+from .util.digest import fingerprint
 from .util.rng import SeededRng
 
 __all__ = [
@@ -439,8 +438,7 @@ class ChaosReport:
             "wire_incidents": dict(sorted(self.wire_incidents.items())),
             "qos_incidents": dict(sorted(self.qos_incidents.items())),
         }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return sha256_hex(blob.encode("utf-8"))
+        return fingerprint(doc)
 
     def as_dict(self) -> dict[str, Any]:
         return {

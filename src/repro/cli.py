@@ -206,8 +206,8 @@ def _cmd_faults(args: argparse.Namespace) -> str:
 
 
 def _cmd_trace(args: argparse.Namespace) -> tuple[str, bool]:
-    """Traced bench run: flame summary, critical path, CPU cross-check,
-    Perfetto export.  Returns (text, ok); ``--replay`` reruns the same
+    """Traced bench run: flame summary, critical path, Perfetto
+    export.  Returns (text, ok); ``--replay`` reruns the same
     seed and requires an identical trace fingerprint."""
     from .trace import Tracer
 
@@ -237,18 +237,8 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[str, bool]:
         f"  avg latency: {result.avg_latency * 1e3:.1f} ms",
         "",
         rep.flame_summary(),
-        "",
-        "per-category busy seconds, span-attributed vs sampled:",
+        f"trace fingerprint: {fingerprint}",
     ]
-    for cat, (traced, sampled) in sorted(
-        rep.cpu_crosscheck(result.ceph_cpu + result.host_cpu).items()
-    ):
-        dev = (abs(traced - sampled) / sampled * 100) if sampled else 0.0
-        lines.append(
-            f"  {cat:12s} traced={traced:.4f}s sampled={sampled:.4f}s"
-            f" ({dev:.2f}% off)"
-        )
-    lines.append(f"trace fingerprint: {fingerprint}")
     ok = True
     if args.replay:
         fp2 = run_once().trace.fingerprint()
@@ -627,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_json_opts(faults)
 
     trace = sub.add_parser(
-        "trace", help="traced bench run: span flame summary, CPU "
-                      "cross-check, Perfetto trace-event export")
+        "trace", help="traced bench run: span flame summary, "
+                      "Perfetto trace-event export")
     trace.add_argument("--mode", choices=["baseline", "doceph"],
                        default="doceph")
     trace.add_argument("--size", type=_parse_size, default=1 << 20)

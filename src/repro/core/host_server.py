@@ -84,8 +84,8 @@ class HostProxyServer:
         (or the fallback socket).  Async: BlueStore commit must not
         block the RPC listener."""
         txn = Transaction.decode(req.payload)
-        # span context does not survive the wire encoding; re-attach the
-        # one carried by the RPC request so BlueStore's commit span
+        # the parent span does not survive the wire encoding; re-attach
+        # the one carried by the RPC request so BlueStore's commit span
         # parents under the rpc.queue_txn attempt
         txn.span_ctx = req.span_ctx
         req.reply = DEFERRED

@@ -224,7 +224,7 @@ class DmaPipeline:
     def _segment_span(self, span_ctx: Any, index: int, seg: int) -> Any:
         if span_ctx is None:
             return None
-        span = span_ctx.start_span(
+        span = span_ctx.child(
             "dma.segment", self.env.now, thread=self.stage_thread,
             nbytes=seg,
         )
@@ -313,7 +313,7 @@ class DmaPipeline:
         timing.fallback_bytes += seg
         fb_span = None
         if span_ctx is not None:
-            fb_span = span_ctx.start_span(
+            fb_span = span_ctx.child(
                 "dma.fallback", self.env.now, thread=thread, nbytes=seg,
             )
             if retry_of is not None:
@@ -323,7 +323,7 @@ class DmaPipeline:
         yield from self.rpc.call(
             "bulk", RPC_ARGS["bulk"].encode("bulk", seg), thread,
             bulk_bytes=seg,
-            span_ctx=fb_span.context if fb_span is not None else None,
+            span_ctx=fb_span,
         )
         if fb_span is not None:
             fb_span.finish(self.env.now)
@@ -334,7 +334,7 @@ class DmaPipeline:
         """Small test transfer deciding whether DMA may be re-enabled."""
         probe_span = None
         if span_ctx is not None:
-            probe_span = span_ctx.start_span(
+            probe_span = span_ctx.child(
                 "dma.probe", self.env.now, thread=thread,
                 nbytes=PROBE_BYTES,
             )

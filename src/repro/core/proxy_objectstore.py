@@ -213,20 +213,19 @@ class ProxyObjectStore(ObjectStore):
         yield from thread.charge(self.SERIALIZE_CPU * max(1, txn.num_ops))
         span = None
         if txn.span_ctx is not None:
-            span = txn.span_ctx.start_span(
+            span = txn.span_ctx.child(
                 "proxy.dispatch", self.env.now, thread=self._stage_thread,
                 nbytes=data_len,
             )
             span.tag("ops", txn.num_ops)
             span.tag("control", data_len == 0)
-        ctx = span.context if span is not None else None
 
         if data_len == 0:
             # §3.2: metadata-only transactions are control plane.
             self.control_ops += 1
             try:
                 yield from self.rpc.call(
-                    "queue_txn", payload, thread, span_ctx=ctx
+                    "queue_txn", payload, thread, span_ctx=span
                 )
             except RpcError as exc:
                 if span is not None:
@@ -252,7 +251,7 @@ class ProxyObjectStore(ObjectStore):
         # … stream the payload across …
         try:
             timing: RequestTiming = yield from self.write_pipeline.push(
-                data_len, thread, span_ctx=ctx
+                data_len, thread, span_ctx=span
             )
         except RpcError as exc:
             # Bulk transfer failed before the commit RPC was ever sent:
@@ -267,7 +266,7 @@ class ProxyObjectStore(ObjectStore):
         # … then commit on the host and wait for durability.
         try:
             resp = yield from self.rpc.call(
-                "queue_txn", payload, thread, span_ctx=ctx
+                "queue_txn", payload, thread, span_ctx=span
             )
         except RpcError as exc:
             if span is not None:
@@ -300,16 +299,15 @@ class ProxyObjectStore(ObjectStore):
         """Read via the host: request over RPC, data back via DMA."""
         span = None
         if span_ctx is not None:
-            span = span_ctx.start_span(
+            span = span_ctx.child(
                 "proxy.read", self.env.now, thread=self._stage_thread,
                 nbytes=length,
             )
-        ctx = span.context if span is not None else None
         payload = RPC_ARGS["read"].encode(coll, oid, offset, length)
         self.data_ops += 1
         try:
             resp = yield from self.rpc.call("read", payload, thread,
-                                            span_ctx=ctx)
+                                            span_ctx=span)
         except RpcError as exc:
             if "ENOENT" in str(exc):
                 if span is not None:

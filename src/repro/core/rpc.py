@@ -104,9 +104,9 @@ class RpcRequest:
     #: Wire size of the reply, recorded when the host sends it, so the
     #: caller charges the exact receive cost.
     reply_wire_bytes: int = 0
-    #: :class:`repro.trace.SpanContext` of this attempt's span; host
-    #: handlers parent their work (BlueStore commit, read pipeline)
-    #: under it.  ``None`` when the caller is untraced.
+    #: This attempt's :class:`repro.trace.Span`; host handlers parent
+    #: their work (BlueStore commit, read pipeline) under it.  ``None``
+    #: when the caller is untraced.
     span_ctx: Any = None
 
 
@@ -219,7 +219,7 @@ class RpcChannel:
             for attempt in range(attempts):
                 span = None
                 if span_ctx is not None:
-                    span = span_ctx.start_span(
+                    span = span_ctx.child(
                         f"rpc.{op}", self.env.now, thread=thread, nbytes=wire,
                     )
                     span.tag("req_id", req_id)
@@ -235,7 +235,7 @@ class RpcChannel:
                     response=self.env.event(),
                     submitted_at=self.env.now,
                     attempt=attempt,
-                    span_ctx=span.context if span is not None else None,
+                    span_ctx=span,
                 )
                 yield from thread.charge(send_cpu)
                 yield from thread.ctx_switch(send_ctx)

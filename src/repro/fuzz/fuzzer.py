@@ -25,12 +25,11 @@ cutoff.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-from ..util.digest import sha256_hex
+from ..util.digest import fingerprint, sha256_hex
 from ..util.rng import SeededRng
 from ..util.wallclock import perf_counter
 from .coverage import CoverageMap
@@ -114,8 +113,7 @@ class FuzzReport:
                 for v in self.corpus_failures
             ],
         }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return sha256_hex(blob.encode("utf-8"))
+        return fingerprint(doc)
 
     def as_dict(self) -> dict[str, Any]:
         return {

@@ -276,7 +276,7 @@ class Partition:
     boundary (exactly one endpoint inside ``nodes``) is dropped.
     """
 
-    __slots__ = ("nodes", "start", "end", "on_drop", "drops")
+    __slots__ = ("nodes", "start", "end", "on_drop")
 
     def __init__(
         self,
@@ -291,7 +291,6 @@ class Partition:
         self.start = start
         self.end = end
         self.on_drop = on_drop
-        self.drops = 0
 
     def active(self, now: float) -> bool:
         return self.start <= now < self.end
@@ -360,7 +359,6 @@ class Network:
         now = self.env.now
         for part in self._partitions:
             if part.severs(src, dst, now):
-                part.drops += 1
                 self.partition_drops += 1
                 self.partition_dropped_bytes += nbytes
                 if part.on_drop is not None:

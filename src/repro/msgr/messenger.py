@@ -647,12 +647,12 @@ class _Worker:
             kind = item[0]
             if kind == "send":
                 _, conn, msg = item
-                ctx = msg.span_ctx
+                parent = msg.span_ctx
                 bl = msg.encode()
                 wire = len(bl) + WIRE_OVERHEAD
                 send_span = None
-                if ctx is not None:
-                    send_span = ctx.start_span(
+                if parent is not None:
+                    send_span = parent.child(
                         "msgr.send", msgr.env.now, thread=thread,
                         nbytes=wire,
                     )
@@ -677,9 +677,8 @@ class _Worker:
                 sender_span = None if frame.retx else frame.span
                 recv_span = None
                 if sender_span is not None and sender_span.parent is not None:
-                    recv_span = sender_span.tracer.start_span(
-                        "msgr.recv", msgr.env.now,
-                        parent=sender_span.parent, thread=thread,
+                    recv_span = sender_span.parent.child(
+                        "msgr.recv", msgr.env.now, thread=thread,
                         nbytes=frame.wire,
                     )
                     recv_span.link(sender_span, "follows")
@@ -785,7 +784,7 @@ class _Worker:
             return
         if recv_span is not None:
             recv_span.tag("msg", type(msg).__name__)
-            msg.span_ctx = frame.span.parent.context  # type: ignore[attr-defined]
+            msg.span_ctx = frame.span.parent  # type: ignore[attr-defined]
         msgr.messages_received += 1
         msgr.bytes_received += frame.wire
         if msgr.throttle is not None:

@@ -88,9 +88,9 @@ class Transaction:
 
     ops: list[TxnOp] = field(default_factory=list)
 
-    #: Optional :class:`repro.trace.SpanContext` set by the submitting
+    #: Optional parent :class:`repro.trace.Span` set by the submitting
     #: layer; backends start their commit spans under it.  Not part of
-    #: the wire encoding — the host proxy server re-attaches the context
+    #: the wire encoding — the host proxy server re-attaches the span
     #: carried by the RPC request after decode.
     span_ctx: Any = field(default=None, compare=False, repr=False)
 

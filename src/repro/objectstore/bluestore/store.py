@@ -273,7 +273,7 @@ class BlueStore(ObjectStore):
         yield from thread.charge(self.config.submit_cpu * max(1, txn.num_ops))
         span = None
         if txn.span_ctx is not None:
-            span = txn.span_ctx.start_span(
+            span = txn.span_ctx.child(
                 "bstore.commit", self.env.now, cpu=self.cpu.name,
                 category=BSTORE_CATEGORY, thread_name=f"{self.name}.bstore",
                 nbytes=txn.data_len,
@@ -306,7 +306,7 @@ class BlueStore(ObjectStore):
     ) -> Generator[Any, Any, DataBlob]:
         span = None
         if span_ctx is not None:
-            span = span_ctx.start_span(
+            span = span_ctx.child(
                 "bstore.read", self.env.now, cpu=self.cpu.name,
                 category=BSTORE_CATEGORY, thread_name=f"{self.name}.bstore",
                 nbytes=length,

@@ -432,9 +432,9 @@ class OsdDaemon:
     ) -> Generator[Any, Any, None]:
         """Fast dispatch, runs in the messenger worker (keep it light)."""
         if isinstance(msg, MOSDOp):
-            ctx = getattr(msg, "span_ctx", None)
-            if ctx is not None:
-                span = ctx.start_span(
+            parent = getattr(msg, "span_ctx", None)
+            if parent is not None:
+                span = parent.child(
                     "osd.op", self.env.now,
                     cpu=self.messenger.stack.cpu.name,
                     category=OSD_CATEGORY,
@@ -593,7 +593,7 @@ class OsdDaemon:
         )
         op_span = getattr(msg, "op_span", None)
         if op_span is not None:
-            txn.span_ctx = op_span.context
+            txn.span_ctx = op_span
         inflight = _InFlightWrite(
             [self.osdmap.address_of(r) for r in pg.replicas], self.env
         )
@@ -613,7 +613,7 @@ class OsdDaemon:
                 map_epoch=self.osdmap.epoch,
             )
             if op_span is not None:
-                rep.span_ctx = op_span.context  # type: ignore[attr-defined]
+                rep.span_ctx = op_span  # type: ignore[attr-defined]
             self.messenger.send_message(
                 rep, self.osdmap.address_of(replica)
             )
@@ -727,7 +727,7 @@ class OsdDaemon:
             blob = yield from self.store.read(
                 pg.collection, msg.object_name, msg.offset, msg.length,
                 self._completion_thread,
-                span_ctx=op_span.context if op_span is not None else None,
+                span_ctx=op_span,
             )
             reply = MOSDOpReply(tid=msg.tid, result=0, data=blob)
         except NoSuchObject:
@@ -771,9 +771,9 @@ class OsdDaemon:
         yield from thread.charge(self.config.repop_cpu)
         pgid = PgId(self.osdmap.pool_by_name(msg.pool).id, msg.pg_seed)
         pg = self.refresh_pg(pgid)
-        ctx = getattr(msg, "span_ctx", None)
-        if ctx is not None:
-            repop_span = ctx.start_span(
+        parent = getattr(msg, "span_ctx", None)
+        if parent is not None:
+            repop_span = parent.child(
                 "osd.repop", self.env.now, thread=thread,
                 nbytes=msg.length,
             )
@@ -789,8 +789,8 @@ class OsdDaemon:
         txn.write(
             pg.collection, msg.object_name, msg.offset, msg.length, msg.data
         )
-        if ctx is not None:
-            txn.span_ctx = msg.repop_span.context  # type: ignore[attr-defined]
+        if parent is not None:
+            txn.span_ctx = msg.repop_span  # type: ignore[attr-defined]
         self.env.process(
             self._apply_repop(msg, txn), name=f"{self.name}.repop.{msg.tid}"
         )

@@ -19,7 +19,6 @@ simulated seconds, and reports:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional, Sequence
 
@@ -34,7 +33,7 @@ from ..cluster.strategy import get_strategy
 from ..osd.opqueue import QosSpec
 from ..sim import Environment
 from ..trace import Tracer
-from ..util.digest import sha256_hex
+from ..util.digest import fingerprint
 from ..util.stats import jain_fairness_index, latency_summary
 from .admission import AdmissionController
 from .tenants import TenantSpec, default_tenants
@@ -95,7 +94,6 @@ def run_qos(
     seed: int = 0,
     duration: float = 20.0,
     prepopulate: int = 64,
-    trace: bool = False,
     env: Optional[Environment] = None,
     tracer: Optional[Tracer] = None,
 ) -> QosResult:
@@ -109,8 +107,8 @@ def run_qos(
 
     ``env`` injects a caller-owned (fresh) :class:`Environment` so
     harnesses that digest the event stream afterwards — the ``qos``
-    perf-replay scenario — can reach it; ``tracer`` likewise overrides
-    the ``trace`` flag with a caller-owned tracer.
+    perf-replay scenario — can reach it; ``tracer`` attaches a
+    caller-owned tracer.
     """
     specs = list(tenants) if tenants is not None else default_tenants()
     if not specs:
@@ -122,8 +120,6 @@ def run_qos(
     strat = get_strategy(strategy)
     if env is None:
         env = Environment()
-    if tracer is None and trace:
-        tracer = Tracer(seed=seed)
     cluster = strat.build(env, tracer=tracer)
     client = cluster.client
     assert client is not None
@@ -151,8 +147,7 @@ def run_qos(
         p = env.process(prep(), name="qos-prepopulate")
         env.run(until=p)
 
-    t_open = env.now
-    t_close = t_open + duration
+    t_close = env.now + duration
     sampler_hosts = CpuSampler(env, cluster.host_cpus())
     sampler_ceph = CpuSampler(env, cluster.ceph_cpus())
     sampler_hosts.start()
@@ -195,8 +190,7 @@ def run_qos(
         all_latencies.extend(st.latencies)
         total_bytes += st.bytes_done
 
-    trace_report = (tracer.report(window=(t_open, env.now))
-                    if tracer is not None else None)
+    trace_report = tracer.report() if tracer is not None else None
     bench = BenchResult(
         object_size=specs[0].sizes[0],
         clients=len(specs),
@@ -284,6 +278,5 @@ def qos_payload(result: QosResult) -> dict[str, Any]:
             for spec, st in zip(result.specs, result.tenants)
         ],
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    payload["fingerprint"] = sha256_hex(blob.encode())
+    payload["fingerprint"] = fingerprint(payload)
     return payload

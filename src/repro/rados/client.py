@@ -286,7 +286,7 @@ class RadosClient:
                 map_epoch=self.osdmap.epoch, tenant=tenant,
             )
             if attempt_span is not None:
-                msg.span_ctx = attempt_span.context  # type: ignore[attr-defined]
+                msg.span_ctx = attempt_span  # type: ignore[attr-defined]
             self.messenger.send_message(
                 msg, self.osdmap.address_of(primary)
             )

@@ -10,6 +10,9 @@ interpreter built without the built-in module.
 
 from __future__ import annotations
 
+import json
+from typing import Any
+
 try:
     from _sha2 import sha256 as _sha256  # CPython >= 3.12
 except ImportError:
@@ -18,9 +21,16 @@ except ImportError:
     except ImportError:  # pragma: no cover - interpreter without them
         from hashlib import sha256 as _sha256
 
-__all__ = ["sha256_hex"]
+__all__ = ["fingerprint", "sha256_hex"]
 
 
 def sha256_hex(data: bytes) -> str:
     """Hex SHA-256 digest of ``data`` (equal to ``hashlib``'s)."""
     return _sha256(data).hexdigest()
+
+
+def fingerprint(doc: Any) -> str:
+    """Hex SHA-256 of ``doc`` as canonical JSON (sorted keys, no
+    whitespace): the one digest behind every run fingerprint."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return sha256_hex(blob.encode())
