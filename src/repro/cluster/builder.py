@@ -54,7 +54,6 @@ class Cluster:
     stores: list[BlueStore] = field(default_factory=list)
     mon: Optional[Monitor] = None
     client: Optional[RadosClient] = None
-    client_cpu: Optional[CpuComplex] = None
     mode: str = "baseline"
     #: DoCeph only: per-node host proxy servers (RPC + DMA pollers).
     proxy_servers: list[Any] = field(default_factory=list)
@@ -133,7 +132,7 @@ def _build_client(
     directory: MsgrDirectory,
     profile: HardwareProfile,
     mon_addr: str,
-) -> tuple[RadosClient, CpuComplex]:
+) -> RadosClient:
     cpu = CpuComplex(env, "client.cpu", cores=profile.client_cores)
     nic = Nic(env, "client.nic", bandwidth_bps=profile.net_bandwidth)
     network.attach("client", nic)
@@ -143,13 +142,12 @@ def _build_client(
         stack, "client", directory, workers=profile.msgr_workers,
         cost=profile.msgr_cost,
     )
-    client = RadosClient(
+    return RadosClient(
         messenger, mon_addr,
         op_timeout=profile.client_op_timeout,
         max_attempts=profile.client_max_attempts,
         retry_backoff=profile.client_retry_backoff,
     )
-    return client, cpu
 
 
 def _build_monitor(
@@ -272,7 +270,7 @@ def _build(
                               workers=1, cost=profile.msgr_cost)
     cluster.mon = _build_monitor(mon_msgr, osdmap, profile)
 
-    cluster.client, cluster.client_cpu = _build_client(
+    cluster.client = _build_client(
         env, network, directory, profile, "mon0"
     )
     cluster.fault_plan = fault_plan
