@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 import pytest
 
-from repro.bench import run_comparison_sweep, write_bench_json
+from repro.bench import run_comparison_sweep, write_results
 
 #: One knob for all benches: simulated seconds of measured workload.
 BENCH_DURATION = 8.0
@@ -42,7 +42,5 @@ def publish(results_dir: pathlib.Path, name: str, text: str,
             payload: Optional[dict[str, Any]] = None) -> None:
     """Write a rendered table to results/ and echo it; when ``payload``
     is given, also write the BENCH_<name>.json machine-readable form."""
-    (results_dir / f"{name}.txt").write_text(text + "\n")
-    if payload is not None:
-        write_bench_json(name, payload, results_dir)
+    write_results(name, text, payload, results_dir)
     print("\n" + text)

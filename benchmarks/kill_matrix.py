@@ -348,8 +348,8 @@ MUTANTS = (
         LINT_JUDGES, "DET107"),
     Mutant(
         "lint.real_sleep_in_dma", "src/repro/hw/dma.py",
-        (("from typing import Any, Callable, Generator, Optional\n",
-          "import time\nfrom typing import Any, Callable, Generator, Optional\n"),
+        (("from typing import Any, Generator, Optional\n",
+          "import time\nfrom typing import Any, Generator, Optional\n"),
          ("            setup = self.setup_latency + extra_setup\n",
           "            setup = self.setup_latency + extra_setup\n"
           "            time.sleep(setup)\n")),
@@ -510,8 +510,8 @@ MUTANTS = (
         ("hash-tier1",)),
     Mutant(
         "bench.engine_wall_clock_restored", "src/repro/bench/reporting.py",
-        (("from .schema import validate_payload\n",
-          "from .schema import validate_payload\n"
+        (("from .radosbench import BenchResult\n",
+          "from .radosbench import BenchResult\n"
           "from ..util.wallclock import perf_counter\n"),
          ("        \"cpu\": {\n"
           "            \"host_utilization_pct\": "
@@ -525,6 +525,18 @@ MUTANTS = (
         "a result payload carries a host-clock field, so two runs of one "
         "seed no longer write the same bytes",
         ("hash-tier1",)),
+    Mutant(
+        "bench.block_key_renamed", "src/repro/bench/reporting.py",
+        (('"throughput_MBps": round(result.throughput_bytes / 1e6, 9),',
+          '"throughput_mbps": round(result.throughput_bytes / 1e6, 9),'),),
+        "the bench block renames a key every BENCH_*.json reader reads",
+        ("tier1",)),
+    Mutant(
+        "osd.strict_heap_by_seq_only", "src/repro/osd/opqueue.py",
+        (("heapq.heappush(self._strict, (-priority, self._seq, payload))",
+          "heapq.heappush(self._strict, (self._seq, -priority, payload))"),),
+        "the strict band serves in arrival order, whatever the priority",
+        ("tier1",)),
     Mutant(
         "recovery.stall_clock_from_issue", "src/repro/osd/recovery.py",
         (("        rec.issuing = True\n",

@@ -12,9 +12,9 @@ run never executes, whatever the tests do.  The drives:
 * the five ``repro.perf`` scenarios and every script in ``examples/``;
 * ``run_chaos`` in both modes, every ``corpus/*.plan`` replayed, and a
   6-iteration fuzz session over a copy of the corpus;
-* the CLI's ``all``, ``bench --trace``, ``faults``, ``trace --replay``,
-  ``qos``, ``qos --sweep``, ``lint`` and ``lint --dynamic smoke``, at
-  short durations.
+* the CLI's ``all``, ``bench --trace``, ``bench --trace --replay
+  --out``, ``faults``, ``qos``, ``qos --sweep``, ``lint`` and ``lint
+  --dynamic smoke``, at short durations.
 
 Run it on any checkout (a ``git archive`` export of a commit works)::
 
@@ -46,8 +46,9 @@ def _cli_runs(tree: pathlib.Path) -> list[list[str]]:
         ["bench", "--mode", "doceph", "--size", "1M", "--clients", "2",
          "--duration", "1", "--trace", "--no-json"],
         ["faults", "--plan", "dma,p=0.3", "--duration", "1", "--no-json"],
-        ["trace", "--mode", "doceph", "--size", "1M", "--clients", "2",
-         "--duration", "1", "--replay", "--out", "trace.json"],
+        ["bench", "--mode", "doceph", "--size", "1M", "--clients", "2",
+         "--duration", "1", "--trace", "--replay", "--out", "trace.json",
+         "--no-json"],
         ["qos", "--duration", "2", "--no-json"],
         ["qos", "--sweep", "--duration", "1", "--no-json"],
         ["lint", str(tree / "src")],

@@ -24,7 +24,6 @@ from .experiments import (
     Table3Row,
 )
 from .radosbench import BenchResult
-from .schema import validate_payload
 
 __all__ = [
     "format_table",
@@ -42,6 +41,7 @@ __all__ = [
     "table2_dict",
     "table3_row_dict",
     "write_bench_json",
+    "write_results",
 ]
 
 
@@ -153,13 +153,28 @@ def write_bench_json(
 ) -> pathlib.Path:
     """Write ``BENCH_<name>.json`` under ``out_dir`` and return its path.
 
-    Every bench-result-shaped block in the payload is schema-checked
-    first (see :mod:`repro.bench.schema`) so producers cannot drift."""
-    validate_payload(payload)
+    Bench-result blocks come from :func:`bench_result_dict` alone;
+    ``tests/test_bench_harness.py`` pins their key paths."""
     path = pathlib.Path(out_dir) / f"BENCH_{name}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def write_results(
+    name: str,
+    text: str,
+    payload: dict[str, Any] | None = None,
+    out_dir: str | pathlib.Path = "benchmarks/results",
+) -> None:
+    """Publish one table or figure under ``out_dir``: the rendered
+    ``<name>.txt`` and, when ``payload`` is given, ``BENCH_<name>.json``.
+    The paper suite and ``python -m repro`` both write through here."""
+    path = pathlib.Path(out_dir) / f"{name}.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
+    if payload is not None:
+        write_bench_json(name, payload, out_dir)
 
 
 def render_fig5(rows: list[Fig5Row]) -> str:

@@ -10,19 +10,21 @@ Usage::
     python -m repro chaos --seeds 0,1,2 --crashes 3 --partitions 1 --replay
     python -m repro fuzz --seed 0 --iterations 25 --corpus corpus
     python -m repro fuzz --replay corpus/crash-missing-0123abcd.plan
-    python -m repro trace --mode doceph --size 1M --out trace.json --replay
+    python -m repro bench --size 1M --clients 2 --trace --out trace.json --replay
     python -m repro qos --strategy full-osd --tenants 8 --rate 250 --replay
     python -m repro qos --sweep --strategies baseline,full-osd
     python -m repro fig8 --duration 20     # longer, steadier runs
 
 Each experiment prints the paper-vs-measured table that the benchmark
-suite also asserts on, and publishes a machine-readable
-``BENCH_<name>.json`` under ``--json-dir`` (default
-``benchmarks/results``; ``--no-json`` disables).  ``--faults`` takes
+suite also asserts on, and publishes it under ``--json-dir`` (default
+``benchmarks/results``; ``--no-json`` disables) with the suite's file
+names: the rendered ``<stem>.txt`` and the machine-readable
+``BENCH_<stem>.json`` (``fig7`` writes ``fig7_host_cpu.txt`` and
+``BENCH_fig7_host_cpu.json``).  ``--faults`` takes
 the spec format of ``repro.faults`` (``layer[:kind],key=value,...``
-joined with ``;``).  ``trace`` runs a bench with the
-:mod:`repro.trace` tracer attached and exports Chrome/Perfetto
-trace-event JSON.
+joined with ``;``).  ``bench --trace`` runs the bench with the
+:mod:`repro.trace` tracer attached; ``--out`` exports Chrome/Perfetto
+trace-event JSON and ``--replay`` checks the trace fingerprint.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .bench import (
     table2_dict,
     table3_row_dict,
     write_bench_json,
+    write_results,
     render_fig5,
     render_fig6,
     render_fig7,
@@ -106,18 +109,25 @@ def _table2(rows: list[Fig5Row]) -> Table2Result:
     return Table2Result.of(row)
 
 
-#: Each paper table/figure: (experiment, payload builder, renderer).
-#: Names that share an experiment share its runs.
-_EXPERIMENTS: dict[str, tuple[Callable, Callable, Callable]] = {
-    "fig5": (experiment_fig5, _rows(fig5_row_dict), render_fig5),
-    "fig6": (experiment_fig5, _rows(fig5_row_dict), render_fig6),
-    "table2": (experiment_fig5, lambda rows: table2_dict(_table2(rows)),
+#: Each paper table/figure: (experiment, published stem, payload
+#: builder, renderer).  The stem is the paper suite's, so
+#: ``python -m repro all`` rewrites the suite's ``benchmarks/results``
+#: files.  Names that share an experiment share its runs.
+_EXPERIMENTS: dict[str, tuple[Callable, str, Callable, Callable]] = {
+    "fig5": (experiment_fig5, "fig5_cpu_breakdown",
+             _rows(fig5_row_dict), render_fig5),
+    "fig6": (experiment_fig5, "fig6_throughput",
+             _rows(fig5_row_dict), render_fig6),
+    "table2": (experiment_fig5, "table2_context_switches",
+               lambda rows: table2_dict(_table2(rows)),
                lambda rows: render_table2(_table2(rows))),
-    "fig7": (run_comparison_sweep, _points, render_fig7),
-    "fig8": (run_comparison_sweep, _points, render_fig8),
-    "table3": (experiment_table3, _rows(table3_row_dict), render_table3),
-    "fig9": (experiment_table3, _rows(table3_row_dict), render_fig9),
-    "fig10": (run_comparison_sweep, _points, render_fig10),
+    "fig7": (run_comparison_sweep, "fig7_host_cpu", _points, render_fig7),
+    "fig8": (run_comparison_sweep, "fig8_latency", _points, render_fig8),
+    "table3": (experiment_table3, "table3_latency_breakdown",
+               _rows(table3_row_dict), render_table3),
+    "fig9": (experiment_table3, "fig9_normalized_breakdown",
+             _rows(table3_row_dict), render_fig9),
+    "fig10": (run_comparison_sweep, "fig10_iops", _points, render_fig10),
 }
 
 
@@ -127,30 +137,41 @@ def _cmd_experiments(args: argparse.Namespace, names: Sequence[str]) -> str:
     results: dict[Callable, Any] = {}
     out = []
     for name in names:
-        experiment, payload, render = _EXPERIMENTS[name]
+        experiment, stem, payload, render = _EXPERIMENTS[name]
         if experiment not in results:
             results[experiment] = experiment(duration=args.duration)
-        _publish(args, name, payload(results[experiment]))
-        out.append(render(results[experiment]))
+        text = render(results[experiment])
+        if not args.no_json:
+            write_results(stem, text, payload(results[experiment]),
+                          args.json_dir)
+        out.append(text)
     return "\n\n".join(out)
 
 
-def _cmd_bench(args: argparse.Namespace) -> str:
+def _cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
+    """One RADOS bench run.  ``--trace`` (implied by ``--out`` and
+    ``--replay``) attaches the tracer and prints its flame summary and
+    fingerprint.  Returns (text, exit code): 3 when ``--replay`` finds
+    that a rerun of the same seeds traced a different fingerprint."""
     builder = (build_doceph_cluster if args.mode == "doceph"
                else build_baseline_cluster)
-    plan = None
-    if args.faults:
-        plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
-    tracer = None
-    if args.trace:
-        from .trace import Tracer
-        tracer = Tracer(seed=args.fault_seed)
-    env = Environment()
-    cluster = builder(env, fault_plan=plan, tracer=tracer)
-    result = run_rados_bench(
-        cluster, object_size=args.size, clients=args.clients,
-        duration=args.duration,
-    )
+    traced = args.trace or args.out is not None or args.replay
+
+    def run_once():
+        plan = (FaultPlan.parse(args.faults, seed=args.fault_seed)
+                if args.faults else None)
+        tracer = None
+        if traced:
+            from .trace import Tracer
+            tracer = Tracer(seed=args.seed)
+        env = Environment()
+        cluster = builder(env, fault_plan=plan, tracer=tracer)
+        return run_rados_bench(
+            cluster, object_size=args.size, clients=args.clients,
+            duration=args.duration,
+        )
+
+    result = run_once()
     latency = latency_summary(result.latencies)
     lines = [
         f"mode={args.mode} size={args.size >> 20}MB clients={args.clients}"
@@ -161,18 +182,34 @@ def _cmd_bench(args: argparse.Namespace) -> str:
         f" (p99 {latency['p99'] * 1e3:.1f} ms)",
         f"  host CPU:    {result.host_utilization_pct:.1f} %",
     ]
-    if plan is not None and result.faults is not None:
+    if args.faults and result.faults is not None:
         lines.append("  fault report:")
         lines.append(
             "    " + json.dumps(result.faults.as_dict(), sort_keys=True)
         )
-    if result.trace is not None:
-        lines.append("  trace:")
-        lines += ["    " + ln
-                  for ln in result.trace.flame_summary().splitlines()]
+    code = 0
+    rep = result.trace
+    if rep is not None:
+        fingerprint = rep.fingerprint()
+        lines.append(f"  trace (seed {args.seed}):")
+        lines += ["    " + ln for ln in rep.flame_summary().splitlines()]
+        lines.append(f"  trace fingerprint: {fingerprint}")
+        if args.replay:
+            again = run_once().trace.fingerprint()
+            if again == fingerprint:
+                lines.append("  replay: identical fingerprint")
+            else:
+                lines.append(f"  replay: MISMATCH {again}"
+                             " — NON-DETERMINISTIC")
+                code = 3
+        if args.out:
+            with open(args.out, "w") as fh:
+                json.dump(rep.to_perfetto(), fh)
+            lines.append(f"  perfetto trace written to {args.out}"
+                         f" ({len(rep.spans)} spans)")
     _publish(args, f"bench_{args.mode}_{args.size >> 20}M",
              bench_result_dict(result))
-    return "\n".join(lines)
+    return "\n".join(lines), code
 
 
 def _cmd_faults(args: argparse.Namespace) -> str:
@@ -203,56 +240,6 @@ def _cmd_faults(args: argparse.Namespace) -> str:
         "    " + json.dumps(report.as_dict(), sort_keys=True),
     ]
     return "\n".join(lines)
-
-
-def _cmd_trace(args: argparse.Namespace) -> tuple[str, bool]:
-    """Traced bench run: flame summary, critical path, Perfetto
-    export.  Returns (text, ok); ``--replay`` reruns the same
-    seed and requires an identical trace fingerprint."""
-    from .trace import Tracer
-
-    builder = (build_doceph_cluster if args.mode == "doceph"
-               else build_baseline_cluster)
-
-    def run_once():
-        plan = (FaultPlan.parse(args.faults, seed=args.fault_seed)
-                if args.faults else None)
-        env = Environment()
-        tracer = Tracer(seed=args.seed)
-        cluster = builder(env, fault_plan=plan, tracer=tracer)
-        return run_rados_bench(
-            cluster, object_size=args.size, clients=args.clients,
-            duration=args.duration,
-        )
-
-    result = run_once()
-    rep = result.trace
-    assert rep is not None
-    fingerprint = rep.fingerprint()
-    lines = [
-        f"mode={args.mode} size={args.size >> 20}MB clients={args.clients}"
-        f" duration={args.duration:.0f}s seed={args.seed}",
-        f"  iops:        {result.iops:.1f}",
-        f"  throughput:  {result.throughput_bytes / 1e6:.1f} MB/s",
-        f"  avg latency: {result.avg_latency * 1e3:.1f} ms",
-        "",
-        rep.flame_summary(),
-        f"trace fingerprint: {fingerprint}",
-    ]
-    ok = True
-    if args.replay:
-        fp2 = run_once().trace.fingerprint()
-        if fp2 == fingerprint:
-            lines.append("replay: identical fingerprint")
-        else:
-            lines.append(f"replay: MISMATCH {fp2} — NON-DETERMINISTIC")
-            ok = False
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rep.to_perfetto(), fh)
-        lines.append(f"perfetto trace written to {args.out}"
-                     f" ({len(rep.spans)} spans)")
-    return "\n".join(lines), ok
 
 
 def _cmd_chaos(args: argparse.Namespace) -> tuple[str, bool]:
@@ -578,9 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json-dir", default="benchmarks/results",
                        metavar="DIR",
-                       help="directory for BENCH_<name>.json result files")
+                       help="directory for the result files")
         p.add_argument("--no-json", action="store_true",
-                       help="skip writing the JSON result file")
+                       help="skip writing the result files")
 
     for name in list(_EXPERIMENTS) + ["all"]:
         p = sub.add_parser(name, help=f"run {name}")
@@ -602,7 +589,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed of the fault plan's RNG streams")
     bench.add_argument("--trace", action="store_true",
                        help="attach the repro.trace tracer and print the "
-                            "flame summary")
+                            "flame summary and trace fingerprint")
+    bench.add_argument("--seed", type=int, default=0,
+                       help="tracer ID-minting seed")
+    bench.add_argument("--out", default=None, metavar="FILE",
+                       help="write Chrome/Perfetto trace-event JSON here "
+                            "(implies --trace)")
+    bench.add_argument("--replay", action="store_true",
+                       help="run twice and require identical trace "
+                            "fingerprints (implies --trace; exit 3 on a "
+                            "mismatch)")
     add_json_opts(bench)
 
     faults = sub.add_parser(
@@ -615,26 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--clients", type=int, default=16)
     faults.add_argument("--duration", type=float, default=8.0)
     add_json_opts(faults)
-
-    trace = sub.add_parser(
-        "trace", help="traced bench run: span flame summary, "
-                      "Perfetto trace-event export")
-    trace.add_argument("--mode", choices=["baseline", "doceph"],
-                       default="doceph")
-    trace.add_argument("--size", type=_parse_size, default=1 << 20)
-    trace.add_argument("--clients", type=int, default=2)
-    trace.add_argument("--duration", type=float, default=4.0)
-    trace.add_argument("--seed", type=int, default=0,
-                       help="tracer ID-minting seed")
-    trace.add_argument("--faults", default=None, metavar="SPEC",
-                       help="optional fault plan (spans get error tags "
-                            "and retry links)")
-    trace.add_argument("--fault-seed", type=int, default=0)
-    trace.add_argument("--out", default=None, metavar="FILE",
-                       help="write Chrome/Perfetto trace-event JSON here")
-    trace.add_argument("--replay", action="store_true",
-                       help="run twice and require identical trace "
-                            "fingerprints")
 
     chaos = sub.add_parser(
         "chaos", help="cluster-level chaos: seeded OSD crash/restart and"
@@ -763,14 +739,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "all":
             print(_cmd_experiments(args, list(_EXPERIMENTS)))
         elif args.command == "bench":
-            print(_cmd_bench(args))
+            text, code = _cmd_bench(args)
+            print(text)
+            if code:
+                return code  # 3 = replay fingerprint mismatch
         elif args.command == "faults":
             print(_cmd_faults(args))
-        elif args.command == "trace":
-            text, ok = _cmd_trace(args)
-            print(text)
-            if not ok:
-                return 3  # replay fingerprint mismatch
         elif args.command == "chaos":
             text, ok = _cmd_chaos(args)
             print(text)

@@ -9,13 +9,15 @@ component.  This module provides exactly that observable:
   (BlueField-3 ARM cores are modelled as slower than host EPYC cores).
   Work is expressed in *reference-CPU seconds*; a core with ``perf=0.5``
   takes twice the wall time and accrues twice the busy core-seconds.
-* :class:`SimThread` — a named thread with a category, the unit of
-  accounting.  Threads ``charge()`` CPU work (which queues on cores) and
-  record context switches.
+  ``execute(category, work)`` is the one charge path.
+* :class:`SimThread` — a named thread with a category.  Threads
+  ``charge()`` CPU work (which queues on cores) and record context
+  switches; both are booked to the thread's category.
 * :class:`CpuAccounting` — cumulative busy-seconds and context-switch
-  counts per category, with a snapshot/diff API for 1 Hz utilization
-  sampling (the way the paper samples with htop).  It is the one CPU
-  ledger; ``CpuSampler`` windows read it.
+  counts keyed by category only, with a snapshot/diff API for 1 Hz
+  utilization sampling (the way the paper samples with htop).  It is
+  the one CPU ledger; ``CpuSampler`` windows read it and compute every
+  utilization figure.
 """
 
 from __future__ import annotations
@@ -50,28 +52,21 @@ class CpuSnapshot:
 class CpuAccounting:
     """Cumulative per-category busy time and context-switch counts."""
 
-    __slots__ = ("busy_by_category", "ctx_by_category", "busy_by_thread")
+    __slots__ = ("busy_by_category", "ctx_by_category")
 
     def __init__(self) -> None:
         self.busy_by_category: dict[str, float] = {}
         self.ctx_by_category: dict[str, int] = {}
-        self.busy_by_thread: dict[str, float] = {}
 
-    def add_busy(self, category: str, thread: str, seconds: float) -> None:
+    def add_busy(self, category: str, seconds: float) -> None:
         self.busy_by_category[category] = (
             self.busy_by_category.get(category, 0.0) + seconds
-        )
-        self.busy_by_thread[thread] = (
-            self.busy_by_thread.get(thread, 0.0) + seconds
         )
 
     def add_ctx(self, category: str, count: int = 1) -> None:
         self.ctx_by_category[category] = (
             self.ctx_by_category.get(category, 0) + count
         )
-
-    def total_busy(self) -> float:
-        return sum(self.busy_by_category.values())
 
     def snapshot(self, now: float) -> CpuSnapshot:
         return CpuSnapshot(
@@ -136,7 +131,7 @@ class CpuComplex:
 
     # -- execution -------------------------------------------------------------
     def execute(
-        self, category: str, thread: str, work: float
+        self, category: str, work: float
     ) -> Generator[Any, Any, None]:
         """Run ``work`` reference-seconds of CPU work on one core.
 
@@ -153,12 +148,12 @@ class CpuComplex:
         try:
             yield req
             yield req.hold(wall)
-            self.accounting.add_busy(category, thread, wall)
+            self.accounting.add_busy(category, wall)
         finally:
             pool.finish(req)
 
     def record_ctx_switches(
-        self, category: str, thread: str, count: int = 1
+        self, category: str, count: int = 1
     ) -> Generator[Any, Any, None]:
         """Record ``count`` context switches and charge their direct cost.
 
@@ -169,29 +164,10 @@ class CpuComplex:
         self.accounting.add_ctx(category, count)
         cost = count * self.ctx_switch_cost
         if cost > 0:
-            return self.execute(category, thread, cost)
+            return self.execute(category, cost)
         return iter(())  # type: ignore[return-value]
 
     # -- observables -------------------------------------------------------------
-    def utilization(
-        self,
-        elapsed: Optional[float] = None,
-        budget_cores: Optional[int] = None,
-    ) -> float:
-        """Fraction of the core budget that was busy.
-
-        ``budget_cores`` lets callers report utilization against the
-        cores allotted to the measured software (the way htop percentages
-        in the paper are relative to what Ceph may use) rather than the
-        full socket.
-        """
-        if elapsed is None:
-            elapsed = self.env.now - self._start_time
-        if elapsed <= 0:
-            return 0.0
-        denom = (budget_cores or self.cores) * elapsed
-        return self.accounting.total_busy() / denom
-
     def busy_cores(self, elapsed: Optional[float] = None) -> float:
         """Average number of busy cores (the 'normalized to a single
         core' axis of Figure 5)."""
@@ -199,7 +175,7 @@ class CpuComplex:
             elapsed = self.env.now - self._start_time
         if elapsed <= 0:
             return 0.0
-        return self.accounting.total_busy() / elapsed
+        return sum(self.accounting.busy_by_category.values()) / elapsed
 
     def __repr__(self) -> str:
         return f"<CpuComplex {self.name} cores={self.cores} perf={self.perf}>"
@@ -213,9 +189,10 @@ class SimThread:
     ``tp_osd_tp``, …).  Model code calls:
 
     * ``yield from thread.charge(work)`` — burn CPU,
-    * ``yield from thread.ctx_switch(n)`` — record context switches,
-    * ``thread.spawn(gen)`` — run a generator as a process attributed to
-      this thread.
+    * ``yield from thread.ctx_switch(n)`` — record context switches.
+
+    Both are booked to the thread's category; the name labels spans and
+    reprs.
     """
 
     __slots__ = ("cpu", "name", "category")
@@ -237,11 +214,11 @@ class SimThread:
         no wrapper frame in between (every park/resume would otherwise
         traverse it).
         """
-        return self.cpu.execute(self.category, self.name, work)
+        return self.cpu.execute(self.category, work)
 
     def ctx_switch(self, count: int = 1) -> Generator[Any, Any, None]:
         """Record context switches (with their direct CPU cost)."""
-        return self.cpu.record_ctx_switches(self.category, self.name, count)
+        return self.cpu.record_ctx_switches(self.category, count)
 
     def __repr__(self) -> str:
         return f"<SimThread {self.name} ({self.category}) on {self.cpu.name}>"

@@ -9,8 +9,10 @@ Models the BlueField-3 DMA path the paper builds on:
 * DMA moves bytes **without host CPU involvement** — the engine charges
   no CPU to anyone; completion is observed by a polling thread
   (modelled in ``repro.core.host_server``);
-* fault injection hooks let tests and the fallback/cooldown experiments
-  make individual transfers fail with :class:`DmaError`.
+* one fault injector (``fault_injector``, where a
+  :class:`~repro.faults.FaultPlan` attaches) lets tests and the
+  fallback/cooldown experiments make individual transfers fail with
+  :class:`DmaError`.
 
 Statistics (bytes moved, transfer count, busy time, failures) support
 both the latency-breakdown instrumentation (Table 3) and conservation
@@ -19,7 +21,7 @@ tests.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from ..sim import Environment, Resource
 from ..sim.exceptions import SimulationError
@@ -57,7 +59,6 @@ class DmaEngine:
         "setup_latency",
         "max_transfer",
         "_channels",
-        "fault_hook",
         "fault_injector",
         "bytes_transferred",
         "transfers",
@@ -87,11 +88,9 @@ class DmaEngine:
         self._channels = Resource(env, capacity=channels,
                                   recycle_requests=True)
 
-        #: Optional fault hook: called with the transfer size, returns
-        #: True to make this transfer raise :class:`DmaError`.
-        self.fault_hook: Optional[Callable[[int], bool]] = None
-        #: Optional :class:`~repro.faults.LayerInjector` (layer "dma")
-        #: consulted per transfer; checked after :attr:`fault_hook`.
+        #: Optional :class:`~repro.faults.LayerInjector` (layer "dma"):
+        #: ``fire(now, size=nbytes)`` returning True makes that transfer
+        #: raise :class:`DmaError`.
         self.fault_injector: Optional[Any] = None
 
         # statistics
@@ -114,7 +113,7 @@ class DmaEngine:
 
         Returns the queueing delay experienced (seconds spent waiting
         for a free channel) so callers can attribute DMA-wait time.
-        Raises :class:`DmaError` if the fault hook trips (after the
+        Raises :class:`DmaError` if the fault injector fires (after the
         channel has been held for the transfer duration — the failure is
         detected at completion polling, like a real CQE error).
         """
@@ -139,10 +138,8 @@ class DmaEngine:
             yield req.hold(duration)
             self.busy_time += duration
             self.setup_time += setup
-            if (self.fault_hook is not None and self.fault_hook(nbytes)) or (
-                self.fault_injector is not None
-                and self.fault_injector.fire(self.env.now, size=nbytes)
-            ):
+            if (self.fault_injector is not None
+                    and self.fault_injector.fire(self.env.now, size=nbytes)):
                 # A failed transfer held the channel just as long as a
                 # successful one; its bytes must stay on the books for
                 # busy-time conservation (busy ≈ setup + bytes/bw).

@@ -46,13 +46,13 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..sim import Environment, Event
 from ..util.rng import SeededRng
 
-__all__ = ["WeightedPriorityQueue", "QueueItem", "QosSpec",
+__all__ = ["WeightedPriorityQueue", "QosSpec",
            "CLIENT_OP", "SUB_OP", "RECOVERY_OP", "STRICT_THRESHOLD"]
 
 CLIENT_OP = 63
@@ -112,27 +112,17 @@ class _MClockTenant:
         self.enqueued = 0
 
 
-@dataclass(order=True, slots=True)
-class QueueItem:
-    """One queued work item (ordering key: priority desc, then FIFO)."""
-
-    sort_key: tuple = field(init=False, repr=False)
-    priority: int
-    seq: int
-    payload: Any = field(compare=False)
-
-    def __post_init__(self) -> None:
-        self.sort_key = (-self.priority, self.seq)
-
-
 class WeightedPriorityQueue:
     """WPQ: strict band + weighted-fair band (+ optional mClock band).
 
     Items with priority ≥ :data:`STRICT_THRESHOLD` are served in strict
-    priority/FIFO order before anything else.  Items below the
-    threshold are served weighted-fair: each dequeue picks a priority
-    class with probability proportional to (priority × backlog-present),
-    using a deterministic seeded RNG so simulations stay reproducible.
+    priority/FIFO order before anything else: the strict band is a heap
+    of ``(-priority, seq, payload)`` tuples (``seq`` is unique, so two
+    payloads are never compared).  Items below the threshold are served
+    weighted-fair from one payload FIFO per priority: each dequeue picks
+    a priority class with probability proportional to (priority ×
+    backlog-present), using a deterministic seeded RNG so simulations
+    stay reproducible.
     Tenant-tagged items form one extra pseudo-class at ``CLIENT_OP``
     priority, internally ordered by mClock tags (see module docstring).
     """
@@ -162,8 +152,8 @@ class WeightedPriorityQueue:
     def __init__(self, env: Environment, seed: int = 0) -> None:
         self.env = env
         self._seq = 0
-        self._strict: list[QueueItem] = []  # heap
-        self._weighted: dict[int, deque[QueueItem]] = {}  # prio -> FIFO
+        self._strict: list[tuple[int, int, Any]] = []  # heap
+        self._weighted: dict[int, deque[Any]] = {}  # prio -> payload FIFO
         self._waiters: deque[Event] = deque()
         self._rng = SeededRng(seed).stream("wpq")
         self._depth = 0
@@ -207,16 +197,12 @@ class WeightedPriorityQueue:
         if tenant is not None:
             self._enqueue_tagged(tenant, payload)
         elif priority >= STRICT_THRESHOLD:
-            heapq.heappush(
-                self._strict,
-                QueueItem(priority=priority, seq=self._seq, payload=payload),
-            )
+            heapq.heappush(self._strict, (-priority, self._seq, payload))
         else:
             q = self._weighted.get(priority)
             if q is None:
                 q = self._weighted[priority] = deque()
-            q.append(QueueItem(priority=priority, seq=self._seq,
-                               payload=payload))
+            q.append(payload)
         self.enqueued += 1
         self._depth += 1
         if self._depth > self.max_depth:
@@ -321,7 +307,7 @@ class WeightedPriorityQueue:
         self.dequeued += 1
         self._depth -= 1
         if self._strict:
-            return heapq.heappop(self._strict).payload
+            return heapq.heappop(self._strict)[2]
         # weighted-fair pick among backlogged priorities; the tagged
         # band joins as a pseudo-class (queue sentinel None) only when
         # it has an eligible head, so untagged runs draw identically.
@@ -344,10 +330,10 @@ class WeightedPriorityQueue:
                     break
         if q is None:
             return self._pop_tagged(now)
-        item = q.popleft()
+        payload = q.popleft()
         if not q:
             del self._weighted[prio]
-        return item.payload
+        return payload
 
     def _pop_tagged(self, now: float) -> Any:
         self._tagged_depth -= 1

@@ -18,17 +18,18 @@ __all__ = ["AdmissionController"]
 
 
 class AdmissionController:
-    """Per-tenant in-flight window with admit/shed accounting."""
+    """Per-tenant in-flight window.
 
-    __slots__ = ("_window", "_inflight", "admitted", "shed")
+    It counts nothing but what is in flight: sheds are tallied by
+    ``RadosClient.ops_shed`` and ``TenantStats.shed``, admissions by
+    ``TenantStats.admitted``.
+    """
+
+    __slots__ = ("_window", "_inflight")
 
     def __init__(self) -> None:
         self._window: dict[str, int] = {}
         self._inflight: dict[str, int] = {}
-        #: Per-tenant ops admitted through the window.
-        self.admitted: dict[str, int] = {}
-        #: Per-tenant ops shed at the window.
-        self.shed: dict[str, int] = {}
 
     def set_window(self, tenant: str, window: int) -> None:
         """Install (or resize) ``tenant``'s in-flight window."""
@@ -43,16 +44,13 @@ class AdmissionController:
     def try_acquire(self, tenant: str) -> bool:
         """Admit one op, or return False if the window is full.
 
-        Tenants without a configured window are never shed (they are
-        still counted, so reports stay complete).
+        Tenants without a configured window are never shed.
         """
         window = self._window.get(tenant)
         inflight = self._inflight.get(tenant, 0)
         if window is not None and inflight >= window:
-            self.shed[tenant] = self.shed.get(tenant, 0) + 1
             return False
         self._inflight[tenant] = inflight + 1
-        self.admitted[tenant] = self.admitted.get(tenant, 0) + 1
         return True
 
     def release(self, tenant: str) -> None:

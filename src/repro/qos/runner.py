@@ -52,13 +52,12 @@ class QosResult:
     specs: list[TenantSpec]
     tenants: list[TenantStats]
     #: Aggregate (all tenants folded together) in the canonical bench
-    #: shape, so the standard reporting/schema path applies unchanged.
+    #: shape, so the standard reporting path applies unchanged.
     bench: BenchResult
     #: Summed mClock queue counters across OSDs
     #: (tagged_enqueued / reservation_served / weight_served /
     #: limit_deferrals).
     queue_stats: dict[str, int] = field(default_factory=dict)
-    admission: Optional[AdmissionController] = None
     #: Aggregate offered rate / aggregate goodput (>= 1 ⇒ overload).
     overload_factor: float = 0.0
     jain_goodput: float = 1.0
@@ -217,7 +216,6 @@ def run_qos(
         tenants=stats,
         bench=bench,
         queue_stats=queue_stats,
-        admission=admission,
         overload_factor=offered_rate / achieved if achieved > 0 else 0.0,
         jain_goodput=jain_fairness_index(goodputs),
         jain_weighted_goodput=jain_fairness_index(weighted),

@@ -303,7 +303,7 @@ class TraceReport:
 
     Attached to :class:`~repro.bench.radosbench.BenchResult` when a
     tracer is wired into the cluster; also the object behind the
-    ``repro trace`` CLI subcommand.
+    ``repro bench --trace`` CLI run.
     """
 
     spans: list[Span]
@@ -466,7 +466,8 @@ class TraceReport:
                 })
             return tids[key]
 
-        span_pos: dict[int, tuple[int, int, float]] = {}
+        #: span id -> (pid, tid, begin, end or None)
+        span_pos: dict[int, tuple[int, int, float, Optional[float]]] = {}
         for span in self.spans:
             pid = pid_of(span.node)
             tid = tid_of(span.node, span.thread)
@@ -497,7 +498,7 @@ class TraceReport:
                 "tid": tid,
                 "args": args,
             })
-            span_pos[span.span_id] = (pid, tid, span.begin)
+            span_pos[span.span_id] = (pid, tid, span.begin, span.end)
 
         flow_id = 0
         for span in self.spans:
@@ -506,20 +507,14 @@ class TraceReport:
                 if src is None:
                     continue
                 flow_id += 1
-                src_pid, src_tid, _ = src
-                src_span = next(
-                    (s for s in self.spans if s.span_id == other_id), None
-                )
-                src_ts = (
-                    src_span.end if src_span is not None
-                    and src_span.end is not None else span.begin
-                )
+                src_pid, src_tid, _, src_end = src
+                src_ts = src_end if src_end is not None else span.begin
                 events.append({
                     "name": kind, "cat": "flow", "ph": "s", "id": flow_id,
                     "ts": round(src_ts * 1e6, 3),
                     "pid": src_pid, "tid": src_tid,
                 })
-                pid, tid, begin = span_pos[span.span_id]
+                pid, tid, begin, _ = span_pos[span.span_id]
                 events.append({
                     "name": kind, "cat": "flow", "ph": "f", "bp": "e",
                     "id": flow_id, "ts": round(begin * 1e6, 3),

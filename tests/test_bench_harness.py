@@ -173,20 +173,96 @@ def test_run_rados_bench_result_consistency():
     assert r.host_utilization_pct > 0
 
 
-# ---------------------------------------------------------------- schema
+# ---------------------------------------------------------- bench block keys
+
+#: Key paths every bench block carries (``[]`` marks a list element).
+_BLOCK_KEYS = (
+    ".clients", ".completed_ops", ".cpu", ".cpu.ceph_breakdown",
+    ".cpu.ceph_breakdown.msgr-worker", ".cpu.ceph_breakdown.proxy",
+    ".cpu.ceph_breakdown.tp_osd_tp", ".cpu.ceph_utilization_pct",
+    ".cpu.host_utilization_pct", ".duration_s", ".faults", ".faults.dma",
+    ".faults.dma.failed_bytes", ".faults.dma.failures", ".faults.fallback",
+    ".faults.fallback.failures", ".faults.fallback.fallback_segments",
+    ".faults.fallback.mean_recovery_latency",
+    ".faults.fallback.probes_attempted", ".faults.fallback.probes_succeeded",
+    ".faults.fallback.probes_suppressed", ".faults.fallback.recoveries",
+    ".faults.injected", ".faults.injected_bytes", ".faults.net",
+    ".faults.net.degraded_chunks", ".faults.rpc", ".faults.rpc.delays",
+    ".faults.rpc.duplicates_suppressed", ".faults.rpc.errors",
+    ".faults.rpc.reply_losses", ".faults.rpc.request_losses",
+    ".faults.rpc.retries", ".faults.rpc.timeouts", ".faults.storage",
+    ".faults.storage.failed_bytes", ".faults.storage.io_errors", ".iops",
+    ".latency_s", ".latency_s.max", ".latency_s.mean", ".latency_s.p50",
+    ".latency_s.p90", ".latency_s.p99", ".object_size", ".throughput_MBps",
+)
+
+#: What a faulted, traced DoCeph run adds to the block.
+_FAULTED_TRACED_KEYS = (
+    ".faults.injected.dma.error", ".faults.injected_bytes.dma.error",
+    ".trace", ".trace.critical_path_mean_s",
+    *(f".trace.critical_path_mean_s.{span}" for span in (
+        "bstore.commit", "client.WRITE", "client.attempt", "dma.fallback",
+        "dma.segment", "msgr.recv", "msgr.send", "osd.op", "osd.repop",
+        "proxy.dispatch", "rpc.bulk", "rpc.queue_txn")),
+    ".trace.errors", ".trace.fingerprint", ".trace.spans", ".trace.traces",
+    ".trace.unfinished",
+)
+
+#: What ``qos_payload`` adds to the block.
+_QOS_KEYS = (
+    ".fingerprint", ".qos", ".qos.duration_s", ".qos.jain_goodput",
+    ".qos.jain_weighted_goodput", ".qos.ops_shed", ".qos.overload_factor",
+    ".qos.queue", ".qos.queue.limit_deferrals", ".qos.queue.reservation_served",
+    ".qos.queue.tagged_enqueued", ".qos.queue.weight_served", ".qos.seed",
+    ".qos.strategy", ".qos.tenants",
+    *(f".qos.tenants[].{key}" for key in (
+        "admitted_ops", "arrival", "completed_late_ops", "completed_ops",
+        "failed_ops", "goodput_iops", "latency_s", "latency_s.max",
+        "latency_s.mean", "latency_s.p50", "latency_s.p90", "latency_s.p99",
+        "limit_iops", "name", "offered_iops", "offered_ops",
+        "reservation_attainment", "reservation_iops", "shed_ops",
+        "throughput_MBps", "weight")),
+)
 
 
-def test_bench_schema_accepts_canonical_dict():
+def _key_paths(node, prefix=""):
+    """Every dict key path under ``node``, sorted; list elements share
+    ``[]``."""
+    paths = set()
+    if isinstance(node, dict):
+        for key, value in node.items():
+            paths.add(f"{prefix}.{key}")
+            paths.update(_key_paths(value, f"{prefix}.{key}"))
+    elif isinstance(node, list):
+        for value in node:
+            paths.update(_key_paths(value, prefix + "[]"))
+    return sorted(paths)
+
+
+def test_bench_block_key_paths_are_pinned():
+    """``bench_result_dict`` is the one producer of the bench block, and
+    every ``BENCH_*.json`` reader reads these names: a renamed, dropped
+    or added key fails here, whatever its value."""
     from repro.bench import bench_result_dict
-    from repro.bench.schema import validate_bench_result, validate_payload
+    from repro.cluster import build_doceph_cluster
+    from repro.faults import FaultPlan
+    from repro.qos import default_tenants, qos_payload, run_qos
+    from repro.trace import Tracer
 
     env = Environment()
-    cluster = build_baseline_cluster(env)
-    r = run_rados_bench(cluster, object_size=1 * MB, clients=2,
-                        duration=2.0, warmup=0.5)
-    d = bench_result_dict(r)
-    validate_bench_result(d)  # must not raise
-    assert validate_payload({"points": [{"baseline": d}]}) == 1
+    cluster = build_doceph_cluster(
+        env, fault_plan=FaultPlan.parse("dma,p=0.3", seed=0),
+        tracer=Tracer())
+    bench = bench_result_dict(run_rados_bench(
+        cluster, object_size=1 * MB, clients=2, duration=1.0, warmup=0.5))
+    assert _key_paths(bench) == sorted(
+        _BLOCK_KEYS + _FAULTED_TRACED_KEYS)
+
+    tenants = default_tenants(2, reservation=10.0, rate=40.0,
+                              object_size=16 << 10, window=8)
+    qos = qos_payload(run_qos("full-osd", tenants, seed=1, duration=1.0,
+                              prepopulate=4))
+    assert _key_paths(qos) == sorted(_BLOCK_KEYS + _QOS_KEYS)
 
 
 def test_seeded_runs_write_byte_identical_results():
@@ -211,49 +287,3 @@ def test_seeded_runs_write_byte_identical_results():
 
     for run in (bench, qos):
         assert run() == run()
-
-
-def test_bench_schema_rejects_drift():
-    from repro.bench.schema import SchemaError, validate_bench_result
-
-    good = {
-        "object_size": 4096, "clients": 1, "duration_s": 1.0,
-        "iops": 10.0, "throughput_MBps": 0.04, "completed_ops": 10,
-        "latency_s": {"mean": 0.1, "p50": 0.1, "p90": 0.1, "p99": 0.1,
-                      "max": 0.1},
-        "cpu": {"host_utilization_pct": 5.0},
-    }
-    validate_bench_result(good)
-    for mutant, msg in (
-        ({**good, "latency_s": {**good["latency_s"], "p95": 0.1}},
-         "unknown latency key"),
-        ({**good, "iops": "fast"}, "wrong type"),
-        ({k: v for k, v in good.items() if k != "completed_ops"},
-         "missing key"),
-    ):
-        with pytest.raises(SchemaError):
-            validate_bench_result(mutant)
-
-
-def test_write_bench_json_validates_payload(tmp_path):
-    from repro.bench import write_bench_json
-    from repro.bench.schema import SchemaError
-
-    bad = {"points": [{"baseline": {"iops": 1.0, "latency_s": {}}}]}
-    with pytest.raises(SchemaError):
-        write_bench_json("nope", bad, out_dir=tmp_path)
-    assert not list(tmp_path.iterdir())
-
-
-def test_committed_artifacts_pass_schema():
-    import json
-    import pathlib
-
-    from repro.bench.schema import validate_payload
-
-    results = pathlib.Path("benchmarks/results")
-    checked = 0
-    for path in sorted(results.glob("BENCH_*.json")):
-        payload = json.loads(path.read_text())
-        checked += validate_payload(payload)
-    assert checked >= 10  # every committed bench block is schema-clean

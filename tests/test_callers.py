@@ -26,9 +26,6 @@ CALLER_TREES = (ROOT / "src", ROOT / "benchmarks", ROOT / "examples")
 
 #: ``module:name`` -> why it stays without a caller in the trees above.
 EXEMPT = {
-    "hw/cpu.py:utilization":
-        "busy share of a core budget; test_hw_cpu pins it against "
-        "busy_cores",
     "hw/storage.py:utilization":
         "SSD busy share; test_hw_net_dma_storage pins it",
     "lint/engine.py:lint_source":

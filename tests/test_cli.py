@@ -38,30 +38,41 @@ def test_parser_accepts_all_experiments():
 
 def test_all_runs_each_distinct_experiment_once(capsys, monkeypatch,
                                                 tmp_path):
-    """``all`` publishes the eight tables and figures under their names
-    and calls each distinct experiment once: Fig. 5's two runs serve
-    Figs. 5 and 6 and Table 2, and the one sweep serves the rest."""
+    """``all`` publishes the eight tables and figures under the paper
+    suite's stems (the files committed in ``benchmarks/results``) and
+    calls each distinct experiment once: Fig. 5's two runs serve Figs. 5
+    and 6 and Table 2, and the one sweep serves the rest."""
+    import pathlib
+
     import repro.cli as cli
 
     calls = []
     stubs = {}
     table = {}
-    for name, (experiment, _, _) in cli._EXPERIMENTS.items():
+    for name, (experiment, stem, _, _) in cli._EXPERIMENTS.items():
         if experiment not in stubs:
             def run(duration, label=experiment.__name__):
                 calls.append(label)
                 return label
             stubs[experiment] = run
-        table[name] = (stubs[experiment], lambda result: {"of": result},
+        table[name] = (stubs[experiment], stem, lambda result: {"of": result},
                        lambda result, name=name: f"{name} <- {result}")
     monkeypatch.setattr(cli, "_EXPERIMENTS", table)
     published = []
-    monkeypatch.setattr(cli, "write_bench_json",
-                        lambda name, payload, out_dir: published.append(name))
+    monkeypatch.setattr(cli, "write_results",
+                        lambda stem, text, payload, out_dir:
+                        published.append(stem))
 
     assert main(["all", "--duration", "1", "--json-dir", str(tmp_path)]) == 0
-    assert published == ["fig5", "fig6", "table2", "fig7", "fig8", "table3",
-                         "fig9", "fig10"]
+    assert published == [
+        "fig5_cpu_breakdown", "fig6_throughput", "table2_context_switches",
+        "fig7_host_cpu", "fig8_latency", "table3_latency_breakdown",
+        "fig9_normalized_breakdown", "fig10_iops"]
+    results = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / \
+        "results"
+    for stem in published:
+        assert (results / f"{stem}.txt").is_file()
+        assert (results / f"BENCH_{stem}.json").is_file()
     assert sorted(calls) == ["experiment_fig5", "experiment_table3",
                              "run_comparison_sweep"]
     assert "table2 <- experiment_fig5" in capsys.readouterr().out
@@ -76,7 +87,7 @@ def test_table2_is_read_off_the_fig5_100g_row():
         return Fig5Row(label, 0.0, 0.8, 0.1, 0.1, 50.0, 1e8, ctx_msgr,
                        ctx_store)
 
-    experiment, payload, render = _EXPERIMENTS["table2"]
+    experiment, _, payload, render = _EXPERIMENTS["table2"]
     rows = [row("1G", 10.0, 2.0), row("100G", 6000.0, 500.0)]
     assert experiment is _EXPERIMENTS["fig5"][0]
     assert payload(rows) == table2_dict(Table2Result(6000.0, 500.0))
@@ -125,7 +136,9 @@ def test_fig7_command_runs(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "Fig. 7" in out
     assert "doceph(paper)" in out
-    doc = json.loads((tmp_path / "BENCH_fig7.json").read_text())
+    assert (tmp_path / "fig7_host_cpu.txt").read_text() == (
+        out[out.index("Fig. 7"):].rstrip("\n") + "\n")
+    doc = json.loads((tmp_path / "BENCH_fig7_host_cpu.json").read_text())
     assert len(doc["points"]) == 4
     for point in doc["points"]:
         assert point["baseline"]["iops"] > 0
@@ -134,13 +147,13 @@ def test_fig7_command_runs(capsys, tmp_path):
         )
 
 
-def test_trace_command_runs(capsys, tmp_path):
+def test_bench_trace_replay_and_export(capsys, tmp_path):
     import json
 
     out_file = tmp_path / "trace.json"
-    code = main(["trace", "--mode", "doceph", "--size", "1M",
-                 "--clients", "2", "--duration", "2", "--replay",
-                 "--out", str(out_file)])
+    code = main(["bench", "--mode", "doceph", "--size", "1M",
+                 "--clients", "2", "--duration", "2", "--trace", "--replay",
+                 "--out", str(out_file), "--no-json"])
     assert code == 0
     out = capsys.readouterr().out
     assert "trace fingerprint:" in out

@@ -1,6 +1,8 @@
 """Unit tests for DoCeph core components: segmentation, fallback
 controller, DOCA MR cache, RPC channel, and the DMA pipeline."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,7 +198,8 @@ def test_doca_failure_invalidates_cached_region():
     region = MemoryRegion(2 * MB)
     thread = SimThread(node.dpu_cpu, "t", "proxy")
     fail_next = [False]
-    node.dma.fault_hook = lambda n: fail_next[0]
+    node.dma.fault_injector = SimpleNamespace(
+        fire=lambda now, size: fail_next[0])
 
     def work():
         from repro.hw import DmaError
@@ -490,11 +493,11 @@ def test_pipeline_fallback_on_dma_failure():
     # fail the 2nd transfer only
     count = [0]
 
-    def hook(n):
+    def fire(now, size):
         count[0] += 1
         return count[0] == 2
 
-    node.dma.fault_hook = hook
+    node.dma.fault_injector = SimpleNamespace(fire=fire)
 
     def work():
         timing = yield from pipe.push(8 * MB, thread)

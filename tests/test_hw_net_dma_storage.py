@@ -1,5 +1,7 @@
 """Tests for network, TCP cost model, DMA engine, and SSD models."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.hw import (
@@ -237,7 +239,7 @@ def test_dma_channel_queueing_reports_wait():
 def test_dma_fault_injection():
     env = Environment()
     dma = DmaEngine(env, "d")
-    dma.fault_hook = lambda n: True
+    dma.fault_injector = SimpleNamespace(fire=lambda now, size: True)
 
     def proc():
         try:

@@ -1,5 +1,5 @@
 """Tests for repro.qos: mClock queue properties, admission control,
-open-loop determinism, the payload schema, and the fuzz-layer hooks.
+open-loop determinism, and the fuzz-layer hooks.
 
 The property tests drive the mClock band of the op queue directly — a
 deterministic arrival schedule against a fixed-capacity consumer — so
@@ -11,14 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.schema import validate_payload
 from repro.cluster.strategy import STRATEGY_NAMES, get_strategy
 from repro.osd.opqueue import QosSpec, WeightedPriorityQueue, CLIENT_OP
 from repro.qos import (
     AdmissionController,
     TenantSpec,
     default_tenants,
-    qos_payload,
     run_qos,
 )
 from repro.sim import Environment
@@ -166,7 +164,6 @@ def test_admission_window_sheds_and_releases():
     adm.set_window("a", 2)
     assert adm.try_acquire("a") and adm.try_acquire("a")
     assert not adm.try_acquire("a")  # window full -> shed
-    assert adm.shed == {"a": 1}
     adm.release("a")
     assert adm.try_acquire("a")
     assert adm.inflight("a") == 2
@@ -176,7 +173,6 @@ def test_admission_unmetered_tenant_never_sheds():
     adm = AdmissionController()
     for _ in range(100):
         assert adm.try_acquire("ghost")
-    assert sum(adm.shed.values()) == 0
 
 
 def test_admission_release_without_acquire_raises():
@@ -269,17 +265,6 @@ def test_run_qos_rejects_bad_input():
         run_qos("full-osd", dup, duration=1.0)
     with pytest.raises(KeyError):
         run_qos("warp-drive", duration=1.0)
-
-
-def test_qos_payload_passes_bench_schema(small_run):
-    _, result = small_run
-    payload = qos_payload(result)
-    assert validate_payload(payload) >= 1  # aggregate block validated
-    assert payload["fingerprint"] == result.fingerprint
-    tenants = payload["qos"]["tenants"]
-    assert len(tenants) == 4
-    for t in tenants:
-        assert set(t["latency_s"]) == {"mean", "p50", "p90", "p99", "max"}
 
 
 # ------------------------------------------------- fuzz-layer hooks

@@ -96,12 +96,12 @@ def test_charges_construct_nothing_after_warm_up():
         assert all(p.processed and p.ok for p in procs)
 
     run(20)
-    busy = cpu.accounting.total_busy()
+    busy = sum(cpu.accounting.busy_by_category.values())
     with _Constructions() as seen:
         run(200)
     # 3 x 200 x (charge + ctx_switch), and nothing was made for them
     # but the three worker processes themselves.
-    assert cpu.accounting.total_busy() > 10 * busy
+    assert sum(cpu.accounting.busy_by_category.values()) > 10 * busy
     assert seen.counts == {"Process": 3, "Initialize": 3}
 
 

@@ -202,7 +202,8 @@ def test_nan_delay_rejected_at_every_entry_point():
     env.process(SimThread(cpu, "t", "cat").charge(nan))
     with pytest.raises(SimulationError):
         env.run()
-    assert cpu.accounting.total_busy() == 0.0 and not cpu._core_pool.users
+    assert sum(cpu.accounting.busy_by_category.values()) == 0.0
+    assert not cpu._core_pool.users
 
 
 INF = float("inf")

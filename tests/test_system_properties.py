@@ -1,6 +1,8 @@
 """System-level property tests (hypothesis): conservation and ordering
 invariants that must hold for arbitrary workloads and fault patterns."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,12 +122,12 @@ def _make_pipeline(env, fail_mask):
     )
     counter = [0]
 
-    def hook(n):
+    def fire(now, size):
         k = counter[0]
         counter[0] += 1
         return bool(fail_mask) and fail_mask[k % len(fail_mask)]
 
-    node.dma.fault_hook = hook
+    node.dma.fault_injector = SimpleNamespace(fire=fire)
     rpc = RpcChannel(node, profile)
 
     def bulk_handler(req, t):
