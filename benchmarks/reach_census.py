@@ -42,7 +42,7 @@ import tempfile
 def _cli_runs(tree: pathlib.Path) -> list[list[str]]:
     """The CLI drives; short runs reach the same code as long ones."""
     return [
-        ["all", "--duration", "0.5", "--no-json"],
+        ["all", "--duration", "0.5", "--json-dir", "results"],
         ["bench", "--mode", "doceph", "--size", "1M", "--clients", "2",
          "--duration", "1", "--trace", "--no-json"],
         ["faults", "--plan", "dma,p=0.3", "--duration", "1", "--no-json"],

@@ -10,7 +10,7 @@ Usage::
     python -m repro chaos --seeds 0,1,2 --crashes 3 --partitions 1 --replay
     python -m repro fuzz --seed 0 --iterations 25 --corpus corpus
     python -m repro fuzz --replay corpus/crash-missing-0123abcd.plan
-    python -m repro bench --size 1M --clients 2 --trace --out trace.json --replay
+    python -m repro bench --size 1M --clients 2 --out trace.json --replay
     python -m repro qos --strategy full-osd --tenants 8 --rate 250 --replay
     python -m repro qos --sweep --strategies baseline,full-osd
     python -m repro fig8 --duration 20     # longer, steadier runs

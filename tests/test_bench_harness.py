@@ -212,8 +212,9 @@ _FAULTED_TRACED_KEYS = (
 _QOS_KEYS = (
     ".fingerprint", ".qos", ".qos.duration_s", ".qos.jain_goodput",
     ".qos.jain_weighted_goodput", ".qos.ops_shed", ".qos.overload_factor",
-    ".qos.queue", ".qos.queue.limit_deferrals", ".qos.queue.reservation_served",
-    ".qos.queue.tagged_enqueued", ".qos.queue.weight_served", ".qos.seed",
+    ".qos.queue", ".qos.queue.limit_deferrals",
+    ".qos.queue.reservation_served", ".qos.queue.tagged_enqueued",
+    ".qos.queue.weight_served", ".qos.seed",
     ".qos.strategy", ".qos.tenants",
     *(f".qos.tenants[].{key}" for key in (
         "admitted_ops", "arrival", "completed_late_ops", "completed_ops",

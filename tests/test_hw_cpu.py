@@ -21,7 +21,8 @@ def test_execute_accounts_busy_time():
 
     env.process(proc())
     env.run()
-    assert cpu.accounting.busy_by_category == {"msgr-worker": pytest.approx(0.5)}
+    assert cpu.accounting.busy_by_category == {
+        "msgr-worker": pytest.approx(0.5)}
     assert env.now == pytest.approx(0.5)
 
 
